@@ -8,8 +8,9 @@ no wall-clock entropy anywhere — so every run is reproducible from its
 manifest.  The ``--workers`` flag only schedules chunk execution and can
 never change any output byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.  stdout
-carries summaries; stderr carries diagnostics.
+Exit codes: 0 success, 2 configuration error (including an input that
+cannot be read or an output that cannot be written), 3 numeric failure.
+stdout carries summaries; stderr carries diagnostics.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from . import consistency as clab
 from . import power as plab
 from .engine import (
-    asymptotic_critical_value,
     build_combined,
     build_minimax_adaptive,
     geometric_budget,
@@ -32,7 +32,6 @@ from .engine import (
     mc_scale_minimax,
     member_exponents,
     save_test,
-    sup_asymptotic_critical_value,
 )
 from .errors import (
     CalibrationError,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .mc import MonteCarloPlan
 from .norms import SUP, Exponent, parse_exponent
-from .report import svg_line_chart, write_csv, write_manifest
+from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
 
 _FAMILIES = {
     "dense": clab.dense,
@@ -65,29 +64,12 @@ def _as_bool(value) -> bool:
     raise ConfigError(f"cannot parse boolean from {value!r}")
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"malformed config line: {line!r}")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return out
-
-
 class _Resolver:
     """Flag value if given, else config-file value, else default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+        self.config = read_kv(args.config) if getattr(args, "config", None) else {}
         self.resolved: dict[str, object] = {}
 
     def get(self, key: str, default=None, cast=str):
@@ -118,7 +100,11 @@ def _family_from_spec(spec: str) -> clab.AlternativeFamily:
     if spec in _FAMILIES:
         return _FAMILIES[spec]()
     if spec.startswith("power-sparse:") or spec.startswith("powersparse:"):
-        return clab.power_sparse(float(spec.split(":", 1)[1]))
+        try:
+            p = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad power-sparse exponent in {spec!r}") from exc
+        return clab.power_sparse(p)
     raise ConfigError(
         f"unknown family {spec!r} (use dense, sparse, dagger, power-sparse:<p>)"
     )
@@ -162,25 +148,14 @@ def _cmd_calibrate(args) -> int:
     asymptotic = res.get("asymptotic", False, _as_bool)
     minimax = res.get("minimax", False, _as_bool)
 
+    plan = None if asymptotic else _plan(res, "reps", "seed", 100_000, 20_240_501)
     if asymptotic:
         if exponent_text is None:
             raise ConfigError("--asymptotic needs --p (a positive real or 'sup')")
-        exponent = parse_exponent(exponent_text)
-        if exponent.is_sup:
-            kappa = sup_asymptotic_critical_value(d, alpha)
-        else:
-            kappa = asymptotic_critical_value(exponent.p, d, alpha)
-        print(f"test = {exponent.label}  d = {d}  alpha = {alpha:g}")
-        print(f"kappa = {kappa:.10g}")
-        if out:
-            test = make_single_test(d, exponent, alpha, method="asymptotic")
-            save_test(test, out)
-            write_manifest(out + ".manifest", _manifest_entries(res, "calibrate"), [out])
-            print(f"artifact = {out}")
-        return 0
-
-    plan = _plan(res, "reps", "seed", 100_000, 20_240_501)
-    if minimax:
+        test = make_single_test(d, parse_exponent(exponent_text), alpha, method="asymptotic")
+        print(f"test = {test.label}  d = {d}  alpha = {alpha:g}")
+        print(f"kappa = {test.critical_value:.10g}")
+    elif minimax:
         margin = res.get("margin", 5.0, float)
         max_power = res.get("max-power", 8, int)
         test = build_minimax_adaptive(d, margin, max_power)
@@ -272,24 +247,17 @@ def _cmd_power(args) -> int:
     calib_plan = _plan(res, "calib-reps", "calib-seed", calib_reps, 20_240_501)
     plan = _plan(res, "reps", "seed", power_reps, 20_240_777)
 
-    tests = _build_test_suite(names, d, alpha, calib_plan, res, workers)
+    # read every input before the (long) calibration
+    fixed_grid = _parse_agrid(res.get("agrid", "auto", str))
     artifact = res.get("artifact", None, str)
-    if artifact:
-        loaded = load_test(artifact)
-        if loaded.d != d:
-            raise ConfigError(
-                f"artifact was calibrated at d={loaded.d}, run requests d={d}"
-            )
-        tests.append(loaded)
+    loaded = [load_test(artifact)] if artifact else []
+    if any(t.d != d for t in loaded):
+        raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
+    tests = _build_test_suite(names, d, alpha, calib_plan, res, workers) + loaded
 
     outputs = []
-    grid_spec = res.get("agrid", "auto", str)
     for family in families:
-        if grid_spec == "auto":
-            grid = plab.auto_a_grid(tests, family, d, plan, workers=workers)
-        else:
-            lo, hi, n = grid_spec.split(":")
-            grid = tuple(np.linspace(float(lo), float(hi), int(n)))
+        grid = fixed_grid or plab.auto_a_grid(tests, family, d, plan, workers=workers)
         table = plab.power_curve(tests, family, grid, d, plan, workers=workers)
         stem = family.label.replace("(", "_").replace(")", "").replace("=", "")
         csv_path = os.path.join(outdir, f"power_{stem}.csv")
@@ -314,10 +282,27 @@ def _cmd_power(args) -> int:
 
 
 def _parse_dgrid(spec: str) -> tuple[int, ...]:
-    if spec.startswith("geometric:"):
+    try:
+        if not spec.startswith("geometric:"):
+            return tuple(int(float(x)) for x in spec.split(","))
         _, lo, hi = spec.split(":")
-        return clab.geometric_dgrid(int(float(lo)), int(float(hi)))
-    return tuple(int(float(x)) for x in spec.split(","))
+        lo, hi = int(float(lo)), int(float(hi))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad --dgrid {spec!r} (use geometric:lo:hi or a comma list)") from exc
+    return clab.geometric_dgrid(lo, hi)
+
+
+def _parse_agrid(spec: str) -> tuple[float, ...] | None:
+    """None for 'auto', else the lo:hi:n linspace grid."""
+    if spec == "auto":
+        return None
+    try:
+        lo, hi, n = spec.split(":")
+        if int(n) < 1:
+            raise ValueError(n)
+        return tuple(np.linspace(float(lo), float(hi), int(n)))
+    except ValueError as exc:
+        raise ConfigError(f"bad --agrid {spec!r} (use 'auto' or lo:hi:n)") from exc
 
 
 def _cmd_consistency(args) -> int:
@@ -333,7 +318,11 @@ def _cmd_consistency(args) -> int:
 
     if res.get("contour", False, _as_bool):
         exponent = SUP if res.get("sup", False, _as_bool) else Exponent.finite(res.require("p", float))
-        lo, hi = (float(x) for x in res.get("range", "-5:5", str).split(":"))
+        span = res.get("range", "-5:5", str)
+        try:
+            lo, hi = (float(x) for x in span.split(":"))
+        except ValueError as exc:
+            raise ConfigError(f"bad --range {span!r} (use lo:hi)") from exc
         resolution = res.get("resolution", 101, int)
         axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
         path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
@@ -448,8 +437,6 @@ def _cmd_reduce(args) -> int:
     theta = plab.regression_reduce(X, np.atleast_1d(z))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(format(v, ".17g") for v in theta) + "\n")
-    from .report import sha256_file
-
     entries = _manifest_entries(res, "reduce")
     entries["input.design.sha256"] = sha256_file(design)
     entries["input.response.sha256"] = sha256_file(response)
@@ -565,7 +552,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
+        # an unwritable output path is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CalibrationError, NumericError, RankError) as exc:

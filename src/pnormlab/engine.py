@@ -1,4 +1,4 @@
-"""Test statistics, critical-value schedules, and test builders.
+"""Critical values, test objects, test builders and calibration artifacts.
 
 Three calibration routes coexist:
 
@@ -13,7 +13,11 @@ Three calibration routes coexist:
 
 All test objects are frozen dataclasses implementing a tiny protocol:
 ``d``, ``label``, ``norm_exponents()``, ``coordinate_indices()`` and
-``decide_batch(norms, coords)`` operating on equal-shape arrays.
+``decide_batch(norms, coords)`` operating on equal-shape arrays.  The
+single, combined, minimax and constant tests decide from norm statistics
+alone, so their rejection regions are invariant under coordinate
+permutations; the power enhancement (:func:`build_enhanced`) therefore puts
+its spike detector on coordinate 0.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,15 +34,13 @@ from .errors import CalibrationError, ConfigError, DomainError
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from .norms import SUP, Exponent, batch_norms, parse_exponent
+from .report import read_kv
 
 __all__ = [
     "CalibrationWarning",
     "asymptotic_critical_value",
     "sup_asymptotic_critical_value",
     "minimax_critical_value",
-    "AsymptoticFiniteSchedule",
-    "AsymptoticSupSchedule",
-    "MonteCarloSchedule",
     "mc_calibrate",
     "AlphaBudget",
     "geometric_budget",
@@ -55,7 +57,6 @@ __all__ = [
     "build_minimax_adaptive",
     "mc_scale_minimax",
     "build_enhanced",
-    "is_permutation_symmetric",
     "reject_matrix",
     "evaluate",
     "save_test",
@@ -138,93 +139,6 @@ def minimax_critical_value(p: float, d: int, margin: float) -> float:
     if not (margin > 0.0 and math.isfinite(margin)):
         raise DomainError(f"margin must be a positive real, got {margin!r}")
     return _clt_bracket_root(float(p), int(d), margin)
-
-
-@dataclass(frozen=True)
-class AsymptoticFiniteSchedule:
-    """Critical-value schedule from the finite-p CLT formula."""
-
-    exponent: Exponent
-    alpha: float
-    kind: str = "asymptotic_finite"
-
-    def value(self, d: int) -> float:
-        return asymptotic_critical_value(self.exponent.p, d, self.alpha)
-
-    @property
-    def provenance(self) -> str:
-        return f"asymptotic_finite(p={self.exponent.p:g}, alpha={self.alpha:g})"
-
-
-@dataclass(frozen=True)
-class AsymptoticSupSchedule:
-    """Critical-value schedule from the absolute-maximum limit law."""
-
-    alpha: float
-    kind: str = "asymptotic_sup"
-    exponent: Exponent = SUP
-
-    def value(self, d: int) -> float:
-        return sup_asymptotic_critical_value(d, self.alpha)
-
-    @property
-    def provenance(self) -> str:
-        return f"asymptotic_sup(alpha={self.alpha:g})"
-
-
-@dataclass(frozen=True)
-class MonteCarloSchedule:
-    """Monte-Carlo-exact critical value, valid for one dimension only."""
-
-    exponent: Exponent
-    alpha: float
-    d: int
-    critical_value: float
-    plan_descriptor: str
-    kind: str = "monte_carlo"
-
-    def value(self, d: int) -> float:
-        if int(d) != self.d:
-            raise DomainError(
-                f"Monte Carlo schedule was calibrated at d={self.d}, not d={d}"
-            )
-        return self.critical_value
-
-    @property
-    def provenance(self) -> str:
-        return f"monte_carlo({self.plan_descriptor})"
-
-
-def mc_calibrate(
-    exponent: Exponent,
-    d: int,
-    alpha: float,
-    plan: MonteCarloPlan,
-    workers: int = 1,
-) -> MonteCarloSchedule:
-    """Empirical critical value of one norm statistic under the null.
-
-    The critical value is the ceil(R*(1-alpha))-th order statistic of R
-    simulated null statistics; deterministic for a fixed plan.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if plan.replications < 1000:
-        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
-    if alpha * plan.replications < 10:
-        raise ConfigError(
-            "Monte Carlo calibration needs alpha * replications >= 10 for a "
-            "meaningful tail order statistic"
-        )
-    stats = simulate_null_statistics(d, [exponent], plan, workers=workers)[exponent]
-    kappa = empirical_upper_quantile(stats, alpha)
-    return MonteCarloSchedule(
-        exponent=exponent,
-        alpha=alpha,
-        d=int(d),
-        critical_value=kappa,
-        plan_descriptor=plan.descriptor(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +263,18 @@ def member_exponents(d: int, preset: str = "exp") -> tuple[int, tuple[float, ...
 # ---------------------------------------------------------------------------
 
 
+def _max_ratio(
+    norms: Mapping[Exponent, np.ndarray],
+    exponents: Sequence[Exponent],
+    kappas: Sequence[float],
+) -> np.ndarray:
+    """The max-of-scaled-norms statistic ``max_j ||y||_{p_j} / kappa_j``
+    shared by the combined and minimax-adaptive tests."""
+    return np.maximum.reduce(
+        [np.asarray(norms[e]) / k for e, k in zip(exponents, kappas, strict=True)]
+    )
+
+
 @dataclass(frozen=True)
 class PNormTest:
     """Single norm test: reject when the statistic reaches the critical value."""
@@ -401,11 +327,7 @@ class CombinedTest:
         return ()
 
     def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
-        parts = [
-            np.asarray(norms[Exponent.finite(p)]) / k
-            for p, k in zip(self.exponents, self.kappas)
-        ]
-        return np.maximum.reduce(parts)
+        return _max_ratio(norms, self.norm_exponents(), self.kappas)
 
     def decide_batch(self, norms: Mapping[Exponent, np.ndarray], coords=None):
         return self.ratio_statistic(norms) >= self.scale
@@ -439,11 +361,7 @@ class MinimaxAdaptiveTest:
         return ()
 
     def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
-        parts = [
-            np.asarray(norms[Exponent.finite(float(j))]) / self.kappas[j - 1]
-            for j in range(1, self.max_power + 1)
-        ]
-        return np.maximum.reduce(parts)
+        return _max_ratio(norms, self.norm_exponents(), self.kappas)
 
     def decide_batch(self, norms: Mapping[Exponent, np.ndarray], coords=None):
         return self.ratio_statistic(norms) >= self.threshold
@@ -459,7 +377,7 @@ class EnhancedTest:
 
     base: object
     d: int
-    coordinate: int  # 0-based index of the scanned weakest coordinate
+    coordinate: int  # 0-based index of the detector's coordinate
     spike_threshold: float
     spike_mean: float
 
@@ -530,21 +448,43 @@ class ConstantTest:
         return 1.0 if self.always_reject else 0.0
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
-        return ()
+        # the sup column only supplies the row count of a batch
+        return (SUP,)
 
     def coordinate_indices(self) -> tuple[int, ...]:
         return ()
 
     def decide_batch(self, norms, coords=None):
-        for arr in (norms or {}).values():
-            n = np.shape(arr)
-            break
-        else:
-            if coords:
-                n = np.shape(next(iter(coords.values())))
-            else:
-                raise DomainError("constant test needs at least one statistic column")
-        return np.full(n, self.always_reject, dtype=bool)
+        return np.full(np.shape(norms[SUP]), self.always_reject, dtype=bool)
+
+
+def mc_calibrate(
+    exponent: Exponent,
+    d: int,
+    alpha: float,
+    plan: MonteCarloPlan,
+    workers: int = 1,
+) -> PNormTest:
+    """Single norm test with a Monte-Carlo-exact critical value.
+
+    The critical value is the ceil(R*(1-alpha))-th order statistic of R
+    simulated null statistics; deterministic for a fixed plan.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if plan.replications < 1000:
+        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
+    if alpha * plan.replications < 10:
+        raise ConfigError(
+            "Monte Carlo calibration needs alpha * replications >= 10 for a "
+            "meaningful tail order statistic"
+        )
+    stats = simulate_null_statistics(d, [exponent], plan, workers=workers)[exponent]
+    return PNormTest(
+        d=int(d), exponent=exponent, alpha=alpha,
+        critical_value=empirical_upper_quantile(stats, alpha),
+        provenance=f"monte_carlo({plan.descriptor()})",
+    )
 
 
 def make_single_test(
@@ -558,21 +498,18 @@ def make_single_test(
     """Single norm test with an asymptotic or Monte-Carlo-exact critical value."""
     if method == "asymptotic":
         if exponent.is_sup:
-            schedule = AsymptoticSupSchedule(alpha=alpha)
+            kappa = sup_asymptotic_critical_value(d, alpha)
+            prov = f"asymptotic_sup(alpha={alpha:g})"
         else:
-            schedule = AsymptoticFiniteSchedule(exponent=exponent, alpha=alpha)
-        kappa = schedule.value(d)
-        prov = schedule.provenance
-    elif method == "mc":
+            kappa = asymptotic_critical_value(exponent.p, d, alpha)
+            prov = f"asymptotic_finite(p={exponent.p:g}, alpha={alpha:g})"
+        return PNormTest(d=int(d), exponent=exponent, critical_value=kappa,
+                         alpha=alpha, provenance=prov)
+    if method == "mc":
         if plan is None:
             raise ConfigError("Monte Carlo calibration requires a plan")
-        schedule = mc_calibrate(exponent, d, alpha, plan, workers=workers)
-        kappa = schedule.critical_value
-        prov = schedule.provenance
-    else:
-        raise ConfigError(f"unknown calibration method {method!r}")
-    return PNormTest(d=int(d), exponent=exponent, critical_value=kappa,
-                     alpha=alpha, provenance=prov)
+        return mc_calibrate(exponent, d, alpha, plan, workers=workers)
+    raise ConfigError(f"unknown calibration method {method!r}")
 
 
 def build_combined(
@@ -620,9 +557,7 @@ def build_combined(
     kappas = tuple(
         empirical_upper_quantile(stats[e], a) for e, a in zip(members, budget.alphas)
     )
-    ratio = np.maximum.reduce(
-        [stats[e] / k for e, k in zip(members, kappas)]
-    )
+    ratio = _max_ratio(stats, members, kappas)
     scale_raw = empirical_upper_quantile(ratio, budget.total)
     scale = min(1.0, scale_raw)
     if not scale > 0.0:
@@ -722,12 +657,8 @@ def reject_matrix(tests: Sequence, Y: np.ndarray) -> np.ndarray:
     """(n_tests, replications) rejection decisions, computing each needed
     norm exactly once per chunk."""
     Y = np.asarray(Y, dtype=float)
-    exps = required_exponents(tests)
-    norms = batch_norms(Y, exps) if exps else {}
+    norms = batch_norms(Y, required_exponents(tests))
     coords = {i: Y[:, i] for i in required_coordinates(tests)}
-    if not exps and not coords:
-        # only constant tests: report shape via a dummy statistic column
-        norms = {SUP: np.zeros(Y.shape[0])}
     return np.stack([np.asarray(t.decide_batch(norms, coords), dtype=bool) for t in tests])
 
 
@@ -743,127 +674,33 @@ def evaluate(test, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enhancement: weakest-coordinate scan
+# Enhancement
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SpikeScanTask:
-    """Per-chunk power of ``base`` against a spike on every coordinate.
-
-    Uses incremental one-coordinate updates of the member power sums, so the
-    full d-coordinate scan costs a small constant times one norm pass.
-    """
-
-    base: object
-    d: int
-    spike_mean: float
-    seed: int
-    sampler: object
-
-    def __call__(self, chunk_index: int, start: int, size: int) -> np.ndarray:
-        from .mc import chunk_generator
-        from .workspace import process_workspace
-
-        ws = process_workspace()
-        rng = chunk_generator(self.seed, chunk_index)
-        shape = (size, self.d)
-        eps = self.sampler.draw(rng, shape, out=ws.buf("eps", shape))
-        A = ws.buf("scan.abs", shape)
-        np.abs(eps, out=A)
-        shifted = ws.buf("scan.shifted", shape)
-        np.add(eps, self.spike_mean, out=shifted)
-        np.abs(shifted, out=shifted)
-        exps = self.base.norm_exponents()
-        norms_matrix: dict[Exponent, np.ndarray] = {}
-        ap = ws.buf("scan.pow", shape)
-        for k, e in enumerate(exps):
-            if e.is_sup:
-                order = np.argsort(A, axis=1)
-                top1 = A[np.arange(size), order[:, -1]]
-                top2 = A[np.arange(size), order[:, -2]] if self.d > 1 else np.zeros(size)
-                rest_max = np.where(
-                    np.arange(self.d)[None, :] == order[:, -1][:, None],
-                    top2[:, None],
-                    top1[:, None],
-                )
-                norms_matrix[e] = np.maximum(rest_max, shifted)
-            else:
-                out = ws.buf(f"scan.norm.{k}", shape)
-                with np.errstate(over="ignore"):
-                    np.power(A, e.p, out=ap)
-                    total = ap.sum(axis=1)
-                    np.power(shifted, e.p, out=out)
-                    out -= ap
-                    out += total[:, None]
-                    np.clip(out, 0.0, None, out=out)
-                    np.power(out, 1.0 / e.p, out=out)
-                norms_matrix[e] = out
-        decisions = np.asarray(self.base.decide_batch(norms_matrix, {}), dtype=bool)
-        return decisions.sum(axis=0).astype(np.int64)
-
-
-def is_permutation_symmetric(test) -> bool:
-    """Whether the rejection region is invariant under coordinate
-    permutations (true for every pure norm-based test)."""
-    if isinstance(test, (PNormTest, CombinedTest, MinimaxAdaptiveTest, ConstantTest)):
-        return True
-    if isinstance(test, UnionTest):
-        return all(is_permutation_symmetric(t) for t in test.members)
-    return False
-
-
-def build_enhanced(
-    base, d: int, plan: MonteCarloPlan, workers: int = 1
-) -> EnhancedTest:
-    """Augment ``base`` with a spike detector on its weakest coordinate.
+def build_enhanced(base, d: int) -> EnhancedTest:
+    """Augment ``base`` with a spike detector on coordinate 0.
 
     The spike mean is ``sqrt(log(d)/2)`` and the detector threshold is its
-    square root.  For a permutation-symmetric base every coordinate attains
-    the minimal spike power, so the tie-break picks coordinate 0 without
-    scanning.  Otherwise the weakest coordinate is found by a full Monte
-    Carlo scan at a tenth of the plan's replications followed by
-    re-estimation of the ten lowest-power candidates at the full count;
-    remaining ties resolve to the smallest index.
+    square root.  The detector belongs on the base's weakest coordinate, the
+    one where a spike of that mean is hardest for the base to detect, and
+    for a base that decides from norm statistics alone (no
+    ``coordinate_indices``) coordinate 0 is one.  Every norm is invariant
+    under coordinate permutations, so such a base's rejection region is too;
+    the i.i.d. Gaussian noise is exchangeable, so the base's power against a
+    spike on coordinate i is the same for every i.  This covers the single,
+    combined, minimax and constant tests, unions of them, and duck-typed
+    norm-only bases.  A base that reads coordinates (an enhanced test, or a
+    union holding one) is outside the argument; coordinate 0 is then a fixed
+    convention.
     """
-    from .mc import run_chunked
-
     d = int(d)
     if d < 2:
         raise DomainError("enhancement requires d >= 2")
     spike_mean = math.sqrt(math.log(d) / 2.0)
-    spike_threshold = math.sqrt(spike_mean)
-    if (
-        is_permutation_symmetric(base)
-        or not base.norm_exponents()
-        or base.coordinate_indices()
-    ):
-        # Exchangeable or norm-free bases: spike power is constant across
-        # coordinates, so the smallest index is a minimizer.  Coordinate-aware
-        # bases are outside the fast scan; index 0 is the documented fallback.
-        coordinate = 0
-    else:
-        scan_plan = plan.with_replications(max(plan.replications // 10, 1))
-        task = _SpikeScanTask(
-            base=base, d=d, spike_mean=spike_mean, seed=scan_plan.seed,
-            sampler=scan_plan.sampler,
-        )
-        counts = run_chunked(task, scan_plan, workers=workers)
-        total = np.sum(counts, axis=0)
-        order = np.argsort(total, kind="stable")
-        candidates = order[: min(10, d)]
-        from .power import estimate_rejection  # late import to avoid a cycle
-
-        best_rate, coordinate = None, None
-        for i in sorted(int(c) for c in candidates):
-            theta = np.zeros(d)
-            theta[i] = spike_mean
-            rate, _ = estimate_rejection(base, theta, plan, workers=workers)
-            if best_rate is None or rate < best_rate:
-                best_rate, coordinate = rate, i
     return EnhancedTest(
-        base=base, d=d, coordinate=int(coordinate),
-        spike_threshold=spike_threshold, spike_mean=spike_mean,
+        base=base, d=d, coordinate=0,
+        spike_threshold=math.sqrt(spike_mean), spike_mean=spike_mean,
     )
 
 
@@ -924,23 +761,9 @@ def save_test(test, path) -> None:
         fh.write(buf.getvalue())
 
 
-def _parse_kv(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed artifact line: {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def load_test(path):
     """Reconstruct a serialized test from :func:`save_test` output."""
-    with open(path, "r", encoding="utf-8") as fh:
-        kv = _parse_kv(fh.read())
+    kv = read_kv(path)
     if kv.get("schema") != _SCHEMA:
         raise ConfigError(f"unsupported artifact schema: {kv.get('schema')!r}")
     kind = kv.get("kind")
@@ -987,4 +810,6 @@ def load_test(path):
             )
     except KeyError as exc:
         raise ConfigError(f"artifact is missing field {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"artifact has a malformed value: {exc}") from exc
     raise ConfigError(f"unknown artifact kind: {kind!r}")

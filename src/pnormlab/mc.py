@@ -21,6 +21,7 @@ realizations, never re-keyed by test or alternative.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -153,14 +154,16 @@ def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
     """Run ``task(chunk_index, start, size)`` over all chunks of the plan.
 
     Results are returned in chunk order regardless of completion order or
-    worker count.  ``task`` must be picklable when workers > 1.
+    worker count.  At most ``os.cpu_count()`` worker processes are started,
+    and no more than there are chunks.  ``task`` must be picklable when
+    more than one worker runs.
     """
     bounds = plan.chunk_bounds()
-    workers = max(1, int(workers))
-    if workers == 1 or len(bounds) == 1:
+    workers = min(max(1, int(workers)), len(bounds), os.cpu_count() or 1)
+    if workers == 1:
         return [task(c, start, size) for c, start, size in bounds]
     results: list = [None] * len(bounds)
-    with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(task, c, start, size): c for c, start, size in bounds}
         for fut, c in futures.items():
             results[c] = fut.result()

@@ -27,6 +27,7 @@ from .engine import (
     PNormTest,
     UnionTest,
     build_combined,
+    build_enhanced,
     geometric_budget,
     make_single_test,
     member_exponents,
@@ -83,7 +84,6 @@ class _PowerTask:
     unit_theta: np.ndarray | None  # dense/custom full path
 
     def __call__(self, chunk_index: int, start: int, size: int) -> np.ndarray:
-        from .norms import batch_norms
         from .workspace import process_workspace
 
         ws = process_workspace()
@@ -91,41 +91,33 @@ class _PowerTask:
         eps = self.sampler.draw(rng, (size, self.d), out=ws.buf("eps", (size, self.d)))
         exps = required_exponents(self.tests)
         coords = required_coordinates(self.tests)
-        counts = np.zeros((len(self.scales), len(self.tests)), dtype=np.int64)
         if self.support_idx is not None:
             kernel = ShiftedNormKernel(
                 eps, self.support_idx, self.support_vals, exps, workspace=ws
             )
             sup_map = dict(zip(self.support_idx.tolist(), self.support_vals.tolist()))
-            for si, a in enumerate(self.scales):
-                norms = kernel.norms_at(a)
-                cvals = {
-                    i: eps[:, i] + a * sup_map.get(i, 0.0) for i in coords
-                }
-                if not norms and not cvals:
-                    norms = {SUP: np.zeros(size)}
-                for ti, t in enumerate(self.tests):
-                    counts[si, ti] = int(
-                        np.count_nonzero(t.decide_batch(norms, cvals))
-                    )
+
+            def columns(a):
+                cvals = {i: eps[:, i] + a * sup_map.get(i, 0.0) for i in coords}
+                return kernel.norms_at(a), cvals
         else:
             ybuf = ws.buf("shifted", (size, self.d))
             row = ws.buf("theta_row", (self.d,))
-            for si, a in enumerate(self.scales):
+
+            def columns(a):
                 if a == 0.0:
                     Y = eps
                 else:
                     np.multiply(self.unit_theta, a, out=row)
                     np.add(eps, row[None, :], out=ybuf)
                     Y = ybuf
-                norms = batch_norms(Y, exps, workspace=ws) if exps else {}
-                cvals = {i: Y[:, i] for i in coords}
-                if not exps and not cvals:
-                    norms = {SUP: np.zeros(size)}
-                for ti, t in enumerate(self.tests):
-                    counts[si, ti] = int(
-                        np.count_nonzero(t.decide_batch(norms, cvals))
-                    )
+                return batch_norms(Y, exps, workspace=ws), {i: Y[:, i] for i in coords}
+
+        counts = np.zeros((len(self.scales), len(self.tests)), dtype=np.int64)
+        for si, a in enumerate(self.scales):
+            norms, cvals = columns(a)
+            for ti, t in enumerate(self.tests):
+                counts[si, ti] = int(np.count_nonzero(t.decide_batch(norms, cvals)))
         return counts
 
 
@@ -527,9 +519,7 @@ def enhancement_demo(d: int, base, plan: MonteCarloPlan, workers: int = 1) -> En
     ``size_inflation_bound`` is its exact null rejection probability, an
     upper bound on the size the enhancement can add.
     """
-    from .engine import build_enhanced
-
-    enhanced = build_enhanced(base, d, plan, workers=workers)
+    enhanced = build_enhanced(base, d)
     a = enhanced.spike_mean
     t = enhanced.spike_threshold
     theta = np.zeros(int(d))

@@ -11,7 +11,11 @@ import hashlib
 import os
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["fmt", "write_csv", "sha256_file", "write_manifest", "svg_line_chart"]
+from .errors import ConfigError
+
+__all__ = [
+    "fmt", "write_csv", "sha256_file", "write_manifest", "read_kv", "svg_line_chart",
+]
 
 
 def fmt(x) -> str:
@@ -63,6 +67,27 @@ def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] =
         lines.append(f"output.{os.path.basename(out)}.sha256 = {sha256_file(out)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_kv(path) -> dict[str, str]:
+    """Parse a flat ``key = value`` file: a manifest, a calibration artifact
+    or a CLI config.  Blank lines and ``#`` comments are skipped; a file
+    that cannot be read or a line without ``=`` raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    out: dict[str, str] = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"malformed line in {path}: {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
 
 
 _PALETTE = (

@@ -510,7 +510,7 @@ def test_criterion_6_property_suites(desk, tmp_path):
 
     # enhancement dominates its base pointwise
     base = small_tests[0]
-    enhanced = build_enhanced(base, 300, small_plan)
+    enhanced = build_enhanced(base, 300)
     Yd = rng.normal(size=(10_000, 300))
     dec = reject_matrix([base, enhanced], Yd)
     checks.append(("enhancement domination", bool(np.all(dec[1][dec[0]])),

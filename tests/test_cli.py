@@ -5,6 +5,8 @@ import pytest
 
 from pnormlab.cli import main
 from pnormlab.engine import load_test
+from pnormlab.errors import ConfigError
+from pnormlab.report import read_kv
 
 
 def run(argv):
@@ -20,6 +22,25 @@ class TestExitCodes:
         assert (
             run(["consistency", "--family", "weird", "--outdir", tmp_path]) == 2
         )
+
+    # each case is otherwise complete, so the named defect is what it hits
+    @pytest.mark.parametrize("argv", [
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "1:2"],
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:0"],
+        ["consistency", "--contour", "--p", "2", "--range", "5"],
+        ["consistency", "--family", "dense", "--dgrid", "geometric:1e3"],
+        ["consistency", "--family", "power-sparse:abc", "--dgrid", "1000,2000"],
+        ["calibrate", "--d", "100", "--p", "2", "--asymptotic",
+         "--out", "{tmp}/missing/x.txt"],
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:2", "--artifact", "{tmp}/missing.txt"],
+    ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(argv + ["--outdir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_numeric_failure(self, capsys):
         code = run(
@@ -153,6 +174,35 @@ class TestConfigFile:
         cfg.write_text("d = 100\n")
         assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 0
         assert "kappa = 11.10233052" in capsys.readouterr().out
+
+
+class TestSharedReader:
+    """Config files and calibration artifacts share one key=value reader."""
+
+    @pytest.mark.parametrize("flag", ["--config", "--artifact"])
+    @pytest.mark.parametrize("content", ["schema = pnormlab-test/1\nd 100\n", None],
+                             ids=["malformed-line", "missing-file"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "in.txt"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError):
+            read_kv(path)
+        code = run([
+            "power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+            "--reps", "200", "--agrid", "0:1:2", flag, path,
+            "--outdir", tmp_path / "out",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_reads_what_the_manifest_writer_writes(self, tmp_path):
+        assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic",
+                    "--out", tmp_path / "a.txt"]) == 0
+        manifest = read_kv(tmp_path / "a.txt.manifest")
+        assert manifest["manifest"] == "pnormlab-run/1"
+        assert manifest["config.d"] == "100"
+        assert len(manifest["output.a.txt.sha256"]) == 64
 
 
 class TestDemos:

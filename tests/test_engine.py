@@ -6,8 +6,6 @@ from scipy import stats as sps
 
 from pnormlab.engine import (
     AlphaBudget,
-    AsymptoticFiniteSchedule,
-    AsymptoticSupSchedule,
     CalibrationWarning,
     CombinedTest,
     ConstantTest,
@@ -22,7 +20,6 @@ from pnormlab.engine import (
     custom_budget,
     evaluate,
     geometric_budget,
-    is_permutation_symmetric,
     load_test,
     make_single_test,
     mc_calibrate,
@@ -144,31 +141,40 @@ class TestMinimaxCriticalValue:
 
 class TestSchedules:
     def test_finite_schedule_value(self):
-        s = AsymptoticFiniteSchedule(exponent=E2, alpha=0.05)
-        assert s.value(100) == asymptotic_critical_value(2.0, 100, 0.05)
-        assert s.kind == "asymptotic_finite"
+        t = make_single_test(100, E2, 0.05, "asymptotic")
+        assert t.critical_value == asymptotic_critical_value(2.0, 100, 0.05)
+        assert t.provenance == "asymptotic_finite(p=2, alpha=0.05)"
 
     def test_sup_schedule_value(self):
-        s = AsymptoticSupSchedule(alpha=0.05)
-        assert s.value(5000) == sup_asymptotic_critical_value(5000, 0.05)
+        t = make_single_test(5000, SUP, 0.05, "asymptotic")
+        assert t.critical_value == sup_asymptotic_critical_value(5000, 0.05)
+        assert t.provenance == "asymptotic_sup(alpha=0.05)"
 
     def test_mc_schedule_pins_dimension(self):
         plan = MonteCarloPlan(replications=2000, seed=1)
-        s = mc_calibrate(E2, 40, 0.05, plan)
-        assert s.value(40) == s.critical_value
+        t = mc_calibrate(E2, 40, 0.05, plan)
+        assert t.d == 40
+        assert evaluate(t, np.zeros(40)) is False
         with pytest.raises(DomainError):
-            s.value(41)
-        assert "seed=1" in s.provenance
+            evaluate(t, np.zeros(41))
+        assert t.provenance == f"monte_carlo({plan.descriptor()})"
+        assert "seed=1" in t.provenance
+
+    def test_mc_calibrate_is_the_mc_single_test(self):
+        plan = MonteCarloPlan(replications=2000, seed=1)
+        assert mc_calibrate(E2, 40, 0.05, plan) == make_single_test(
+            40, E2, 0.05, "mc", plan
+        )
 
 
 class TestMcCalibrate:
     def test_chi_square_quantile_oracle(self):
         plan = MonteCarloPlan(replications=100_000, seed=314)
-        sched = mc_calibrate(E2, 50, 0.05, plan)
+        test = mc_calibrate(E2, 50, 0.05, plan)
         exact = math.sqrt(sps.chi2.ppf(0.95, df=50))
         density = 2.0 * exact * sps.chi2.pdf(exact**2, df=50)
         se = math.sqrt(0.05 * 0.95 / plan.replications) / density
-        assert abs(sched.critical_value - exact) <= 3.0 * se
+        assert abs(test.critical_value - exact) <= 3.0 * se
 
     def test_determinism(self):
         plan = MonteCarloPlan(replications=2000, seed=8)
@@ -297,9 +303,9 @@ class TestBuildCombined:
         with pytest.warns(CalibrationWarning):
             budget = custom_budget((0.05,))
         test = build_combined(300, (2.0,), budget, plan)
-        sched = mc_calibrate(E2, 300, 0.05, plan)
+        single = mc_calibrate(E2, 300, 0.05, plan)
         assert test.scale * test.kappas[0] == pytest.approx(
-            sched.critical_value, rel=1e-12
+            single.critical_value, rel=1e-12
         )
 
     def test_shared_stats_reuse_matches_internal_simulation(self):
@@ -403,7 +409,7 @@ class TestEnhancement:
     def test_symmetric_base_ties_to_first_coordinate(self):
         plan = MonteCarloPlan(replications=2000, seed=5)
         base = make_single_test(300, E2, 0.05, "mc", plan)
-        enhanced = build_enhanced(base, 300, plan)
+        enhanced = build_enhanced(base, 300)
         assert enhanced.coordinate == 0
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(300) / 2))
         assert enhanced.spike_threshold == pytest.approx(
@@ -413,7 +419,7 @@ class TestEnhancement:
     def test_pointwise_domination(self, rng):
         plan = MonteCarloPlan(replications=3000, seed=6)
         base = make_single_test(100, E2, 0.05, "mc", plan)
-        enhanced = build_enhanced(base, 100, plan)
+        enhanced = build_enhanced(base, 100)
         Y = rng.normal(size=(5000, 100))
         decisions = reject_matrix([base, enhanced], Y)
         assert np.all(decisions[1][decisions[0]])
@@ -423,45 +429,57 @@ class TestEnhancement:
 
         d = 5000
         plan = MonteCarloPlan(replications=40_000, seed=17)
-        enhanced = build_enhanced(ConstantTest(d=d), d, plan)
+        enhanced = build_enhanced(ConstantTest(d=d), d)
         rate, se = estimate_rejection(enhanced, 0, plan)
         exact = 2.0 * std_normal_sf((math.log(d) / 2.0) ** 0.25)
         assert abs(rate - exact) <= 3.0 * se + 1e-12
 
-    def test_scan_machinery_on_asymmetric_base(self, monkeypatch):
-        # force the scan path and check it stays deterministic end to end
-        import pnormlab.engine as eng
+    def test_duck_typed_norm_only_base_uses_first_coordinate(self):
+        # a base outside the library's classes that decides from norms alone:
+        # its spike power is the same on every coordinate
+        from pnormlab.power import estimate_rejection_many
 
-        monkeypatch.setattr(eng, "is_permutation_symmetric", lambda t: False)
-        plan = MonteCarloPlan(replications=2000, seed=99)
-        base = make_single_test(40, E2, 0.05, "mc", plan)
-        first = build_enhanced(base, 40, plan)
-        second = build_enhanced(base, 40, plan)
-        assert first.coordinate == second.coordinate
-        assert 0 <= first.coordinate < 40
+        d = 40
+        inner = make_single_test(d, E2, 0.2, "mc", MonteCarloPlan(replications=2000, seed=3))
 
-    def test_scan_counts_match_direct_evaluation(self):
-        from pnormlab.engine import _SpikeScanTask
-        from pnormlab.mc import StandardNormal, chunk_generator
+        class NormOnly:
+            label = "norm-only"
 
-        d = 12
-        base = make_single_test(d, E2, 0.2, "mc", MonteCarloPlan(replications=2000, seed=3))
-        spike = math.sqrt(math.log(d) / 2.0)
-        task = _SpikeScanTask(
-            base=base, d=d, spike_mean=spike, seed=123, sampler=StandardNormal()
-        )
-        counts = task(0, 0, 500)
-        eps = chunk_generator(123, 0).standard_normal((500, d))
-        expected = np.zeros(d, dtype=np.int64)
-        for i in range(d):
-            shifted = eps.copy()
-            shifted[:, i] += spike
-            expected[i] = int(reject_matrix([base], shifted)[0].sum())
-        np.testing.assert_array_equal(counts, expected)
+            def __init__(self):
+                self.d = d
+
+            def norm_exponents(self):
+                return (E2,)
+
+            def coordinate_indices(self):
+                return ()
+
+            def decide_batch(self, norms, coords):
+                return inner.decide_batch(norms, coords)
+
+        base = NormOnly()
+        enhanced = build_enhanced(base, d)
+        assert enhanced.coordinate == 0
+        first, last = np.zeros(d), np.zeros(d)
+        first[0] = last[d - 1] = enhanced.spike_mean
+        plan = MonteCarloPlan(replications=4000, seed=12)
+        (r0, se0), = estimate_rejection_many([base], first, plan)
+        (r1, se1), = estimate_rejection_many([base], last, plan)
+        assert abs(r0 - r1) <= 3.0 * math.hypot(se0, se1)
+
+    def test_union_with_enhanced_member_uses_first_coordinate(self):
+        a = PNormTest(d=30, exponent=E2, critical_value=6.0, alpha=0.05)
+        member = EnhancedTest(base=a, d=30, coordinate=7, spike_threshold=1.5,
+                              spike_mean=2.0)
+        union = UnionTest(members=(a, member))
+        assert union.coordinate_indices() == (7,)
+        enhanced = build_enhanced(union, 30)
+        assert enhanced.coordinate == 0
+        assert enhanced.coordinate_indices() == (0, 7)
 
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
-            build_enhanced(ConstantTest(d=1), 1, MonteCarloPlan(replications=100, seed=1))
+            build_enhanced(ConstantTest(d=1), 1)
 
 
 class TestEvaluate:
@@ -492,13 +510,12 @@ class TestEvaluate:
         np.testing.assert_array_equal(dec[2], dec[0] | dec[1])
         assert u.alpha == pytest.approx(0.2)
 
-    def test_symmetry_classifier(self):
-        a = PNormTest(d=4, exponent=E2, critical_value=2.0, alpha=0.1)
-        assert is_permutation_symmetric(a)
-        assert is_permutation_symmetric(UnionTest(members=(a, a)))
-        enhanced = EnhancedTest(base=a, d=4, coordinate=0, spike_threshold=1.0,
-                                spike_mean=1.0)
-        assert not is_permutation_symmetric(enhanced)
+    def test_constant_tests_alone(self, rng):
+        # constant tests take their row count from the sup column they request
+        Y = rng.normal(size=(7, 5))
+        dec = reject_matrix([ConstantTest(d=5), ConstantTest(d=5, always_reject=True)], Y)
+        assert dec.shape == (2, 7)
+        assert not dec[0].any() and dec[1].all()
 
 
 class TestSerialization:
@@ -532,3 +549,18 @@ class TestSerialization:
         path.write_text("schema = other/9\nkind = single\n")
         with pytest.raises(ConfigError):
             load_test(path)
+
+    @pytest.mark.parametrize("content", [
+        b"schema = pnormlab-test/1\nkind single\n",
+        b"schema = pnormlab-test/1\nkind = single\nd = ten\n",
+        b"\xff\xfe\x00binary",
+    ], ids=["no-equals", "bad-value", "not-utf8"])
+    def test_malformed_artifact(self, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_test(path)
+
+    def test_missing_artifact(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_test(tmp_path / "absent.txt")

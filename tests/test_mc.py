@@ -58,6 +58,40 @@ class TestRunChunked:
         assert seq == par == [(i, i * 128) for i in range(plan.n_chunks)]
 
 
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        import os
+        from concurrent.futures import Future
+
+        import pnormlab.mc as mc
+
+        requested = []
+
+        class InlinePool:
+            # records the pool size and runs every task in this process
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        plan = MonteCarloPlan(replications=20 * 128, seed=3, chunk_size=128)
+        serial = run_chunked(_chunk_id_task, plan, workers=1)
+        assert run_chunked(_chunk_id_task, plan, workers=500) == serial
+        assert requested == [3]
+        assert run_chunked(_chunk_id_task, plan.with_replications(256), workers=500) == serial[:2]
+        assert requested == [3, 2]
+
+
 def _chunk_id_task(chunk_index, start, size):
     return (chunk_index, start)
 
