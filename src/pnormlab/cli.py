@@ -16,8 +16,10 @@ stdout carries summaries; stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .engine import (
     geometric_budget,
     load_test,
     make_single_test,
+    mc_calibrate,
     mc_scale_minimax,
     member_exponents,
     save_test,
@@ -41,7 +44,7 @@ from .errors import (
     PnormLabError,
     RankError,
 )
-from .mc import MonteCarloPlan
+from .mc import MonteCarloPlan, simulate_null_statistics
 from .norms import SUP, Exponent, parse_exponent
 from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
 
@@ -196,24 +199,35 @@ _TEST_MENU = ("p=1", "p=2", "p=3", "p=4", "sup", "combined", "minimax")
 
 
 def _build_test_suite(names, d, alpha, calib_plan, res, workers):
-    tests = []
+    """Calibrate every requested test on one shared null sample of the plan.
+
+    A statistic column depends only on the plan and its own exponent, so
+    each test gets the same critical values as a calibration of its own.
+    """
+    calibrations = []  # (exponents the test reads, calibrate(stats=...))
     for name in names:
         name = name.strip().lower()
         if name == "combined":
             m, exps = member_exponents(d, res.get("preset", "exp", str) or "exp")
-            budget = geometric_budget(m, alpha)
-            tests.append(build_combined(d, exps, budget, calib_plan, workers=workers))
+            calibrations.append((
+                [Exponent.finite(p) for p in exps],
+                partial(build_combined, d, exps, geometric_budget(m, alpha), calib_plan),
+            ))
         elif name == "minimax":
             t = build_minimax_adaptive(
                 d, res.get("margin", 5.0, float), res.get("max-power", 8, int)
             )
-            tests.append(mc_scale_minimax(t, alpha, calib_plan, workers=workers))
-        else:
-            tests.append(
-                make_single_test(d, parse_exponent(name.removeprefix("p=")), alpha,
-                                 "mc", calib_plan, workers)
+            calibrations.append(
+                (t.norm_exponents(), partial(mc_scale_minimax, t, alpha, calib_plan))
             )
-    return tests
+        else:
+            e = parse_exponent(name.removeprefix("p="))
+            calibrations.append(([e], partial(mc_calibrate, e, d, alpha, calib_plan)))
+    if not calibrations:
+        return []
+    union = [e for exps, _ in calibrations for e in exps]
+    stats = simulate_null_statistics(d, union, calib_plan, workers=workers)
+    return [calibrate(stats=stats) for _, calibrate in calibrations]
 
 
 def _cmd_power(args) -> int:
@@ -286,23 +300,40 @@ def _parse_dgrid(spec: str) -> tuple[int, ...]:
         if not spec.startswith("geometric:"):
             return tuple(int(float(x)) for x in spec.split(","))
         _, lo, hi = spec.split(":")
-        lo, hi = int(float(lo)), int(float(hi))
+        return clab.geometric_dgrid(int(float(lo)), int(float(hi)))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad --dgrid {spec!r} (use geometric:lo:hi or a comma list)") from exc
-    return clab.geometric_dgrid(lo, hi)
+
+
+_MAX_AGRID_POINTS = 10_000
 
 
 def _parse_agrid(spec: str) -> tuple[float, ...] | None:
-    """None for 'auto', else the lo:hi:n linspace grid."""
+    """None for 'auto', else the lo:hi:n linspace grid of finite scales."""
     if spec == "auto":
         return None
     try:
         lo, hi, n = spec.split(":")
-        if int(n) < 1:
-            raise ValueError(n)
-        return tuple(np.linspace(float(lo), float(hi), int(n)))
+        lo, hi, n = float(lo), float(hi), int(n)
+        # a non-finite span means a non-finite bound or an overflow
+        if not (math.isfinite(hi - lo) and 1 <= n <= _MAX_AGRID_POINTS):
+            raise ValueError(spec)
+        return tuple(np.linspace(lo, hi, n))
     except ValueError as exc:
-        raise ConfigError(f"bad --agrid {spec!r} (use 'auto' or lo:hi:n)") from exc
+        raise ConfigError(f"bad --agrid {spec!r} (use 'auto' or lo:hi:n with "
+                          f"finite bounds and 1 <= n <= {_MAX_AGRID_POINTS})") from exc
+
+
+def _parse_range(spec: str) -> tuple[float, float]:
+    """The finite lo:hi bounds of a contour axis."""
+    try:
+        lo, hi = (float(x) for x in spec.split(":"))
+        # a non-finite span means a non-finite bound or an overflow
+        if not math.isfinite(hi - lo):
+            raise ValueError(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad --range {spec!r} (use lo:hi with finite bounds)") from exc
+    return lo, hi
 
 
 def _cmd_consistency(args) -> int:
@@ -318,11 +349,7 @@ def _cmd_consistency(args) -> int:
 
     if res.get("contour", False, _as_bool):
         exponent = SUP if res.get("sup", False, _as_bool) else Exponent.finite(res.require("p", float))
-        span = res.get("range", "-5:5", str)
-        try:
-            lo, hi = (float(x) for x in span.split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"bad --range {span!r} (use lo:hi)") from exc
+        lo, hi = _parse_range(res.get("range", "-5:5", str))
         resolution = res.get("resolution", 101, int)
         axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
         path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")

@@ -275,6 +275,20 @@ def _max_ratio(
     )
 
 
+def _check_columns(
+    stats: Mapping[Exponent, np.ndarray],
+    exponents: Sequence[Exponent],
+    plan: MonteCarloPlan,
+) -> None:
+    """Reject precomputed null statistics that lack a requested column or
+    hold a column of another length than the plan's replication count."""
+    if any(e not in stats for e in exponents) or any(
+        np.shape(stats[e]) != (plan.replications,) for e in exponents
+    ):
+        raise DomainError("precomputed statistics do not cover the requested "
+                          "exponents at the plan's replication count")
+
+
 @dataclass(frozen=True)
 class PNormTest:
     """Single norm test: reject when the statistic reaches the critical value."""
@@ -464,11 +478,14 @@ def mc_calibrate(
     alpha: float,
     plan: MonteCarloPlan,
     workers: int = 1,
+    stats: Mapping[Exponent, np.ndarray] | None = None,
 ) -> PNormTest:
     """Single norm test with a Monte-Carlo-exact critical value.
 
     The critical value is the ceil(R*(1-alpha))-th order statistic of R
-    simulated null statistics; deterministic for a fixed plan.
+    simulated null statistics; deterministic for a fixed plan.  ``stats``
+    may carry precomputed columns of the same plan as in
+    :func:`build_combined`.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -479,10 +496,13 @@ def mc_calibrate(
             "Monte Carlo calibration needs alpha * replications >= 10 for a "
             "meaningful tail order statistic"
         )
-    stats = simulate_null_statistics(d, [exponent], plan, workers=workers)[exponent]
+    if stats is None:
+        stats = simulate_null_statistics(d, [exponent], plan, workers=workers)
+    else:
+        _check_columns(stats, [exponent], plan)
     return PNormTest(
         d=int(d), exponent=exponent, alpha=alpha,
-        critical_value=empirical_upper_quantile(stats, alpha),
+        critical_value=empirical_upper_quantile(stats[exponent], alpha),
         provenance=f"monte_carlo({plan.descriptor()})",
     )
 
@@ -549,11 +569,8 @@ def build_combined(
     members = [Exponent.finite(p) for p in exps]
     if stats is None:
         stats = simulate_null_statistics(d, members, plan, workers=workers)
-    elif any(e not in stats for e in members) or any(
-        np.asarray(stats[e]).shape != (plan.replications,) for e in members
-    ):
-        raise DomainError("precomputed statistics do not cover the member "
-                          "exponents at the plan's replication count")
+    else:
+        _check_columns(stats, members, plan)
     kappas = tuple(
         empirical_upper_quantile(stats[e], a) for e, a in zip(members, budget.alphas)
     )
@@ -623,6 +640,8 @@ def mc_scale_minimax(
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if stats is None:
         stats = simulate_null_statistics(test.d, test.norm_exponents(), plan, workers=workers)
+    else:
+        _check_columns(stats, test.norm_exponents(), plan)
     threshold = empirical_upper_quantile(test.ratio_statistic(stats), alpha)
     return replace(
         test,
@@ -719,6 +738,10 @@ def _fmt_list(xs: Sequence[float]) -> str:
     return ",".join(_fmt(x) for x in xs)
 
 
+def _parse_list(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
 def save_test(test, path) -> None:
     """Serialize a single/combined/minimax test to a key=value text file."""
     buf = io.StringIO()
@@ -777,8 +800,12 @@ def load_test(path):
                 provenance=kv.get("provenance", ""),
             )
         if kind == "combined":
-            exps = tuple(float(x) for x in kv["exponents"].split(","))
-            alphas = tuple(float(x) for x in kv["alphas"].split(","))
+            exps = _parse_list(kv["exponents"])
+            alphas = _parse_list(kv["alphas"])
+            kappas = _parse_list(kv["kappas"])
+            if not len(exps) == len(alphas) == len(kappas):
+                raise ValueError(f"{len(exps)} exponents, {len(alphas)} alphas "
+                                 f"and {len(kappas)} kappas")
             gen = kv.get("budget_generator", "custom")
             if gen == "geometric":
                 budget = AlphaBudget(
@@ -791,7 +818,7 @@ def load_test(path):
             return CombinedTest(
                 d=int(kv["d"]),
                 exponents=exps,
-                kappas=tuple(float(x) for x in kv["kappas"].split(",")),
+                kappas=kappas,
                 scale=float(kv["scale"]),
                 alpha=float(kv["alpha"]),
                 budget=budget,
@@ -799,11 +826,15 @@ def load_test(path):
                 provenance=kv.get("provenance", ""),
             )
         if kind == "minimax":
+            max_power = int(kv["max_power"])
+            kappas = _parse_list(kv["kappas"])
+            if len(kappas) != max_power:
+                raise ValueError(f"max_power = {max_power} but {len(kappas)} kappas")
             return MinimaxAdaptiveTest(
                 d=int(kv["d"]),
                 margin=float(kv["margin"]),
-                max_power=int(kv["max_power"]),
-                kappas=tuple(float(x) for x in kv["kappas"].split(",")),
+                max_power=max_power,
+                kappas=kappas,
                 threshold=float(kv["threshold"]),
                 alpha=float(kv["alpha"]) if "alpha" in kv else None,
                 provenance=kv.get("provenance", ""),

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .consistency import AlternativeFamily, dense, power_sparse, semi_sparse, sparse
 from .engine import (
     CombinedTest,
-    PNormTest,
     UnionTest,
     build_combined,
     build_enhanced,
     geometric_budget,
-    make_single_test,
+    mc_calibrate,
     member_exponents,
     required_coordinates,
     required_exponents,
@@ -39,7 +38,6 @@ from .gaussmath import std_normal_quantile, std_normal_sf
 from .mc import (
     MonteCarloPlan,
     chunk_generator,
-    empirical_upper_quantile,
     run_chunked,
     simulate_null_statistics,
 )
@@ -240,10 +238,10 @@ def power_curve(
         if t.d != d:
             raise DomainError("all tests must be calibrated at the requested d")
     scales = [float(a) for a in a_grid]
-    if any(a < 0 for a in scales) or any(
+    if any(not 0.0 <= a < math.inf for a in scales) or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
-        raise DomainError("a_grid must be non-negative and strictly increasing")
+        raise DomainError("a_grid must be finite, non-negative and strictly increasing")
     support = family.support(d)
     counts = _counts(
         tests, scales, plan, workers, support=support, unit_theta=family.theta(d)
@@ -357,25 +355,15 @@ def pe_demo(
         )
     )
     stats = simulate_null_statistics(d, wanted, calibration_plan, workers=workers)
-
-    def _single(exponent, level):
-        return PNormTest(
-            d=d,
-            exponent=exponent,
-            critical_value=empirical_upper_quantile(stats[exponent], level),
-            alpha=level,
-            provenance=f"monte_carlo({calibration_plan.descriptor()})",
-        )
-
-    two = _single(Exponent.finite(2.0), alpha2)
-    supt = _single(SUP, alpha_inf)
+    two = mc_calibrate(Exponent.finite(2.0), d, alpha2, calibration_plan, stats=stats)
+    supt = mc_calibrate(SUP, d, alpha_inf, calibration_plan, stats=stats)
     maxcomb = UnionTest(members=(two, supt), name="max-comb(2,sup)")
     combined = build_combined(
         d, exps, geometric_budget(len(exps), total), calibration_plan, workers,
         stats=stats,
     )
-    p3 = _single(Exponent.finite(3.0), total)
-    p4 = _single(Exponent.finite(4.0), total)
+    p3 = mc_calibrate(Exponent.finite(3.0), d, total, calibration_plan, stats=stats)
+    p4 = mc_calibrate(Exponent.finite(4.0), d, total, calibration_plan, stats=stats)
     tests = [two, supt, maxcomb, combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
     theta = semi_sparse().theta(d)
@@ -406,20 +394,24 @@ def power_gap_scan(
     plan: MonteCarloPlan,
     calibration_plan: MonteCarloPlan,
     workers: int = 1,
+    stats: Mapping[Exponent, np.ndarray] | None = None,
 ) -> GapScanReport:
     """Scan mean vectors for the largest power gap between the standalone
     member test (at the combined test's full level) and the combined test.
 
     The analytic ceiling on the asymptotic gap is
     ``(quantile(1 - limit member level) - quantile(1 - level)) / sqrt(2 pi)``.
+    ``stats`` may carry precomputed null columns of ``calibration_plan``
+    that include the member's exponent, as in :func:`mc_calibrate`.
     """
     m = len(combined.exponents)
     if not (0 <= int(member_index) < m):
         raise DomainError(f"member index out of range: {member_index!r}")
     member_index = int(member_index)
     p = combined.exponents[member_index]
-    standalone = make_single_test(
-        combined.d, Exponent.finite(p), combined.alpha, "mc", calibration_plan, workers
+    standalone = mc_calibrate(
+        Exponent.finite(p), combined.d, combined.alpha, calibration_plan, workers,
+        stats=stats,
     )
     limit_a = combined.budget.limit_alpha(member_index)
     bound = (

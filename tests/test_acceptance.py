@@ -150,7 +150,7 @@ def desk():
         warnings.simplefilter("ignore", CalibrationWarning)
         analytic = build_minimax_adaptive(D_DESK, MINIMAX_MARGIN, MINIMAX_MAX_POWER)
     tests["minimax"] = mc_scale_minimax(analytic, ALPHA, cal_plan, stats=stats)
-    return {"tests": tests, "combined": combined, "cal_plan": cal_plan}
+    return {"tests": tests, "combined": combined, "cal_plan": cal_plan, "stats": stats}
 
 
 def _rel_err(value, log_oracle):
@@ -259,7 +259,8 @@ def test_criterion_3_power_gap_bound(desk):
     standalone at the full level, by more than the analytic ceiling."""
     plan = MonteCarloPlan(replications=R_POWER, seed=POWER_SEED)
     report = power_gap_scan(
-        desk["combined"], 0, default_gap_grid(D_DESK), plan, desk["cal_plan"]
+        desk["combined"], 0, default_gap_grid(D_DESK), plan, desk["cal_plan"],
+        stats=desk["stats"],
     )
     limit = GAP_BOUND + 3.0 * report.max_gap_stderr
     ok = report.max_gap <= limit

@@ -2,10 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pnormlab import cli
 from pnormlab.cli import main
-from pnormlab.engine import load_test
+from pnormlab.engine import (
+    build_combined,
+    build_minimax_adaptive,
+    geometric_budget,
+    load_test,
+    make_single_test,
+    mc_scale_minimax,
+    member_exponents,
+)
 from pnormlab.errors import ConfigError
+from pnormlab.mc import MonteCarloPlan
+from pnormlab.norms import parse_exponent
 from pnormlab.report import read_kv
 
 
@@ -36,7 +49,13 @@ class TestExitCodes:
          "--out", "{tmp}/missing/x.txt"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2", "--artifact", "{tmp}/missing.txt"],
-    ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact"])
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:nan:3"],
+        ["consistency", "--contour", "--p", "2", "--range", "0:inf"],
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:10001"],
+    ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
+            "agrid-nan", "range-inf", "agrid-points"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(argv + ["--outdir", tmp_path / "out"]) == 2
@@ -122,6 +141,76 @@ class TestPower:
             "--artifact", art, "--outdir", tmp_path / "out",
         ])
         assert code == 2
+
+
+class TestSharedCalibration:
+    """``power`` calibrates its whole suite on one null sample of the plan."""
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    def test_suite_equals_separate_calibrations(self):
+        d, alpha = 200, 0.05
+        plan = MonteCarloPlan(replications=4000, seed=5)
+        res = cli._Resolver(cli.build_parser().parse_args(["power", "--d", str(d)]))
+        got = cli._build_test_suite(list(cli._TEST_MENU), d, alpha, plan, res, 1)
+        m, exps = member_exponents(d, "exp")
+        expected = [
+            make_single_test(d, parse_exponent(p), alpha, "mc", plan)
+            for p in ("1", "2", "3", "4", "sup")
+        ] + [
+            build_combined(d, exps, geometric_budget(m, alpha), plan),
+            mc_scale_minimax(build_minimax_adaptive(d, 5.0, 8), alpha, plan),
+        ]
+        assert got == expected
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    def test_figure3_simulates_the_calibration_plan_once(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = cli.simulate_null_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_null_statistics", counting)
+        assert run([
+            "power", "--figure3", "--d", "200", "--calib-reps", "4000",
+            "--reps", "200", "--agrid", "0:1:3", "--outdir", tmp_path,
+        ]) == 0
+        assert len(calls) == 1
+        res = cli._Resolver(cli.build_parser().parse_args(["power"]))
+        plan = MonteCarloPlan(replications=4000, seed=1)
+        assert cli._build_test_suite([], 200, 0.05, plan, res, 1) == []
+        assert len(calls) == 1
+
+
+# every value a parser returns is finite; everything else is a ConfigError
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e309", ""]),
+    st.text(max_size=4),
+)
+_SPEC_TEXT = st.one_of(
+    st.text(),
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT).map(":".join),
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT,
+              st.integers(min_value=-2, max_value=64).map(str)).map(":".join),
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT).map(lambda t: "geometric:" + ":".join(t)),
+)
+
+
+class TestOptionParsers:
+    @pytest.mark.parametrize("parser", [cli._parse_agrid, cli._parse_dgrid,
+                                        cli._parse_range])
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_SPEC_TEXT)
+    def test_finite_values_or_config_error(self, parser, spec):
+        try:
+            values = parser(spec)
+        except ConfigError:
+            return
+        assert values is None or all(math.isfinite(v) for v in values)
 
 
 class TestConsistency:

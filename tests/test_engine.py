@@ -188,6 +188,27 @@ class TestMcCalibrate:
         with pytest.raises(ConfigError):
             mc_calibrate(E2, 10, 0.001, MonteCarloPlan(replications=2000, seed=1))
 
+    def test_shared_stats_match_own_simulation(self):
+        # columns of a wider joint simulation give the identical test
+        plan = MonteCarloPlan(replications=2000, seed=8)
+        stats = simulate_null_statistics(
+            64, [Exponent.finite(1.0), E2, Exponent.finite(3.5), SUP], plan
+        )
+        for e in (E2, SUP):
+            assert mc_calibrate(e, 64, 0.05, plan, stats=stats) == mc_calibrate(
+                e, 64, 0.05, plan
+            )
+
+    def test_shared_stats_guards(self):
+        plan = MonteCarloPlan(replications=2000, seed=8)
+        stats = simulate_null_statistics(64, [E2], plan)
+        with pytest.raises(DomainError):
+            mc_calibrate(SUP, 64, 0.05, plan, stats=stats)
+        with pytest.raises(DomainError):
+            mc_calibrate(E2, 64, 0.05, plan, stats={E2: stats[E2][:-1]})
+        with pytest.raises(ConfigError):
+            mc_calibrate(E2, 64, 0.001, plan, stats=stats)
+
 
 class TestBudgets:
     def test_two_members(self):
@@ -554,7 +575,15 @@ class TestSerialization:
         b"schema = pnormlab-test/1\nkind single\n",
         b"schema = pnormlab-test/1\nkind = single\nd = ten\n",
         b"\xff\xfe\x00binary",
-    ], ids=["no-equals", "bad-value", "not-utf8"])
+        # member counts that disagree fail at load, not at the first decision
+        b"schema = pnormlab-test/1\nkind = combined\nd = 100\nalpha = 0.05\n"
+        b"exponents = 2,3\nalphas = 0.025,0.025\nkappas = 11.1\nscale = 1\n",
+        b"schema = pnormlab-test/1\nkind = combined\nd = 100\nalpha = 0.05\n"
+        b"exponents = 2,3\nalphas = 0.05\nkappas = 11.1,5.2\nscale = 1\n",
+        b"schema = pnormlab-test/1\nkind = minimax\nd = 100\nmargin = 5\n"
+        b"max_power = 3\nkappas = 90,13\nthreshold = 1\n",
+    ], ids=["no-equals", "bad-value", "not-utf8", "combined-kappas",
+            "combined-alphas", "minimax-kappas"])
     def test_malformed_artifact(self, tmp_path, content):
         path = tmp_path / "bad.txt"
         path.write_bytes(content)

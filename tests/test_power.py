@@ -14,7 +14,7 @@ from pnormlab.engine import (
     member_exponents,
 )
 from pnormlab.errors import DomainError, RankError
-from pnormlab.mc import MonteCarloPlan
+from pnormlab.mc import MonteCarloPlan, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent
 from pnormlab.power import (
     auto_a_grid,
@@ -133,6 +133,9 @@ class TestPowerCurve:
             power_curve(tests, dense(), (0.5, 0.2), d, plan)
         with pytest.raises(DomainError):
             power_curve(tests, dense(), (-0.1, 0.2), d, plan)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                power_curve(tests, dense(), (0.0, bad), d, plan)
 
 
 class TestAutoGrid:
@@ -189,6 +192,20 @@ class TestGapScan:
         report = power_gap_scan(combined, 0, thetas, plan, cal)
         assert report.bound == pytest.approx(0.238, abs=0.002)
         assert abs(report.gaps[0][1]) <= 4.0 * report.gaps[0][2]
+
+    def test_shared_stats_give_the_same_report(self):
+        d = 200
+        cal = MonteCarloPlan(replications=5000, seed=18)
+        m, exps = member_exponents(d, "exp")
+        stats = simulate_null_statistics(
+            d, [Exponent.finite(p) for p in exps] + [SUP], cal
+        )
+        combined = build_combined(d, exps, geometric_budget(m, 0.05), cal, stats=stats)
+        plan = MonteCarloPlan(replications=1000, seed=19)
+        thetas = [("null", np.zeros(d)), ("dense", dense().theta(d, 0.3))]
+        assert power_gap_scan(combined, 0, thetas, plan, cal, stats=stats) == (
+            power_gap_scan(combined, 0, thetas, plan, cal)
+        )
 
     def test_default_grid_span(self):
         grid = default_gap_grid(1000, points_per_family=15)
