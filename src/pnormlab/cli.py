@@ -324,6 +324,9 @@ def _parse_agrid(spec: str) -> tuple[float, ...] | None:
                           f"finite bounds and 1 <= n <= {_MAX_AGRID_POINTS})") from exc
 
 
+_MAX_CONTOUR_RESOLUTION = 1001  # points per axis: at most about 10^6 cells
+
+
 def _parse_range(spec: str) -> tuple[float, float]:
     """The finite lo:hi bounds of a contour axis."""
     try:
@@ -351,6 +354,9 @@ def _cmd_consistency(args) -> int:
         exponent = SUP if res.get("sup", False, _as_bool) else Exponent.finite(res.require("p", float))
         lo, hi = _parse_range(res.get("range", "-5:5", str))
         resolution = res.get("resolution", 101, int)
+        if resolution > _MAX_CONTOUR_RESOLUTION:
+            raise ConfigError(f"--resolution {resolution} exceeds the cap of "
+                              f"{_MAX_CONTOUR_RESOLUTION} points per axis")
         axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
         path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
         rows = [
@@ -583,7 +589,8 @@ def main(argv=None) -> int:
         # an unwritable output path is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, NumericError, RankError) as exc:
+    except (CalibrationError, NumericError, RankError, OverflowError) as exc:
+        # OverflowError: a value too large for a float, e.g. a 400-digit --d
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except PnormLabError as exc:

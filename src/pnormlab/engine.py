@@ -125,10 +125,13 @@ def sup_asymptotic_critical_value(d: int, alpha: float) -> float:
         raise DomainError("sup-norm asymptotic critical value requires d >= 3")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    half_tail = -math.log1p(-alpha) / 2.0
+    if half_tail == 0.0:  # only alpha = 5e-324, the smallest subnormal, halves to 0
+        raise CalibrationError(f"alpha={alpha!r} underflows the sup-norm critical value")
     root = math.sqrt(2.0 * math.log(d))
     val = root
     val -= (math.log(math.log(d)) + math.log(4.0 * math.pi)) / (2.0 * root)
-    val -= math.log(-math.log1p(-alpha) / 2.0) / root
+    val -= math.log(half_tail) / root
     return val
 
 

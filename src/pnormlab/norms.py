@@ -8,11 +8,11 @@ Finite-exponent norms are evaluated in max-factored form,
 so arbitrarily large exponents (the power lab uses p beyond 55 at d in the
 hundreds of thousands) cannot overflow.
 
-`batch_norms` is the hot path of the Monte Carlo engine: it evaluates a
-whole list of exponents on a replication-by-dimension matrix in-place on
-workspace buffers, walking small integer exponents through one sequential
-multiplication chain and sharing the elementwise log across non-integer
-exponents.
+`_scaled_power_sums` is the one routine that computes power sums: on
+workspace buffers it walks small integer exponents through one sequential
+multiplication chain and shares the elementwise log across non-integer
+exponents.  `batch_norms` (the Monte Carlo hot path) and
+`ShiftedNormKernel` both call it.
 """
 
 from __future__ import annotations
@@ -102,31 +102,19 @@ def _is_chain_exponent(e: Exponent) -> bool:
     return (not e.is_sup) and float(e.p).is_integer() and e.p <= _MAX_INT_CHAIN
 
 
-def batch_norms(
-    Y: np.ndarray,
-    exponents: Sequence[Exponent],
-    workspace: Workspace | None = None,
-) -> dict[Exponent, np.ndarray]:
-    """Norm statistics of every row of ``Y`` for every requested exponent.
+def _scaled_power_sums(
+    Z: np.ndarray, exponents: Sequence[Exponent], ws: Workspace
+) -> tuple[np.ndarray, dict[float, np.ndarray]]:
+    """Row max ``m`` of the non-negative matrix ``Z`` and, for every finite
+    exponent, the power sums ``sum_i (Z_i/m)^p`` keyed by ``p``.
 
-    Returns a dict keyed by exponent with float arrays of length
-    ``Y.shape[0]``; rows that are identically zero get statistic 0.  When a
-    workspace is supplied, all large intermediates live on its reusable
-    buffers and the call performs no large allocations in steady state.
+    Divides ``Z`` by ``m`` in place; rows with ``m == 0`` keep zero sums.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] == 0:
-        raise DomainError("batch_norms expects a non-empty (replications, d) matrix")
-    ws = workspace if workspace is not None else Workspace()
-    shape = Y.shape
-
-    Z = ws.buf("norms.scaled", shape)
-    np.abs(Y, out=Z)
+    shape = Z.shape
     m = Z.max(axis=1)
     safe_m = np.where(m > 0.0, m, 1.0)
     Z /= safe_m[:, None]
 
-    out: dict[Exponent, np.ndarray] = {}
     power_sums: dict[float, np.ndarray] = {}
 
     chain_targets = sorted({int(e.p) for e in exponents if _is_chain_exponent(e)})
@@ -154,7 +142,31 @@ def batch_norms(
             np.multiply(logz, e.p, out=work)
             np.exp(work, out=work)
             power_sums[e.p] = work.sum(axis=1)
+    return m, power_sums
 
+
+def batch_norms(
+    Y: np.ndarray,
+    exponents: Sequence[Exponent],
+    workspace: Workspace | None = None,
+) -> dict[Exponent, np.ndarray]:
+    """Norm statistics of every row of ``Y`` for every requested exponent.
+
+    Returns a dict keyed by exponent with float arrays of length
+    ``Y.shape[0]``; rows that are identically zero get statistic 0.  When a
+    workspace is supplied, all large intermediates live on its reusable
+    buffers and the call performs no large allocations in steady state.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] == 0:
+        raise DomainError("batch_norms expects a non-empty (replications, d) matrix")
+    ws = workspace if workspace is not None else Workspace()
+
+    Z = ws.buf("norms.scaled", Y.shape)
+    np.abs(Y, out=Z)
+    m, power_sums = _scaled_power_sums(Z, exponents, ws)
+
+    out: dict[Exponent, np.ndarray] = {}
     for e in exponents:
         if e.is_sup:
             out[e] = m.copy()
@@ -167,11 +179,15 @@ class ShiftedNormKernel:
     """Incremental norm evaluation for mean shifts supported on few coordinates.
 
     Given a noise chunk ``eps`` and a sparse unit signal (support indices plus
-    values), the statistics of ``eps + a * signal`` for many scales ``a`` are
-    obtained from one full pass over ``eps`` plus O(replications x support)
-    work per scale.  Power sums are kept unfactored; if a sum overflows, the
-    kernel falls back to the exact max-factored full evaluation for that
-    scale, so results are always finite and correct.
+    values), the statistics of ``eps + a * signal`` for many scales ``a`` cost
+    one `_scaled_power_sums` pass over ``|eps|`` with the support columns
+    zeroed (row max ``m_rest``, sums ``S_rest``) plus O(replications x
+    support) work per scale: with ``M = max(m_rest, max |shifted support|)``,
+
+        ||y||_p = M * (S_rest * (m_rest/M)^p + sum (|shifted|/M)^p)^(1/p).
+
+    Every term is at most 1 and nothing is subtracted, so no sum overflows
+    or cancels.
     """
 
     def __init__(
@@ -182,53 +198,29 @@ class ShiftedNormKernel:
         exponents: Sequence[Exponent],
         workspace: Workspace | None = None,
     ):
-        self.eps = np.asarray(eps, dtype=float)
-        self.support = np.asarray(support, dtype=np.intp)
+        eps = np.asarray(eps, dtype=float)
+        support = np.asarray(support, dtype=np.intp)
         self.support_values = np.asarray(support_values, dtype=float)
         self.exponents = tuple(exponents)
-        self._ws = workspace if workspace is not None else Workspace()
-        shape = self.eps.shape
+        ws = workspace if workspace is not None else Workspace()
 
-        A = self._ws.buf("kernel.abs", shape)
-        np.abs(self.eps, out=A)
-        self._eps_support = self.eps[:, self.support].copy()
-        abs_support = np.abs(self._eps_support)
-        self._sum_rest: dict[Exponent, np.ndarray] = {}
-        finite = [e for e in self.exponents if not e.is_sup]
-        if finite:
-            work = self._ws.buf("kernel.work", shape)
-            for e in finite:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.power(A, e.p, out=work)
-                    total = work.sum(axis=1)
-                    on_support = (abs_support ** e.p).sum(axis=1)
-                    # inf - inf from overflowed sums becomes nan and routes
-                    # the affected scale to the exact factored fallback
-                    self._sum_rest[e] = total - on_support
-        if any(e.is_sup for e in self.exponents):
-            masked = self._ws.buf("kernel.masked", shape)
-            np.copyto(masked, A)
-            masked[:, self.support] = -1.0
-            self._max_rest = masked.max(axis=1)
-        else:
-            self._max_rest = None
+        self._eps_support = eps[:, support]
+        Z = ws.buf("norms.scaled", eps.shape)
+        np.abs(eps, out=Z)
+        Z[:, support] = 0.0
+        self._max_rest, self._sum_rest = _scaled_power_sums(Z, self.exponents, ws)
 
     def norms_at(self, scale: float) -> dict[Exponent, np.ndarray]:
         shifted = np.abs(self._eps_support + scale * self.support_values[None, :])
+        M = np.maximum(self._max_rest, shifted.max(axis=1, initial=0.0))
+        safe_M = np.where(M > 0.0, M, 1.0)
+        shifted /= safe_M[:, None]
+        rest = self._max_rest / safe_M
         out: dict[Exponent, np.ndarray] = {}
-        fallback: np.ndarray | None = None
         for e in self.exponents:
             if e.is_sup:
-                out[e] = np.maximum(self._max_rest, shifted.max(axis=1))
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = self._sum_rest[e] + (shifted ** e.p).sum(axis=1)
-                np.clip(s, 0.0, None, out=s)
-                vals = s ** (1.0 / e.p)
-            if not np.all(np.isfinite(vals)):
-                if fallback is None:
-                    fallback = self.eps.copy()
-                    fallback[:, self.support] += scale * self.support_values
-                vals = batch_norms(fallback, [e])[e]
-            out[e] = vals
+                out[e] = M
+            else:
+                s = self._sum_rest[e.p] * rest**e.p + (shifted**e.p).sum(axis=1)
+                out[e] = M * s ** (1.0 / e.p)
         return out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnormlab import cli
@@ -24,6 +24,16 @@ from pnormlab.report import read_kv
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# option values: text, floats, and integers far beyond the float range
+_ARG_VALUE = st.one_of(
+    st.text(max_size=8),
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.integers(min_value=300, max_value=450).map(lambda n: str(10**n)),
+    st.floats().map(repr),
+    st.sampled_from(["sup", "inf", "nan", "1e400", "5e-324", "0", "1", "3"]),
+)
 
 
 class TestExitCodes:
@@ -54,12 +64,36 @@ class TestExitCodes:
         ["consistency", "--contour", "--p", "2", "--range", "0:inf"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:10001"],
+        ["consistency", "--contour", "--p", "2", "--resolution", "1002"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
-            "agrid-nan", "range-inf", "agrid-points"])
+            "agrid-nan", "range-inf", "agrid-points", "resolution"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(argv + ["--outdir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["calibrate", "--asymptotic"],
+                                         ["consistency", "--radius"]])
+    def test_overflowing_dimension_exits_three(self, capsys, command):
+        assert run(command + ["--p", "2", "--d", "1" + "0" * 400]) == 3
+        assert capsys.readouterr().err.startswith("numeric error: ")
+
+    # these two commands start no simulation and allocate nothing that grows
+    # with d, so any argv is cheap to run
+    @settings(max_examples=300, deadline=None)
+    @example(argv=["calibrate", "--asymptotic", "--p", "sup", "--d", "1000",
+                   "--alpha", "5e-324"])
+    @given(argv=st.tuples(
+        st.sampled_from([("calibrate", "--asymptotic"), ("consistency", "--radius")]),
+        st.lists(st.tuples(st.sampled_from(["--p", "--d", "--alpha"]), _ARG_VALUE),
+                 max_size=4),
+    ).map(lambda t: list(t[0]) + [x for pair in t[1] for x in pair]))
+    def test_scalar_commands_exit_with_a_documented_code(self, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+        assert code in (0, 2, 3)
 
     def test_numeric_failure(self, capsys):
         code = run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnormlab.errors import DomainError
 from pnormlab.norms import SUP, Exponent, ShiftedNormKernel, batch_norms, p_norm_stat, parse_exponent
@@ -125,6 +127,35 @@ class TestShiftedNormKernel:
             incr = kernel.norms_at(a)
             for e in exps:
                 np.testing.assert_allclose(incr[e], direct[e], rtol=1e-9)
+
+    # adversarial: a 4-8 sigma row maximum on the support, exponents up to 60,
+    # and the scale that cancels it; the first example is the case where an
+    # unfactored ``total - on_support`` cancels to 0 at every row
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, rows=4, d=100, peak=8.0, values=[1.0], ps=[55.598], scale=1.0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+        d=st.integers(20, 300),
+        peak=st.floats(4.0, 8.0) | st.floats(-8.0, -4.0),
+        values=st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1), min_size=1, max_size=5),
+        ps=st.lists(st.integers(1, 16).map(float) | st.floats(0.5, 60.0), min_size=1, max_size=4),
+        scale=st.floats(-10.0, 10.0),
+    )
+    def test_hard_cases_match_direct_evaluation(self, seed, rows, d, peak, values, ps, scale):
+        eps = np.random.default_rng(seed).standard_normal((rows, d))
+        values = np.array(values)
+        support = np.arange(0, d, d // values.size)[: values.size]
+        eps[:, support[0]] = peak
+        exps = [Exponent.finite(p) for p in ps] + [SUP]
+        kernel = ShiftedNormKernel(eps, support, values, exps)
+        for a in (0.0, scale, -peak / values[0]):
+            shifted = eps.copy()
+            shifted[:, support] += a * values
+            direct = batch_norms(shifted, exps)
+            incr = kernel.norms_at(a)
+            for e in exps:
+                np.testing.assert_allclose(incr[e], direct[e], rtol=1e-13, atol=0.0)
 
     def test_overflow_falls_back_to_factored_path(self, rng):
         eps = rng.normal(scale=1e60, size=(16, 50))

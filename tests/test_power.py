@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from pnormlab.consistency import dense, semi_sparse, sparse
+from pnormlab.consistency import custom_family, dense, semi_sparse, sparse
 from pnormlab.engine import (
     ConstantTest,
     PNormTest,
@@ -114,6 +114,18 @@ class TestPowerCurve:
             direct = estimate_rejection_many(tests, fam.theta(d, a), plan)
             for t, (rate, _) in zip(tests, direct):
                 assert abs(table.cell(t.label, a).power - rate) <= 1.0 / plan.replications + 1e-12
+
+    def test_zero_signal_curve_is_the_null_rejection_rate(self, suite):
+        # an all-zero signal has an empty support, so every scale takes the
+        # incremental path with no coordinate to shift
+        d, tests = suite
+        plan = MonteCarloPlan(replications=2000, seed=12)
+        grid = (0.0, 1.0, 5.0)
+        table = power_curve(tests, custom_family(lambda n: np.zeros(n)), grid, d, plan)
+        null = estimate_rejection_many(tests, 0, plan)
+        for a in grid:
+            for t, (rate, _) in zip(tests, null):
+                assert table.cell(t.label, a).power == rate
 
     def test_bit_identical_reruns_and_worker_invariance(self, suite, tmp_path):
         d, tests = suite
