@@ -295,14 +295,22 @@ def _cmd_power(args) -> int:
     return 0
 
 
+_MAX_DGRID_D = 10**7  # a trace holds each d of its grid as a float vector
+
+
 def _parse_dgrid(spec: str) -> tuple[int, ...]:
     try:
-        if not spec.startswith("geometric:"):
-            return tuple(int(float(x)) for x in spec.split(","))
-        _, lo, hi = spec.split(":")
-        return clab.geometric_dgrid(int(float(lo)), int(float(hi)))
+        if spec.startswith("geometric:"):
+            _, lo, hi = spec.split(":")
+            grid = clab.geometric_dgrid(int(float(lo)), int(float(hi)))
+        else:
+            grid = tuple(int(float(x)) for x in spec.split(","))
+        largest = max(grid)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad --dgrid {spec!r} (use geometric:lo:hi or a comma list)") from exc
+    if largest > _MAX_DGRID_D:
+        raise ConfigError(f"--dgrid {spec!r} exceeds the cap of d <= {_MAX_DGRID_D:.0e}")
+    return grid
 
 
 _MAX_AGRID_POINTS = 10_000
@@ -341,14 +349,14 @@ def _parse_range(spec: str) -> tuple[float, float]:
 
 def _cmd_consistency(args) -> int:
     res = _Resolver(args)
-    outdir = _outdir(res)
-    outputs = []
-
     if res.get("radius", False, _as_bool):
         p = res.require("p", float)
         d = res.require("d", int)
         print(f"radius = {clab.minimax_radius(p, d):.10g}")
         return 0
+
+    outdir = _outdir(res)
+    outputs = []
 
     if res.get("contour", False, _as_bool):
         exponent = SUP if res.get("sup", False, _as_bool) else Exponent.finite(res.require("p", float))

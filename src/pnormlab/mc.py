@@ -150,21 +150,35 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+_WORKER_TASK = None  # the task of the pool this worker process belongs to
+
+
+def _set_worker_task(task) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = task
+
+
+def _run_worker_task(chunk_index: int, start: int, size: int):
+    return _WORKER_TASK(chunk_index, start, size)
+
+
 def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
     """Run ``task(chunk_index, start, size)`` over all chunks of the plan.
 
     Results are returned in chunk order regardless of completion order or
     worker count.  At most ``os.cpu_count()`` worker processes are started,
-    and no more than there are chunks.  ``task`` must be picklable when
-    more than one worker runs.
+    and no more than there are chunks.  Each worker receives ``task`` once,
+    when it starts (so it must be picklable when more than one worker
+    runs); each chunk then sends only its bounds.
     """
     bounds = plan.chunk_bounds()
     workers = min(max(1, int(workers)), len(bounds), os.cpu_count() or 1)
     if workers == 1:
         return [task(c, start, size) for c, start, size in bounds]
     results: list = [None] * len(bounds)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(task, c, start, size): c for c, start, size in bounds}
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_task,
+                             initargs=(task,)) as pool:
+        futures = {pool.submit(_run_worker_task, c, start, size): c for c, start, size in bounds}
         for fut, c in futures.items():
             results[c] = fut.result()
     return results

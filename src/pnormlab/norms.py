@@ -178,29 +178,29 @@ def batch_norms(
 class ShiftedNormKernel:
     """Incremental norm evaluation for mean shifts supported on few coordinates.
 
-    Given a noise chunk ``eps`` and a sparse unit signal (support indices plus
-    values), the statistics of ``eps + a * signal`` for many scales ``a`` cost
-    one `_scaled_power_sums` pass over ``|eps|`` with the support columns
-    zeroed (row max ``m_rest``, sums ``S_rest``) plus O(replications x
-    support) work per scale: with ``M = max(m_rest, max |shifted support|)``,
+    Given a noise chunk ``eps`` and a support (column indices), the
+    statistics of ``eps`` plus any shift supported there cost one
+    `_scaled_power_sums` pass over ``|eps|`` with the support columns zeroed
+    (row max ``m_rest``, sums ``S_rest``) plus O(replications x support)
+    work per shift: with ``M = max(m_rest, max |shifted support|)``,
 
         ||y||_p = M * (S_rest * (m_rest/M)^p + sum (|shifted|/M)^p)^(1/p).
 
     Every term is at most 1 and nothing is subtracted, so no sum overflows
-    or cancels.
+    or cancels.  With an empty support every norm is bit-identical to
+    `batch_norms` of ``eps``: ``M = m_rest`` and ``(m_rest/M)^p`` is exactly
+    1 (0 on an all-zero row).
     """
 
     def __init__(
         self,
         eps: np.ndarray,
         support: np.ndarray,
-        support_values: np.ndarray,
         exponents: Sequence[Exponent],
         workspace: Workspace | None = None,
     ):
         eps = np.asarray(eps, dtype=float)
         support = np.asarray(support, dtype=np.intp)
-        self.support_values = np.asarray(support_values, dtype=float)
         self.exponents = tuple(exponents)
         ws = workspace if workspace is not None else Workspace()
 
@@ -210,8 +210,9 @@ class ShiftedNormKernel:
         Z[:, support] = 0.0
         self._max_rest, self._sum_rest = _scaled_power_sums(Z, self.exponents, ws)
 
-    def norms_at(self, scale: float) -> dict[Exponent, np.ndarray]:
-        shifted = np.abs(self._eps_support + scale * self.support_values[None, :])
+    def norms_at(self, values: np.ndarray) -> dict[Exponent, np.ndarray]:
+        """Norms of every row of ``eps`` with ``values`` added on the support."""
+        shifted = np.abs(self._eps_support + np.asarray(values, dtype=float)[None, :])
         M = np.maximum(self._max_rest, shifted.max(axis=1, initial=0.0))
         safe_M = np.where(M > 0.0, M, 1.0)
         shifted /= safe_M[:, None]

@@ -65,8 +65,10 @@ class TestExitCodes:
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:10001"],
         ["consistency", "--contour", "--p", "2", "--resolution", "1002"],
+        # rejected by the parser: the grid would ask for d = 1e10 vectors
+        ["consistency", "--family", "dense", "--dgrid", "geometric:1e3:1e10"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
-            "agrid-nan", "range-inf", "agrid-points", "resolution"])
+            "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-cap"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(argv + ["--outdir", tmp_path / "out"]) == 2
@@ -251,6 +253,12 @@ class TestConsistency:
     def test_radius(self, capsys):
         assert run(["consistency", "--radius", "--p", "2", "--d", "10000"]) == 0
         assert "radius = 10" in capsys.readouterr().out
+
+    def test_radius_creates_no_outdir(self, tmp_path):
+        outdir = tmp_path / "out"
+        assert run(["consistency", "--radius", "--p", "2", "--d", "10000",
+                    "--outdir", outdir]) == 0
+        assert not outdir.exists()
 
     def test_traces(self, tmp_path, capsys):
         code = run([

@@ -68,8 +68,9 @@ class TestRunChunked:
 
         class InlinePool:
             # records the pool size and runs every task in this process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 requested.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self

@@ -119,12 +119,12 @@ class TestShiftedNormKernel:
         support = np.array([0, 5, 17, 399])
         values = np.array([2.0, -1.0, 0.5, 3.0])
         exps = [Exponent.finite(p) for p in (1, 2, 3.3, 8)] + [SUP]
-        kernel = ShiftedNormKernel(eps, support, values, exps)
+        kernel = ShiftedNormKernel(eps, support, exps)
         for a in (0.0, 0.7, 2.5):
             shifted = eps.copy()
             shifted[:, support] += a * values
             direct = batch_norms(shifted, exps)
-            incr = kernel.norms_at(a)
+            incr = kernel.norms_at(a * values)
             for e in exps:
                 np.testing.assert_allclose(incr[e], direct[e], rtol=1e-9)
 
@@ -148,22 +148,32 @@ class TestShiftedNormKernel:
         support = np.arange(0, d, d // values.size)[: values.size]
         eps[:, support[0]] = peak
         exps = [Exponent.finite(p) for p in ps] + [SUP]
-        kernel = ShiftedNormKernel(eps, support, values, exps)
+        kernel = ShiftedNormKernel(eps, support, exps)
         for a in (0.0, scale, -peak / values[0]):
             shifted = eps.copy()
             shifted[:, support] += a * values
             direct = batch_norms(shifted, exps)
-            incr = kernel.norms_at(a)
+            incr = kernel.norms_at(a * values)
             for e in exps:
                 np.testing.assert_allclose(incr[e], direct[e], rtol=1e-13, atol=0.0)
+
+    def test_empty_support_is_batch_norms(self, rng):
+        eps = rng.normal(size=(32, 300))
+        eps[7] = 0.0
+        exps = [Exponent.finite(p) for p in (1, 2, 3, 4, 8, 16, 0.5, 2.5, 55.598)] + [SUP]
+        kernel = ShiftedNormKernel(eps, np.array([], dtype=np.intp), exps)
+        got = kernel.norms_at(np.array([]))
+        want = batch_norms(eps, exps)
+        for e in exps:
+            assert np.array_equal(got[e], want[e])
 
     def test_overflow_falls_back_to_factored_path(self, rng):
         eps = rng.normal(scale=1e60, size=(16, 50))
         support = np.array([0])
         values = np.array([1.0])
         exps = [Exponent.finite(8.0)]
-        kernel = ShiftedNormKernel(eps, support, values, exps)
-        got = kernel.norms_at(1.0)[exps[0]]
+        kernel = ShiftedNormKernel(eps, support, exps)
+        got = kernel.norms_at(values)[exps[0]]
         shifted = eps.copy()
         shifted[:, 0] += 1.0
         ref = batch_norms(shifted, exps)[exps[0]]

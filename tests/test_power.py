@@ -9,6 +9,7 @@ from pnormlab.engine import (
     ConstantTest,
     PNormTest,
     build_combined,
+    build_enhanced,
     geometric_budget,
     make_single_test,
     member_exponents,
@@ -17,6 +18,7 @@ from pnormlab.errors import DomainError, RankError
 from pnormlab.mc import MonteCarloPlan, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent
 from pnormlab.power import (
+    _counts,
     auto_a_grid,
     default_gap_grid,
     enhancement_demo,
@@ -148,6 +150,32 @@ class TestPowerCurve:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 power_curve(tests, dense(), (0.0, bad), d, plan)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_call_equals_single_shift_calls(self, suite, workers):
+        d, tests = suite
+        tests = tests + [build_enhanced(tests[1], d)]  # reads coordinate 0
+        plan = MonteCarloPlan(replications=600, seed=13)
+        at_fraction = np.zeros(d)
+        at_fraction[: d // 5] = np.linspace(0.1, 0.5, d // 5)
+        above_fraction = np.zeros(d)
+        above_fraction[: d // 5 + 1] = 0.2
+        same_support = np.zeros((2, d))
+        same_support[:, [5, 100, 300]] = [[1.0, 2.0, 3.0], [3.0, -1.0, 0.5]]
+        shifts = [
+            np.zeros(d),
+            np.full(d, 0.1),
+            same_support[0],
+            same_support[1],
+            semi_sparse().theta(d, 1.5),
+            at_fraction,
+            above_fraction,
+        ]
+        got = _counts(tests, shifts, plan, workers)
+        want = np.vstack([_counts(tests, [theta], plan, 1) for theta in shifts])
+        assert np.array_equal(got, want)
 
 
 class TestAutoGrid:
