@@ -16,13 +16,18 @@ library versions alongside every run.
 Common random numbers: streams are keyed on (seed, chunk, replication)
 only.  Everything evaluated "for the same plan" sees the same noise
 realizations, never re-keyed by test or alternative.
+
+Execution: `run_chunked` runs chunks in a loop or on a pool of threads.
+numpy's generator fills and large ufuncs release the GIL, so chunks on
+different threads overlap; each chunk owns its generator and each thread
+its `thread_workspace()`, so chunks share no mutable state.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .norms import Exponent, batch_norms
+from .workspace import thread_workspace
 
 __all__ = [
     "StandardNormal",
@@ -150,55 +156,26 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-_WORKER_TASK = None  # the task of the pool this worker process belongs to
-
-
-def _set_worker_task(task) -> None:
-    global _WORKER_TASK
-    _WORKER_TASK = task
-
-
-def _run_worker_task(chunk_index: int, start: int, size: int):
-    return _WORKER_TASK(chunk_index, start, size)
-
-
 def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
     """Run ``task(chunk_index, start, size)`` over all chunks of the plan.
 
     Results are returned in chunk order regardless of completion order or
-    worker count.  At most ``os.cpu_count()`` worker processes are started,
-    and no more than there are chunks.  Each worker receives ``task`` once,
-    when it starts (so it must be picklable when more than one worker
-    runs); each chunk then sends only its bounds.
+    worker count.  ``workers == 1`` runs the chunks in a loop on the calling
+    thread; more workers run them on at most ``os.cpu_count()`` threads, and
+    no more than there are chunks.  Tasks take their buffers from
+    `thread_workspace()`, so concurrent chunks never share one.  The first
+    chunk that raises ends the run: chunks not yet started are cancelled and
+    its error propagates.  Raises ConfigError when ``workers < 1``.
     """
+    workers = int(workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     bounds = plan.chunk_bounds()
-    workers = min(max(1, int(workers)), len(bounds), os.cpu_count() or 1)
+    workers = min(workers, len(bounds), os.cpu_count() or 1)
     if workers == 1:
         return [task(c, start, size) for c, start, size in bounds]
-    results: list = [None] * len(bounds)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_task,
-                             initargs=(task,)) as pool:
-        futures = {pool.submit(_run_worker_task, c, start, size): c for c, start, size in bounds}
-        for fut, c in futures.items():
-            results[c] = fut.result()
-    return results
-
-
-@dataclass(frozen=True)
-class _NullStatTask:
-    d: int
-    exponents: tuple[Exponent, ...]
-    seed: int
-    sampler: StandardNormal | CustomSymmetric
-
-    def __call__(self, chunk_index: int, start: int, size: int):
-        from .workspace import process_workspace
-
-        ws = process_workspace()
-        rng = chunk_generator(self.seed, chunk_index)
-        eps = self.sampler.draw(rng, (size, self.d), out=ws.buf("eps", (size, self.d)))
-        norms = batch_norms(eps, self.exponents, workspace=ws)
-        return [norms[e] for e in self.exponents]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, *zip(*bounds)))
 
 
 def simulate_null_statistics(
@@ -214,13 +191,21 @@ def simulate_null_statistics(
     returned columns carry the joint null law needed to calibrate combined
     tests coherently.
     """
-    if int(d) < 1:
+    d = int(d)
+    if d < 1:
         raise DomainError("dimension must be >= 1")
     exps = tuple(dict.fromkeys(exponents))
     if not exps:
         raise DomainError("at least one exponent is required")
-    task = _NullStatTask(d=int(d), exponents=exps, seed=plan.seed, sampler=plan.sampler)
-    per_chunk = run_chunked(task, plan, workers=workers)
+
+    def chunk_stats(chunk_index: int, start: int, size: int) -> list[np.ndarray]:
+        ws = thread_workspace()
+        rng = chunk_generator(plan.seed, chunk_index)
+        eps = plan.sampler.draw(rng, (size, d), out=ws.buf("eps", (size, d)))
+        norms = batch_norms(eps, exps, workspace=ws)
+        return [norms[e] for e in exps]
+
+    per_chunk = run_chunked(chunk_stats, plan, workers=workers)
     out: dict[Exponent, np.ndarray] = {}
     for j, e in enumerate(exps):
         out[e] = np.concatenate([chunk[j] for chunk in per_chunk])

@@ -135,7 +135,8 @@ def _scaled_power_sums(
         logz = ws.buf("norms.log", shape)
         with np.errstate(divide="ignore"):
             np.log(Z, out=logz)
-        work = ws.buf("norms.work", shape)
+        # the chain's sums are taken, so its buffer is free for the exp pass
+        work = ws.buf("norms.chain", shape)
         for e in other:
             if e.p in power_sums:
                 continue

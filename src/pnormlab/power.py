@@ -46,6 +46,7 @@ from .mc import (
     simulate_null_statistics,
 )
 from .norms import SUP, Exponent, ShiftedNormKernel, batch_norms
+from .workspace import thread_workspace
 
 __all__ = [
     "PowerRow",
@@ -65,52 +66,6 @@ __all__ = [
 ]
 
 _SPARSE_SUPPORT_FRACTION = 0.2  # incremental kernel below this support share
-
-
-# ---------------------------------------------------------------------------
-# Chunk task
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PowerTask:
-    """Per-chunk rejection counts of several tests at several mean shifts.
-
-    Each group is ``(support, rows)``: the shifts in ``rows`` are zero off
-    ``support`` and share one `ShiftedNormKernel`; a ``None`` support means
-    one full `batch_norms` pass per shift.
-    """
-
-    d: int
-    seed: int
-    sampler: object
-    tests: tuple
-    shifts: np.ndarray  # (shifts, d)
-    groups: tuple[tuple[np.ndarray | None, tuple[int, ...]], ...]
-
-    def __call__(self, chunk_index: int, start: int, size: int) -> np.ndarray:
-        from .workspace import process_workspace
-
-        ws = process_workspace()
-        rng = chunk_generator(self.seed, chunk_index)
-        eps = self.sampler.draw(rng, (size, self.d), out=ws.buf("eps", (size, self.d)))
-        exps = required_exponents(self.tests)
-        coords = required_coordinates(self.tests)
-        counts = np.zeros((len(self.shifts), len(self.tests)), dtype=np.int64)
-        for support, rows in self.groups:
-            if support is not None:
-                kernel = ShiftedNormKernel(eps, support, exps, workspace=ws)
-            for si in rows:
-                theta = self.shifts[si]
-                if support is None:
-                    Y = np.add(eps, theta[None, :], out=ws.buf("shifted", eps.shape))
-                    norms = batch_norms(Y, exps, workspace=ws)
-                else:
-                    norms = kernel.norms_at(theta[support])
-                cvals = {i: eps[:, i] + theta[i] for i in coords}
-                for ti, t in enumerate(self.tests):
-                    counts[si, ti] = int(np.count_nonzero(t.decide_batch(norms, cvals)))
-        return counts
 
 
 def _counts(tests: Sequence, shifts, plan: MonteCarloPlan, workers: int) -> np.ndarray:
@@ -139,15 +94,31 @@ def _counts(tests: Sequence, shifts, plan: MonteCarloPlan, workers: int) -> np.n
                 break
         else:
             sparse.append((own, [si]))
-    task = _PowerTask(
-        d=d,
-        seed=plan.seed,
-        sampler=plan.sampler,
-        tests=tuple(tests),
-        shifts=shifts,
-        groups=((None, tuple(full)),) + tuple((s, tuple(rows)) for s, rows in sparse),
-    )
-    per_chunk = run_chunked(task, plan, workers=workers)
+    groups = [(None, full)] + sparse
+    exps = required_exponents(tests)
+    coords = required_coordinates(tests)
+
+    def chunk_counts(chunk_index: int, start: int, size: int) -> np.ndarray:
+        ws = thread_workspace()
+        rng = chunk_generator(plan.seed, chunk_index)
+        eps = plan.sampler.draw(rng, (size, d), out=ws.buf("eps", (size, d)))
+        counts = np.zeros((len(shifts), len(tests)), dtype=np.int64)
+        for support, rows in groups:
+            if support is not None:
+                kernel = ShiftedNormKernel(eps, support, exps, workspace=ws)
+            for si in rows:
+                theta = shifts[si]
+                if support is None:
+                    Y = np.add(eps, theta[None, :], out=ws.buf("shifted", eps.shape))
+                    norms = batch_norms(Y, exps, workspace=ws)
+                else:
+                    norms = kernel.norms_at(theta[support])
+                cvals = {i: eps[:, i] + theta[i] for i in coords}
+                for ti, t in enumerate(tests):
+                    counts[si, ti] = int(np.count_nonzero(t.decide_batch(norms, cvals)))
+        return counts
+
+    per_chunk = run_chunked(chunk_counts, plan, workers=workers)
     return np.sum(per_chunk, axis=0)
 
 

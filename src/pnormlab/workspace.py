@@ -7,16 +7,17 @@ touch.  A Workspace hands out named buffers that keep their pages alive
 across chunks, so steady-state chunk processing performs no large
 allocations at all.
 
-Workspaces are not thread-safe and are never shared across threads: the
-parallel driver is process-based, and each worker process owns one
-process-local workspace.
+Workspaces are not thread-safe and are never shared across threads: chunk
+tasks take the calling thread's workspace from `thread_workspace()`.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-__all__ = ["Workspace", "process_workspace"]
+__all__ = ["Workspace", "thread_workspace"]
 
 
 class Workspace:
@@ -34,17 +35,18 @@ class Workspace:
         return arr
 
 
-_PROCESS_WORKSPACE: Workspace | None = None
+_THREAD_LOCAL = threading.local()
 
 
-def process_workspace() -> Workspace:
-    """The per-process workspace used by chunk tasks.
+def thread_workspace() -> Workspace:
+    """The calling thread's workspace for chunk tasks.
 
-    Chunk tasks run strictly sequentially inside one process (the driver
-    parallelizes across processes, never threads), so sharing one pool per
-    process is safe and gives steady-state reuse.
+    A thread runs its chunks one after another, so one workspace per thread
+    is safe and gives steady-state reuse.  It lives as long as its thread:
+    the main thread keeps its buffers across serial runs, and the threads of
+    a `run_chunked` pool free theirs when the pool shuts down.
     """
-    global _PROCESS_WORKSPACE
-    if _PROCESS_WORKSPACE is None:
-        _PROCESS_WORKSPACE = Workspace()
-    return _PROCESS_WORKSPACE
+    ws = getattr(_THREAD_LOCAL, "workspace", None)
+    if ws is None:
+        ws = _THREAD_LOCAL.workspace = Workspace()
+    return ws

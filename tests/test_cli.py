@@ -67,8 +67,11 @@ class TestExitCodes:
         ["consistency", "--contour", "--p", "2", "--resolution", "1002"],
         # rejected by the parser: the grid would ask for d = 1e10 vectors
         ["consistency", "--family", "dense", "--dgrid", "geometric:1e3:1e10"],
+        ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:2", "--workers", "0"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
-            "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-cap"])
+            "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-cap",
+            "workers-zero"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(argv + ["--outdir", tmp_path / "out"]) == 2

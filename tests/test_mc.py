@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from pnormlab.mc import (
     simulate_null_statistics,
 )
 from pnormlab.norms import SUP, Exponent
+from pnormlab.workspace import thread_workspace
 
 
 class TestPlan:
@@ -60,30 +63,19 @@ class TestRunChunked:
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         import os
-        from concurrent.futures import Future
+        from concurrent.futures import ThreadPoolExecutor
 
         import pnormlab.mc as mc
 
         requested = []
 
-        class InlinePool:
-            # records the pool size and runs every task in this process
-            def __init__(self, max_workers, initializer, initargs):
+        class RecordingPool(ThreadPoolExecutor):
+            # records the pool size the driver asks for
+            def __init__(self, max_workers):
                 requested.append(max_workers)
-                initializer(*initargs)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         plan = MonteCarloPlan(replications=20 * 128, seed=3, chunk_size=128)
         serial = run_chunked(_chunk_id_task, plan, workers=1)
@@ -91,6 +83,60 @@ class TestRunChunked:
         assert requested == [3]
         assert run_chunked(_chunk_id_task, plan.with_replications(256), workers=500) == serial[:2]
         assert requested == [3, 2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        plan = MonteCarloPlan(replications=10, seed=1, chunk_size=4)
+        with pytest.raises(ConfigError):
+            run_chunked(_chunk_id_task, plan, workers=workers)
+
+    def test_first_failing_chunk_stops_the_run(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = []
+
+        def task(chunk_index, start, size):
+            started.append(chunk_index)
+            if chunk_index == 0:
+                raise DomainError("chunk 0 failed")
+            time.sleep(0.05)
+            return chunk_index
+
+        plan = MonteCarloPlan(replications=100, seed=1, chunk_size=1)
+        with pytest.raises(DomainError, match="chunk 0 failed"):
+            run_chunked(task, plan, workers=2)
+        # the chunks already running finish; the queued ones never start
+        assert len(started) < 10
+
+    def test_concurrent_chunks_get_distinct_workspaces(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        both_running = threading.Barrier(2, timeout=30)
+
+        def task(chunk_index, start, size):
+            ws = thread_workspace()
+            both_running.wait()
+            return ws
+
+        plan = MonteCarloPlan(replications=2, seed=1, chunk_size=1)
+        first, second = run_chunked(task, plan, workers=2)
+        assert first is not second
+        assert thread_workspace() not in (first, second)
+
+    def test_closure_task_matches_serial(self):
+        plan = MonteCarloPlan(replications=1000, seed=3, chunk_size=64)
+        weights = np.linspace(-1.0, 1.0, 40)
+
+        def task(chunk_index, start, size):
+            eps = chunk_generator(plan.seed, chunk_index).standard_normal((size, 40))
+            return eps @ weights
+
+        serial = run_chunked(task, plan, workers=1)
+        threaded = run_chunked(task, plan, workers=2)
+        assert len(serial) == len(threaded) == plan.n_chunks
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 def _chunk_id_task(chunk_index, start, size):
