@@ -3,8 +3,10 @@
 The criteria are finite-dimensional functionals whose divergence along a
 dimension grid characterizes when a norm test's power tends to one.  The
 lab reports fitted log-log slopes plus the raw trace and never a boolean
-"consistent" verdict: divergence is a limit property, and desk-scale grids
-can only shadow it.
+"consistent" verdict: divergence is a limit property, and a finite grid can
+only shadow it.  Every criterion is a coordinate sum and every family a
+few constant runs, so a trace sums one term per run and reaches any d a
+float holds, past the semi-sparse turning points near 1e175.
 """
 
 from __future__ import annotations
@@ -56,64 +58,48 @@ _RATIO_CAP = float(
 
 @dataclass(frozen=True)
 class AlternativeFamily:
-    """A rule mapping dimension d to a unit-scale mean vector.
+    """A rule mapping dimension d to a unit-scale mean vector held as runs.
 
-    ``theta(d, scale)`` returns the mean vector; ``support(d)`` returns the
-    index array of its nonzero coordinates together with the unit values, so
-    Monte Carlo kernels can apply sparse shifts incrementally.
+    ``runs(d)`` returns ``(values, counts)``: the vector is ``values[j]``
+    repeated ``counts[j]`` times, in order.  The counts are floats, so the
+    stock families reach any d a float holds without allocating anything
+    that grows with d.  ``theta(d, scale)`` expands the runs.
     """
 
     kind: str
     label: str
-    rule: Callable[[int], np.ndarray] | None = None
-    exponent: float | None = None  # for the power-law one-spike family
+    rule: Callable[[int], tuple]  # d -> (values, counts)
     min_d: int = 1
 
-    def _unit(self, d: int) -> np.ndarray:
+    def runs(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         d = int(d)
         if d < self.min_d:
             raise DomainError(f"family {self.label!r} requires d >= {self.min_d}")
-        if self.kind == "dense":
-            return np.ones(d)
-        if self.kind == "sparse":
-            out = np.zeros(d)
-            out[0] = 1.0
-            return out
-        if self.kind == "semi_sparse":
-            logd = math.log(d)
-            tau = math.sqrt(2.0 * logd) / math.log(logd)
-            k = math.ceil(math.sqrt(d) / logd)
-            out = np.zeros(d)
-            out[:k] = tau
-            return out
-        if self.kind == "power_sparse":
-            out = np.zeros(d)
-            out[0] = d ** (1.0 / (2.0 * self.exponent))
-            return out
-        if self.kind == "custom":
-            out = np.asarray(self.rule(d), dtype=float)
-            if out.shape != (d,):
-                raise DomainError("custom family rule returned the wrong shape")
-            return out
-        raise DomainError(f"unknown family kind {self.kind!r}")
+        values, counts = self.rule(d)
+        return np.asarray(values, dtype=float), np.asarray(counts, dtype=float)
 
     def theta(self, d: int, scale: float = 1.0) -> np.ndarray:
-        return float(scale) * self._unit(d)
-
-    def support(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        unit = self._unit(d)
-        idx = np.flatnonzero(unit)
-        return idx, unit[idx]
+        values, counts = self.runs(d)
+        return float(scale) * np.repeat(values, counts.astype(np.int64))
 
 
 def dense() -> AlternativeFamily:
     """All coordinates equal: ``scale * (1, ..., 1)``."""
-    return AlternativeFamily(kind="dense", label="dense")
+    return AlternativeFamily(kind="dense", label="dense", rule=lambda d: ([1.0], [d]))
 
 
 def sparse() -> AlternativeFamily:
     """One nonzero coordinate: ``scale * (1, 0, ..., 0)``."""
-    return AlternativeFamily(kind="sparse", label="sparse")
+    return AlternativeFamily(
+        kind="sparse", label="sparse", rule=lambda d: ([1.0, 0.0], [1, d - 1])
+    )
+
+
+def _semi_sparse_runs(d: int) -> tuple:
+    logd = math.log(d)
+    tau = math.sqrt(2.0 * logd) / math.log(logd)
+    k = math.ceil(math.sqrt(d) / logd)
+    return [tau, 0.0], [k, d - k]
 
 
 def semi_sparse() -> AlternativeFamily:
@@ -126,10 +112,10 @@ def semi_sparse() -> AlternativeFamily:
     Its p-criterion behaves like (log d)^(p/2-1) / (log log d)^p, which
     decreases in d up to the turning point log log d = 2p/(p-2) (about
     d = 1e175 for p = 3 and 5e23 for p = 4) and grows only beyond it.
-    Acceptance check 7 pins the traces to the closed form and asserts the
-    growth past the turning point.
+    Its traces reach past the turning point; the tests pin them to the
+    closed form of conftest up to d = 1e300, where check 7 asserts growth.
     """
-    return AlternativeFamily(kind="semi_sparse", label="semi-sparse", min_d=16)
+    return AlternativeFamily("semi_sparse", "semi-sparse", _semi_sparse_runs, min_d=16)
 
 
 def power_sparse(exponent: float) -> AlternativeFamily:
@@ -138,12 +124,22 @@ def power_sparse(exponent: float) -> AlternativeFamily:
     if not (p > 0.0 and math.isfinite(p)):
         raise DomainError(f"power-sparse exponent must be positive, got {exponent!r}")
     return AlternativeFamily(
-        kind="power_sparse", label=f"power-sparse(p={p:g})", exponent=p
+        kind="power_sparse",
+        label=f"power-sparse(p={p:g})",
+        rule=lambda d: ([d ** (1.0 / (2.0 * p)), 0.0], [1, d - 1]),
     )
 
 
 def custom_family(rule: Callable[[int], np.ndarray], label: str = "custom") -> AlternativeFamily:
-    return AlternativeFamily(kind="custom", label=label, rule=rule)
+    """A family given by its d-vector; each coordinate is a run of one."""
+
+    def runs(d: int) -> tuple:
+        vector = np.asarray(rule(d), dtype=float)
+        if vector.shape != (d,):
+            raise DomainError("custom family rule returned the wrong shape")
+        return vector, np.ones(d)
+
+    return AlternativeFamily(kind="custom", label=label, rule=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +147,24 @@ def custom_family(rule: Callable[[int], np.ndarray], label: str = "custom") -> A
 # ---------------------------------------------------------------------------
 
 
-def finite_p_criterion(theta, p: float, cutoff: float = 1.0) -> float:
-    """Normalized detection-weight sum whose divergence in d characterizes
-    consistency of the p-norm test: ``sum_i w_p(theta_i) / sqrt(d)``."""
+def _vector(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
         raise DomainError("theta must be a non-empty vector")
-    w = detection_weight(theta, p, cutoff=cutoff)
-    return float(np.sum(w)) / math.sqrt(theta.size)
+    return theta
+
+
+def _finite_sum(values, counts, d: int, p: float, cutoff: float) -> float:
+    """``sum_j counts_j * w_p(values_j) / sqrt(d)`` over constant runs."""
+    w = detection_weight(values, p, cutoff=cutoff)
+    return float(np.sum(counts * w)) / math.sqrt(d)
+
+
+def finite_p_criterion(theta, p: float, cutoff: float = 1.0) -> float:
+    """Normalized detection-weight sum whose divergence in d characterizes
+    consistency of the p-norm test: ``sum_i w_p(theta_i) / sqrt(d)``."""
+    theta = _vector(theta)
+    return _finite_sum(theta, 1.0, theta.size, p, cutoff)
 
 
 @dataclass(frozen=True)
@@ -176,23 +182,31 @@ class SupCriterion:
     saturated: bool
 
 
-def sup_criterion(theta, tail_weight: Callable | None = None) -> SupCriterion:
-    """Sup-norm consistency criterion at the centering for dimension d."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise DomainError("theta must be a non-empty vector")
-    d = theta.size
-    args = sup_centering(d) - np.abs(theta)
+def _ratio_terms(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi(-x) / Phi(x)`` per argument and the mask of capped terms."""
     low = args < _RATIO_ARG_FLOOR
     safe = np.where(low, 0.0, args)
     with np.errstate(over="ignore"):
         log_ratio = special.log_ndtr(-safe) - special.log_ndtr(safe)
         terms = np.where(low, _RATIO_CAP, np.exp(log_ratio))
-    ratio_sum = float(np.sum(terms))
-    weight_sum = float(np.sum(sup_detection_weight(args, tail_weight)))
+    return terms, low
+
+
+def _sup_sum(values, counts, d: int, tail_weight: Callable | None) -> SupCriterion:
+    """Both sup criterion sums over constant runs, centered for dimension d."""
+    args = sup_centering(d) - np.abs(values)
+    terms, low = _ratio_terms(args)
     return SupCriterion(
-        ratio_sum=ratio_sum, weight_sum=weight_sum, saturated=bool(low.any())
+        ratio_sum=float(np.sum(counts * terms)),
+        weight_sum=float(np.sum(counts * sup_detection_weight(args, tail_weight))),
+        saturated=bool(low.any()),
     )
+
+
+def sup_criterion(theta, tail_weight: Callable | None = None) -> SupCriterion:
+    """Sup-norm consistency criterion at the centering for dimension d."""
+    theta = _vector(theta)
+    return _sup_sum(theta, 1.0, theta.size, tail_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +256,9 @@ def criterion_trace(
     """Evaluate the matching criterion on every grid dimension and fit the
     least-squares slope of log(value) on log(d).
 
-    Sup traces use the weight-free ratio form so that reported numbers do
-    not silently depend on the tail-weight choice.
+    The criterion sums one term per run of ``family.runs(d)``, so d may
+    reach any float.  Sup traces use the weight-free ratio form so that
+    reported numbers do not silently depend on the tail-weight choice.
     """
     grid = tuple(int(d) for d in d_grid)
     if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
@@ -253,13 +268,13 @@ def criterion_trace(
     values = []
     saturated = False
     for d in grid:
-        theta = family.theta(d)
+        runs = family.runs(d)
         if exponent.is_sup:
-            crit = sup_criterion(theta)
+            crit = _sup_sum(*runs, d, None)
             saturated = saturated or crit.saturated
             values.append(crit.ratio_sum)
         else:
-            values.append(finite_p_criterion(theta, exponent.p, cutoff=cutoff))
+            values.append(_finite_sum(*runs, d, exponent.p, cutoff))
     return CriterionTrace(
         d_grid=grid,
         values=tuple(values),
@@ -291,9 +306,7 @@ def rewrite_check(theta, p: float) -> RewriteParts:
     the sum of the parts; that sandwich is asserted here.  For p < 2 the
     criterion is dominated by the smaller part (no two-sided bound exists).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise DomainError("theta must be a non-empty vector")
+    theta = _vector(theta)
     p = float(p)
     if not (p > 0.0 and math.isfinite(p)):
         raise DomainError(f"exponent must be a positive real, got {p!r}")
@@ -319,9 +332,7 @@ def sparsity_diagnostic(theta, delta: float, p: float) -> tuple[float, float, fl
     """
     if not (float(delta) > 0.0):
         raise DomainError(f"delta must be positive, got {delta!r}")
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise DomainError("theta must be a non-empty vector")
+    theta = _vector(theta)
     a = np.abs(theta)
     exceed = float(np.count_nonzero(a > delta)) / math.sqrt(theta.size)
     return exceed, float(a.max()), float(delta) ** float(p) * exceed
@@ -367,15 +378,7 @@ def contour_grid(
         raise DomainError("need lo < hi")
     axis = np.linspace(lo, hi, resolution)
     if exponent.is_sup:
-        c2 = sup_centering(2)
-        args = c2 - np.abs(axis)
-        low = args < _RATIO_ARG_FLOOR
-        safe = np.where(low, 0.0, args)
-        terms = np.where(
-            low,
-            _RATIO_CAP,
-            np.exp(special.log_ndtr(-safe) - special.log_ndtr(safe)),
-        )
+        terms, _ = _ratio_terms(sup_centering(2) - np.abs(axis))
         grid = terms[:, None] + terms[None, :]
     else:
         w = detection_weight(axis, exponent.p) / math.sqrt(2.0)

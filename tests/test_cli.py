@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -35,6 +36,28 @@ _ARG_VALUE = st.one_of(
     st.sampled_from(["sup", "inf", "nan", "1e400", "5e-324", "0", "1", "3"]),
 )
 
+# trace options: stock families, grids up to and past float range, exponents
+_D_VALUE = st.one_of(
+    st.integers(min_value=1, max_value=10**300).map(str),
+    st.sampled_from(["1e3", "1e300", "1e308", "1e309"]),
+    _ARG_VALUE,
+)
+_TRACE_OPTIONS = {
+    "--family": st.one_of(
+        st.sampled_from(["dense", "sparse", "dagger", "semi-sparse"]),
+        _ARG_VALUE.map(lambda v: "power-sparse:" + v),
+        _ARG_VALUE,
+    ),
+    "--dgrid": st.one_of(
+        st.tuples(_D_VALUE, _D_VALUE).map(lambda t: "geometric:" + ":".join(t)),
+        st.lists(_D_VALUE, min_size=1, max_size=4).map(",".join),
+    ),
+    "--exponents": st.lists(
+        st.one_of(st.sampled_from(["2", "3", "sup", "0.5"]), _ARG_VALUE),
+        min_size=1, max_size=3,
+    ).map(",".join),
+}
+
 
 class TestExitCodes:
     def test_missing_required_option(self, capsys):
@@ -65,12 +88,12 @@ class TestExitCodes:
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:10001"],
         ["consistency", "--contour", "--p", "2", "--resolution", "1002"],
-        # rejected by the parser: the grid would ask for d = 1e10 vectors
-        ["consistency", "--family", "dense", "--dgrid", "geometric:1e3:1e10"],
+        # a grid bound past float range
+        ["consistency", "--family", "dagger", "--dgrid", "geometric:1e3:1e309"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2", "--workers", "0"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
-            "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-cap",
+            "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -83,8 +106,9 @@ class TestExitCodes:
         assert run(command + ["--p", "2", "--d", "1" + "0" * 400]) == 3
         assert capsys.readouterr().err.startswith("numeric error: ")
 
-    # these two commands start no simulation and allocate nothing that grows
-    # with d, so any argv is cheap to run
+    # these two commands and the trace command (next test) start no
+    # simulation and allocate nothing that grows with d, so any argv is cheap
+    # to run
     @settings(max_examples=300, deadline=None)
     @example(argv=["calibrate", "--asymptotic", "--p", "sup", "--d", "1000",
                    "--alpha", "5e-324"])
@@ -98,6 +122,22 @@ class TestExitCodes:
             code = main(argv)
         except SystemExit as exc:  # argparse rejected the argv
             code = exc.code
+        assert code in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=st.fixed_dictionaries({
+        flag: st.none() | values for flag, values in _TRACE_OPTIONS.items()
+    }))
+    def test_trace_command_exits_with_a_documented_code(self, options):
+        argv = ["consistency"] + [
+            x for flag, value in options.items() if value is not None
+            for x in (flag, value)
+        ]
+        with tempfile.TemporaryDirectory() as outdir:
+            try:
+                code = main(argv + ["--outdir", outdir])
+            except SystemExit as exc:  # argparse rejected the argv
+                code = exc.code
         assert code in (0, 2, 3)
 
     def test_numeric_failure(self, capsys):
@@ -273,6 +313,17 @@ class TestConsistency:
         assert "slope =" in out
         csv = (tmp_path / "trace_semi_sparse_p2.csv").read_text()
         assert csv.splitlines()[0] == "d,value"
+
+    def test_traces_reach_1e300(self, tmp_path):
+        assert run([
+            "consistency", "--family", "dagger", "--exponents", "2,3,sup",
+            "--dgrid", "geometric:1e3:1e300", "--outdir", tmp_path,
+        ]) == 0
+        for label in ("p2", "p3", "sup"):
+            lines = (tmp_path / f"trace_semi_sparse_{label}.csv").read_text().splitlines()
+            # 1188 quarter-decade points in [1e3, 10**300], plus the float 1e300
+            assert len(lines) == 1 + 1189
+            assert lines[-1].startswith(str(int(1e300)) + ",")
 
     def test_contour(self, tmp_path):
         code = run([

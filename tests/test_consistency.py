@@ -23,7 +23,15 @@ from pnormlab.errors import DomainError
 from pnormlab.gaussmath import sup_centering
 from pnormlab.norms import SUP, Exponent
 
-from conftest import semi_sparse_k, semi_sparse_tau
+from conftest import (
+    semi_sparse_k,
+    semi_sparse_log_criterion,
+    semi_sparse_log_sup_terms,
+    semi_sparse_tau,
+)
+
+
+STOCK_FAMILIES = (dense(), sparse(), semi_sparse(), power_sparse(3.0))
 
 
 class TestFamilies:
@@ -60,16 +68,21 @@ class TestFamilies:
             fam.theta(5)
 
     def test_support(self):
-        idx, vals = semi_sparse().support(1000)
-        assert idx.tolist() == list(range(len(idx)))
-        assert np.all(vals > 0)
+        # the support is the leading run; theta expands the runs in order
+        for fam in STOCK_FAMILIES:
+            values, counts = fam.runs(1000)
+            assert values[0] > 0 and np.all(values[1:] == 0.0)
+            assert counts.sum() == 1000
+            assert np.array_equal(fam.theta(1000), np.repeat(values, counts.astype(int)))
 
     def test_semi_sparse_support_matches_oracle(self):
-        # ties the closed-form oracle of the acceptance checks to the program
-        for d in (16, 1000, 50_000, 10**6):
-            idx, vals = semi_sparse().support(d)
-            assert np.array_equal(idx, np.arange(semi_sparse_k(d)))
-            assert np.all(vals == semi_sparse_tau(d))
+        # ties the closed-form oracle of the acceptance checks to the program,
+        # out to a d no vector could have
+        for d in (16, 1000, 50_000, 10**6, 10**300):
+            values, counts = semi_sparse().runs(d)
+            k = semi_sparse_k(d)
+            assert values.tolist() == [semi_sparse_tau(d), 0.0]
+            assert counts.tolist() == [float(k), float(d - k)]
 
 
 class TestFiniteCriterion:
@@ -189,6 +202,38 @@ class TestTrace:
         assert flat.fitted_log_slope == pytest.approx(0.0, abs=1e-12)
         grow = criterion_trace(power_sparse(2.0), Exponent.finite(3.0), grid)
         assert grow.fitted_log_slope == pytest.approx(3.0 / 4.0 - 0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("exponent", [Exponent.finite(2.0), Exponent.finite(3.0),
+                                          Exponent.finite(math.e + 1.0),
+                                          Exponent.finite(4.0), SUP],
+                             ids=lambda e: e.label)
+    def test_semi_sparse_trace_matches_oracle_to_1e300(self, exponent):
+        grid = geometric_dgrid(10**3, 10**300)
+        tr = criterion_trace(semi_sparse(), exponent, grid)
+        for d, value in tr.rows():
+            if exponent.is_sup:
+                expected = sum(math.exp(t) for t in semi_sparse_log_sup_terms(d))
+            else:
+                expected = math.exp(semi_sparse_log_criterion(d, exponent.p))
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), d
+        assert not tr.saturated
+
+    @pytest.mark.parametrize("family", STOCK_FAMILIES + (
+        custom_family(lambda d: np.linspace(-4.0, 4.0, d), "ramp"),
+    ), ids=lambda f: f.label)
+    def test_runs_agree_with_vector_criteria(self, family):
+        grid = (1000, 4321, 50_000)
+        for p in (1.0, 2.0, 3.0, 4.5):
+            tr = criterion_trace(family, Exponent.finite(p), grid)
+            for d, value in tr.rows():
+                assert finite_p_criterion(family.theta(d), p) == pytest.approx(
+                    value, rel=1e-14, abs=0.0
+                )
+        tr = criterion_trace(family, SUP, grid)
+        for d, value in tr.rows():
+            assert sup_criterion(family.theta(d)).ratio_sum == pytest.approx(
+                value, rel=1e-14, abs=0.0
+            )
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
