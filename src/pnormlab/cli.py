@@ -16,6 +16,7 @@ stdout carries summaries; stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import os
 import sys
@@ -296,14 +297,20 @@ def _cmd_power(args) -> int:
 
 
 def _parse_dgrid(spec: str) -> tuple[int, ...]:
-    # a d beyond float range overflows here; every d that parses is cheap,
-    # since traces sum constant runs and allocate nothing that grows with d
+    # a token past float range is refused before it becomes an integer; the
+    # rest convert exactly ("1e300" is 10**300).  Every d that parses is
+    # cheap: traces sum constant runs and allocate nothing that grows with d
+    def exact(token: str) -> int:
+        if not math.isfinite(float(token)):
+            raise ValueError(token)
+        return int(decimal.Decimal(token))
+
     try:
         if spec.startswith("geometric:"):
             _, lo, hi = spec.split(":")
-            return clab.geometric_dgrid(int(float(lo)), int(float(hi)))
-        return tuple(int(float(x)) for x in spec.split(","))
-    except (ValueError, OverflowError) as exc:
+            return clab.geometric_dgrid(exact(lo), exact(hi))
+        return tuple(exact(x) for x in spec.split(","))
+    except (ValueError, OverflowError, decimal.InvalidOperation) as exc:
         raise ConfigError(f"bad --dgrid {spec!r} (use geometric:lo:hi or a comma list)") from exc
 
 

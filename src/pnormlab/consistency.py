@@ -215,7 +215,8 @@ def sup_criterion(theta, tail_weight: Callable | None = None) -> SupCriterion:
 
 
 def geometric_dgrid(d_min: int, d_max: int) -> tuple[int, ...]:
-    """Quarter-decade grid ceil(10**(k/4)) covering [d_min, d_max]."""
+    """Quarter-decade grid covering [d_min, d_max]: the float 10**(k/4)
+    rounded up to an integer, which is ceil(10**(k/4)) below 2**53."""
     d_min, d_max = int(d_min), int(d_max)
     if not (1 <= d_min <= d_max):
         raise DomainError("need 1 <= d_min <= d_max")

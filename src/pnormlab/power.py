@@ -5,16 +5,7 @@ mean shift is evaluated on the same simulated noise, each chunk drawn once;
 RNG streams are keyed on (seed, chunk, replication) only.  This sharpens
 ordering comparisons between tests at the cost of correlated estimates,
 which the reported per-cell standard errors do not account for (they are
-the usual binomial ones).
-
-Any mean shift supported on few coordinates, from a signal family or not,
-is evaluated through an incremental one-pass kernel: the off-support power
-sums are computed once per chunk and support, and each shift costs only
-O(replications x support).  Every sum is max-factored (each term at
-most 1) and the off-support part is added, never subtracted, so the result
-agrees with the direct evaluation to a relative 1e-13 even at exponents
-near 60 with the row maximum on the support or cancelled by the shift
-(pinned by ``tests/test_norms.py::TestShiftedNormKernel``).
+the usual binomial ones).  Norms are evaluated by `mc.simulate_shifted`.
 """
 
 from __future__ import annotations
@@ -39,14 +30,8 @@ from .engine import (
 )
 from .errors import DomainError, RankError
 from .gaussmath import std_normal_quantile, std_normal_sf
-from .mc import (
-    MonteCarloPlan,
-    chunk_generator,
-    run_chunked,
-    simulate_null_statistics,
-)
-from .norms import SUP, Exponent, ShiftedNormKernel, batch_norms
-from .workspace import thread_workspace
+from .mc import MonteCarloPlan, simulate_null_statistics, simulate_shifted
+from .norms import SUP, Exponent
 
 __all__ = [
     "PowerRow",
@@ -65,60 +50,29 @@ __all__ = [
     "enhancement_demo",
 ]
 
-_SPARSE_SUPPORT_FRACTION = 0.2  # incremental kernel below this support share
+
+def _dimension(tests: Sequence) -> int:
+    """The one dimension all of ``tests`` (at least one) are calibrated at."""
+    dims = {t.d for t in tests}
+    if len(dims) != 1:
+        raise DomainError(f"need one or more tests of one dimension, got {sorted(dims)}")
+    return dims.pop()
 
 
 def _counts(tests: Sequence, shifts, plan: MonteCarloPlan, workers: int) -> np.ndarray:
     """Rejection counts, one row per mean shift and one column per test, with
-    every chunk drawn once.  A shift on at most ``_SPARSE_SUPPORT_FRACTION *
-    d`` coordinates (the zero shift too) joins the kernel of the widest such
-    support containing its own; every other shift gets a full pass."""
-    d = tests[0].d
-    for t in tests:
-        if t.d != d:
-            raise DomainError("all tests must share the same dimension")
+    every chunk drawn once (`mc.simulate_shifted`)."""
+    d = _dimension(tests)
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 2 or shifts.shape[1] != d:
         raise DomainError(f"shifts have shape {shifts.shape}, tests expect (n, {d})")
-    sizes = np.count_nonzero(shifts, axis=1)
-    full: list[int] = []
-    sparse: list[tuple[np.ndarray, list[int]]] = []
-    for si in sorted(range(len(shifts)), key=lambda i: -sizes[i]):
-        if sizes[si] > _SPARSE_SUPPORT_FRACTION * d:
-            full.append(si)
-            continue
-        own = np.flatnonzero(shifts[si])
-        for support, rows in sparse:
-            if np.isin(own, support).all():
-                rows.append(si)
-                break
-        else:
-            sparse.append((own, [si]))
-    groups = [(None, full)] + sparse
-    exps = required_exponents(tests)
     coords = required_coordinates(tests)
 
-    def chunk_counts(chunk_index: int, start: int, size: int) -> np.ndarray:
-        ws = thread_workspace()
-        rng = chunk_generator(plan.seed, chunk_index)
-        eps = plan.sampler.draw(rng, (size, d), out=ws.buf("eps", (size, d)))
-        counts = np.zeros((len(shifts), len(tests)), dtype=np.int64)
-        for support, rows in groups:
-            if support is not None:
-                kernel = ShiftedNormKernel(eps, support, exps, workspace=ws)
-            for si in rows:
-                theta = shifts[si]
-                if support is None:
-                    Y = np.add(eps, theta[None, :], out=ws.buf("shifted", eps.shape))
-                    norms = batch_norms(Y, exps, workspace=ws)
-                else:
-                    norms = kernel.norms_at(theta[support])
-                cvals = {i: eps[:, i] + theta[i] for i in coords}
-                for ti, t in enumerate(tests):
-                    counts[si, ti] = int(np.count_nonzero(t.decide_batch(norms, cvals)))
-        return counts
+    def visit(eps: np.ndarray, theta: np.ndarray, norms) -> list[int]:
+        cvals = {i: eps[:, i] + theta[i] for i in coords}
+        return [int(np.count_nonzero(t.decide_batch(norms, cvals))) for t in tests]
 
-    per_chunk = run_chunked(chunk_counts, plan, workers=workers)
+    per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers)
     return np.sum(per_chunk, axis=0)
 
 
@@ -141,11 +95,9 @@ def estimate_rejection(test, theta, plan: MonteCarloPlan, workers: int = 1):
 def estimate_rejection_many(tests: Sequence, theta, plan: MonteCarloPlan, workers: int = 1):
     """Common-random-numbers rejection rates of several tests against one
     mean vector (pass ``theta=0`` or a zero vector for null size)."""
-    d = tests[0].d
-    theta = np.zeros(d) if np.isscalar(theta) and theta == 0 else np.asarray(theta, dtype=float)
-    if theta.shape != (d,):
-        raise DomainError(f"theta has shape {theta.shape}, tests expect ({d},)")
-    counts = _counts(tests, theta[None, :], plan, workers)
+    if np.isscalar(theta) and theta == 0:
+        theta = np.zeros(_dimension(tests))
+    counts = _counts(tests, [theta], plan, workers)
     return [_rate_se(int(c), plan.replications) for c in counts[0]]
 
 
@@ -208,9 +160,6 @@ def power_curve(
     All cells share the same simulated noise (common random numbers).
     """
     d = int(d)
-    for t in tests:
-        if t.d != d:
-            raise DomainError("all tests must be calibrated at the requested d")
     scales = [float(a) for a in a_grid]
     if any(not 0.0 <= a < math.inf for a in scales) or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)

@@ -16,7 +16,7 @@ from pnormlab.mc import (
     run_chunked,
     simulate_null_statistics,
 )
-from pnormlab.norms import SUP, Exponent
+from pnormlab.norms import SUP, Exponent, batch_norms
 from pnormlab.workspace import thread_workspace
 
 
@@ -143,7 +143,30 @@ def _chunk_id_task(chunk_index, start, size):
     return (chunk_index, start)
 
 
+_LAPLACE = CustomSymmetric(lambda rng, shape: rng.laplace(size=shape))
+
+
 class TestSimulateNullStatistics:
+    # 300 replications in chunks of 128 leave a short last chunk of 44 rows;
+    # 2.5 and 55.598 are off the integer multiply chain; the custom sampler's
+    # draw ignores the workspace buffer it is offered
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler, draw", [
+        (StandardNormal(), lambda rng, shape: rng.standard_normal(shape)),
+        (_LAPLACE, _LAPLACE.rule),
+    ], ids=["standard-normal", "custom"])
+    def test_equals_batch_norms_of_directly_drawn_chunks(self, sampler, draw, workers):
+        d = 37
+        plan = MonteCarloPlan(replications=300, seed=21, chunk_size=128, sampler=sampler)
+        exps = (Exponent.finite(2.5), Exponent.finite(55.598), SUP)
+        got = simulate_null_statistics(d, exps, plan, workers=workers)
+        chunks = [draw(chunk_generator(plan.seed, c), (size, d))
+                  for c, _, size in plan.chunk_bounds()]
+        assert chunks[-1].shape == (44, d)
+        for e in exps:
+            want = np.concatenate([batch_norms(eps, exps)[e] for eps in chunks])
+            assert np.array_equal(got[e], want)
+
     def test_bit_identical_for_fixed_plan(self):
         plan = MonteCarloPlan(replications=2000, seed=77, chunk_size=256)
         exps = (Exponent.finite(2.0), SUP)

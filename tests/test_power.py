@@ -13,9 +13,10 @@ from pnormlab.engine import (
     geometric_budget,
     make_single_test,
     member_exponents,
+    reject_matrix,
 )
 from pnormlab.errors import DomainError, RankError
-from pnormlab.mc import MonteCarloPlan, simulate_null_statistics
+from pnormlab.mc import MonteCarloPlan, chunk_generator, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent
 from pnormlab.power import (
     _counts,
@@ -63,6 +64,11 @@ class TestEstimateRejection:
         test = ConstantTest(d=20)
         with pytest.raises(DomainError):
             estimate_rejection(test, np.zeros(19), plan)
+
+    def test_empty_test_list(self):
+        plan = MonteCarloPlan(replications=500, seed=1)
+        with pytest.raises(DomainError):
+            estimate_rejection_many([], 0, plan)
 
     def test_reproducible_and_worker_invariant(self):
         plan = MonteCarloPlan(replications=3000, seed=6)
@@ -176,6 +182,19 @@ class TestCounts:
         got = _counts(tests, shifts, plan, workers)
         want = np.vstack([_counts(tests, [theta], plan, 1) for theta in shifts])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_shift_equals_reject_matrix_on_the_same_chunks(self, suite, workers):
+        d, tests = suite
+        tests = [tests[1], tests[2], build_enhanced(tests[1], d)]  # p=2, sup, enhanced
+        plan = MonteCarloPlan(replications=300, seed=17)
+        theta = np.full(d, 0.1)
+        want = sum(
+            reject_matrix(tests, chunk_generator(plan.seed, c).standard_normal((size, d)) + theta)
+            .sum(axis=1)
+            for c, _, size in plan.chunk_bounds()
+        )
+        assert np.array_equal(_counts(tests, [theta], plan, workers)[0], want)
 
 
 class TestAutoGrid:
