@@ -22,11 +22,14 @@ noise plus every requested mean shift through a `ShiftedNormKernel`, for
 null calibration and rejection counts alike.  A shift on at most
 ``_SPARSE_SUPPORT_FRACTION * d`` coordinates, the zero shift included, joins
 the kernel of the widest such support containing its own and costs
-O(replications x support); any other shift gets an empty-support kernel on
-the shifted noise, one full pass bit-identical to `batch_norms`.  Sums are
-max-factored and add the off-support part, never subtract it, so norms agree
-with the direct evaluation to a relative 1e-13 even at exponents near 60
-with the row maximum on the support or cancelled by the shift (pinned by
+O(replications x support); any other shift gets an empty-support kernel
+with the shift as its ``offset``, one full pass bit-identical to
+`batch_norms` of the shifted noise.  The kernel adds the offset one row tile
+at a time, so no shifted copy of the chunk exists: a thread holds the drawn
+chunk plus tile-sized norm scratch.  Sums are max-factored and add the
+off-support part, never subtract it, so norms agree with the direct
+evaluation to a relative 1e-13 even at exponents near 60 with the row
+maximum on the support or cancelled by the shift (pinned by
 ``tests/test_norms.py::TestShiftedNormKernel``).
 
 Execution: `run_chunked` runs chunks in a loop or on a pool of threads.
@@ -222,8 +225,7 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
         eps = plan.sampler.draw(rng, (size, d), out=ws.buf("eps", (size, d)))
         out = [None] * len(shifts)
         for support, offset, rows in full + sparse:
-            base = eps if offset is None else np.add(eps, offset, out=ws.buf("shifted", eps.shape))
-            kernel = ShiftedNormKernel(base, support, exponents, workspace=ws)
+            kernel = ShiftedNormKernel(eps, support, exponents, workspace=ws, offset=offset)
             for si in rows:
                 out[si] = visit(eps, shifts[si], kernel.norms_at(shifts[si, support]))
         return out

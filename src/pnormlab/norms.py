@@ -11,8 +11,13 @@ hundreds of thousands) cannot overflow.
 `_scaled_power_sums` is the one routine that computes power sums: on
 workspace buffers it walks small integer exponents through one sequential
 multiplication chain and shares the elementwise log across non-integer
-exponents.  `batch_norms` (the Monte Carlo hot path) and
-`ShiftedNormKernel` both call it.
+exponents.  `ShiftedNormKernel` (the Monte Carlo hot path) and
+`batch_norms` (the untiled reference, also behind `engine.reject_matrix`)
+both call it.  The kernel feeds it one row tile at a time, at most
+``_TILE_ELEMENTS`` doubles per scratch buffer, or one row when d is larger
+(three buffers, 1.5 MiB, fit a 2 MiB per-core L2 cache through the roughly
+twenty passes over a tile); every reduction in it is per row, so a tile
+gives the same bits as the whole chunk.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .workspace import Workspace
 __all__ = ["Exponent", "SUP", "parse_exponent", "p_norm_stat", "batch_norms"]
 
 _MAX_INT_CHAIN = 16  # small integer exponents evaluated by multiplication
+_TILE_ELEMENTS = 2**16  # float64 elements per kernel scratch tile (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,11 @@ def p_norm_stat(y, exponent: Exponent) -> float:
 
 def _is_chain_exponent(e: Exponent) -> bool:
     return (not e.is_sup) and float(e.p).is_integer() and e.p <= _MAX_INT_CHAIN
+
+
+def _tile_rows(d: int) -> int:
+    """Rows per `ShiftedNormKernel` set-up tile at dimension ``d``."""
+    return max(1, _TILE_ELEMENTS // d)
 
 
 def _scaled_power_sums(
@@ -191,6 +202,14 @@ class ShiftedNormKernel:
     or cancels.  With an empty support every norm is bit-identical to
     `batch_norms` of ``eps``: ``M = m_rest`` and ``(m_rest/M)^p`` is exactly
     1 (0 on an all-zero row).
+
+    An ``offset`` row (a dense mean shift) makes the kernel one of
+    ``eps + offset``; the sum is formed tile by tile in the scratch buffer,
+    so no shifted copy of the chunk is made.  The set-up runs over row tiles
+    of `_tile_rows` rows, so its scratch is tile-sized whatever the chunk
+    size.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row
+    over the same d elements in the same order, so the tiled ``m_rest`` and
+    ``S_rest`` equal the untiled ones bit for bit.
     """
 
     def __init__(
@@ -199,17 +218,33 @@ class ShiftedNormKernel:
         support: np.ndarray,
         exponents: Sequence[Exponent],
         workspace: Workspace | None = None,
+        offset: np.ndarray | None = None,
     ):
         eps = np.asarray(eps, dtype=float)
         support = np.asarray(support, dtype=np.intp)
         self.exponents = tuple(exponents)
         ws = workspace if workspace is not None else Workspace()
+        rows, d = eps.shape
 
         self._eps_support = eps[:, support]
-        Z = ws.buf("norms.scaled", eps.shape)
-        np.abs(eps, out=Z)
-        Z[:, support] = 0.0
-        self._max_rest, self._sum_rest = _scaled_power_sums(Z, self.exponents, ws)
+        if offset is not None:
+            offset = np.asarray(offset, dtype=float)
+            self._eps_support += offset[support]
+        self._max_rest = np.empty(rows)
+        self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
+        tile = _tile_rows(d)
+        for lo in range(0, rows, tile):
+            part = eps[lo : lo + tile]
+            Z = ws.buf("norms.scaled", part.shape)
+            if offset is None:
+                np.abs(part, out=Z)
+            else:
+                np.abs(np.add(part, offset, out=Z), out=Z)
+            Z[:, support] = 0.0
+            m, sums = _scaled_power_sums(Z, self.exponents, ws)
+            self._max_rest[lo : lo + tile] = m
+            for p, s in sums.items():
+                self._sum_rest[p][lo : lo + tile] = s
 
     def norms_at(self, values: np.ndarray) -> dict[Exponent, np.ndarray]:
         """Norms of every row of ``eps`` with ``values`` added on the support."""

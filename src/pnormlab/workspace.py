@@ -5,7 +5,10 @@ expensive (VM sandboxes, memory-bandwidth-bound machines): allocating a
 fresh multi-megabyte array per ufunc call faults in every page on first
 touch.  A Workspace hands out named buffers that keep their pages alive
 across chunks, so steady-state chunk processing performs no large
-allocations at all.
+allocations at all.  A chunk task's workspace holds one chunk-sized buffer,
+the drawn noise ``eps``; the norm scratch (``norms.scaled``, ``norms.chain``,
+``norms.log``) is one row tile high (see `norms._tile_rows`), at most 512 KiB
+each up to d = 65536 whatever the chunk size.
 
 Workspaces are not thread-safe and are never shared across threads: chunk
 tasks take the calling thread's workspace from `thread_workspace()`.
@@ -21,18 +24,21 @@ __all__ = ["Workspace", "thread_workspace"]
 
 
 class Workspace:
-    """Named buffer pool; a buffer is reallocated only when its shape grows
-    or changes."""
+    """Named buffer pool; a buffer is reallocated only when its trailing
+    shape changes or it has too few rows."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
     def buf(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float64 buffer of ``shape``: the leading rows of the
+        stored buffer of that name when it has the same trailing shape and at
+        least ``shape[0]`` rows, so short chunks and tiles reuse its pages."""
         arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
+        if arr is None or arr.shape[1:] != shape[1:] or arr.shape[0] < shape[0]:
             arr = np.empty(shape, dtype=np.float64)
             self._arrays[name] = arr
-        return arr
+        return arr[: shape[0]]
 
 
 _THREAD_LOCAL = threading.local()

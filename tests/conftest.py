@@ -91,6 +91,17 @@ def semi_sparse_log_sup_terms(d):
     return block, null
 
 
+# verdict lines of tests/test_acceptance.py, printed at the end of the run
+ACCEPTANCE_LINES = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance verdicts")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)

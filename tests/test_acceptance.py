@@ -63,6 +63,7 @@ from pnormlab.power import (
 )
 
 from conftest import (
+    ACCEPTANCE_LINES,
     quadrature_abs_moment,
     semi_sparse_k,
     semi_sparse_log_criterion,
@@ -105,14 +106,11 @@ NULL_PART_RTOL = 0.05
 
 
 def _report(num, name, passed, detail=""):
-    import sys
-
     verdict = "PASS" if passed else "FAIL"
     line = f"ACCEPTANCE {num} [{name}]: {verdict}" + (f"  ({detail})" if detail else "")
     print(line)
-    if sys.stdout is not sys.__stdout__:
-        # verdict lines stay visible even when pytest captures test output
-        print(line, file=sys.__stdout__)
+    # printed again in the terminal summary, past pytest's output capture
+    ACCEPTANCE_LINES.append(line)
 
 
 # ---------------------------------------------------------------------------

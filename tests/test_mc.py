@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from pnormlab.mc import (
     empirical_upper_quantile,
     run_chunked,
     simulate_null_statistics,
+    simulate_shifted,
 )
-from pnormlab.norms import SUP, Exponent, batch_norms
-from pnormlab.workspace import thread_workspace
+from pnormlab.norms import SUP, Exponent, _tile_rows, batch_norms
+from pnormlab.workspace import Workspace, thread_workspace
 
 
 class TestPlan:
@@ -199,6 +201,37 @@ class TestSimulateNullStatistics:
             simulate_null_statistics(0, (SUP,), plan)
         with pytest.raises(DomainError):
             simulate_null_statistics(5, (), plan)
+
+
+class TestWorkspaceFootprint:
+    def test_short_requests_reuse_the_stored_buffer(self):
+        ws = Workspace()
+        full = ws.buf("eps", (128, 40))
+        short = ws.buf("eps", (32, 40))
+        assert short.shape == (32, 40) and short.flags.c_contiguous
+        assert StandardNormal().draw(chunk_generator(1, 0), (32, 40), out=short) is short
+        assert np.shares_memory(full, short)
+        assert np.shares_memory(full, ws.buf("eps", (128, 40)))
+        assert not np.shares_memory(full, ws.buf("eps", (128, 41)))
+
+    def test_chunk_pass_holds_one_chunk_sized_buffer(self):
+        # a dense shift (offset kernel) and a sparse one on 160 = 128 + 32
+        # rows; a fresh thread starts from an empty workspace
+        d = 10_000
+        plan = MonteCarloPlan(replications=160, seed=4, chunk_size=128)
+        shifts = np.zeros((3, d))
+        shifts[1] = 0.01
+        shifts[2, :5] = 1.0
+        exps = (Exponent.finite(2.0), Exponent.finite(2.5), SUP)
+
+        def run():
+            simulate_shifted(shifts, exps, plan, lambda eps, theta, norms: None)
+            return {name: a.shape for name, a in thread_workspace()._arrays.items()}
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            shapes = pool.submit(run).result(timeout=120)
+        assert shapes.pop("eps") == (128, d)
+        assert shapes and all(s[0] <= _tile_rows(d) for s in shapes.values()), shapes
 
 
 class TestEmpiricalUpperQuantile:

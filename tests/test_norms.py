@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnormlab.errors import DomainError
-from pnormlab.norms import SUP, Exponent, ShiftedNormKernel, batch_norms, p_norm_stat, parse_exponent
+from pnormlab.norms import (
+    SUP,
+    Exponent,
+    ShiftedNormKernel,
+    _tile_rows,
+    batch_norms,
+    p_norm_stat,
+    parse_exponent,
+)
 from pnormlab.workspace import Workspace
 
 
@@ -166,6 +174,41 @@ class TestShiftedNormKernel:
         want = batch_norms(eps, exps)
         for e in exps:
             assert np.array_equal(got[e], want[e])
+
+    # row counts that are not multiples of the tile height, at d on both sides
+    # of the one-tile threshold (d = 1310 for 50 rows); the example tiles 50
+    # rows as 3 x 13 + 11
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, rows=50, d=5000, width=0, dense=True, ps=[1.0, 2.0, 2.5, 55.598])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 50),
+        d=st.integers(500, 5000),
+        width=st.integers(0, 6),
+        dense=st.booleans(),
+        ps=st.lists(st.integers(1, 16).map(float) | st.floats(0.5, 60.0), min_size=1, max_size=4),
+    )
+    def test_row_tiles_match_the_whole_chunk(self, seed, rows, d, width, dense, ps):
+        rng = np.random.default_rng(seed)
+        eps = rng.standard_normal((rows, d))
+        offset = rng.normal(scale=0.5, size=d) if dense else None
+        support = rng.choice(d, size=width, replace=False)
+        values = rng.normal(scale=2.0, size=width)
+        exps = [Exponent.finite(p) for p in ps] + [SUP]
+        incr = ShiftedNormKernel(eps, support, exps, offset=offset).norms_at(values)
+        shifted = eps.copy() if offset is None else eps + offset
+        shifted[:, support] += values
+        direct = batch_norms(shifted, exps)
+        for e in exps:
+            if width == 0:
+                assert np.array_equal(incr[e], direct[e])
+            else:
+                np.testing.assert_allclose(incr[e], direct[e], rtol=1e-13, atol=0.0)
+
+    def test_tile_height_from_dimension(self):
+        assert _tile_rows(100) >= 128  # small d: one pass over a 128-row chunk
+        assert 1 < _tile_rows(10_000) < 128
+        assert _tile_rows(10**7) == 1
 
     def test_overflow_falls_back_to_factored_path(self, rng):
         eps = rng.normal(scale=1e60, size=(16, 50))
