@@ -24,13 +24,18 @@ null calibration and rejection counts alike.  A shift on at most
 the kernel of the widest such support containing its own and costs
 O(replications x support); any other shift gets an empty-support kernel
 with the shift as its ``offset``, one full pass bit-identical to
-`batch_norms` of the shifted noise.  The kernel adds the offset one row tile
-at a time, so no shifted copy of the chunk exists: a thread holds the drawn
-chunk plus tile-sized norm scratch.  Sums are max-factored and add the
-off-support part, never subtract it, so norms agree with the direct
-evaluation to a relative 1e-13 even at exponents near 60 with the row
-maximum on the support or cancelled by the shift (pinned by
-``tests/test_norms.py::TestShiftedNormKernel``).
+`batch_norms` of the shifted noise.  The chunk is drawn one row tile of
+`norms._tile_rows` rows at a time; each tile fills every kernel and the
+visit's coordinate columns before the next tile overwrites it.  Successive
+tile draws consume the chunk's generator in the order one whole-chunk draw
+does (pinned by ``tests/test_mc.py::TestTiledDraws``), so the chunk, not the
+tile, stays the unit of the RNG stream, and a thread holds four tile buffers
+(noise and norm scratch), never a 128 x d chunk.  The visits run once per
+chunk and shift, after its last tile.
+Sums are max-factored and add the off-support part, never subtract it, so
+norms agree with the direct evaluation to a relative 1e-13 even at
+exponents near 60 with the row maximum on the support or cancelled by the
+shift (pinned by ``tests/test_norms.py::TestShiftedNormKernel``).
 
 Execution: `run_chunked` runs chunks in a loop or on a pool of threads.
 numpy's generator fills and large ufuncs release the GIL, so chunks on
@@ -49,12 +54,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .norms import Exponent, ShiftedNormKernel
+from .norms import Exponent, ShiftedNormKernel, _tile_rows
 from .workspace import thread_workspace
 
 __all__ = [
     "StandardNormal",
-    "CustomSymmetric",
     "MonteCarloPlan",
     "chunk_generator",
     "run_chunked",
@@ -83,54 +87,19 @@ class StandardNormal:
 
 
 @dataclass(frozen=True)
-class CustomSymmetric:
-    """Pluggable symmetric error sampler for exploratory simulation.
-
-    Only the standard normal sampler carries verified calibration theory;
-    custom samplers are probed for rough symmetry at construction but
-    otherwise taken on trust.  ``rule(rng, shape)`` must return an array of
-    the requested shape.
-    """
-
-    rule: Callable[[np.random.Generator, tuple[int, int]], np.ndarray]
-    name: str = "custom_symmetric"
-
-    def __post_init__(self):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-        probe = np.asarray(self.rule(rng, (4, 2048)), dtype=float)
-        if probe.shape != (4, 2048):
-            raise DomainError("custom sampler returned the wrong shape")
-        scale = float(np.abs(probe).mean()) or 1.0
-        if abs(float(probe.mean())) > 0.25 * scale:
-            raise DomainError(
-                "custom sampler looks asymmetric (probe mean far from zero)"
-            )
-
-    def draw(
-        self,
-        rng: np.random.Generator,
-        shape: tuple[int, int],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        drawn = np.asarray(self.rule(rng, shape), dtype=float)
-        if drawn.shape != shape:
-            raise DomainError("custom sampler returned the wrong shape")
-        return drawn
-
-
-@dataclass(frozen=True)
 class MonteCarloPlan:
     """Replication count, base seed, and chunking of one simulation.
 
-    The triple (replications, seed, chunk_size) plus the sampler fully
-    determines every simulated draw; chunk_size is part of the identity
-    because it delimits the per-chunk RNG streams.
+    The triple (replications, seed, chunk_size) fully determines every
+    simulated draw; chunk_size is part of the identity because it delimits
+    the per-chunk RNG streams.  The sampler is always the standard normal;
+    its name stays in `descriptor` for provenance strings.
     """
 
     replications: int
     seed: int
     chunk_size: int = 128
-    sampler: StandardNormal | CustomSymmetric = field(default_factory=StandardNormal)
+    sampler: StandardNormal = field(default_factory=StandardNormal)
 
     def __post_init__(self):
         if int(self.replications) < 1:
@@ -197,13 +166,19 @@ def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
 
 
 def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan,
-                     visit: Callable[..., object], workers: int = 1) -> list[list]:
-    """Draw each chunk of ``plan`` once and call ``visit(eps, theta, norms)``
+                     visit: Callable[..., object], workers: int = 1,
+                     coordinates: Sequence[int] = ()) -> list[list]:
+    """Draw each chunk of ``plan`` once and call ``visit(columns, theta, norms)``
     for every row ``theta`` of the ``(n, d)`` matrix ``shifts``, with ``norms``
-    the statistics of ``eps + theta``; ``eps`` is a thread buffer ``visit``
-    must not keep.  Returns each chunk's visit results, in chunk order."""
+    the statistics of ``eps + theta`` and ``columns`` the noise columns
+    ``{i: eps[:, i]}`` of the requested ``coordinates``; the chunk ``eps``
+    itself is never held whole.  Returns each chunk's visit results, in chunk
+    order."""
     shifts = np.asarray(shifts, dtype=float)
     d = shifts.shape[1]
+    exps = tuple(exponents)
+    coords = np.asarray(coordinates, dtype=np.intp)
+    tile = _tile_rows(d)
     sizes = np.count_nonzero(shifts, axis=1)
     # (support, offset, rows): one kernel over support on eps + offset
     full, sparse = [], []
@@ -218,16 +193,25 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
                 break
         else:
             sparse.append((own, None, [si]))
+    groups = full + sparse
 
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
         ws = thread_workspace()
         rng = chunk_generator(plan.seed, chunk_index)
-        eps = plan.sampler.draw(rng, (size, d), out=ws.buf("eps", (size, d)))
+        kernels = [ShiftedNormKernel(size, support, exps, workspace=ws, offset=offset)
+                   for support, offset, _ in groups]
+        gathered = np.empty((size, coords.size))
+        for lo in range(0, size, tile):
+            shape = (min(tile, size - lo), d)
+            eps = plan.sampler.draw(rng, shape, out=ws.buf("eps", shape))
+            gathered[lo : lo + shape[0]] = eps[:, coords]
+            for kernel in kernels:
+                kernel.fill(lo, eps)
+        columns = {int(i): gathered[:, j] for j, i in enumerate(coords)}
         out = [None] * len(shifts)
-        for support, offset, rows in full + sparse:
-            kernel = ShiftedNormKernel(eps, support, exponents, workspace=ws, offset=offset)
+        for kernel, (support, _, rows) in zip(kernels, groups):
             for si in rows:
-                out[si] = visit(eps, shifts[si], kernel.norms_at(shifts[si, support]))
+                out[si] = visit(columns, shifts[si], kernel.norms_at(shifts[si, support]))
         return out
 
     return run_chunked(chunk_pass, plan, workers=workers)
@@ -252,7 +236,7 @@ def simulate_null_statistics(
     exps = tuple(dict.fromkeys(exponents))
     if not exps:
         raise DomainError("at least one exponent is required")
-    chunks = simulate_shifted(np.zeros((1, d)), exps, plan, lambda eps, theta, norms: norms, workers)
+    chunks = simulate_shifted(np.zeros((1, d)), exps, plan, lambda cols, theta, norms: norms, workers)
     return {e: np.concatenate([chunk[0][e] for chunk in chunks]) for e in exps}
 
 

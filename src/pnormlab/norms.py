@@ -11,17 +11,19 @@ hundreds of thousands) cannot overflow.
 `_scaled_power_sums` is the one routine that computes power sums: on
 workspace buffers it walks small integer exponents through one sequential
 multiplication chain and shares the elementwise log across non-integer
-exponents.  `ShiftedNormKernel` (the Monte Carlo hot path) and
-`batch_norms` (the untiled reference, also behind `engine.reject_matrix`)
-both call it.  The kernel feeds it one row tile at a time, at most
-``_TILE_ELEMENTS`` doubles per scratch buffer, or one row when d is larger
-(three buffers, 1.5 MiB, fit a 2 MiB per-core L2 cache through the roughly
-twenty passes over a tile); every reduction in it is per row, so a tile
-gives the same bits as the whole chunk.
+exponents; `_power_split` sorts an exponent set into those two groups once.
+`ShiftedNormKernel` (the Monte Carlo hot path) and `batch_norms` (the
+untiled reference, also behind `engine.reject_matrix`) both call it.  The
+kernel is filled one row tile at a time, at most ``_TILE_ELEMENTS`` doubles
+per scratch buffer, or one row when d is larger (the drawn tile and three
+scratch buffers, 2 MiB, stay near a 2 MiB per-core L2 cache through the
+roughly twenty passes over a tile); every reduction in it is per row, so a
+tile gives the same bits as the whole chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +36,7 @@ from .workspace import Workspace
 __all__ = ["Exponent", "SUP", "parse_exponent", "p_norm_stat", "batch_norms"]
 
 _MAX_INT_CHAIN = 16  # small integer exponents evaluated by multiplication
-_TILE_ELEMENTS = 2**16  # float64 elements per kernel scratch tile (512 KiB)
+_TILE_ELEMENTS = 2**16  # float64 elements per noise and scratch tile (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,24 @@ def p_norm_stat(y, exponent: Exponent) -> float:
     return m * float(np.sum(z**p)) ** (1.0 / p)
 
 
-def _is_chain_exponent(e: Exponent) -> bool:
-    return (not e.is_sup) and float(e.p).is_integer() and e.p <= _MAX_INT_CHAIN
-
-
 def _tile_rows(d: int) -> int:
-    """Rows per `ShiftedNormKernel` set-up tile at dimension ``d``."""
+    """Rows per Monte Carlo noise tile, and so per kernel fill, at dimension ``d``."""
     return max(1, _TILE_ELEMENTS // d)
 
 
+@functools.lru_cache(maxsize=64)
+def _power_split(exponents: tuple[Exponent, ...]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The exponents' power sums as ``(chain, other)``: the ascending integer
+    exponents up to ``_MAX_INT_CHAIN`` walked by the multiply chain, and the
+    other finite ones, which share one log pass.  Cached per exponent tuple,
+    so a Monte Carlo run resolves its split once, not once per tile."""
+    finite = dict.fromkeys(e.p for e in exponents if not e.is_sup)
+    chain = tuple(sorted(int(p) for p in finite if p.is_integer() and p <= _MAX_INT_CHAIN))
+    return chain, tuple(p for p in finite if p not in chain)
+
+
 def _scaled_power_sums(
-    Z: np.ndarray, exponents: Sequence[Exponent], ws: Workspace
+    Z: np.ndarray, exponents: tuple[Exponent, ...], ws: Workspace
 ) -> tuple[np.ndarray, dict[float, np.ndarray]]:
     """Row max ``m`` of the non-negative matrix ``Z`` and, for every finite
     exponent, the power sums ``sum_i (Z_i/m)^p`` keyed by ``p``.
@@ -127,8 +136,7 @@ def _scaled_power_sums(
     Z /= safe_m[:, None]
 
     power_sums: dict[float, np.ndarray] = {}
-
-    chain_targets = sorted({int(e.p) for e in exponents if _is_chain_exponent(e)})
+    chain_targets, other = _power_split(exponents)
     if chain_targets:
         top = chain_targets[-1]
         if 1 in chain_targets:
@@ -141,19 +149,16 @@ def _scaled_power_sums(
                 if j in chain_targets:
                     power_sums[float(j)] = chain.sum(axis=1)
 
-    other = [e for e in exponents if not e.is_sup and not _is_chain_exponent(e)]
     if other:
         logz = ws.buf("norms.log", shape)
         with np.errstate(divide="ignore"):
             np.log(Z, out=logz)
         # the chain's sums are taken, so its buffer is free for the exp pass
         work = ws.buf("norms.chain", shape)
-        for e in other:
-            if e.p in power_sums:
-                continue
-            np.multiply(logz, e.p, out=work)
+        for p in other:
+            np.multiply(logz, p, out=work)
             np.exp(work, out=work)
-            power_sums[e.p] = work.sum(axis=1)
+            power_sums[p] = work.sum(axis=1)
     return m, power_sums
 
 
@@ -176,7 +181,7 @@ def batch_norms(
 
     Z = ws.buf("norms.scaled", Y.shape)
     np.abs(Y, out=Z)
-    m, power_sums = _scaled_power_sums(Z, exponents, ws)
+    m, power_sums = _scaled_power_sums(Z, tuple(exponents), ws)
 
     out: dict[Exponent, np.ndarray] = {}
     for e in exponents:
@@ -203,48 +208,49 @@ class ShiftedNormKernel:
     `batch_norms` of ``eps``: ``M = m_rest`` and ``(m_rest/M)^p`` is exactly
     1 (0 on an all-zero row).
 
-    An ``offset`` row (a dense mean shift) makes the kernel one of
-    ``eps + offset``; the sum is formed tile by tile in the scratch buffer,
-    so no shifted copy of the chunk is made.  The set-up runs over row tiles
-    of `_tile_rows` rows, so its scratch is tile-sized whatever the chunk
-    size.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row
-    over the same d elements in the same order, so the tiled ``m_rest`` and
-    ``S_rest`` equal the untiled ones bit for bit.
+    The kernel never sees the whole chunk: it is sized for ``rows`` rows and
+    `fill` hands it the chunk one row tile at a time, so its scratch is
+    tile-sized and only ``m_rest``, ``S_rest`` and the support columns (rows
+    x support) are chunk-height.  An ``offset`` row (a dense mean shift)
+    makes it a kernel of ``eps + offset``, added tile by tile in the
+    scratch.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each
+    row over the same d elements in the same order, so any tiling gives the
+    bits of one pass over the chunk.
     """
 
     def __init__(
         self,
-        eps: np.ndarray,
+        rows: int,
         support: np.ndarray,
         exponents: Sequence[Exponent],
         workspace: Workspace | None = None,
         offset: np.ndarray | None = None,
     ):
-        eps = np.asarray(eps, dtype=float)
-        support = np.asarray(support, dtype=np.intp)
         self.exponents = tuple(exponents)
-        ws = workspace if workspace is not None else Workspace()
-        rows, d = eps.shape
-
-        self._eps_support = eps[:, support]
-        if offset is not None:
-            offset = np.asarray(offset, dtype=float)
-            self._eps_support += offset[support]
+        self._support = np.asarray(support, dtype=np.intp)
+        self._offset = None if offset is None else np.asarray(offset, dtype=float)
+        self._ws = workspace if workspace is not None else Workspace()
+        self._eps_support = np.empty((rows, self._support.size))
         self._max_rest = np.empty(rows)
         self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
-        tile = _tile_rows(d)
-        for lo in range(0, rows, tile):
-            part = eps[lo : lo + tile]
-            Z = ws.buf("norms.scaled", part.shape)
-            if offset is None:
-                np.abs(part, out=Z)
-            else:
-                np.abs(np.add(part, offset, out=Z), out=Z)
-            Z[:, support] = 0.0
-            m, sums = _scaled_power_sums(Z, self.exponents, ws)
-            self._max_rest[lo : lo + tile] = m
-            for p, s in sums.items():
-                self._sum_rest[p][lo : lo + tile] = s
+
+    def fill(self, lo: int, tile: np.ndarray) -> None:
+        """Take rows ``lo .. lo + len(tile)`` of the noise chunk from ``tile``."""
+        tile = np.asarray(tile, dtype=float)
+        hi = lo + tile.shape[0]
+        support, offset = self._support, self._offset
+        self._eps_support[lo:hi] = tile[:, support]
+        Z = self._ws.buf("norms.scaled", tile.shape)
+        if offset is None:
+            np.abs(tile, out=Z)
+        else:
+            self._eps_support[lo:hi] += offset[support]
+            np.abs(np.add(tile, offset, out=Z), out=Z)
+        Z[:, support] = 0.0
+        m, sums = _scaled_power_sums(Z, self.exponents, self._ws)
+        self._max_rest[lo:hi] = m
+        for p, s in sums.items():
+            self._sum_rest[p][lo:hi] = s
 
     def norms_at(self, values: np.ndarray) -> dict[Exponent, np.ndarray]:
         """Norms of every row of ``eps`` with ``values`` added on the support."""

@@ -66,13 +66,13 @@ def _counts(tests: Sequence, shifts, plan: MonteCarloPlan, workers: int) -> np.n
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 2 or shifts.shape[1] != d:
         raise DomainError(f"shifts have shape {shifts.shape}, tests expect (n, {d})")
-    coords = required_coordinates(tests)
 
-    def visit(eps: np.ndarray, theta: np.ndarray, norms) -> list[int]:
-        cvals = {i: eps[:, i] + theta[i] for i in coords}
+    def visit(columns, theta: np.ndarray, norms) -> list[int]:
+        cvals = {i: col + theta[i] for i, col in columns.items()}
         return [int(np.count_nonzero(t.decide_batch(norms, cvals))) for t in tests]
 
-    per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers)
+    per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
+                                 coordinates=required_coordinates(tests))
     return np.sum(per_chunk, axis=0)
 
 

@@ -5,10 +5,11 @@ expensive (VM sandboxes, memory-bandwidth-bound machines): allocating a
 fresh multi-megabyte array per ufunc call faults in every page on first
 touch.  A Workspace hands out named buffers that keep their pages alive
 across chunks, so steady-state chunk processing performs no large
-allocations at all.  A chunk task's workspace holds one chunk-sized buffer,
-the drawn noise ``eps``; the norm scratch (``norms.scaled``, ``norms.chain``,
-``norms.log``) is one row tile high (see `norms._tile_rows`), at most 512 KiB
-each up to d = 65536 whatever the chunk size.
+allocations at all.  A chunk task's workspace holds four buffers, each one
+row tile high (see `norms._tile_rows`) whatever the chunk size: the drawn
+noise tile ``eps`` and the norm scratch ``norms.scaled``, ``norms.chain`` and
+``norms.log``, at most 512 KiB each up to d = 65536 and one row of d doubles
+above.
 
 Workspaces are not thread-safe and are never shared across threads: chunk
 tasks take the calling thread's workspace from `thread_workspace()`.

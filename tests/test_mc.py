@@ -9,7 +9,6 @@ from scipy import stats
 
 from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import (
-    CustomSymmetric,
     MonteCarloPlan,
     StandardNormal,
     chunk_generator,
@@ -145,24 +144,17 @@ def _chunk_id_task(chunk_index, start, size):
     return (chunk_index, start)
 
 
-_LAPLACE = CustomSymmetric(lambda rng, shape: rng.laplace(size=shape))
-
-
 class TestSimulateNullStatistics:
     # 300 replications in chunks of 128 leave a short last chunk of 44 rows;
-    # 2.5 and 55.598 are off the integer multiply chain; the custom sampler's
-    # draw ignores the workspace buffer it is offered
+    # 2.5 and 55.598 are off the integer multiply chain
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("sampler, draw", [
-        (StandardNormal(), lambda rng, shape: rng.standard_normal(shape)),
-        (_LAPLACE, _LAPLACE.rule),
-    ], ids=["standard-normal", "custom"])
-    def test_equals_batch_norms_of_directly_drawn_chunks(self, sampler, draw, workers):
+    @pytest.mark.parametrize("sampler", [StandardNormal()], ids=["standard-normal"])
+    def test_equals_batch_norms_of_directly_drawn_chunks(self, sampler, workers):
         d = 37
         plan = MonteCarloPlan(replications=300, seed=21, chunk_size=128, sampler=sampler)
         exps = (Exponent.finite(2.5), Exponent.finite(55.598), SUP)
         got = simulate_null_statistics(d, exps, plan, workers=workers)
-        chunks = [draw(chunk_generator(plan.seed, c), (size, d))
+        chunks = [chunk_generator(plan.seed, c).standard_normal((size, d))
                   for c, _, size in plan.chunk_bounds()]
         assert chunks[-1].shape == (44, d)
         for e in exps:
@@ -214,7 +206,7 @@ class TestWorkspaceFootprint:
         assert np.shares_memory(full, ws.buf("eps", (128, 40)))
         assert not np.shares_memory(full, ws.buf("eps", (128, 41)))
 
-    def test_chunk_pass_holds_one_chunk_sized_buffer(self):
+    def test_chunk_pass_holds_only_tile_sized_buffers(self):
         # a dense shift (offset kernel) and a sparse one on 160 = 128 + 32
         # rows; a fresh thread starts from an empty workspace
         d = 10_000
@@ -225,13 +217,52 @@ class TestWorkspaceFootprint:
         exps = (Exponent.finite(2.0), Exponent.finite(2.5), SUP)
 
         def run():
-            simulate_shifted(shifts, exps, plan, lambda eps, theta, norms: None)
+            simulate_shifted(shifts, exps, plan, lambda cols, theta, norms: None)
             return {name: a.shape for name, a in thread_workspace()._arrays.items()}
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             shapes = pool.submit(run).result(timeout=120)
-        assert shapes.pop("eps") == (128, d)
-        assert shapes and all(s[0] <= _tile_rows(d) for s in shapes.values()), shapes
+        assert shapes["eps"] == (_tile_rows(d), d)
+        assert all(s[0] <= _tile_rows(d) for s in shapes.values()), shapes
+
+
+class TestTiledDraws:
+    # 300 replications leave a 44-row last chunk (2).  At d = 5000 a 128-row
+    # chunk is 9 x 13 + 11 rows and the last one 3 x 13 + 5; d = 512 is one
+    # tile per chunk; d = 70000 > 65536 draws one row at a time (only the
+    # last chunk, which keeps the whole-chunk reference at 24 MiB)
+    @pytest.mark.parametrize("d, chunks", [(5000, (0, 1, 2)), (512, (0, 2)), (70_000, (2,))])
+    def test_tile_draws_equal_the_whole_chunk_draw(self, d, chunks):
+        plan = MonteCarloPlan(replications=300, seed=8, chunk_size=128)
+        tile = _tile_rows(d)
+        buf = np.empty((tile, d))
+        for c in chunks:
+            _, _, size = plan.chunk_bounds()[c]
+            rng = chunk_generator(plan.seed, c)
+            tiles = []
+            for lo in range(0, size, tile):
+                shape = (min(tile, size - lo), d)
+                tiles.append(StandardNormal().draw(rng, shape, out=buf[: shape[0]]).copy())
+            whole = chunk_generator(plan.seed, c).standard_normal((size, d))
+            assert np.array_equal(np.concatenate(tiles), whole)
+        assert plan.chunk_bounds()[2][2] == 44
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_visit_columns_are_the_directly_drawn_noise(self, workers):
+        # d = 5000 puts several tiles in each chunk, 300 rows a 44-row last one
+        d = 5000
+        coords = (4999, 0, 17)
+        plan = MonteCarloPlan(replications=300, seed=6, chunk_size=128)
+        shifts = np.zeros((2, d))
+        shifts[1] = 0.5
+        got = simulate_shifted(shifts, (SUP,), plan, lambda cols, theta, norms: dict(cols),
+                               workers=workers, coordinates=coords)
+        for (c, _, size), chunk in zip(plan.chunk_bounds(), got):
+            eps = chunk_generator(plan.seed, c).standard_normal((size, d))
+            for cols in chunk:
+                assert list(cols) == list(coords)
+                for i in coords:
+                    assert np.array_equal(cols[i], eps[:, i])
 
 
 class TestEmpiricalUpperQuantile:
@@ -258,30 +289,11 @@ class TestEmpiricalUpperQuantile:
 
 
 class TestSamplers:
-    def test_custom_symmetric_accepts_symmetric_rule(self):
-        sampler = CustomSymmetric(rule=_uniform_rule, name="uniform")
-        plan = MonteCarloPlan(replications=500, seed=9, chunk_size=100, sampler=sampler)
-        stats = simulate_null_statistics(10, (SUP,), plan)
-        assert stats[SUP].shape == (500,)
-        assert np.all(stats[SUP] <= 1.0)
-
-    def test_custom_asymmetric_rule_rejected(self):
-        with pytest.raises(DomainError):
-            CustomSymmetric(rule=_exponential_rule, name="exponential")
-
     def test_standard_normal_out_buffer(self):
         rng = chunk_generator(1, 0)
         buf = np.empty((3, 4))
         out = StandardNormal().draw(rng, (3, 4), out=buf)
         assert out is buf
-
-
-def _uniform_rule(rng, shape):
-    return rng.uniform(-1.0, 1.0, size=shape)
-
-
-def _exponential_rule(rng, shape):
-    return rng.exponential(size=shape)
 
 
 class TestHalfNormalOracle:

@@ -121,13 +121,22 @@ class TestBatchNorms:
             batch_norms(np.zeros(5), [SUP])
 
 
+def _kernel(eps, support, exps, offset=None):
+    """A kernel filled from ``eps`` in the row tiles a Monte Carlo chunk uses."""
+    kernel = ShiftedNormKernel(len(eps), support, exps, offset=offset)
+    tile = _tile_rows(eps.shape[1])
+    for lo in range(0, len(eps), tile):
+        kernel.fill(lo, eps[lo : lo + tile])
+    return kernel
+
+
 class TestShiftedNormKernel:
     def test_matches_direct_evaluation(self, rng):
         eps = rng.normal(size=(64, 400))
         support = np.array([0, 5, 17, 399])
         values = np.array([2.0, -1.0, 0.5, 3.0])
         exps = [Exponent.finite(p) for p in (1, 2, 3.3, 8)] + [SUP]
-        kernel = ShiftedNormKernel(eps, support, exps)
+        kernel = _kernel(eps, support, exps)
         for a in (0.0, 0.7, 2.5):
             shifted = eps.copy()
             shifted[:, support] += a * values
@@ -156,7 +165,7 @@ class TestShiftedNormKernel:
         support = np.arange(0, d, d // values.size)[: values.size]
         eps[:, support[0]] = peak
         exps = [Exponent.finite(p) for p in ps] + [SUP]
-        kernel = ShiftedNormKernel(eps, support, exps)
+        kernel = _kernel(eps, support, exps)
         for a in (0.0, scale, -peak / values[0]):
             shifted = eps.copy()
             shifted[:, support] += a * values
@@ -169,7 +178,7 @@ class TestShiftedNormKernel:
         eps = rng.normal(size=(32, 300))
         eps[7] = 0.0
         exps = [Exponent.finite(p) for p in (1, 2, 3, 4, 8, 16, 0.5, 2.5, 55.598)] + [SUP]
-        kernel = ShiftedNormKernel(eps, np.array([], dtype=np.intp), exps)
+        kernel = _kernel(eps, np.array([], dtype=np.intp), exps)
         got = kernel.norms_at(np.array([]))
         want = batch_norms(eps, exps)
         for e in exps:
@@ -195,7 +204,7 @@ class TestShiftedNormKernel:
         support = rng.choice(d, size=width, replace=False)
         values = rng.normal(scale=2.0, size=width)
         exps = [Exponent.finite(p) for p in ps] + [SUP]
-        incr = ShiftedNormKernel(eps, support, exps, offset=offset).norms_at(values)
+        incr = _kernel(eps, support, exps, offset=offset).norms_at(values)
         shifted = eps.copy() if offset is None else eps + offset
         shifted[:, support] += values
         direct = batch_norms(shifted, exps)
@@ -215,7 +224,7 @@ class TestShiftedNormKernel:
         support = np.array([0])
         values = np.array([1.0])
         exps = [Exponent.finite(8.0)]
-        kernel = ShiftedNormKernel(eps, support, exps)
+        kernel = _kernel(eps, support, exps)
         got = kernel.norms_at(values)[exps[0]]
         shifted = eps.copy()
         shifted[:, 0] += 1.0
