@@ -125,7 +125,7 @@ def _plan(res: _Resolver, reps_key: str, seed_key: str, default_reps: int, defau
 def _manifest_entries(res: _Resolver, command: str) -> dict[str, object]:
     entries: dict[str, object] = {"command": command}
     for key, value in sorted(res.resolved.items()):
-        if value is not None and key not in ("workers",):
+        if value is not None and key not in ("workers", "outdir"):
             entries[f"config.{key}"] = value
     return entries
 

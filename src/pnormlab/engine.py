@@ -398,6 +398,10 @@ class EnhancedTest:
     spike_threshold: float
     spike_mean: float
 
+    def __post_init__(self):
+        if not 0 <= self.coordinate < self.d:
+            raise DomainError(f"coordinate must lie in [0, {self.d}), got {self.coordinate!r}")
+
     @property
     def label(self) -> str:
         return f"enhanced({self.base.label})"

@@ -29,8 +29,9 @@ with the shift as its ``offset``, one full pass bit-identical to
 visit's coordinate columns before the next tile overwrites it.  Successive
 tile draws consume the chunk's generator in the order one whole-chunk draw
 does (pinned by ``tests/test_mc.py::TestTiledDraws``), so the chunk, not the
-tile, stays the unit of the RNG stream, and a thread holds four tile buffers
-(noise and norm scratch), never a 128 x d chunk.  The visits run once per
+tile, stays the unit of the RNG stream.  A chunk allocates one block of four
+tile buffers, the noise tile and the three norm scratch matrices its kernels
+share as they fill in turn, never a 128 x d chunk.  The visits run once per
 chunk and shift, after its last tile.
 Sums are max-factored and add the off-support part, never subtract it, so
 norms agree with the direct evaluation to a relative 1e-13 even at
@@ -39,8 +40,8 @@ shift (pinned by ``tests/test_norms.py::TestShiftedNormKernel``).
 
 Execution: `run_chunked` runs chunks in a loop or on a pool of threads.
 numpy's generator fills and large ufuncs release the GIL, so chunks on
-different threads overlap; each chunk owns its generator and each thread
-its `thread_workspace()`, so chunks share no mutable state.
+different threads overlap; each chunk owns its generator and its buffers,
+so chunks share no mutable state.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .norms import Exponent, ShiftedNormKernel, _tile_rows
-from .workspace import thread_workspace
 
 __all__ = [
     "StandardNormal",
@@ -75,15 +75,9 @@ class StandardNormal:
 
     name: str = "standard_normal"
 
-    def draw(
-        self,
-        rng: np.random.Generator,
-        shape: tuple[int, int],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if out is not None and out.shape == shape:
-            return rng.standard_normal(out=out)
-        return rng.standard_normal(shape)
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the next ``out.size`` normals of ``rng``."""
+        return rng.standard_normal(out=out)
 
 
 @dataclass(frozen=True)
@@ -149,10 +143,9 @@ def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
     Results are returned in chunk order regardless of completion order or
     worker count.  ``workers == 1`` runs the chunks in a loop on the calling
     thread; more workers run them on at most ``os.cpu_count()`` threads, and
-    no more than there are chunks.  Tasks take their buffers from
-    `thread_workspace()`, so concurrent chunks never share one.  The first
-    chunk that raises ends the run: chunks not yet started are cancelled and
-    its error propagates.  Raises ConfigError when ``workers < 1``.
+    no more than there are chunks.  The first chunk that raises ends the
+    run: chunks not yet started are cancelled and its error propagates.
+    Raises ConfigError when ``workers < 1``.
     """
     workers = int(workers)
     if workers < 1:
@@ -196,15 +189,15 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
     groups = full + sparse
 
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
-        ws = thread_workspace()
         rng = chunk_generator(plan.seed, chunk_index)
-        kernels = [ShiftedNormKernel(size, support, exps, workspace=ws, offset=offset)
+        # row 0 takes each noise tile; rows 1-3 are the kernels' shared scratch
+        block = np.empty((4, min(tile, size), d))
+        kernels = [ShiftedNormKernel(size, support, exps, block[1:], offset=offset)
                    for support, offset, _ in groups]
         gathered = np.empty((size, coords.size))
         for lo in range(0, size, tile):
-            shape = (min(tile, size - lo), d)
-            eps = plan.sampler.draw(rng, shape, out=ws.buf("eps", shape))
-            gathered[lo : lo + shape[0]] = eps[:, coords]
+            eps = plan.sampler.draw(rng, block[0, : min(tile, size - lo)])
+            gathered[lo : lo + len(eps)] = eps[:, coords]
             for kernel in kernels:
                 kernel.fill(lo, eps)
         columns = {int(i): gathered[:, j] for j, i in enumerate(coords)}

@@ -8,17 +8,17 @@ Finite-exponent norms are evaluated in max-factored form,
 so arbitrarily large exponents (the power lab uses p beyond 55 at d in the
 hundreds of thousands) cannot overflow.
 
-`_scaled_power_sums` is the one routine that computes power sums: on
-workspace buffers it walks small integer exponents through one sequential
-multiplication chain and shares the elementwise log across non-integer
-exponents; `_power_split` sorts an exponent set into those two groups once.
-`ShiftedNormKernel` (the Monte Carlo hot path) and `batch_norms` (the
-untiled reference, also behind `engine.reject_matrix`) both call it.  The
-kernel is filled one row tile at a time, at most ``_TILE_ELEMENTS`` doubles
-per scratch buffer, or one row when d is larger (the drawn tile and three
-scratch buffers, 2 MiB, stay near a 2 MiB per-core L2 cache through the
-roughly twenty passes over a tile); every reduction in it is per row, so a
-tile gives the same bits as the whole chunk.
+`_scaled_power_sums` is the one routine that computes power sums: on two
+caller-owned scratch matrices it walks small integer exponents through one
+sequential multiplication chain and shares the elementwise log across
+non-integer exponents; `_power_split` sorts an exponent set into those two
+groups once.  `ShiftedNormKernel` (the Monte Carlo hot path) and
+`batch_norms` (the untiled reference, also behind `engine.reject_matrix`)
+both call it.  The kernel is filled one row tile at a time, at most
+``_TILE_ELEMENTS`` doubles per scratch buffer, or one row when d is larger
+(the drawn tile and three scratch buffers, 2 MiB, stay near a 2 MiB per-core
+L2 cache through the roughly twenty passes over a tile); every reduction in
+it is per row, so a tile gives the same bits as the whole chunk.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .workspace import Workspace
 
 __all__ = ["Exponent", "SUP", "parse_exponent", "p_norm_stat", "batch_norms"]
 
@@ -123,14 +122,16 @@ def _power_split(exponents: tuple[Exponent, ...]) -> tuple[tuple[int, ...], tupl
 
 
 def _scaled_power_sums(
-    Z: np.ndarray, exponents: tuple[Exponent, ...], ws: Workspace
+    Z: np.ndarray, exponents: tuple[Exponent, ...], work: np.ndarray
 ) -> tuple[np.ndarray, dict[float, np.ndarray]]:
     """Row max ``m`` of the non-negative matrix ``Z`` and, for every finite
     exponent, the power sums ``sum_i (Z_i/m)^p`` keyed by ``p``.
 
     Divides ``Z`` by ``m`` in place; rows with ``m == 0`` keep zero sums.
+    ``work`` is two scratch matrices of ``Z``'s shape: the multiply chain
+    (then the exp pass) and the log.
     """
-    shape = Z.shape
+    chain, logz = work
     m = Z.max(axis=1)
     safe_m = np.where(m > 0.0, m, 1.0)
     Z /= safe_m[:, None]
@@ -142,7 +143,6 @@ def _scaled_power_sums(
         if 1 in chain_targets:
             power_sums[1.0] = Z.sum(axis=1)
         if top >= 2:
-            chain = ws.buf("norms.chain", shape)
             np.copyto(chain, Z)
             for j in range(2, top + 1):
                 np.multiply(chain, Z, out=chain)
@@ -150,38 +150,28 @@ def _scaled_power_sums(
                     power_sums[float(j)] = chain.sum(axis=1)
 
     if other:
-        logz = ws.buf("norms.log", shape)
         with np.errstate(divide="ignore"):
             np.log(Z, out=logz)
         # the chain's sums are taken, so its buffer is free for the exp pass
-        work = ws.buf("norms.chain", shape)
         for p in other:
-            np.multiply(logz, p, out=work)
-            np.exp(work, out=work)
-            power_sums[p] = work.sum(axis=1)
+            np.multiply(logz, p, out=chain)
+            np.exp(chain, out=chain)
+            power_sums[p] = chain.sum(axis=1)
     return m, power_sums
 
 
-def batch_norms(
-    Y: np.ndarray,
-    exponents: Sequence[Exponent],
-    workspace: Workspace | None = None,
-) -> dict[Exponent, np.ndarray]:
+def batch_norms(Y: np.ndarray, exponents: Sequence[Exponent]) -> dict[Exponent, np.ndarray]:
     """Norm statistics of every row of ``Y`` for every requested exponent.
 
     Returns a dict keyed by exponent with float arrays of length
-    ``Y.shape[0]``; rows that are identically zero get statistic 0.  When a
-    workspace is supplied, all large intermediates live on its reusable
-    buffers and the call performs no large allocations in steady state.
+    ``Y.shape[0]``; rows that are identically zero get statistic 0.  The
+    untiled reference: its scratch is allocated per call, three matrices of
+    ``Y``'s shape.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] == 0:
         raise DomainError("batch_norms expects a non-empty (replications, d) matrix")
-    ws = workspace if workspace is not None else Workspace()
-
-    Z = ws.buf("norms.scaled", Y.shape)
-    np.abs(Y, out=Z)
-    m, power_sums = _scaled_power_sums(Z, tuple(exponents), ws)
+    m, power_sums = _scaled_power_sums(np.abs(Y), tuple(exponents), np.empty((2,) + Y.shape))
 
     out: dict[Exponent, np.ndarray] = {}
     for e in exponents:
@@ -209,13 +199,15 @@ class ShiftedNormKernel:
     1 (0 on an all-zero row).
 
     The kernel never sees the whole chunk: it is sized for ``rows`` rows and
-    `fill` hands it the chunk one row tile at a time, so its scratch is
-    tile-sized and only ``m_rest``, ``S_rest`` and the support columns (rows
-    x support) are chunk-height.  An ``offset`` row (a dense mean shift)
-    makes it a kernel of ``eps + offset``, added tile by tile in the
-    scratch.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each
-    row over the same d elements in the same order, so any tiling gives the
-    bits of one pass over the chunk.
+    `fill` hands it the chunk one row tile at a time.  Its large scratch is
+    ``scratch``, a ``(3, tile, d)`` array (``|y|``, the chain/exp pass and
+    the log) that the caller owns and may share between kernels that fill in
+    turn; only ``m_rest``, ``S_rest`` and the support columns (rows x
+    support) are chunk-height.  An ``offset`` row (a dense mean shift) makes
+    it a kernel of ``eps + offset``, added tile by tile in the scratch.
+    ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row over
+    the same d elements in the same order, so any tiling gives the bits of
+    one pass over the chunk.
     """
 
     def __init__(
@@ -223,31 +215,33 @@ class ShiftedNormKernel:
         rows: int,
         support: np.ndarray,
         exponents: Sequence[Exponent],
-        workspace: Workspace | None = None,
+        scratch: np.ndarray,
         offset: np.ndarray | None = None,
     ):
         self.exponents = tuple(exponents)
         self._support = np.asarray(support, dtype=np.intp)
         self._offset = None if offset is None else np.asarray(offset, dtype=float)
-        self._ws = workspace if workspace is not None else Workspace()
+        self._scratch = scratch
         self._eps_support = np.empty((rows, self._support.size))
         self._max_rest = np.empty(rows)
         self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
 
     def fill(self, lo: int, tile: np.ndarray) -> None:
-        """Take rows ``lo .. lo + len(tile)`` of the noise chunk from ``tile``."""
+        """Take rows ``lo .. lo + len(tile)`` of the noise chunk from ``tile``,
+        which has at most as many rows as the scratch."""
         tile = np.asarray(tile, dtype=float)
         hi = lo + tile.shape[0]
         support, offset = self._support, self._offset
         self._eps_support[lo:hi] = tile[:, support]
-        Z = self._ws.buf("norms.scaled", tile.shape)
+        scratch = self._scratch[:, : tile.shape[0]]
+        Z = scratch[0]
         if offset is None:
             np.abs(tile, out=Z)
         else:
             self._eps_support[lo:hi] += offset[support]
             np.abs(np.add(tile, offset, out=Z), out=Z)
         Z[:, support] = 0.0
-        m, sums = _scaled_power_sums(Z, self.exponents, self._ws)
+        m, sums = _scaled_power_sums(Z, self.exponents, scratch[1:])
         self._max_rest[lo:hi] = m
         for p, s in sums.items():
             self._sum_rest[p][lo:hi] = s

@@ -50,7 +50,8 @@ def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] =
 
     The manifest records everything needed to re-run bit-identically
     (resolved configuration, seeds, library versions) and deliberately
-    excludes wall-clock time and worker counts, which must not matter.
+    excludes wall-clock time, worker counts and the output directory, which
+    must not matter.
     """
     import numpy
     import scipy

@@ -197,6 +197,11 @@ class TestPower:
         assert (tmp_path / "run1" / "power_sparse.svg").exists()
         man = (tmp_path / "run1" / "power_manifest.txt").read_text()
         assert "config.d = 300" in man and "sha256" in man
+        # the manifest sits in the output directory and does not name it
+        assert "outdir" not in man
+        assert (tmp_path / "run1" / "power_manifest.txt").read_bytes() == (
+            tmp_path / "run2" / "power_manifest.txt"
+        ).read_bytes()
 
     def test_worker_flag_never_changes_outputs(self, tmp_path):
         base = [

@@ -502,6 +502,13 @@ class TestEnhancement:
         with pytest.raises(DomainError):
             build_enhanced(ConstantTest(d=1), 1)
 
+    @pytest.mark.parametrize("coordinate", [-1, 50])
+    def test_coordinate_outside_the_dimension_is_refused(self, coordinate):
+        # -1 would read the last column, 50 would index past it
+        with pytest.raises(DomainError, match="coordinate"):
+            EnhancedTest(base=ConstantTest(d=50), d=50, coordinate=coordinate,
+                         spike_threshold=1.0, spike_mean=1.0)
+
 
 class TestEvaluate:
     def test_single_norm_threshold(self):

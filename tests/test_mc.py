@@ -1,7 +1,6 @@
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from pnormlab.mc import (
     simulate_shifted,
 )
 from pnormlab.norms import SUP, Exponent, _tile_rows, batch_norms
-from pnormlab.workspace import Workspace, thread_workspace
 
 
 class TestPlan:
@@ -110,22 +108,6 @@ class TestRunChunked:
         # the chunks already running finish; the queued ones never start
         assert len(started) < 10
 
-    def test_concurrent_chunks_get_distinct_workspaces(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        both_running = threading.Barrier(2, timeout=30)
-
-        def task(chunk_index, start, size):
-            ws = thread_workspace()
-            both_running.wait()
-            return ws
-
-        plan = MonteCarloPlan(replications=2, seed=1, chunk_size=1)
-        first, second = run_chunked(task, plan, workers=2)
-        assert first is not second
-        assert thread_workspace() not in (first, second)
-
     def test_closure_task_matches_serial(self):
         plan = MonteCarloPlan(replications=1000, seed=3, chunk_size=64)
         weights = np.linspace(-1.0, 1.0, 40)
@@ -195,35 +177,26 @@ class TestSimulateNullStatistics:
             simulate_null_statistics(5, (), plan)
 
 
-class TestWorkspaceFootprint:
-    def test_short_requests_reuse_the_stored_buffer(self):
-        ws = Workspace()
-        full = ws.buf("eps", (128, 40))
-        short = ws.buf("eps", (32, 40))
-        assert short.shape == (32, 40) and short.flags.c_contiguous
-        assert StandardNormal().draw(chunk_generator(1, 0), (32, 40), out=short) is short
-        assert np.shares_memory(full, short)
-        assert np.shares_memory(full, ws.buf("eps", (128, 40)))
-        assert not np.shares_memory(full, ws.buf("eps", (128, 41)))
-
-    def test_chunk_pass_holds_only_tile_sized_buffers(self):
+class TestChunkPassFootprint:
+    def test_traced_peak_stays_below_five_tile_buffers(self):
         # a dense shift (offset kernel) and a sparse one on 160 = 128 + 32
-        # rows; a fresh thread starts from an empty workspace
-        d = 10_000
+        # rows.  At d = 70000 a tile is one row (560 KB), and a chunk holds
+        # one block of four; one whole 128-row chunk would be 71.7 MB
+        d = 70_000
         plan = MonteCarloPlan(replications=160, seed=4, chunk_size=128)
         shifts = np.zeros((3, d))
         shifts[1] = 0.01
         shifts[2, :5] = 1.0
         exps = (Exponent.finite(2.0), Exponent.finite(2.5), SUP)
-
-        def run():
+        tile_bytes = _tile_rows(d) * d * 8
+        tracemalloc.start()
+        try:
             simulate_shifted(shifts, exps, plan, lambda cols, theta, norms: None)
-            return {name: a.shape for name, a in thread_workspace()._arrays.items()}
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            shapes = pool.submit(run).result(timeout=120)
-        assert shapes["eps"] == (_tile_rows(d), d)
-        assert all(s[0] <= _tile_rows(d) for s in shapes.values()), shapes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the lower bound shows that numpy's buffers are traced at all
+        assert 4 * tile_bytes <= peak < 5 * tile_bytes, peak
 
 
 class TestTiledDraws:
@@ -242,7 +215,7 @@ class TestTiledDraws:
             tiles = []
             for lo in range(0, size, tile):
                 shape = (min(tile, size - lo), d)
-                tiles.append(StandardNormal().draw(rng, shape, out=buf[: shape[0]]).copy())
+                tiles.append(StandardNormal().draw(rng, buf[: shape[0]]).copy())
             whole = chunk_generator(plan.seed, c).standard_normal((size, d))
             assert np.array_equal(np.concatenate(tiles), whole)
         assert plan.chunk_bounds()[2][2] == 44
@@ -292,8 +265,9 @@ class TestSamplers:
     def test_standard_normal_out_buffer(self):
         rng = chunk_generator(1, 0)
         buf = np.empty((3, 4))
-        out = StandardNormal().draw(rng, (3, 4), out=buf)
+        out = StandardNormal().draw(rng, buf)
         assert out is buf
+        assert np.array_equal(buf, chunk_generator(1, 0).standard_normal((3, 4)))
 
 
 class TestHalfNormalOracle:
