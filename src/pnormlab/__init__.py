@@ -73,7 +73,7 @@ from .gaussmath import (
     sup_centering,
     sup_detection_weight,
 )
-from .mc import MonteCarloPlan, StandardNormal
+from .mc import MonteCarloPlan
 from .norms import SUP, Exponent, p_norm_stat
 from .power import (
     EnhancementReport,

@@ -69,11 +69,16 @@ def _as_bool(value) -> bool:
 
 
 class _Resolver:
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value, else default.  A config
+    key may be a long option of any subcommand, so one file can serve
+    several subcommands; any other key is a ConfigError."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = read_kv(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.config) - _config_keys()) if self.config else []
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
         self.resolved: dict[str, object] = {}
 
     def get(self, key: str, default=None, cast=str):
@@ -115,17 +120,13 @@ def _family_from_spec(spec: str) -> clab.AlternativeFamily:
 
 
 def _plan(res: _Resolver, reps_key: str, seed_key: str, default_reps: int, default_seed: int) -> MonteCarloPlan:
-    return MonteCarloPlan(
-        replications=res.get(reps_key, default_reps, int),
-        seed=res.get(seed_key, default_seed, int),
-        chunk_size=res.get("chunk-size", 128, int),
-    )
+    return MonteCarloPlan(res.get(reps_key, default_reps, int), res.get(seed_key, default_seed, int))
 
 
 def _manifest_entries(res: _Resolver, command: str) -> dict[str, object]:
     entries: dict[str, object] = {"command": command}
     for key, value in sorted(res.resolved.items()):
-        if value is not None and key not in ("workers", "outdir"):
+        if value is not None and key not in ("workers", "outdir", "out"):
             entries[f"config.{key}"] = value
     return entries
 
@@ -492,10 +493,17 @@ def _cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _config_keys() -> set[str]:
+    """The keys a config file can set: the long options of every subcommand,
+    without their leading ``--``, except ``help`` and ``config`` itself."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt[2:] for sp in sub.choices.values()
+            for opt in sp._option_string_actions if opt.startswith("--")} - {"help", "config"}
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="flat key=value config file; flags win")
     sp.add_argument("--workers", type=int, help="chunk workers (never affects results)")
-    sp.add_argument("--chunk-size", type=int, dest="chunk_size")
     sp.add_argument("--outdir")
 
 

@@ -2,16 +2,17 @@
 
 Reproducibility contract
 ------------------------
-The replication index space ``0..R-1`` is split into fixed-size chunks.
-Chunk ``c`` owns an independent RNG stream derived from
+A plan is the pair ``(replications, seed)``.  The replication index space
+``0..R-1`` is split into fixed chunks of `MonteCarloPlan.chunk_size` = 128
+rows.  Chunk ``c`` owns an independent RNG stream derived from
 ``SeedSequence(entropy=plan.seed, spawn_key=(c,))`` driving a PCG64
 generator; Gaussian variates come from numpy's ziggurat
-``standard_normal``.  Chunk results are combined by chunk index through
-order-independent reductions (integer counts, concatenation followed by
-sorting), so the worker count used to execute chunks can never change any
-output.  Outputs are bit-identical for a fixed ``(seed, chunk_size,
-replications, sampler)`` and a fixed numpy version; manifests record the
-library versions alongside every run.
+``standard_normal`` through `draw`.  Chunk results are combined by chunk
+index through order-independent reductions (integer counts, concatenation
+followed by sorting), so the worker count used to execute chunks can never
+change any output.  Outputs are bit-identical for a fixed ``(seed,
+replications)`` and a fixed numpy version; manifests record the library
+versions alongside every run.
 
 Common random numbers: streams are keyed on (seed, chunk, replication)
 only.  Everything evaluated "for the same plan" sees the same noise
@@ -49,8 +50,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -58,8 +59,8 @@ from .errors import ConfigError, DomainError
 from .norms import Exponent, ShiftedNormKernel, _tile_rows
 
 __all__ = [
-    "StandardNormal",
     "MonteCarloPlan",
+    "draw",
     "chunk_generator",
     "run_chunked",
     "simulate_shifted",
@@ -69,42 +70,32 @@ __all__ = [
 _SPARSE_SUPPORT_FRACTION = 0.2  # shared kernel up to this support share
 
 
-@dataclass(frozen=True)
-class StandardNormal:
-    """Default error sampler: i.i.d. standard normal noise (ziggurat)."""
-
-    name: str = "standard_normal"
-
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the next ``out.size`` normals of ``rng``."""
-        return rng.standard_normal(out=out)
+def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the next ``out.size`` standard normals of ``rng``."""
+    return rng.standard_normal(out=out)
 
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
-    """Replication count, base seed, and chunking of one simulation.
+    """Replication count and base seed of one simulation.
 
-    The triple (replications, seed, chunk_size) fully determines every
-    simulated draw; chunk_size is part of the identity because it delimits
-    the per-chunk RNG streams.  The sampler is always the standard normal;
-    its name stays in `descriptor` for provenance strings.
+    The pair (replications, seed) fully determines every simulated draw:
+    the replications are cut into chunks of the fixed `chunk_size` rows,
+    each with its own RNG stream.  `descriptor` names the chunk size and the
+    standard normal sampler for provenance strings.
     """
 
     replications: int
     seed: int
-    chunk_size: int = 128
-    sampler: StandardNormal = field(default_factory=StandardNormal)
+    chunk_size: ClassVar[int] = 128
 
     def __post_init__(self):
         if int(self.replications) < 1:
             raise ConfigError("replications must be >= 1")
-        if int(self.chunk_size) < 1:
-            raise ConfigError("chunk_size must be >= 1")
         seed = int(self.seed)
         if not (0 <= seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "chunk_size", int(self.chunk_size))
         object.__setattr__(self, "seed", seed)
 
     @property
@@ -113,22 +104,18 @@ class MonteCarloPlan:
 
     def chunk_bounds(self) -> list[tuple[int, int, int]]:
         """(chunk_index, start, size) covering the replication space."""
-        out = []
-        for c in range(self.n_chunks):
-            start = c * self.chunk_size
-            size = min(self.chunk_size, self.replications - start)
-            out.append((c, start, size))
-        return out
+        size = self.chunk_size
+        return [(c, start, min(size, self.replications - start))
+                for c, start in enumerate(range(0, self.replications, size))]
 
     def descriptor(self) -> str:
         return (
             f"seed={self.seed} replications={self.replications} "
-            f"chunk_size={self.chunk_size} sampler={self.sampler.name}"
+            f"chunk_size={self.chunk_size} sampler=standard_normal"
         )
 
     def with_replications(self, replications: int) -> "MonteCarloPlan":
-        return MonteCarloPlan(replications=replications, seed=self.seed,
-                              chunk_size=self.chunk_size, sampler=self.sampler)
+        return MonteCarloPlan(replications=replications, seed=self.seed)
 
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -196,7 +183,7 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
                    for support, offset, _ in groups]
         gathered = np.empty((size, coords.size))
         for lo in range(0, size, tile):
-            eps = plan.sampler.draw(rng, block[0, : min(tile, size - lo)])
+            eps = draw(rng, block[0, : min(tile, size - lo)])
             gathered[lo : lo + len(eps)] = eps[:, coords]
             for kernel in kernels:
                 kernel.fill(lo, eps)

@@ -64,6 +64,12 @@ class TestExitCodes:
         assert run(["calibrate", "--p", "2", "--alpha", "0.05", "--asymptotic"]) == 2
         assert "missing required option" in capsys.readouterr().err
 
+    def test_chunk_size_is_not_an_option(self, tmp_path):
+        # every plan draws fixed 128-row chunks
+        with pytest.raises(SystemExit) as exc:
+            run(["power", "--d", "100", "--chunk-size", "64", "--outdir", tmp_path])
+        assert exc.value.code == 2
+
     def test_unknown_family(self, tmp_path):
         assert (
             run(["consistency", "--family", "weird", "--outdir", tmp_path]) == 2
@@ -367,6 +373,22 @@ class TestConfigFile:
         assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 0
         assert "kappa = 11.10233052" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", ["alpah = 0.5", "calib_reps = 1000", "chunk-size = 64",
+                                      "config = other.cfg"],
+                             ids=["typo", "underscore", "stale-chunk-size", "nested-config"])
+    def test_unknown_key_exits_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"d = 100\n{line}\n")
+        assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_is_valid(self, tmp_path, capsys):
+        # one file can serve both calibrate and power
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 100\nfamily = dense\n")
+        assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 0
+        assert "kappa = 11.10233052" in capsys.readouterr().out
+
 
 class TestSharedReader:
     """Config files and calibration artifacts share one key=value reader."""
@@ -395,6 +417,15 @@ class TestSharedReader:
         assert manifest["manifest"] == "pnormlab-run/1"
         assert manifest["config.d"] == "100"
         assert len(manifest["output.a.txt.sha256"]) == 64
+
+    def test_manifest_bytes_do_not_depend_on_the_output_path(self, tmp_path):
+        for sub in ("one", "two/deeper"):
+            (tmp_path / sub).mkdir(parents=True)
+            assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic",
+                        "--out", tmp_path / sub / "a.txt"]) == 0
+        manifest = (tmp_path / "one" / "a.txt.manifest").read_bytes()
+        assert b"config.out" not in manifest
+        assert manifest == (tmp_path / "two" / "deeper" / "a.txt.manifest").read_bytes()
 
 
 class TestDemos:

@@ -9,8 +9,8 @@ from scipy import stats
 from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import (
     MonteCarloPlan,
-    StandardNormal,
     chunk_generator,
+    draw,
     empirical_upper_quantile,
     run_chunked,
     simulate_null_statistics,
@@ -24,20 +24,26 @@ class TestPlan:
         with pytest.raises(ConfigError):
             MonteCarloPlan(replications=0, seed=1)
         with pytest.raises(ConfigError):
-            MonteCarloPlan(replications=10, seed=1, chunk_size=0)
-        with pytest.raises(ConfigError):
             MonteCarloPlan(replications=10, seed=-1)
 
     def test_chunk_bounds_partition(self):
-        plan = MonteCarloPlan(replications=300, seed=1, chunk_size=128)
-        bounds = plan.chunk_bounds()
-        assert bounds == [(0, 0, 128), (1, 128, 128), (2, 256, 44)]
-        assert plan.n_chunks == 3
+        assert MonteCarloPlan(300, 1).chunk_bounds() == [(0, 0, 128), (1, 128, 128), (2, 256, 44)]
+        assert MonteCarloPlan(300, 1).n_chunks == 3
+        assert MonteCarloPlan(128, 1).chunk_bounds() == [(0, 0, 128)]
+        assert MonteCarloPlan(1, 1).chunk_bounds() == [(0, 0, 1)]
+
+    def test_plan_is_replications_and_seed(self):
+        # the chunk size is fixed and the sampler is always the standard normal
+        with pytest.raises(TypeError):
+            MonteCarloPlan(300, 1, chunk_size=4)
+        with pytest.raises(TypeError):
+            MonteCarloPlan(300, 1, sampler=None)
+        assert MonteCarloPlan(300, 1) == MonteCarloPlan(replications=300, seed=1)
 
     def test_descriptor_mentions_identity_fields(self):
-        plan = MonteCarloPlan(replications=10, seed=7, chunk_size=4)
-        for token in ("seed=7", "replications=10", "chunk_size=4", "standard_normal"):
-            assert token in plan.descriptor()
+        # the exact bytes are provenance: artifacts and manifests carry them
+        plan = MonteCarloPlan(replications=10, seed=7)
+        assert plan.descriptor() == "seed=7 replications=10 chunk_size=128 sampler=standard_normal"
 
 
 class TestChunkStreams:
@@ -53,7 +59,7 @@ class TestChunkStreams:
 
 class TestRunChunked:
     def test_results_in_chunk_order_any_worker_count(self):
-        plan = MonteCarloPlan(replications=1000, seed=3, chunk_size=128)
+        plan = MonteCarloPlan(replications=40 * 128, seed=3)
 
         seq = run_chunked(_chunk_id_task, plan, workers=1)
         par = run_chunked(_chunk_id_task, plan, workers=4)
@@ -76,7 +82,7 @@ class TestRunChunked:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        plan = MonteCarloPlan(replications=20 * 128, seed=3, chunk_size=128)
+        plan = MonteCarloPlan(replications=20 * 128, seed=3)
         serial = run_chunked(_chunk_id_task, plan, workers=1)
         assert run_chunked(_chunk_id_task, plan, workers=500) == serial
         assert requested == [3]
@@ -85,7 +91,7 @@ class TestRunChunked:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
-        plan = MonteCarloPlan(replications=10, seed=1, chunk_size=4)
+        plan = MonteCarloPlan(replications=10, seed=1)
         with pytest.raises(ConfigError):
             run_chunked(_chunk_id_task, plan, workers=workers)
 
@@ -102,14 +108,15 @@ class TestRunChunked:
             time.sleep(0.05)
             return chunk_index
 
-        plan = MonteCarloPlan(replications=100, seed=1, chunk_size=1)
+        # 100 chunks; their tasks draw nothing, so many chunks stay cheap
+        plan = MonteCarloPlan(replications=100 * 128, seed=1)
         with pytest.raises(DomainError, match="chunk 0 failed"):
             run_chunked(task, plan, workers=2)
         # the chunks already running finish; the queued ones never start
         assert len(started) < 10
 
     def test_closure_task_matches_serial(self):
-        plan = MonteCarloPlan(replications=1000, seed=3, chunk_size=64)
+        plan = MonteCarloPlan(replications=300, seed=3)
         weights = np.linspace(-1.0, 1.0, 40)
 
         def task(chunk_index, start, size):
@@ -130,10 +137,9 @@ class TestSimulateNullStatistics:
     # 300 replications in chunks of 128 leave a short last chunk of 44 rows;
     # 2.5 and 55.598 are off the integer multiply chain
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("sampler", [StandardNormal()], ids=["standard-normal"])
-    def test_equals_batch_norms_of_directly_drawn_chunks(self, sampler, workers):
+    def test_equals_batch_norms_of_directly_drawn_chunks(self, workers):
         d = 37
-        plan = MonteCarloPlan(replications=300, seed=21, chunk_size=128, sampler=sampler)
+        plan = MonteCarloPlan(replications=300, seed=21)
         exps = (Exponent.finite(2.5), Exponent.finite(55.598), SUP)
         got = simulate_null_statistics(d, exps, plan, workers=workers)
         chunks = [chunk_generator(plan.seed, c).standard_normal((size, d))
@@ -144,7 +150,7 @@ class TestSimulateNullStatistics:
             assert np.array_equal(got[e], want)
 
     def test_bit_identical_for_fixed_plan(self):
-        plan = MonteCarloPlan(replications=2000, seed=77, chunk_size=256)
+        plan = MonteCarloPlan(replications=300, seed=77)
         exps = (Exponent.finite(2.0), SUP)
         first = simulate_null_statistics(30, exps, plan)
         second = simulate_null_statistics(30, exps, plan)
@@ -152,7 +158,7 @@ class TestSimulateNullStatistics:
             assert np.array_equal(first[e], second[e])
 
     def test_worker_count_invariance(self):
-        plan = MonteCarloPlan(replications=1500, seed=13, chunk_size=128)
+        plan = MonteCarloPlan(replications=300, seed=13)
         exps = (Exponent.finite(1.0), Exponent.finite(2.0))
         seq = simulate_null_statistics(25, exps, plan, workers=1)
         par = simulate_null_statistics(25, exps, plan, workers=4)
@@ -162,7 +168,7 @@ class TestSimulateNullStatistics:
     def test_extending_the_exponent_list_keeps_the_same_noise(self):
         # the noise a plan generates does not depend on which statistics are
         # evaluated on it, which is what makes shared-sample calibration valid
-        plan = MonteCarloPlan(replications=800, seed=5, chunk_size=64)
+        plan = MonteCarloPlan(replications=300, seed=5)
         small = simulate_null_statistics(20, (Exponent.finite(2.0),), plan)
         big = simulate_null_statistics(
             20, (Exponent.finite(2.0), Exponent.finite(4.0), SUP), plan
@@ -183,7 +189,7 @@ class TestChunkPassFootprint:
         # rows.  At d = 70000 a tile is one row (560 KB), and a chunk holds
         # one block of four; one whole 128-row chunk would be 71.7 MB
         d = 70_000
-        plan = MonteCarloPlan(replications=160, seed=4, chunk_size=128)
+        plan = MonteCarloPlan(replications=160, seed=4)
         shifts = np.zeros((3, d))
         shifts[1] = 0.01
         shifts[2, :5] = 1.0
@@ -206,7 +212,7 @@ class TestTiledDraws:
     # last chunk, which keeps the whole-chunk reference at 24 MiB)
     @pytest.mark.parametrize("d, chunks", [(5000, (0, 1, 2)), (512, (0, 2)), (70_000, (2,))])
     def test_tile_draws_equal_the_whole_chunk_draw(self, d, chunks):
-        plan = MonteCarloPlan(replications=300, seed=8, chunk_size=128)
+        plan = MonteCarloPlan(replications=300, seed=8)
         tile = _tile_rows(d)
         buf = np.empty((tile, d))
         for c in chunks:
@@ -215,7 +221,7 @@ class TestTiledDraws:
             tiles = []
             for lo in range(0, size, tile):
                 shape = (min(tile, size - lo), d)
-                tiles.append(StandardNormal().draw(rng, buf[: shape[0]]).copy())
+                tiles.append(draw(rng, buf[: shape[0]]).copy())
             whole = chunk_generator(plan.seed, c).standard_normal((size, d))
             assert np.array_equal(np.concatenate(tiles), whole)
         assert plan.chunk_bounds()[2][2] == 44
@@ -225,7 +231,7 @@ class TestTiledDraws:
         # d = 5000 puts several tiles in each chunk, 300 rows a 44-row last one
         d = 5000
         coords = (4999, 0, 17)
-        plan = MonteCarloPlan(replications=300, seed=6, chunk_size=128)
+        plan = MonteCarloPlan(replications=300, seed=6)
         shifts = np.zeros((2, d))
         shifts[1] = 0.5
         got = simulate_shifted(shifts, (SUP,), plan, lambda cols, theta, norms: dict(cols),
@@ -265,7 +271,7 @@ class TestSamplers:
     def test_standard_normal_out_buffer(self):
         rng = chunk_generator(1, 0)
         buf = np.empty((3, 4))
-        out = StandardNormal().draw(rng, buf)
+        out = draw(rng, buf)
         assert out is buf
         assert np.array_equal(buf, chunk_generator(1, 0).standard_normal((3, 4)))
 
