@@ -19,14 +19,17 @@ import argparse
 import decimal
 import math
 import os
+import shutil
 import sys
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import consistency as clab
 from . import power as plab
 from .engine import (
+    ConstantTest,
     build_combined,
     build_minimax_adaptive,
     geometric_budget,
@@ -46,7 +49,7 @@ from .errors import (
     RankError,
 )
 from .mc import MonteCarloPlan, simulate_null_statistics
-from .norms import SUP, Exponent, parse_exponent
+from .norms import Exponent, parse_exponent
 from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
 
 _FAMILIES = {
@@ -57,51 +60,55 @@ _FAMILIES = {
 }
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {value!r}")
-
-
 class _Resolver:
     """Flag value if given, else config-file value, else default.  A config
-    key may be a long option of any subcommand, so one file can serve
-    several subcommands; any other key is a ConfigError."""
+    key may be any option in ``_OPTIONS`` but ``config``, so one file can
+    serve several subcommands; any other key is a ConfigError.  Config
+    values are cast by the option's declared type."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = read_kv(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.config) - _config_keys()) if self.config else []
+        self.config = read_kv(args.config) if args.config else {}
+        unknown = sorted(k for k in self.config if k not in _OPTIONS or k == "config")
         if unknown:
             raise ConfigError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
         self.resolved: dict[str, object] = {}
 
-    def get(self, key: str, default=None, cast=str):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            value = flag
-        elif key in self.config:
-            value = self.config[key]
-        else:
+    def get(self, key: str, default=None):
+        value = getattr(self.args, key.replace("-", "_"), None)
+        if value is None and key in self.config:
+            value = _cast(key, self.config[key])
+        if value is None:
             value = default
-        if value is not None and not isinstance(value, bool):
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
         self.resolved[key] = value
         return value
 
-    def require(self, key: str, cast=str):
-        value = self.get(key, None, cast)
+    def require(self, key: str):
+        value = self.get(key)
         if value is None:
             raise ConfigError(f"missing required option --{key}")
         return value
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _cast(key: str, text: str):
+    """A config-file value as the declared type of option ``key``."""
+    kind = _OPTIONS[key].type
+    if kind is bool:
+        value = _BOOLEANS.get(text.strip().lower())
+    elif isinstance(kind, tuple):
+        value = text if text in kind else None
+    else:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+    if value is None:
+        raise ConfigError(f"bad value for {key!r}: {text!r}")
+    return value
 
 
 def _family_from_spec(spec: str) -> clab.AlternativeFamily:
@@ -120,19 +127,27 @@ def _family_from_spec(spec: str) -> clab.AlternativeFamily:
 
 
 def _plan(res: _Resolver, reps_key: str, seed_key: str, default_reps: int, default_seed: int) -> MonteCarloPlan:
-    return MonteCarloPlan(res.get(reps_key, default_reps, int), res.get(seed_key, default_seed, int))
+    return MonteCarloPlan(res.get(reps_key, default_reps), res.get(seed_key, default_seed))
 
 
-def _manifest_entries(res: _Resolver, command: str) -> dict[str, object]:
+def _write_manifest(res: _Resolver, command: str, path: str, outputs: list[str]) -> None:
+    """Record the resolved options as each option's ``manifest`` field says:
+    ``config.<key> = value``, or ``input.<key>.sha256`` for an input file, so
+    the bytes do not depend on where files live."""
     entries: dict[str, object] = {"command": command}
-    for key, value in sorted(res.resolved.items()):
-        if value is not None and key not in ("workers", "outdir", "out"):
+    for key, value in res.resolved.items():
+        record = _OPTIONS[key].manifest
+        if value is None or record is None:
+            continue
+        if record == "input":
+            entries[f"input.{key}.sha256"] = sha256_file(value)
+        else:
             entries[f"config.{key}"] = value
-    return entries
+    write_manifest(path, dict(sorted(entries.items())), outputs)
 
 
 def _outdir(res: _Resolver) -> str:
-    out = res.get("outdir", ".", str)
+    out = res.get("outdir", ".")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -144,14 +159,14 @@ def _outdir(res: _Resolver) -> str:
 
 def _cmd_calibrate(args) -> int:
     res = _Resolver(args)
-    d = res.require("d", int)
-    alpha = res.get("alpha", 0.05, float)
-    workers = res.get("workers", 1, int)
-    out = res.get("out", None, str)
-    preset = res.get("preset", None, str)
-    exponent_text = res.get("p", None, str)
-    asymptotic = res.get("asymptotic", False, _as_bool)
-    minimax = res.get("minimax", False, _as_bool)
+    d = res.require("d")
+    alpha = res.get("alpha", 0.05)
+    workers = res.get("workers", 1)
+    out = res.get("out")
+    preset = res.get("preset")
+    exponent_text = res.get("p")
+    asymptotic = res.get("asymptotic", False)
+    minimax = res.get("minimax", False)
 
     plan = None if asymptotic else _plan(res, "reps", "seed", 100_000, 20_240_501)
     if asymptotic:
@@ -161,8 +176,8 @@ def _cmd_calibrate(args) -> int:
         print(f"test = {test.label}  d = {d}  alpha = {alpha:g}")
         print(f"kappa = {test.critical_value:.10g}")
     elif minimax:
-        margin = res.get("margin", 5.0, float)
-        max_power = res.get("max-power", 8, int)
+        margin = res.get("margin", 5.0)
+        max_power = res.get("max-power", 8)
         test = build_minimax_adaptive(d, margin, max_power)
         test = mc_scale_minimax(test, alpha, plan, workers=workers)
         print(f"test = {test.label}  d = {d}  alpha = {alpha:g}  margin = {margin:g}")
@@ -173,8 +188,8 @@ def _cmd_calibrate(args) -> int:
         m, exps = member_exponents(d, preset)
         budget = geometric_budget(
             m, alpha,
-            success=res.get("budget-success", 0.5, float),
-            last_share=res.get("budget-last-share", 0.5, float),
+            success=res.get("budget-success", 0.5),
+            last_share=res.get("budget-last-share", 0.5),
         )
         test = build_combined(d, exps, budget, plan, workers=workers)
         print(f"test = {test.label}  d = {d}  alpha = {alpha:g}  preset = {preset}")
@@ -192,12 +207,18 @@ def _cmd_calibrate(args) -> int:
 
     if out:
         save_test(test, out)
-        write_manifest(out + ".manifest", _manifest_entries(res, "calibrate"), [out])
+        _write_manifest(res, "calibrate", out + ".manifest", [out])
         print(f"artifact = {out}")
     return 0
 
 
 _TEST_MENU = ("p=1", "p=2", "p=3", "p=4", "sup", "combined", "minimax")
+
+# --figure3 --scale presets: default d, calibration and power replications, tests
+_FIGURE3 = {
+    "desk": (10_000, 100_000, 2000, _TEST_MENU),
+    "paper": (50_000, 50_000, 1000, _TEST_MENU[:-1]),
+}
 
 
 def _build_test_suite(names, d, alpha, calib_plan, res, workers):
@@ -210,14 +231,14 @@ def _build_test_suite(names, d, alpha, calib_plan, res, workers):
     for name in names:
         name = name.strip().lower()
         if name == "combined":
-            m, exps = member_exponents(d, res.get("preset", "exp", str) or "exp")
+            m, exps = member_exponents(d, res.get("preset", "exp"))
             calibrations.append((
                 [Exponent.finite(p) for p in exps],
                 partial(build_combined, d, exps, geometric_budget(m, alpha), calib_plan),
             ))
         elif name == "minimax":
             t = build_minimax_adaptive(
-                d, res.get("margin", 5.0, float), res.get("max-power", 8, int)
+                d, res.get("margin", 5.0), res.get("max-power", 8)
             )
             calibrations.append(
                 (t.norm_exponents(), partial(mc_scale_minimax, t, alpha, calib_plan))
@@ -234,38 +255,31 @@ def _build_test_suite(names, d, alpha, calib_plan, res, workers):
 
 def _cmd_power(args) -> int:
     res = _Resolver(args)
-    workers = res.get("workers", 1, int)
+    workers = res.get("workers", 1)
     outdir = _outdir(res)
-    figure3 = res.get("figure3", False, _as_bool)
-    scale_preset = res.get("scale", "desk", str)
+    figure3 = res.get("figure3", False)
+    scale_preset = res.get("scale", "desk")
     if figure3:
-        if scale_preset == "desk":
-            d = res.get("d", 10_000, int)
-            calib_reps = res.get("calib-reps", 100_000, int)
-            power_reps = res.get("reps", 2000, int)
-            names = list(_TEST_MENU)
-        elif scale_preset == "paper":
-            d = res.get("d", 50_000, int)
-            calib_reps = res.get("calib-reps", 50_000, int)
-            power_reps = res.get("reps", 1000, int)
-            names = ["p=1", "p=2", "p=3", "p=4", "sup", "combined"]
-        else:
-            raise ConfigError(f"unknown --scale {scale_preset!r} (desk or paper)")
+        given = [f"--{key}" for key in ("tests", "family") if getattr(args, key) is not None]
+        if given:
+            raise ConfigError(f"--figure3 runs its own tests and families; "
+                              f"drop {' and '.join(given)}")
+        default_d, calib_reps, power_reps, names = _FIGURE3[scale_preset]
+        d = res.get("d", default_d)
         families = [clab.dense(), clab.semi_sparse(), clab.sparse()]
     else:
-        d = res.require("d", int)
-        calib_reps = res.get("calib-reps", 100_000, int)
-        power_reps = res.get("reps", 2000, int)
-        names = [s for s in res.get("tests", "p=2,sup", str).split(",") if s]
-        families = [_family_from_spec(res.get("family", "dense", str))]
+        d = res.require("d")
+        calib_reps, power_reps = 100_000, 2000
+        names = [s for s in res.get("tests", "p=2,sup").split(",") if s]
+        families = [_family_from_spec(res.get("family", "dense"))]
 
-    alpha = res.get("alpha", 0.05, float)
+    alpha = res.get("alpha", 0.05)
     calib_plan = _plan(res, "calib-reps", "calib-seed", calib_reps, 20_240_501)
     plan = _plan(res, "reps", "seed", power_reps, 20_240_777)
 
     # read every input before the (long) calibration
-    fixed_grid = _parse_agrid(res.get("agrid", "auto", str))
-    artifact = res.get("artifact", None, str)
+    fixed_grid = _parse_agrid(res.get("agrid", "auto"))
+    artifact = res.get("artifact")
     loaded = [load_test(artifact)] if artifact else []
     if any(t.d != d for t in loaded):
         raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
@@ -289,11 +303,7 @@ def _cmd_power(args) -> int:
         )
         outputs += [csv_path, svg_path]
         print(f"family = {family.label}  rows = {len(table.rows)}  csv = {csv_path}")
-    write_manifest(
-        os.path.join(outdir, "power_manifest.txt"),
-        _manifest_entries(res, "power"),
-        outputs,
-    )
+    _write_manifest(res, "power", os.path.join(outdir, "power_manifest.txt"), outputs)
     return 0
 
 
@@ -351,44 +361,36 @@ def _parse_range(spec: str) -> tuple[float, float]:
 
 def _cmd_consistency(args) -> int:
     res = _Resolver(args)
-    if res.get("radius", False, _as_bool):
-        p = res.require("p", float)
-        d = res.require("d", int)
-        print(f"radius = {clab.minimax_radius(p, d):.10g}")
+    if res.get("radius", False):
+        exponent = parse_exponent(res.require("p"))
+        if exponent.is_sup:
+            raise ConfigError("--radius needs a finite --p")
+        print(f"radius = {clab.minimax_radius(exponent.p, res.require('d')):.10g}")
         return 0
 
     outdir = _outdir(res)
     outputs = []
 
-    if res.get("contour", False, _as_bool):
-        exponent = SUP if res.get("sup", False, _as_bool) else Exponent.finite(res.require("p", float))
-        lo, hi = _parse_range(res.get("range", "-5:5", str))
-        resolution = res.get("resolution", 101, int)
+    if res.get("contour", False):
+        exponent = parse_exponent(res.require("p"))
+        lo, hi = _parse_range(res.get("range", "-5:5"))
+        resolution = res.get("resolution", 101)
         if resolution > _MAX_CONTOUR_RESOLUTION:
             raise ConfigError(f"--resolution {resolution} exceeds the cap of "
                               f"{_MAX_CONTOUR_RESOLUTION} points per axis")
         axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
         path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
-        rows = [
-            (axis[i], axis[j], grid[i, j])
-            for i in range(len(axis))
-            for j in range(len(axis))
-        ]
-        write_csv(path, ("x1", "x2", "value"), rows)
+        n = len(axis)
+        write_csv(path, ("x1", "x2", "value"),
+                  [(axis[i], axis[j], grid[i, j]) for i in range(n) for j in range(n)])
         outputs.append(path)
         print(f"contour = {path}  resolution = {resolution}")
     else:
-        family = _family_from_spec(res.require("family", str))
-        grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6", str))
-        exponents = [
-            parse_exponent(t) for t in res.get("exponents", "2", str).split(",")
-        ]
-        for e in exponents:
+        family = _family_from_spec(res.require("family"))
+        grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
+        for e in [parse_exponent(t) for t in res.get("exponents", "2").split(",")]:
             tr = clab.criterion_trace(family, e, grid)
-            path = os.path.join(
-                outdir,
-                f"trace_{family.kind}_{e.label.replace('=', '')}.csv",
-            )
+            path = os.path.join(outdir, f"trace_{family.kind}_{e.label.replace('=', '')}.csv")
             write_csv(path, ("d", "value"), tr.rows())
             outputs.append(path)
             sat = "  saturated" if tr.saturated else ""
@@ -396,21 +398,17 @@ def _cmd_consistency(args) -> int:
                 f"family = {family.label}  exponent = {e.label}  "
                 f"slope = {tr.fitted_log_slope:.6g}{sat}  csv = {path}"
             )
-    write_manifest(
-        os.path.join(outdir, "consistency_manifest.txt"),
-        _manifest_entries(res, "consistency"),
-        outputs,
-    )
+    _write_manifest(res, "consistency", os.path.join(outdir, "consistency_manifest.txt"), outputs)
     return 0
 
 
 def _cmd_demo_pe(args) -> int:
     res = _Resolver(args)
-    workers = res.get("workers", 1, int)
+    workers = res.get("workers", 1)
     outdir = _outdir(res)
-    d = res.get("d", 50_000, int)
-    alpha2 = res.get("alpha2", 0.025, float)
-    alpha_inf = res.get("alpha-inf", 0.025, float)
+    d = res.get("d", 50_000)
+    alpha2 = res.get("alpha2", 0.025)
+    alpha_inf = res.get("alpha-inf", 0.025)
     plan = _plan(res, "reps", "seed", 4000, 20_240_777)
     calib_plan = _plan(res, "calib-reps", "calib-seed", 20_000, 20_240_501)
     report = plab.pe_demo(d, alpha2, alpha_inf, plan, calib_plan, workers=workers)
@@ -418,26 +416,20 @@ def _cmd_demo_pe(args) -> int:
     write_csv(path, ("test", "power", "stderr"), report.rows)
     for label, rate, se in report.rows:
         print(f"{label:<12} power = {rate:.4f}  stderr = {se:.4f}")
-    write_manifest(
-        os.path.join(outdir, "pe_demo_manifest.txt"),
-        _manifest_entries(res, "demo-pe"),
-        [path],
-    )
+    _write_manifest(res, "demo-pe", os.path.join(outdir, "pe_demo_manifest.txt"), [path])
     return 0
 
 
 def _cmd_demo_enhance(args) -> int:
     res = _Resolver(args)
-    workers = res.get("workers", 1, int)
+    workers = res.get("workers", 1)
     outdir = _outdir(res)
-    d = res.require("d", int)
-    alpha = res.get("alpha", 0.05, float)
+    d = res.require("d")
+    alpha = res.get("alpha", 0.05)
     plan = _plan(res, "reps", "seed", 4000, 20_240_777)
     calib_plan = _plan(res, "calib-reps", "calib-seed", 20_000, 20_240_501)
-    base_spec = res.get("base", "p=2", str)
+    base_spec = res.get("base", "p=2")
     if base_spec == "never":
-        from .engine import ConstantTest
-
         base = ConstantTest(d=d)
     else:
         base = make_single_test(
@@ -459,19 +451,15 @@ def _cmd_demo_enhance(args) -> int:
         print(f"{name:<16} = {val:.4f}  stderr = {se:.4f}")
     print(f"spike_tail_exact = {rep.spike_tail_exact:.6g}")
     print(f"size_inflation_bound = {rep.size_inflation_bound:.6g}")
-    write_manifest(
-        os.path.join(outdir, "enhancement_manifest.txt"),
-        _manifest_entries(res, "demo-enhance"),
-        [path],
-    )
+    _write_manifest(res, "demo-enhance", os.path.join(outdir, "enhancement_manifest.txt"), [path])
     return 0
 
 
 def _cmd_reduce(args) -> int:
     res = _Resolver(args)
-    design = res.require("design", str)
-    response = res.require("response", str)
-    out = res.require("out", str)
+    design = res.require("design")
+    response = res.require("response")
+    out = res.require("out")
     try:
         X = np.loadtxt(design, ndmin=2)
         z = np.loadtxt(response)
@@ -480,10 +468,7 @@ def _cmd_reduce(args) -> int:
     theta = plab.regression_reduce(X, np.atleast_1d(z))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(format(v, ".17g") for v in theta) + "\n")
-    entries = _manifest_entries(res, "reduce")
-    entries["input.design.sha256"] = sha256_file(design)
-    entries["input.response.sha256"] = sha256_file(response)
-    write_manifest(out + ".manifest", entries, [out])
+    _write_manifest(res, "reduce", out + ".manifest", [out])
     print(f"reduced = {out}  d = {theta.size}")
     return 0
 
@@ -493,18 +478,67 @@ def _cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _config_keys() -> set[str]:
-    """The keys a config file can set: the long options of every subcommand,
-    without their leading ``--``, except ``help`` and ``config`` itself."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt[2:] for sp in sub.choices.values()
-            for opt in sp._option_string_actions if opt.startswith("--")} - {"help", "config"}
+_COMMANDS = {
+    "calibrate": (_cmd_calibrate, "calibrate critical values"),
+    "power": (_cmd_power, "power curves against signal families"),
+    "consistency": (_cmd_consistency, "criterion traces, contours, radii"),
+    "demo-pe": (_cmd_demo_pe, "max-combination power comparison"),
+    "demo-enhance": (_cmd_demo_enhance, "one-coordinate power enhancement"),
+    "reduce": (_cmd_reduce, "regression-to-sequence-model reduction"),
+}
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat key=value config file; flags win")
-    sp.add_argument("--workers", type=int, help="chunk workers (never affects results)")
-    sp.add_argument("--outdir")
+class _Option(NamedTuple):
+    type: object  # int, float, str, bool (a flag) or a tuple of choices
+    commands: str  # the subcommands that take it, space-separated
+    help: str | None = None
+    # its manifest line: "config" records the value, "input" the SHA-256 of
+    # the file it names, None nothing
+    manifest: str | None = "config"
+
+
+_ALL = " ".join(_COMMANDS)
+
+# every long option of every subcommand; the keys a config file may set are
+# these names but ``config``
+_OPTIONS = {
+    "config": _Option(str, _ALL, "flat key=value config file; flags win"),
+    "workers": _Option(int, _ALL, "chunk workers (never affects results)", manifest=None),
+    "outdir": _Option(str, _ALL, manifest=None),
+    "d": _Option(int, "calibrate power consistency demo-pe demo-enhance"),
+    "alpha": _Option(float, "calibrate power demo-enhance"),
+    "p": _Option(str, "calibrate consistency", "norm exponent (positive real or 'sup')"),
+    "preset": _Option(("exp", "linear"), "calibrate power", "combined-test member preset"),
+    "minimax": _Option(bool, "calibrate"),
+    "margin": _Option(float, "calibrate power"),
+    "max-power": _Option(int, "calibrate power"),
+    "asymptotic": _Option(bool, "calibrate"),
+    "seed": _Option(int, "calibrate power demo-pe demo-enhance"),
+    "reps": _Option(int, "calibrate power demo-pe demo-enhance"),
+    "calib-reps": _Option(int, "power demo-pe demo-enhance"),
+    "calib-seed": _Option(int, "power demo-pe demo-enhance"),
+    "budget-success": _Option(float, "calibrate"),
+    "budget-last-share": _Option(float, "calibrate"),
+    "out": _Option(str, "calibrate reduce", manifest=None),
+    "figure3": _Option(bool, "power", "run the stock three-family comparison"),
+    "scale": _Option(("desk", "paper"), "power"),
+    "family": _Option(str, "power consistency", "dense, sparse, dagger, power-sparse:<p>"),
+    "tests": _Option(str, "power", "comma list: p=1,p=2,sup,combined,minimax"),
+    "agrid": _Option(str, "power", "'auto' or lo:hi:n"),
+    "artifact": _Option(str, "power", "add a test loaded from a calibration artifact",
+                        manifest="input"),
+    "exponents": _Option(str, "consistency", "comma list of exponents or 'sup'"),
+    "dgrid": _Option(str, "consistency", "geometric:lo:hi or comma list"),
+    "contour": _Option(bool, "consistency"),
+    "range": _Option(str, "consistency"),
+    "resolution": _Option(int, "consistency"),
+    "radius": _Option(bool, "consistency"),
+    "alpha2": _Option(float, "demo-pe"),
+    "alpha-inf": _Option(float, "demo-pe"),
+    "base": _Option(str, "demo-enhance", "p=<x>, sup, or never"),
+    "design": _Option(str, "reduce", "whitespace-delimited n x d matrix file", manifest="input"),
+    "response": _Option(str, "reduce", "whitespace-delimited n-vector file", manifest="input"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,88 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pnormlab",
         description="Norm-based tests for high-dimensional Gaussian sequence models",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cal = sub.add_parser("calibrate", help="calibrate critical values")
-    _add_common(cal)
-    cal.add_argument("--d", type=int)
-    cal.add_argument("--alpha", type=float)
-    cal.add_argument("--p", help="norm exponent (positive real or 'sup')")
-    cal.add_argument("--preset", choices=("exp", "linear"), help="combined-test member preset")
-    cal.add_argument("--minimax", action="store_true", default=None)
-    cal.add_argument("--margin", type=float)
-    cal.add_argument("--max-power", type=int, dest="max_power")
-    cal.add_argument("--asymptotic", action="store_true", default=None)
-    cal.add_argument("--seed", type=int)
-    cal.add_argument("--reps", type=int)
-    cal.add_argument("--budget-success", type=float, dest="budget_success")
-    cal.add_argument("--budget-last-share", type=float, dest="budget_last_share")
-    cal.add_argument("--out")
-    cal.set_defaults(handler=_cmd_calibrate)
-
-    pw = sub.add_parser("power", help="power curves against signal families")
-    _add_common(pw)
-    pw.add_argument("--figure3", action="store_true", default=None,
-                    help="run the stock three-family comparison")
-    pw.add_argument("--scale", choices=("desk", "paper"))
-    pw.add_argument("--d", type=int)
-    pw.add_argument("--alpha", type=float)
-    pw.add_argument("--family")
-    pw.add_argument("--tests", help="comma list: p=1,p=2,sup,combined,minimax")
-    pw.add_argument("--preset", choices=("exp", "linear"))
-    pw.add_argument("--margin", type=float)
-    pw.add_argument("--max-power", type=int, dest="max_power")
-    pw.add_argument("--agrid", help="'auto' or lo:hi:n")
-    pw.add_argument("--reps", type=int)
-    pw.add_argument("--seed", type=int)
-    pw.add_argument("--calib-reps", type=int, dest="calib_reps")
-    pw.add_argument("--calib-seed", type=int, dest="calib_seed")
-    pw.add_argument("--artifact", help="add a test loaded from a calibration artifact")
-    pw.set_defaults(handler=_cmd_power)
-
-    co = sub.add_parser("consistency", help="criterion traces, contours, radii")
-    _add_common(co)
-    co.add_argument("--family", help="dense, sparse, dagger, power-sparse:<p>")
-    co.add_argument("--exponents", help="comma list of exponents or 'sup'")
-    co.add_argument("--dgrid", help="geometric:lo:hi or comma list")
-    co.add_argument("--contour", action="store_true", default=None)
-    co.add_argument("--sup", action="store_true", default=None)
-    co.add_argument("--p", type=float)
-    co.add_argument("--range")
-    co.add_argument("--resolution", type=int)
-    co.add_argument("--radius", action="store_true", default=None)
-    co.add_argument("--d", type=int)
-    co.set_defaults(handler=_cmd_consistency)
-
-    pe = sub.add_parser("demo-pe", help="max-combination power comparison")
-    _add_common(pe)
-    pe.add_argument("--d", type=int)
-    pe.add_argument("--alpha2", type=float)
-    pe.add_argument("--alpha-inf", type=float, dest="alpha_inf")
-    pe.add_argument("--seed", type=int)
-    pe.add_argument("--reps", type=int)
-    pe.add_argument("--calib-reps", type=int, dest="calib_reps")
-    pe.add_argument("--calib-seed", type=int, dest="calib_seed")
-    pe.set_defaults(handler=_cmd_demo_pe)
-
-    en = sub.add_parser("demo-enhance", help="one-coordinate power enhancement")
-    _add_common(en)
-    en.add_argument("--d", type=int)
-    en.add_argument("--alpha", type=float)
-    en.add_argument("--base", help="p=<x>, sup, or never")
-    en.add_argument("--seed", type=int)
-    en.add_argument("--reps", type=int)
-    en.add_argument("--calib-reps", type=int, dest="calib_reps")
-    en.add_argument("--calib-seed", type=int, dest="calib_seed")
-    en.set_defaults(handler=_cmd_demo_enhance)
-
-    rd = sub.add_parser("reduce", help="regression-to-sequence-model reduction")
-    _add_common(rd)
-    rd.add_argument("--design", help="whitespace-delimited n x d matrix file")
-    rd.add_argument("--response", help="whitespace-delimited n-vector file")
-    rd.add_argument("--out")
-    rd.set_defaults(handler=_cmd_reduce)
-
+    sub = parser.add_subparsers(required=True)
+    # the width argparse would find, queried once instead of once per option
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    subparsers = {}
+    for command, (handler, summary) in _COMMANDS.items():
+        subparsers[command] = sub.add_parser(command, help=summary, formatter_class=formatter)
+        subparsers[command].set_defaults(handler=handler)
+    for name, opt in _OPTIONS.items():
+        if opt.type is bool:
+            kwargs = {"action": "store_true", "default": None}
+        elif isinstance(opt.type, tuple):
+            kwargs = {"choices": opt.type}
+        else:
+            kwargs = {"type": opt.type}
+        for command in opt.commands.split():
+            subparsers[command].add_argument(f"--{name}", help=opt.help, **kwargs)
     return parser
 
 

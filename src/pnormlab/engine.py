@@ -278,18 +278,30 @@ def _max_ratio(
     )
 
 
-def _check_columns(
-    stats: Mapping[Exponent, np.ndarray],
-    exponents: Sequence[Exponent],
-    plan: MonteCarloPlan,
-) -> None:
-    """Reject precomputed null statistics that lack a requested column or
-    hold a column of another length than the plan's replication count."""
+def _null_statistics(
+    d: int, exponents: Sequence[Exponent], alpha: float, plan: MonteCarloPlan,
+    workers: int, stats: Mapping[Exponent, np.ndarray] | None,
+) -> Mapping[Exponent, np.ndarray]:
+    """The null statistic columns a calibration at level ``alpha`` reads:
+    simulated under ``plan``, or the precomputed ``stats`` once they hold a
+    column of the plan's length for every exponent.  A plan too small for a
+    tail order statistic is refused: it needs at least 1000 replications
+    and ``alpha * replications >= 10``."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if plan.replications < 1000:
+        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
+    if alpha * plan.replications < 10:
+        raise ConfigError(f"Monte Carlo calibration at level {alpha:g} needs alpha * "
+                          f"replications >= 10, got {plan.replications} replications")
+    if stats is None:
+        return simulate_null_statistics(d, exponents, plan, workers=workers)
     if any(e not in stats for e in exponents) or any(
         np.shape(stats[e]) != (plan.replications,) for e in exponents
     ):
         raise DomainError("precomputed statistics do not cover the requested "
                           "exponents at the plan's replication count")
+    return stats
 
 
 @dataclass(frozen=True)
@@ -494,19 +506,7 @@ def mc_calibrate(
     may carry precomputed columns of the same plan as in
     :func:`build_combined`.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if plan.replications < 1000:
-        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
-    if alpha * plan.replications < 10:
-        raise ConfigError(
-            "Monte Carlo calibration needs alpha * replications >= 10 for a "
-            "meaningful tail order statistic"
-        )
-    if stats is None:
-        stats = simulate_null_statistics(d, [exponent], plan, workers=workers)
-    else:
-        _check_columns(stats, [exponent], plan)
+    stats = _null_statistics(d, [exponent], alpha, plan, workers, stats)
     return PNormTest(
         d=int(d), exponent=exponent, alpha=alpha,
         critical_value=empirical_upper_quantile(stats[exponent], alpha),
@@ -567,17 +567,9 @@ def build_combined(
         exps[i] >= exps[i + 1] for i in range(len(exps) - 1)
     ):
         raise DomainError("exponents must be strictly increasing positive reals")
-    if plan.replications < 1000:
-        raise ConfigError("combined calibration needs at least 1000 replications")
-    if min(budget.alphas) * plan.replications < 10:
-        raise ConfigError(
-            "smallest member level needs alpha_j * replications >= 10"
-        )
     members = [Exponent.finite(p) for p in exps]
-    if stats is None:
-        stats = simulate_null_statistics(d, members, plan, workers=workers)
-    else:
-        _check_columns(stats, members, plan)
+    # the smallest member level is the deepest tail the calibration reads
+    stats = _null_statistics(d, members, min(budget.alphas), plan, workers, stats)
     kappas = tuple(
         empirical_upper_quantile(stats[e], a) for e, a in zip(members, budget.alphas)
     )
@@ -643,12 +635,7 @@ def mc_scale_minimax(
     ``stats`` may carry precomputed columns of the same plan as in
     :func:`build_combined`.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if stats is None:
-        stats = simulate_null_statistics(test.d, test.norm_exponents(), plan, workers=workers)
-    else:
-        _check_columns(stats, test.norm_exponents(), plan)
+    stats = _null_statistics(test.d, test.norm_exponents(), alpha, plan, workers, stats)
     threshold = empirical_upper_quantile(test.ratio_statistic(stats), alpha)
     return replace(
         test,
@@ -797,16 +784,18 @@ def load_test(path):
     if kv.get("schema") != _SCHEMA:
         raise ConfigError(f"unsupported artifact schema: {kv.get('schema')!r}")
     kind = kv.get("kind")
+    if kind not in ("single", "combined", "minimax"):
+        raise ConfigError(f"unknown artifact kind: {kind!r}")
     try:
         if kind == "single":
-            return PNormTest(
+            test = PNormTest(
                 d=int(kv["d"]),
                 exponent=parse_exponent(kv["exponent"]),
                 critical_value=float(kv["critical_value"]),
                 alpha=float(kv["alpha"]),
                 provenance=kv.get("provenance", ""),
             )
-        if kind == "combined":
+        elif kind == "combined":
             exps = _parse_list(kv["exponents"])
             alphas = _parse_list(kv["alphas"])
             kappas = _parse_list(kv["kappas"])
@@ -822,7 +811,7 @@ def load_test(path):
                 )
             else:
                 budget = AlphaBudget(alphas=alphas, generator="custom")
-            return CombinedTest(
+            test = CombinedTest(
                 d=int(kv["d"]),
                 exponents=exps,
                 kappas=kappas,
@@ -832,12 +821,12 @@ def load_test(path):
                 calibration_size=float(kv.get("calibration_size", "nan")),
                 provenance=kv.get("provenance", ""),
             )
-        if kind == "minimax":
+        else:
             max_power = int(kv["max_power"])
             kappas = _parse_list(kv["kappas"])
             if len(kappas) != max_power:
                 raise ValueError(f"max_power = {max_power} but {len(kappas)} kappas")
-            return MinimaxAdaptiveTest(
+            test = MinimaxAdaptiveTest(
                 d=int(kv["d"]),
                 margin=float(kv["margin"]),
                 max_power=max_power,
@@ -850,4 +839,15 @@ def load_test(path):
         raise ConfigError(f"artifact is missing field {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"artifact has a malformed value: {exc}") from exc
-    raise ConfigError(f"unknown artifact kind: {kind!r}")
+    # calibration never writes these; an uncalibrated combined test's
+    # calibration_size is nan and stays valid
+    bad = [f"d = {test.d}"] if test.d < 1 else []
+    if test.alpha is not None and not 0.0 < test.alpha < 1.0:
+        bad.append(f"alpha = {test.alpha!r}")
+    for name in ("critical_value", "scale", "threshold"):
+        if not math.isfinite(getattr(test, name, 0.0)):
+            bad.append(f"{name} = {getattr(test, name)!r}")
+    bad += [f"kappa = {k!r}" for k in getattr(test, "kappas", ()) if not 0.0 < k < math.inf]
+    if bad:
+        raise ConfigError(f"artifact value out of range: {', '.join(bad)}")
+    return test

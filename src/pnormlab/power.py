@@ -165,6 +165,10 @@ def power_curve(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
         raise DomainError("a_grid must be finite, non-negative and strictly increasing")
+    labels = [t.label for t in tests]
+    if len(set(labels)) != len(labels):
+        # the table's cells and series are keyed by label
+        raise DomainError(f"tests need distinct labels, got {', '.join(labels)}")
     counts = _counts(tests, np.multiply.outer(scales, family.theta(d)), plan, workers)
     rows = []
     for ti, t in enumerate(tests):

@@ -20,7 +20,7 @@ from pnormlab.engine import (
 from pnormlab.errors import ConfigError
 from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import parse_exponent
-from pnormlab.report import read_kv
+from pnormlab.report import read_kv, sha256_file
 
 
 def run(argv):
@@ -70,6 +70,12 @@ class TestExitCodes:
             run(["power", "--d", "100", "--chunk-size", "64", "--outdir", tmp_path])
         assert exc.value.code == 2
 
+    def test_sup_is_not_a_flag(self, tmp_path):
+        # the sup surface is --p sup, as in every other subcommand
+        with pytest.raises(SystemExit) as exc:
+            run(["consistency", "--contour", "--sup", "--outdir", tmp_path])
+        assert exc.value.code == 2
+
     def test_unknown_family(self, tmp_path):
         assert (
             run(["consistency", "--family", "weird", "--outdir", tmp_path]) == 2
@@ -99,9 +105,19 @@ class TestExitCodes:
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2", "--workers", "0"],
         ["power", "--d", "100", "--tests", ","],
+        ["consistency", "--radius", "--p", "sup", "--d", "100"],
+        # a threshold from 5 draws, or from the 2 draws above it
+        ["calibrate", "--minimax", "--d", "100", "--reps", "5"],
+        ["calibrate", "--minimax", "--d", "100", "--reps", "2000", "--alpha", "0.001"],
+        ["power", "--d", "100", "--tests", "p=2,p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:2"],
+        # the preset runs its own tests and families
+        ["power", "--figure3", "--tests", "p=2"],
+        ["power", "--figure3", "--family", "sparse"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
-            "workers-zero", "tests-empty"])
+            "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
+            "tests-twice", "figure3-tests", "figure3-family"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run(argv + ["--outdir", tmp_path / "out"]) == 2
@@ -233,6 +249,31 @@ class TestPower:
         ])
         assert code == 2
 
+    def test_artifact_label_taken(self, tmp_path):
+        art = tmp_path / "a.txt"
+        assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic", "--out", art]) == 0
+        assert run([
+            "power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
+            "--reps", "200", "--agrid", "0:1:2", "--artifact", art,
+            "--outdir", tmp_path / "out",
+        ]) == 2
+
+    def test_figure3_keeps_config_keys(self, tmp_path, monkeypatch):
+        # one config file can serve both modes: --figure3 ignores its tests
+        # and family, and gets as far as calibrating the preset's own suite
+        class Calibrating(Exception):
+            pass
+
+        def calibrating(names, *args):
+            raise Calibrating(names)
+
+        monkeypatch.setattr(cli, "_build_test_suite", calibrating)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tests = p=2\nfamily = sparse\n")
+        with pytest.raises(Calibrating) as exc:
+            run(["power", "--figure3", "--config", cfg, "--outdir", tmp_path])
+        assert tuple(exc.value.args[0]) == cli._TEST_MENU
+
 
 class TestSharedCalibration:
     """``power`` calibrates its whole suite on one null sample of the plan."""
@@ -350,7 +391,7 @@ class TestConsistency:
 
     def test_sup_contour(self, tmp_path):
         assert run([
-            "consistency", "--contour", "--sup", "--resolution", "5",
+            "consistency", "--contour", "--p", "sup", "--resolution", "5",
             "--outdir", tmp_path,
         ]) == 0
         assert (tmp_path / "contour_sup.csv").exists()
@@ -418,14 +459,31 @@ class TestSharedReader:
         assert manifest["config.d"] == "100"
         assert len(manifest["output.a.txt.sha256"]) == 64
 
-    def test_manifest_bytes_do_not_depend_on_the_output_path(self, tmp_path):
+    def test_manifest_bytes_do_not_depend_on_the_output_path(self, tmp_path, rng):
+        # nor on where the input files live: inputs are recorded by content
+        np.savetxt(tmp_path / "X.txt", rng.normal(size=(5, 2)))
+        np.savetxt(tmp_path / "z.txt", rng.normal(size=5))
         for sub in ("one", "two/deeper"):
-            (tmp_path / sub).mkdir(parents=True)
+            where = tmp_path / sub
+            where.mkdir(parents=True)
+            for name in ("X.txt", "z.txt"):
+                (where / name).write_bytes((tmp_path / name).read_bytes())
             assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic",
-                        "--out", tmp_path / sub / "a.txt"]) == 0
-        manifest = (tmp_path / "one" / "a.txt.manifest").read_bytes()
-        assert b"config.out" not in manifest
-        assert manifest == (tmp_path / "two" / "deeper" / "a.txt.manifest").read_bytes()
+                        "--out", where / "a.txt"]) == 0
+            assert run(["reduce", "--design", where / "X.txt", "--response", where / "z.txt",
+                        "--out", where / "theta.txt"]) == 0
+            assert run(["power", "--d", "100", "--tests", "sup", "--calib-reps", "2000",
+                        "--reps", "200", "--agrid", "0:1:2", "--artifact", where / "a.txt",
+                        "--outdir", where]) == 0
+        for name, absent in (("a.txt.manifest", b"config.out"),
+                             ("theta.txt.manifest", b"config.design"),
+                             ("power_manifest.txt", b"config.artifact")):
+            manifest = (tmp_path / "one" / name).read_bytes()
+            assert absent not in manifest and b"one" not in manifest
+            assert manifest == (tmp_path / "two" / "deeper" / name).read_bytes()
+        assert b"input.design.sha256" in (tmp_path / "one" / "theta.txt.manifest").read_bytes()
+        assert read_kv(tmp_path / "one" / "power_manifest.txt")["input.artifact.sha256"] == (
+            sha256_file(tmp_path / "one" / "a.txt"))
 
 
 class TestDemos:

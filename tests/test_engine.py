@@ -425,6 +425,15 @@ class TestMinimaxAdaptive:
         with pytest.raises(DomainError):
             build_minimax_adaptive(100, 3.0, 0)
 
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("reps, alpha", [(5, 0.05), (2000, 0.001)],
+                             ids=["few-replications", "shallow-tail"])
+    def test_plan_guards(self, reps, alpha):
+        # the same plan guards as mc_calibrate and build_combined
+        test = build_minimax_adaptive(100, 5.0, 8)
+        with pytest.raises(ConfigError):
+            mc_scale_minimax(test, alpha, MonteCarloPlan(replications=reps, seed=1))
+
 
 class TestEnhancement:
     def test_symmetric_base_ties_to_first_coordinate(self):
@@ -596,6 +605,49 @@ class TestSerialization:
         path.write_bytes(content)
         with pytest.raises(ConfigError):
             load_test(path)
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("kind, line", [
+        ("single", "d = 0"),
+        ("single", "alpha = 7"),
+        ("single", "alpha = 0"),
+        ("single", "critical_value = nan"),
+        ("single", "critical_value = inf"),
+        ("combined", "alpha = 1"),
+        ("combined", "scale = nan"),
+        ("combined", "kappas = 5,-1,2"),
+        ("minimax", "d = -3"),
+        ("minimax", "threshold = inf"),
+        ("minimax", "kappas = 10,0,4"),
+        ("minimax", "kappas = 10,nan,4"),
+    ])
+    def test_out_of_range_artifact(self, tmp_path, kind, line):
+        plan = MonteCarloPlan(replications=2000, seed=44)
+        test = {
+            "single": lambda: make_single_test(60, E2, 0.05, "mc", plan),
+            "combined": lambda: build_combined(60, (1.0, 2.0, 4.0),
+                                               geometric_budget(3, 0.05), plan),
+            "minimax": lambda: mc_scale_minimax(build_minimax_adaptive(60, 4.0, 3),
+                                                0.05, plan),
+        }[kind]()
+        path = tmp_path / "a.txt"
+        save_test(test, path)
+        assert load_test(path) == test
+        key = line.split(" = ")[0]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line if x.startswith(key + " =") else x
+                                   for x in lines) + "\n")
+        with pytest.raises(ConfigError, match="out of range"):
+            load_test(path)
+
+    def test_uncalibrated_combined_artifact_loads(self, tmp_path):
+        # save_test writes calibration_size = nan for a test built by hand
+        test = CombinedTest(d=60, exponents=(2.0, 4.0), kappas=(11.0, 4.0), scale=1.0,
+                            alpha=0.05, budget=geometric_budget(2, 0.05))
+        path = tmp_path / "c.txt"
+        save_test(test, path)
+        assert "calibration_size = nan" in path.read_text()
+        assert math.isnan(load_test(path).calibration_size)
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -157,6 +157,19 @@ class TestPowerCurve:
             with pytest.raises(DomainError):
                 power_curve(tests, dense(), (0.0, bad), d, plan)
 
+    def test_same_label_is_refused_before_drawing(self, suite, monkeypatch):
+        # cells and series are keyed by label, so two p=2 tests would merge
+        d, tests = suite
+        import pnormlab.power as plab
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("power_curve drew noise")
+
+        monkeypatch.setattr(plab, "simulate_shifted", no_draw)
+        with pytest.raises(DomainError, match="distinct labels"):
+            power_curve([tests[1], tests[1]], dense(), (0.0, 0.1), d,
+                        MonteCarloPlan(replications=1000, seed=1))
+
 
 class TestCounts:
     @pytest.mark.parametrize("workers", [1, 2])
