@@ -36,6 +36,7 @@ from .engine import (
     PNormTest,
     UnionTest,
     asymptotic_critical_value,
+    asymptotic_test,
     build_combined,
     build_enhanced,
     build_minimax_adaptive,
@@ -43,7 +44,6 @@ from .engine import (
     evaluate,
     geometric_budget,
     load_test,
-    make_single_test,
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,

@@ -30,11 +30,11 @@ from . import consistency as clab
 from . import power as plab
 from .engine import (
     ConstantTest,
+    asymptotic_test,
     build_combined,
     build_minimax_adaptive,
     geometric_budget,
     load_test,
-    make_single_test,
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,
@@ -172,7 +172,7 @@ def _cmd_calibrate(args) -> int:
     if asymptotic:
         if exponent_text is None:
             raise ConfigError("--asymptotic needs --p (a positive real or 'sup')")
-        test = make_single_test(d, parse_exponent(exponent_text), alpha, method="asymptotic")
+        test = asymptotic_test(parse_exponent(exponent_text), d, alpha)
         print(f"test = {test.label}  d = {d}  alpha = {alpha:g}")
         print(f"kappa = {test.critical_value:.10g}")
     elif minimax:
@@ -199,7 +199,7 @@ def _cmd_calibrate(args) -> int:
         print(f"size_at_calibration = {test.calibration_size:.6g}")
     elif exponent_text is not None:
         exponent = parse_exponent(exponent_text)
-        test = make_single_test(d, exponent, alpha, method="mc", plan=plan, workers=workers)
+        test = mc_calibrate(exponent, d, alpha, plan, workers=workers)
         print(f"test = {exponent.label}  d = {d}  alpha = {alpha:g}")
         print(f"kappa = {test.critical_value:.10g}")
     else:
@@ -222,17 +222,25 @@ _FIGURE3 = {
 
 
 def _build_test_suite(names, d, alpha, calib_plan, res, workers):
-    """Calibrate every requested test on one shared null sample of the plan.
+    """The requested tests, calibrated on one shared null sample of the
+    plan, followed by the ``--artifact`` test if one is given.
 
     A statistic column depends only on the plan and its own exponent, so
     each test gets the same critical values as a calibration of its own.
+    A power table is keyed by test label, so a repeated label is refused
+    before anything is drawn.
     """
-    calibrations = []  # (exponents the test reads, calibrate(stats=...))
+    artifact = res.get("artifact")
+    loaded = [load_test(artifact)] if artifact else []
+    if any(t.d != d for t in loaded):
+        raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
+    calibrations = []  # (label, exponents the test reads, calibrate(stats=...))
     for name in names:
         name = name.strip().lower()
         if name == "combined":
             m, exps = member_exponents(d, res.get("preset", "exp"))
             calibrations.append((
+                f"combined(m={m})",  # the calibrated CombinedTest's label
                 [Exponent.finite(p) for p in exps],
                 partial(build_combined, d, exps, geometric_budget(m, alpha), calib_plan),
             ))
@@ -241,16 +249,18 @@ def _build_test_suite(names, d, alpha, calib_plan, res, workers):
                 d, res.get("margin", 5.0), res.get("max-power", 8)
             )
             calibrations.append(
-                (t.norm_exponents(), partial(mc_scale_minimax, t, alpha, calib_plan))
+                (t.label, t.norm_exponents(), partial(mc_scale_minimax, t, alpha, calib_plan))
             )
         else:
             e = parse_exponent(name.removeprefix("p="))
-            calibrations.append(([e], partial(mc_calibrate, e, d, alpha, calib_plan)))
+            calibrations.append((e.label, [e], partial(mc_calibrate, e, d, alpha, calib_plan)))
+    plab.require_distinct_labels([label for label, _, _ in calibrations]
+                                 + [t.label for t in loaded])
     if not calibrations:
-        return []
-    union = [e for exps, _ in calibrations for e in exps]
+        return loaded
+    union = [e for _, exps, _ in calibrations for e in exps]
     stats = simulate_null_statistics(d, union, calib_plan, workers=workers)
-    return [calibrate(stats=stats) for _, calibrate in calibrations]
+    return [calibrate(stats=stats) for _, _, calibrate in calibrations] + loaded
 
 
 def _cmd_power(args) -> int:
@@ -279,11 +289,7 @@ def _cmd_power(args) -> int:
 
     # read every input before the (long) calibration
     fixed_grid = _parse_agrid(res.get("agrid", "auto"))
-    artifact = res.get("artifact")
-    loaded = [load_test(artifact)] if artifact else []
-    if any(t.d != d for t in loaded):
-        raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
-    tests = _build_test_suite(names, d, alpha, calib_plan, res, workers) + loaded
+    tests = _build_test_suite(names, d, alpha, calib_plan, res, workers)
 
     outputs = []
     for family in families:
@@ -432,10 +438,8 @@ def _cmd_demo_enhance(args) -> int:
     if base_spec == "never":
         base = ConstantTest(d=d)
     else:
-        base = make_single_test(
-            d, parse_exponent(base_spec.removeprefix("p=")), alpha, "mc",
-            calib_plan, workers,
-        )
+        base = mc_calibrate(parse_exponent(base_spec.removeprefix("p=")), d, alpha,
+                            calib_plan, workers=workers)
     rep = plab.enhancement_demo(d, base, plan, workers=workers)
     rows = [
         ("size_base", rep.size_base, rep.size_base_stderr),
@@ -503,8 +507,9 @@ _ALL = " ".join(_COMMANDS)
 # these names but ``config``
 _OPTIONS = {
     "config": _Option(str, _ALL, "flat key=value config file; flags win"),
-    "workers": _Option(int, _ALL, "chunk workers (never affects results)", manifest=None),
-    "outdir": _Option(str, _ALL, manifest=None),
+    "workers": _Option(int, "calibrate power consistency demo-pe demo-enhance",
+                       "chunk workers (never affects results)", manifest=None),
+    "outdir": _Option(str, "power consistency demo-pe demo-enhance", manifest=None),
     "d": _Option(int, "calibrate power consistency demo-pe demo-enhance"),
     "alpha": _Option(float, "calibrate power demo-enhance"),
     "p": _Option(str, "calibrate consistency", "norm exponent (positive real or 'sup')"),

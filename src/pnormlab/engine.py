@@ -4,12 +4,12 @@ Three calibration routes coexist:
 
 * analytic critical values from the Gaussian CLT of the p-th power statistic
   (finite p) or the double-exponential limit of the absolute maximum (sup),
-  with every vanishing correction term set to zero;
+  with every vanishing correction term set to zero (:func:`asymptotic_test`);
 * Monte-Carlo-exact critical values: conservative empirical quantiles of
-  simulated null statistics (deterministic given a plan);
+  simulated null statistics, deterministic given a plan (:func:`mc_calibrate`);
 * combined ("max of scaled norms") tests whose member critical values and
   global scale are calibrated on one shared simulated null sample, so the
-  joint law behind the size constraint is coherent.
+  joint law behind the size constraint is coherent (:func:`build_combined`).
 
 All test objects are frozen dataclasses implementing a tiny protocol:
 ``d``, ``label``, ``norm_exponents()``, ``coordinate_indices()`` and
@@ -18,11 +18,17 @@ single, combined, minimax and constant tests decide from norm statistics
 alone, so their rejection regions are invariant under coordinate
 permutations; the power enhancement (:func:`build_enhanced`) therefore puts
 its spike detector on coordinate 0.
+
+A single, combined or minimax test is kept as a ``pnormlab-test/1``
+artifact of ``key = value`` lines.  One table, ``_ARTIFACTS``, declares each
+kind's keys in file order with their types and whether they are required;
+:func:`save_test` and :func:`load_test` both loop over it, and
+:func:`pnormlab.report.write_kv` and :func:`pnormlab.report.read_kv` own the
+line format.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -34,7 +40,7 @@ from .errors import CalibrationError, ConfigError, DomainError
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from .norms import SUP, Exponent, batch_norms, parse_exponent
-from .report import read_kv
+from .report import read_kv, write_kv
 
 __all__ = [
     "CalibrationWarning",
@@ -42,6 +48,7 @@ __all__ = [
     "sup_asymptotic_critical_value",
     "minimax_critical_value",
     "mc_calibrate",
+    "asymptotic_test",
     "AlphaBudget",
     "geometric_budget",
     "custom_budget",
@@ -52,7 +59,6 @@ __all__ = [
     "EnhancedTest",
     "UnionTest",
     "ConstantTest",
-    "make_single_test",
     "build_combined",
     "build_minimax_adaptive",
     "mc_scale_minimax",
@@ -157,7 +163,9 @@ class AlphaBudget:
     exponent).  The geometric generator spreads a ``1 - last_share`` fraction
     of the total level over the first ``m - 1`` members proportionally to a
     geometric mass function with the given success parameter, and puts
-    ``last_share`` of the level on the largest exponent.
+    ``last_share`` of the level on the largest exponent.  Only the geometric
+    generator has parameters: any other generator is stored as ``custom``
+    with ``success`` and ``last_share`` None.
     """
 
     alphas: tuple[float, ...]
@@ -173,6 +181,11 @@ class AlphaBudget:
                 raise DomainError(f"every member level must lie in (0, 1), got {a!r}")
         if not (0.0 < self.total < 1.0):
             raise DomainError("total level must lie in (0, 1)")
+        if self.generator != "geometric":
+            for name, value in (("generator", "custom"), ("success", None), ("last_share", None)):
+                object.__setattr__(self, name, value)
+        elif None in (self.success, self.last_share):
+            raise DomainError("a geometric budget needs its success and last_share")
 
     @property
     def total(self) -> float:
@@ -345,6 +358,11 @@ class CombinedTest:
     calibration_size: float = float("nan")
     provenance: str = ""
 
+    def __post_init__(self):
+        if not len(self.exponents) == self.budget.member_count == len(self.kappas):
+            raise DomainError(f"{len(self.exponents)} exponents, {self.budget.member_count} "
+                              f"alphas and {len(self.kappas)} kappas")
+
     @property
     def label(self) -> str:
         return f"combined(m={len(self.exponents)})"
@@ -378,6 +396,10 @@ class MinimaxAdaptiveTest:
     threshold: float = 1.0
     alpha: float | None = None
     provenance: str = ""
+
+    def __post_init__(self):
+        if len(self.kappas) != self.max_power:
+            raise DomainError(f"max_power = {self.max_power} but {len(self.kappas)} kappas")
 
     @property
     def label(self) -> str:
@@ -514,29 +536,18 @@ def mc_calibrate(
     )
 
 
-def make_single_test(
-    d: int,
-    exponent: Exponent,
-    alpha: float,
-    method: str = "mc",
-    plan: MonteCarloPlan | None = None,
-    workers: int = 1,
-) -> PNormTest:
-    """Single norm test with an asymptotic or Monte-Carlo-exact critical value."""
-    if method == "asymptotic":
-        if exponent.is_sup:
-            kappa = sup_asymptotic_critical_value(d, alpha)
-            prov = f"asymptotic_sup(alpha={alpha:g})"
-        else:
-            kappa = asymptotic_critical_value(exponent.p, d, alpha)
-            prov = f"asymptotic_finite(p={exponent.p:g}, alpha={alpha:g})"
-        return PNormTest(d=int(d), exponent=exponent, critical_value=kappa,
-                         alpha=alpha, provenance=prov)
-    if method == "mc":
-        if plan is None:
-            raise ConfigError("Monte Carlo calibration requires a plan")
-        return mc_calibrate(exponent, d, alpha, plan, workers=workers)
-    raise ConfigError(f"unknown calibration method {method!r}")
+def asymptotic_test(exponent: Exponent, d: int, alpha: float) -> PNormTest:
+    """Single norm test with the analytic critical value of
+    :func:`asymptotic_critical_value` (finite p) or
+    :func:`sup_asymptotic_critical_value` (sup)."""
+    if exponent.is_sup:
+        kappa = sup_asymptotic_critical_value(d, alpha)
+        prov = f"asymptotic_sup(alpha={alpha:g})"
+    else:
+        kappa = asymptotic_critical_value(exponent.p, d, alpha)
+        prov = f"asymptotic_finite(p={exponent.p:g}, alpha={alpha:g})"
+    return PNormTest(d=int(d), exponent=exponent, critical_value=kappa,
+                     alpha=alpha, provenance=prov)
 
 
 def build_combined(
@@ -728,54 +739,57 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_list(xs: Sequence[float]) -> str:
-    return ",".join(_fmt(x) for x in xs)
+# each artifact value type: (write, read)
+_CODECS = {
+    int: (str, int),
+    float: (_fmt, float),
+    str: (str, str),
+    tuple: (lambda xs: ",".join(map(_fmt, xs)), lambda text: tuple(map(float, text.split(",")))),
+    Exponent: (lambda e: "sup" if e.is_sup else _fmt(e.p), parse_exponent),
+}
+
+# The lines of each artifact kind after ``schema`` and ``kind``, in file
+# order: (key, type, required).  A None value is not written, and an absent
+# optional key loads as the field's default.  A combined test's ``alphas``
+# and ``budget_<field>`` lines are the fields of its AlphaBudget.
+_ARTIFACTS = {
+    "single": (PNormTest, (
+        ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
+        ("critical_value", float, True), ("provenance", str, False),
+    )),
+    "combined": (CombinedTest, (
+        ("d", int, True), ("alpha", float, True), ("exponents", tuple, True),
+        ("alphas", tuple, True), ("budget_generator", str, False),
+        ("budget_success", float, False), ("budget_last_share", float, False),
+        ("kappas", tuple, True), ("scale", float, True),
+        ("calibration_size", float, False), ("provenance", str, False),
+    )),
+    "minimax": (MinimaxAdaptiveTest, (
+        ("d", int, True), ("margin", float, True), ("max_power", int, True),
+        ("kappas", tuple, True), ("threshold", float, True), ("alpha", float, False),
+        ("provenance", str, False),
+    )),
+}
 
 
-def _parse_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _budget_field(key: str) -> str | None:
+    """The AlphaBudget field an artifact key names, if it names one."""
+    name = key.removeprefix("budget_")
+    return name if name in AlphaBudget.__dataclass_fields__ else None
 
 
 def save_test(test, path) -> None:
     """Serialize a single/combined/minimax test to a key=value text file."""
-    buf = io.StringIO()
-    w = buf.write
-    w(f"schema = {_SCHEMA}\n")
-    if isinstance(test, PNormTest):
-        w("kind = single\n")
-        w(f"d = {test.d}\n")
-        w(f"exponent = {'sup' if test.exponent.is_sup else _fmt(test.exponent.p)}\n")
-        w(f"alpha = {_fmt(test.alpha)}\n")
-        w(f"critical_value = {_fmt(test.critical_value)}\n")
-        w(f"provenance = {test.provenance}\n")
-    elif isinstance(test, CombinedTest):
-        w("kind = combined\n")
-        w(f"d = {test.d}\n")
-        w(f"alpha = {_fmt(test.alpha)}\n")
-        w(f"exponents = {_fmt_list(test.exponents)}\n")
-        w(f"alphas = {_fmt_list(test.budget.alphas)}\n")
-        w(f"budget_generator = {test.budget.generator}\n")
-        if test.budget.generator == "geometric":
-            w(f"budget_success = {_fmt(test.budget.success)}\n")
-            w(f"budget_last_share = {_fmt(test.budget.last_share)}\n")
-        w(f"kappas = {_fmt_list(test.kappas)}\n")
-        w(f"scale = {_fmt(test.scale)}\n")
-        w(f"calibration_size = {_fmt(test.calibration_size)}\n")
-        w(f"provenance = {test.provenance}\n")
-    elif isinstance(test, MinimaxAdaptiveTest):
-        w("kind = minimax\n")
-        w(f"d = {test.d}\n")
-        w(f"margin = {_fmt(test.margin)}\n")
-        w(f"max_power = {test.max_power}\n")
-        w(f"kappas = {_fmt_list(test.kappas)}\n")
-        w(f"threshold = {_fmt(test.threshold)}\n")
-        if test.alpha is not None:
-            w(f"alpha = {_fmt(test.alpha)}\n")
-        w(f"provenance = {test.provenance}\n")
-    else:
+    kind = next((k for k, (cls, _) in _ARTIFACTS.items() if isinstance(test, cls)), None)
+    if kind is None:
         raise DomainError(f"cannot serialize test of type {type(test).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    entries = [("schema", _SCHEMA), ("kind", kind)]
+    for key, value_type, _ in _ARTIFACTS[kind][1]:
+        name = _budget_field(key)
+        value = getattr(test.budget, name) if name else getattr(test, key)
+        if value is not None:
+            entries.append((key, _CODECS[value_type][0](value)))
+    write_kv(path, entries)
 
 
 def load_test(path):
@@ -783,58 +797,21 @@ def load_test(path):
     kv = read_kv(path)
     if kv.get("schema") != _SCHEMA:
         raise ConfigError(f"unsupported artifact schema: {kv.get('schema')!r}")
-    kind = kv.get("kind")
-    if kind not in ("single", "combined", "minimax"):
-        raise ConfigError(f"unknown artifact kind: {kind!r}")
+    if kv.get("kind") not in _ARTIFACTS:
+        raise ConfigError(f"unknown artifact kind: {kv.get('kind')!r}")
+    cls, lines = _ARTIFACTS[kv["kind"]]
+    fields, budget = {}, {}
     try:
-        if kind == "single":
-            test = PNormTest(
-                d=int(kv["d"]),
-                exponent=parse_exponent(kv["exponent"]),
-                critical_value=float(kv["critical_value"]),
-                alpha=float(kv["alpha"]),
-                provenance=kv.get("provenance", ""),
-            )
-        elif kind == "combined":
-            exps = _parse_list(kv["exponents"])
-            alphas = _parse_list(kv["alphas"])
-            kappas = _parse_list(kv["kappas"])
-            if not len(exps) == len(alphas) == len(kappas):
-                raise ValueError(f"{len(exps)} exponents, {len(alphas)} alphas "
-                                 f"and {len(kappas)} kappas")
-            gen = kv.get("budget_generator", "custom")
-            if gen == "geometric":
-                budget = AlphaBudget(
-                    alphas=alphas, generator="geometric",
-                    success=float(kv["budget_success"]),
-                    last_share=float(kv["budget_last_share"]),
-                )
-            else:
-                budget = AlphaBudget(alphas=alphas, generator="custom")
-            test = CombinedTest(
-                d=int(kv["d"]),
-                exponents=exps,
-                kappas=kappas,
-                scale=float(kv["scale"]),
-                alpha=float(kv["alpha"]),
-                budget=budget,
-                calibration_size=float(kv.get("calibration_size", "nan")),
-                provenance=kv.get("provenance", ""),
-            )
-        else:
-            max_power = int(kv["max_power"])
-            kappas = _parse_list(kv["kappas"])
-            if len(kappas) != max_power:
-                raise ValueError(f"max_power = {max_power} but {len(kappas)} kappas")
-            test = MinimaxAdaptiveTest(
-                d=int(kv["d"]),
-                margin=float(kv["margin"]),
-                max_power=max_power,
-                kappas=kappas,
-                threshold=float(kv["threshold"]),
-                alpha=float(kv["alpha"]) if "alpha" in kv else None,
-                provenance=kv.get("provenance", ""),
-            )
+        for key, value_type, required in lines:
+            if required or key in kv:
+                value = _CODECS[value_type][1](kv[key])
+                if name := _budget_field(key):
+                    budget[name] = value
+                else:
+                    fields[key] = value
+        if budget:
+            fields["budget"] = AlphaBudget(**budget)
+        test = cls(**fields)
     except KeyError as exc:
         raise ConfigError(f"artifact is missing field {exc}") from exc
     except ValueError as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "PowerTable",
     "estimate_rejection",
     "estimate_rejection_many",
+    "require_distinct_labels",
     "power_curve",
     "auto_a_grid",
     "PowerEnhancementReport",
@@ -147,6 +148,13 @@ class PowerTable:
         raise KeyError((test, scale))
 
 
+def require_distinct_labels(labels: Sequence[str]) -> None:
+    """Refuse a test suite with a repeated label: a power table keys its
+    cells and series by label."""
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"tests need distinct labels, got {', '.join(labels)}")
+
+
 def power_curve(
     tests: Sequence,
     family: AlternativeFamily,
@@ -165,10 +173,7 @@ def power_curve(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
         raise DomainError("a_grid must be finite, non-negative and strictly increasing")
-    labels = [t.label for t in tests]
-    if len(set(labels)) != len(labels):
-        # the table's cells and series are keyed by label
-        raise DomainError(f"tests need distinct labels, got {', '.join(labels)}")
+    require_distinct_labels([t.label for t in tests])
     counts = _counts(tests, np.multiply.outer(scales, family.theta(d)), plan, workers)
     rows = []
     for ti, t in enumerate(tests):

@@ -14,7 +14,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigError
 
 __all__ = [
-    "fmt", "write_csv", "sha256_file", "write_manifest", "read_kv", "svg_line_chart",
+    "fmt", "write_csv", "sha256_file", "write_manifest", "write_kv", "read_kv",
+    "svg_line_chart",
 ]
 
 
@@ -58,16 +59,21 @@ def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] =
 
     from . import __version__
 
-    lines = [f"manifest = pnormlab-run/1"]
-    lines.append(f"pnormlab_version = {__version__}")
-    lines.append(f"numpy_version = {numpy.__version__}")
-    lines.append(f"scipy_version = {scipy.__version__}")
-    for key, value in entries.items():
-        lines.append(f"{key} = {value}")
-    for out in outputs:
-        lines.append(f"output.{os.path.basename(out)}.sha256 = {sha256_file(out)}")
+    write_kv(path, [
+        ("manifest", "pnormlab-run/1"),
+        ("pnormlab_version", __version__),
+        ("numpy_version", numpy.__version__),
+        ("scipy_version", scipy.__version__),
+        *entries.items(),
+        *((f"output.{os.path.basename(out)}.sha256", sha256_file(out)) for out in outputs),
+    ])
+
+
+def write_kv(path, entries: Iterable[tuple[str, object]]) -> None:
+    """Write one ``key = value`` line per pair, in order, for :func:`read_kv`
+    to read back: the format of manifests and calibration artifacts."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {value}\n" for key, value in entries))
 
 
 def read_kv(path) -> dict[str, str]:

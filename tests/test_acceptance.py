@@ -40,7 +40,6 @@ from pnormlab.engine import (
     build_enhanced,
     build_minimax_adaptive,
     geometric_budget,
-    make_single_test,
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,
@@ -494,8 +493,8 @@ def test_criterion_6_property_suites(desk, tmp_path):
     # determinism under worker-count variation: bit-identical CSV bytes
     small_cal = MonteCarloPlan(replications=4000, seed=7_777)
     small_tests = [
-        make_single_test(300, Exponent.finite(2.0), ALPHA, "mc", small_cal),
-        make_single_test(300, SUP, ALPHA, "mc", small_cal),
+        mc_calibrate(Exponent.finite(2.0), 300, ALPHA, small_cal),
+        mc_calibrate(SUP, 300, ALPHA, small_cal),
     ]
     small_plan = MonteCarloPlan(replications=1500, seed=8_888)
     grid = (0.0, 0.1, 0.2, 0.3)

@@ -13,7 +13,7 @@ from pnormlab.engine import (
     build_minimax_adaptive,
     geometric_budget,
     load_test,
-    make_single_test,
+    mc_calibrate,
     mc_scale_minimax,
     member_exponents,
 )
@@ -120,8 +120,27 @@ class TestExitCodes:
             "tests-twice", "figure3-tests", "figure3-family"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        assert run(argv + ["--outdir", tmp_path / "out"]) == 2
+        if argv[0] in cli._OPTIONS["outdir"].commands.split():
+            argv += ["--outdir", tmp_path / "out"]
+        assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # both write where --out says, and reduce draws nothing
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--asymptotic", "--p", "2", "--d", "100", "--out", "{tmp}/a.txt",
+         "--outdir", "{tmp}/D"],
+        ["reduce", "--design", "{tmp}/X.txt", "--response", "{tmp}/z.txt",
+         "--out", "{tmp}/a.txt", "--outdir", "{tmp}/D"],
+        ["reduce", "--design", "{tmp}/X.txt", "--response", "{tmp}/z.txt",
+         "--out", "{tmp}/a.txt", "--workers", "2"],
+    ], ids=["calibrate-outdir", "reduce-outdir", "reduce-workers"])
+    def test_ignored_options_are_refused(self, tmp_path, rng, argv):
+        np.savetxt(tmp_path / "X.txt", rng.normal(size=(5, 2)))
+        np.savetxt(tmp_path / "z.txt", rng.normal(size=5))
+        with pytest.raises(SystemExit) as exc:
+            run([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "D").exists() and not (tmp_path / "a.txt").exists()
 
     @pytest.mark.parametrize("command", [["calibrate", "--asymptotic"],
                                          ["consistency", "--radius"]])
@@ -286,7 +305,7 @@ class TestSharedCalibration:
         got = cli._build_test_suite(list(cli._TEST_MENU), d, alpha, plan, res, 1)
         m, exps = member_exponents(d, "exp")
         expected = [
-            make_single_test(d, parse_exponent(p), alpha, "mc", plan)
+            mc_calibrate(parse_exponent(p), d, alpha, plan)
             for p in ("1", "2", "3", "4", "sup")
         ] + [
             build_combined(d, exps, geometric_budget(m, alpha), plan),
@@ -313,6 +332,27 @@ class TestSharedCalibration:
         plan = MonteCarloPlan(replications=4000, seed=1)
         assert cli._build_test_suite([], 200, 0.05, plan, res, 1) == []
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("tests, artifact", [("p=2,2", False), ("p=2,p=2", False),
+                                                 ("p=2", True)])
+    def test_repeated_label_is_refused_before_calibration(
+        self, tmp_path, monkeypatch, capsys, tests, artifact
+    ):
+        art = tmp_path / "a.txt"
+        assert run(["calibrate", "--asymptotic", "--p", "2", "--d", "300", "--out", art]) == 0
+        calls = []
+        simulate = cli.simulate_null_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_null_statistics", counting)
+        argv = ["power", "--d", "300", "--tests", tests, "--calib-reps", "2000",
+                "--reps", "200", "--outdir", tmp_path / "out"]
+        assert run(argv + (["--artifact", art] if artifact else [])) == 2
+        assert "distinct labels" in capsys.readouterr().err
+        assert len(calls) == 0
 
 
 # every value a parser returns is finite; everything else is a ConfigError

@@ -14,6 +14,7 @@ from pnormlab.engine import (
     PNormTest,
     UnionTest,
     asymptotic_critical_value,
+    asymptotic_test,
     build_combined,
     build_enhanced,
     build_minimax_adaptive,
@@ -21,7 +22,6 @@ from pnormlab.engine import (
     evaluate,
     geometric_budget,
     load_test,
-    make_single_test,
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,
@@ -141,12 +141,12 @@ class TestMinimaxCriticalValue:
 
 class TestSchedules:
     def test_finite_schedule_value(self):
-        t = make_single_test(100, E2, 0.05, "asymptotic")
+        t = asymptotic_test(E2, 100, 0.05)
         assert t.critical_value == asymptotic_critical_value(2.0, 100, 0.05)
         assert t.provenance == "asymptotic_finite(p=2, alpha=0.05)"
 
     def test_sup_schedule_value(self):
-        t = make_single_test(5000, SUP, 0.05, "asymptotic")
+        t = asymptotic_test(SUP, 5000, 0.05)
         assert t.critical_value == sup_asymptotic_critical_value(5000, 0.05)
         assert t.provenance == "asymptotic_sup(alpha=0.05)"
 
@@ -159,12 +159,6 @@ class TestSchedules:
             evaluate(t, np.zeros(41))
         assert t.provenance == f"monte_carlo({plan.descriptor()})"
         assert "seed=1" in t.provenance
-
-    def test_mc_calibrate_is_the_mc_single_test(self):
-        plan = MonteCarloPlan(replications=2000, seed=1)
-        assert mc_calibrate(E2, 40, 0.05, plan) == make_single_test(
-            40, E2, 0.05, "mc", plan
-        )
 
 
 class TestMcCalibrate:
@@ -438,7 +432,7 @@ class TestMinimaxAdaptive:
 class TestEnhancement:
     def test_symmetric_base_ties_to_first_coordinate(self):
         plan = MonteCarloPlan(replications=2000, seed=5)
-        base = make_single_test(300, E2, 0.05, "mc", plan)
+        base = mc_calibrate(E2, 300, 0.05, plan)
         enhanced = build_enhanced(base, 300)
         assert enhanced.coordinate == 0
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(300) / 2))
@@ -448,7 +442,7 @@ class TestEnhancement:
 
     def test_pointwise_domination(self, rng):
         plan = MonteCarloPlan(replications=3000, seed=6)
-        base = make_single_test(100, E2, 0.05, "mc", plan)
+        base = mc_calibrate(E2, 100, 0.05, plan)
         enhanced = build_enhanced(base, 100)
         Y = rng.normal(size=(5000, 100))
         decisions = reject_matrix([base, enhanced], Y)
@@ -470,7 +464,7 @@ class TestEnhancement:
         from pnormlab.power import estimate_rejection_many
 
         d = 40
-        inner = make_single_test(d, E2, 0.2, "mc", MonteCarloPlan(replications=2000, seed=3))
+        inner = mc_calibrate(E2, d, 0.2, MonteCarloPlan(replications=2000, seed=3))
 
         class NormOnly:
             label = "norm-only"
@@ -528,8 +522,8 @@ class TestEvaluate:
     def test_zero_vector_accepted_by_calibrated_tests(self):
         plan = MonteCarloPlan(replications=2000, seed=2)
         for test in (
-            make_single_test(50, E2, 0.3, "mc", plan),
-            make_single_test(50, SUP, 0.3, "mc", plan),
+            mc_calibrate(E2, 50, 0.3, plan),
+            mc_calibrate(SUP, 50, 0.3, plan),
         ):
             assert evaluate(test, np.zeros(50)) is False
 
@@ -558,7 +552,7 @@ class TestEvaluate:
 class TestSerialization:
     def test_single_round_trip(self, tmp_path):
         plan = MonteCarloPlan(replications=2000, seed=44)
-        test = make_single_test(60, SUP, 0.05, "mc", plan)
+        test = mc_calibrate(SUP, 60, 0.05, plan)
         path = tmp_path / "single.txt"
         save_test(test, path)
         assert load_test(path) == test
@@ -624,7 +618,7 @@ class TestSerialization:
     def test_out_of_range_artifact(self, tmp_path, kind, line):
         plan = MonteCarloPlan(replications=2000, seed=44)
         test = {
-            "single": lambda: make_single_test(60, E2, 0.05, "mc", plan),
+            "single": lambda: mc_calibrate(E2, 60, 0.05, plan),
             "combined": lambda: build_combined(60, (1.0, 2.0, 4.0),
                                                geometric_budget(3, 0.05), plan),
             "minimax": lambda: mc_scale_minimax(build_minimax_adaptive(60, 4.0, 3),
@@ -648,6 +642,77 @@ class TestSerialization:
         save_test(test, path)
         assert "calibration_size = nan" in path.read_text()
         assert math.isnan(load_test(path).calibration_size)
+
+    _MC = "seed=44 replications=2000 chunk_size=128 sampler=standard_normal"
+    _GOLDEN = {
+        "single": (
+            lambda plan: mc_calibrate(E2, 60, 0.05, plan),
+            "kind = single\nd = 60\nexponent = 2\nalpha = 0.050000000000000003\n"
+            "critical_value = 8.8805738515631472\n"
+            f"provenance = monte_carlo({_MC})\n"),
+        "single-sup": (
+            lambda plan: mc_calibrate(SUP, 60, 0.05, plan),
+            "kind = single\nd = 60\nexponent = sup\nalpha = 0.050000000000000003\n"
+            "critical_value = 3.2780367030413067\n"
+            f"provenance = monte_carlo({_MC})\n"),
+        "asymptotic": (
+            lambda plan: asymptotic_test(E2, 100, 0.05),
+            "kind = single\nd = 100\nexponent = 2\nalpha = 0.050000000000000003\n"
+            "critical_value = 11.102330524422944\n"
+            "provenance = asymptotic_finite(p=2, alpha=0.05)\n"),
+        "asymptotic-sup": (
+            lambda plan: asymptotic_test(SUP, 5000, 0.05),
+            "kind = single\nd = 5000\nexponent = sup\nalpha = 0.050000000000000003\n"
+            "critical_value = 4.4487416090149896\n"
+            "provenance = asymptotic_sup(alpha=0.05)\n"),
+        "combined-geometric": (
+            lambda plan: build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05), plan),
+            "kind = combined\nd = 60\nalpha = 0.050000000000000003\nexponents = 1,2,4\n"
+            "alphas = 0.016666666666666666,0.0083333333333333332,0.025000000000000001\n"
+            "budget_generator = geometric\nbudget_success = 0.5\nbudget_last_share = 0.5\n"
+            "kappas = 57.553672085542409,9.410917814301758,4.3273275508746654\n"
+            "scale = 0.98712917316653814\ncalibration_size = 0.050500000000000003\n"
+            f"provenance = mc({_MC})\n"),
+        "combined-custom": (
+            lambda plan: build_combined(60, (2.0, 4.0), custom_budget((0.02, 0.02)), plan),
+            "kind = combined\nd = 60\nalpha = 0.040000000000000001\nexponents = 2,4\n"
+            "alphas = 0.02,0.02\nbudget_generator = custom\n"
+            "kappas = 9.179296147683953,4.37301753138828\n"
+            "scale = 0.98347134517952939\ncalibration_size = 0.040500000000000001\n"
+            f"provenance = mc({_MC})\n"),
+        # built by hand: never calibrated, no provenance
+        "combined-uncalibrated": (
+            lambda plan: CombinedTest(d=60, exponents=(2.0, 4.0), kappas=(11.0, 4.0),
+                                      scale=1.0, alpha=0.05,
+                                      budget=geometric_budget(2, 0.05)),
+            "kind = combined\nd = 60\nalpha = 0.050000000000000003\nexponents = 2,4\n"
+            "alphas = 0.025000000000000001,0.025000000000000001\n"
+            "budget_generator = geometric\nbudget_success = 0.5\nbudget_last_share = 0.5\n"
+            "kappas = 11,4\nscale = 1\ncalibration_size = nan\nprovenance = \n"),
+        "minimax": (
+            lambda plan: build_minimax_adaptive(60, 4.0, 3),
+            "kind = minimax\nd = 60\nmargin = 4\nmax_power = 3\n"
+            "kappas = 66.550466895815504,10.189102247029092,5.8972007017361934\n"
+            "threshold = 1\nprovenance = analytic(margin=4)\n"),
+        "minimax-scaled": (
+            lambda plan: mc_scale_minimax(build_minimax_adaptive(60, 4.0, 3), 0.05, plan),
+            "kind = minimax\nd = 60\nmargin = 4\nmax_power = 3\n"
+            "kappas = 66.550466895815504,10.189102247029092,5.8972007017361934\n"
+            "threshold = 0.88794695745876417\nalpha = 0.050000000000000003\n"
+            f"provenance = analytic(margin=4) mc-scaled({_MC})\n"),
+    }
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("case", list(_GOLDEN))
+    def test_artifact_bytes(self, tmp_path, case):
+        build, text = self._GOLDEN[case]
+        path, again = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_test(build(MonteCarloPlan(2000, 44)), path)
+        assert path.read_bytes() == ("schema = pnormlab-test/1\n" + text).encode()
+        # a loaded artifact writes the same bytes, calibration_size = nan and
+        # an empty provenance included
+        save_test(load_test(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(ConfigError):

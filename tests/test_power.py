@@ -11,7 +11,7 @@ from pnormlab.engine import (
     build_combined,
     build_enhanced,
     geometric_budget,
-    make_single_test,
+    mc_calibrate,
     member_exponents,
     reject_matrix,
 )
@@ -42,7 +42,7 @@ class TestEstimateRejection:
 
     def test_size_matches_level(self):
         plan = MonteCarloPlan(replications=20_000, seed=2)
-        test = make_single_test(80, E2, 0.1, "mc", plan)
+        test = mc_calibrate(E2, 80, 0.1, plan)
         vplan = MonteCarloPlan(replications=20_000, seed=3)
         rate, se = estimate_rejection(test, 0, vplan)
         assert abs(rate - 0.1) <= 3.0 * se
@@ -50,7 +50,7 @@ class TestEstimateRejection:
     def test_noncentral_chi_square_oracle(self):
         d = 50
         plan = MonteCarloPlan(replications=100_000, seed=4)
-        test = make_single_test(d, E2, 0.05, "mc", plan)
+        test = mc_calibrate(E2, d, 0.05, plan)
         theta = np.zeros(d)
         theta[0] = 5.0
         rate, se = estimate_rejection(
@@ -72,7 +72,7 @@ class TestEstimateRejection:
 
     def test_reproducible_and_worker_invariant(self):
         plan = MonteCarloPlan(replications=3000, seed=6)
-        test = make_single_test(40, E2, 0.05, "mc", plan)
+        test = mc_calibrate(E2, 40, 0.05, plan)
         theta = np.full(40, 0.2)
         r1 = estimate_rejection(test, theta, plan, workers=1)
         r2 = estimate_rejection(test, theta, plan, workers=4)
@@ -84,9 +84,9 @@ def suite():
     d = 400
     cal = MonteCarloPlan(replications=20_000, seed=7)
     tests = [
-        make_single_test(d, Exponent.finite(1.0), 0.05, "mc", cal),
-        make_single_test(d, E2, 0.05, "mc", cal),
-        make_single_test(d, SUP, 0.05, "mc", cal),
+        mc_calibrate(Exponent.finite(1.0), d, 0.05, cal),
+        mc_calibrate(E2, d, 0.05, cal),
+        mc_calibrate(SUP, d, 0.05, cal),
     ]
     return d, tests
 
@@ -214,7 +214,7 @@ class TestAutoGrid:
     def test_reaches_target_power(self):
         d = 300
         cal = MonteCarloPlan(replications=10_000, seed=12)
-        tests = [make_single_test(d, E2, 0.05, "mc", cal)]
+        tests = [mc_calibrate(E2, d, 0.05, cal)]
         plan = MonteCarloPlan(replications=2000, seed=13)
         grid = auto_a_grid(tests, dense(), d, plan, points=16)
         assert grid[0] == 0.0 and len(grid) == 16
@@ -224,7 +224,7 @@ class TestAutoGrid:
     def test_deterministic(self):
         d = 300
         cal = MonteCarloPlan(replications=10_000, seed=12)
-        tests = [make_single_test(d, E2, 0.05, "mc", cal)]
+        tests = [mc_calibrate(E2, d, 0.05, cal)]
         plan = MonteCarloPlan(replications=2000, seed=13)
         assert auto_a_grid(tests, dense(), d, plan) == auto_a_grid(
             tests, dense(), d, plan
@@ -355,7 +355,7 @@ class TestEnhancementDemo:
     def test_norm_base_report(self):
         d = 500
         cal = MonteCarloPlan(replications=10_000, seed=20)
-        base = make_single_test(d, E2, 0.05, "mc", cal)
+        base = mc_calibrate(E2, d, 0.05, cal)
         plan = MonteCarloPlan(replications=10_000, seed=21)
         report = enhancement_demo(d, base, plan)
         assert report.power_enhanced >= report.power_base - 1e-12
