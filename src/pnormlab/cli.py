@@ -394,7 +394,11 @@ def _cmd_consistency(args) -> int:
     else:
         family = _family_from_spec(res.require("family"))
         grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
-        for e in [parse_exponent(t) for t in res.get("exponents", "2").split(",")]:
+        exponents = [parse_exponent(t) for t in res.get("exponents", "2").split(",")]
+        if len(set(exponents)) != len(exponents):
+            raise ConfigError(f"--exponents repeats an exponent: "
+                              f"{', '.join(e.label for e in exponents)}")
+        for e in exponents:
             tr = clab.criterion_trace(family, e, grid)
             path = os.path.join(outdir, f"trace_{family.kind}_{e.label.replace('=', '')}.csv")
             write_csv(path, ("d", "value"), tr.rows())

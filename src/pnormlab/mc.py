@@ -20,20 +20,24 @@ realizations, never re-keyed by test or alternative.
 
 One chunk pass: `simulate_shifted` draws each chunk once and evaluates the
 noise plus every requested mean shift through a `ShiftedNormKernel`, for
-null calibration and rejection counts alike.  A shift on at most
-``_SPARSE_SUPPORT_FRACTION * d`` coordinates, the zero shift included, joins
-the kernel of the widest such support containing its own and costs
-O(replications x support); any other shift gets an empty-support kernel
-with the shift as its ``offset``, one full pass bit-identical to
-`batch_norms` of the shifted noise.  The chunk is drawn one row tile of
-`norms._tile_rows` rows at a time; each tile fills every kernel and the
-visit's coordinate columns before the next tile overwrites it.  Successive
-tile draws consume the chunk's generator in the order one whole-chunk draw
-does (pinned by ``tests/test_mc.py::TestTiledDraws``), so the chunk, not the
-tile, stays the unit of the RNG stream.  A chunk allocates one block of four
-tile buffers, the noise tile and the three norm scratch matrices its kernels
-share as they fill in turn, never a 128 x d chunk.  The visits run once per
-chunk and shift, after its last tile.
+null calibration and rejection counts alike.  A shift is a pair ``(unit,
+scale)``, the mean ``scale * unit``, so the shifts of a power curve share
+one `Unit` and no shift is ever a d-row of its own.  A unit on few enough
+coordinates for a sparse kernel (`_joins_sparse_kernel`) is held by its
+support and values; such a shift, the zero shift included, joins the kernel
+of the widest such support containing its own and costs O(replications x
+support).  Any other unit is one dense row, and each of its shifts gets an
+empty-support kernel with ``(unit, scale)`` as its offset: one full pass
+bit-identical to `batch_norms` of the shifted noise.  The chunk is drawn one
+row tile of `norms._tile_rows` rows at a time; each tile fills every kernel
+and the visit's coordinate columns before the next tile overwrites it.
+Successive tile draws consume the chunk's generator in the order one
+whole-chunk draw does (pinned by ``tests/test_mc.py::TestTiledDraws``), so
+the chunk, not the tile, stays the unit of the RNG stream.  A chunk
+allocates one block of `_CHUNK_BUFFERS` tile buffers, the noise tile and the
+three norm scratch matrices its kernels share as they fill in turn, never a
+128 x d chunk.  The visits run once per chunk and shift, after its last
+tile.
 Sums are max-factored and add the off-support part, never subtract it, so
 norms agree with the direct evaluation to a relative 1e-13 even at
 exponents near 60 with the row maximum on the support or cancelled by the
@@ -63,11 +67,13 @@ __all__ = [
     "draw",
     "chunk_generator",
     "run_chunked",
+    "Unit",
     "simulate_shifted",
     "simulate_null_statistics",
 ]
 
 _SPARSE_SUPPORT_FRACTION = 0.2  # shared kernel up to this support share
+_CHUNK_BUFFERS = 4  # tile buffers a chunk allocates: the noise and three norm scratch
 
 
 def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -145,28 +151,94 @@ def run_chunked(task, plan: MonteCarloPlan, workers: int = 1) -> list:
         return list(pool.map(task, *zip(*bounds)))
 
 
-def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan,
-                     visit: Callable[..., object], workers: int = 1,
+def _joins_sparse_kernel(size: int, d: int) -> bool:
+    """Whether a shift on ``size`` of ``d`` coordinates joins a sparse kernel:
+    at most `_SPARSE_SUPPORT_FRACTION` of d, and the kernel's chunk-height
+    support block (`MonteCarloPlan.chunk_size` x size) no larger than the
+    chunk's own block of `_CHUNK_BUFFERS` tiles."""
+    return (size <= _SPARSE_SUPPORT_FRACTION * d
+            and size * MonteCarloPlan.chunk_size <= _CHUNK_BUFFERS * _tile_rows(d) * d)
+
+
+@dataclass(frozen=True, eq=False)
+class Unit:
+    """A mean-shift direction at dimension ``d``: a shift is ``scale * unit``.
+
+    ``size`` counts the nonzero entries.  When a sparse kernel takes them
+    (`_joins_sparse_kernel`) the unit is held by its ascending ``support``
+    and the ``values`` there; otherwise ``support`` is None and ``values``
+    is the whole dense row.  Build one with `from_runs` or `from_vector`.
+    """
+
+    d: int
+    size: int
+    support: np.ndarray | None
+    values: np.ndarray
+
+    @classmethod
+    def from_runs(cls, values, counts) -> "Unit":
+        """The unit that repeats ``values[j]`` ``counts[j]`` times, in order,
+        as `consistency.AlternativeFamily.runs` describes a family; a sparse
+        unit costs its support and the runs, never d."""
+        values = np.asarray(values, dtype=float)
+        counts = np.asarray(counts).astype(np.int64)
+        keep = values != 0.0
+        kept = counts[keep]
+        d, size = int(counts.sum()), int(kept.sum())
+        if not _joins_sparse_kernel(size, d):
+            return cls(d, size, None, np.repeat(values, counts))
+        # run j's k-th kept entry sits at its run start + k
+        starts = np.cumsum(counts)[keep] - kept
+        support = np.repeat(starts - (np.cumsum(kept) - kept), kept) + np.arange(size)
+        return cls(d, size, support.astype(np.intp), np.repeat(values[keep], kept))
+
+    @classmethod
+    def from_vector(cls, theta) -> "Unit":
+        """The unit equal to the mean vector ``theta``."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim != 1 or theta.size == 0:
+            raise DomainError(f"a mean vector must be one-dimensional, got shape {theta.shape}")
+        support = np.flatnonzero(theta)
+        if _joins_sparse_kernel(support.size, theta.size):
+            return cls(theta.size, support.size, support, theta[support])
+        return cls(theta.size, support.size, None, theta)
+
+    def at(self, coords: np.ndarray) -> np.ndarray:
+        """The unit's entries at the coordinates ``coords``."""
+        if self.support is None:
+            return self.values[coords]
+        pos = np.searchsorted(self.support, coords)
+        pos[~np.isin(coords, self.support)] = self.size  # the appended zero
+        return np.append(self.values, 0.0)[pos]
+
+
+def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[Exponent],
+                     plan: MonteCarloPlan, visit: Callable[..., object], workers: int = 1,
                      coordinates: Sequence[int] = ()) -> list[list]:
-    """Draw each chunk of ``plan`` once and call ``visit(columns, theta, norms)``
-    for every row ``theta`` of the ``(n, d)`` matrix ``shifts``, with ``norms``
-    the statistics of ``eps + theta`` and ``columns`` the noise columns
-    ``{i: eps[:, i]}`` of the requested ``coordinates``; the chunk ``eps``
-    itself is never held whole.  Returns each chunk's visit results, in chunk
-    order."""
-    shifts = np.asarray(shifts, dtype=float)
-    d = shifts.shape[1]
+    """Draw each chunk of ``plan`` once and call ``visit(columns, at, norms)``
+    for every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
+    ``norms`` the statistics of ``eps + theta``, ``columns`` the noise columns
+    ``{i: eps[:, i]}`` of the requested ``coordinates`` and ``at`` the
+    shift's values there, ``{i: theta[i]}``; neither the chunk ``eps`` nor any
+    ``theta`` is ever held whole.  Returns each chunk's visit results, in
+    chunk order."""
+    dims = {unit.d for unit, _ in shifts}
+    if len(dims) != 1:
+        raise DomainError(f"need one or more shifts of one dimension, got {sorted(dims)}")
+    d = dims.pop()
     exps = tuple(exponents)
     coords = np.asarray(coordinates, dtype=np.intp)
     tile = _tile_rows(d)
-    sizes = np.count_nonzero(shifts, axis=1)
+    empty = np.array([], dtype=np.intp)
+    sizes = [unit.size if scale != 0.0 else 0 for unit, scale in shifts]
     # (support, offset, rows): one kernel over support on eps + offset
     full, sparse = [], []
     for si in sorted(range(len(shifts)), key=lambda i: -sizes[i]):
-        if sizes[si] > _SPARSE_SUPPORT_FRACTION * d:
-            full.append((np.array([], dtype=np.intp), shifts[si], [si]))
+        unit, scale = shifts[si]
+        if sizes[si] and unit.support is None:
+            full.append((empty, (unit.values, scale), [si]))
             continue
-        own = np.flatnonzero(shifts[si])
+        own = unit.support if sizes[si] else empty
         for support, _, rows in sparse:
             if np.isin(own, support).all():
                 rows.append(si)
@@ -174,11 +246,19 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
         else:
             sparse.append((own, None, [si]))
     groups = full + sparse
+    # each shift's values on its kernel's support and at the visit's coordinates
+    on_support = [None] * len(shifts)
+    for support, _, rows in groups:
+        for si in rows:
+            unit, scale = shifts[si]
+            on_support[si] = np.multiply(unit.at(support), scale)
+    at = [dict(zip(coords.tolist(), np.multiply(unit.at(coords), scale)))
+          for unit, scale in shifts]
 
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
         rng = chunk_generator(plan.seed, chunk_index)
-        # row 0 takes each noise tile; rows 1-3 are the kernels' shared scratch
-        block = np.empty((4, min(tile, size), d))
+        # row 0 takes each noise tile; the others are the kernels' shared scratch
+        block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
         kernels = [ShiftedNormKernel(size, support, exps, block[1:], offset=offset)
                    for support, offset, _ in groups]
         gathered = np.empty((size, coords.size))
@@ -189,9 +269,9 @@ def simulate_shifted(shifts, exponents: Sequence[Exponent], plan: MonteCarloPlan
                 kernel.fill(lo, eps)
         columns = {int(i): gathered[:, j] for j, i in enumerate(coords)}
         out = [None] * len(shifts)
-        for kernel, (support, _, rows) in zip(kernels, groups):
+        for kernel, (_, _, rows) in zip(kernels, groups):
             for si in rows:
-                out[si] = visit(columns, shifts[si], kernel.norms_at(shifts[si, support]))
+                out[si] = visit(columns, at[si], kernel.norms_at(on_support[si]))
         return out
 
     return run_chunked(chunk_pass, plan, workers=workers)
@@ -216,7 +296,8 @@ def simulate_null_statistics(
     exps = tuple(dict.fromkeys(exponents))
     if not exps:
         raise DomainError("at least one exponent is required")
-    chunks = simulate_shifted(np.zeros((1, d)), exps, plan, lambda cols, theta, norms: norms, workers)
+    zero = Unit.from_runs([0.0], [d])  # empty support: one kernel, no shift
+    chunks = simulate_shifted([(zero, 0.0)], exps, plan, lambda cols, at, norms: norms, workers)
     return {e: np.concatenate([chunk[0][e] for chunk in chunks]) for e in exps}
 
 

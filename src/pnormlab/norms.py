@@ -203,8 +203,11 @@ class ShiftedNormKernel:
     ``scratch``, a ``(3, tile, d)`` array (``|y|``, the chain/exp pass and
     the log) that the caller owns and may share between kernels that fill in
     turn; only ``m_rest``, ``S_rest`` and the support columns (rows x
-    support) are chunk-height.  An ``offset`` row (a dense mean shift) makes
-    it a kernel of ``eps + offset``, added tile by tile in the scratch.
+    support) are chunk-height.  An ``offset`` pair ``(unit, scale)``, a dense
+    d-row ``unit`` and a float, makes it a kernel of ``eps + scale * unit``:
+    each fill writes the product ``np.multiply(unit, scale)`` into one row of
+    the free chain scratch and adds it there, so many scales share one unit
+    row and an offset allocates nothing.
     ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row over
     the same d elements in the same order, so any tiling gives the bits of
     one pass over the chunk.
@@ -216,11 +219,11 @@ class ShiftedNormKernel:
         support: np.ndarray,
         exponents: Sequence[Exponent],
         scratch: np.ndarray,
-        offset: np.ndarray | None = None,
+        offset: tuple[np.ndarray, float] | None = None,
     ):
         self.exponents = tuple(exponents)
         self._support = np.asarray(support, dtype=np.intp)
-        self._offset = None if offset is None else np.asarray(offset, dtype=float)
+        self._offset = offset
         self._scratch = scratch
         self._eps_support = np.empty((rows, self._support.size))
         self._max_rest = np.empty(rows)
@@ -238,8 +241,10 @@ class ShiftedNormKernel:
         if offset is None:
             np.abs(tile, out=Z)
         else:
-            self._eps_support[lo:hi] += offset[support]
-            np.abs(np.add(tile, offset, out=Z), out=Z)
+            # the chain scratch is free until _scaled_power_sums
+            shift = np.multiply(*offset, out=scratch[1, 0])
+            self._eps_support[lo:hi] += shift[support]
+            np.abs(np.add(tile, shift, out=Z), out=Z)
         Z[:, support] = 0.0
         m, sums = _scaled_power_sums(Z, self.exponents, scratch[1:])
         self._max_rest[lo:hi] = m

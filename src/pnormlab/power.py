@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import DomainError, RankError
 from .gaussmath import std_normal_quantile, std_normal_sf
-from .mc import MonteCarloPlan, simulate_null_statistics, simulate_shifted
+from .mc import MonteCarloPlan, Unit, simulate_null_statistics, simulate_shifted
 from .norms import SUP, Exponent
 
 __all__ = [
@@ -60,16 +60,16 @@ def _dimension(tests: Sequence) -> int:
     return dims.pop()
 
 
-def _counts(tests: Sequence, shifts, plan: MonteCarloPlan, workers: int) -> np.ndarray:
-    """Rejection counts, one row per mean shift and one column per test, with
-    every chunk drawn once (`mc.simulate_shifted`)."""
+def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCarloPlan,
+            workers: int) -> np.ndarray:
+    """Rejection counts, one row per mean shift ``(unit, scale)`` and one
+    column per test, with every chunk drawn once (`mc.simulate_shifted`)."""
     d = _dimension(tests)
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.ndim != 2 or shifts.shape[1] != d:
-        raise DomainError(f"shifts have shape {shifts.shape}, tests expect (n, {d})")
+    if {unit.d for unit, _ in shifts} != {d}:
+        raise DomainError(f"need one or more shifts of the tests' dimension {d}")
 
-    def visit(columns, theta: np.ndarray, norms) -> list[int]:
-        cvals = {i: col + theta[i] for i, col in columns.items()}
+    def visit(columns, at, norms) -> list[int]:
+        cvals = {i: col + at[i] for i, col in columns.items()}
         return [int(np.count_nonzero(t.decide_batch(norms, cvals))) for t in tests]
 
     per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
@@ -96,9 +96,9 @@ def estimate_rejection(test, theta, plan: MonteCarloPlan, workers: int = 1):
 def estimate_rejection_many(tests: Sequence, theta, plan: MonteCarloPlan, workers: int = 1):
     """Common-random-numbers rejection rates of several tests against one
     mean vector (pass ``theta=0`` or a zero vector for null size)."""
-    if np.isscalar(theta) and theta == 0:
-        theta = np.zeros(_dimension(tests))
-    counts = _counts(tests, [theta], plan, workers)
+    zero = np.isscalar(theta) and theta == 0
+    unit = Unit.from_runs([0.0], [_dimension(tests)]) if zero else Unit.from_vector(theta)
+    counts = _counts(tests, [(unit, 1.0)], plan, workers)
     return [_rate_se(int(c), plan.replications) for c in counts[0]]
 
 
@@ -169,12 +169,13 @@ def power_curve(
     """
     d = int(d)
     scales = [float(a) for a in a_grid]
-    if any(not 0.0 <= a < math.inf for a in scales) or any(
+    if not scales or any(not 0.0 <= a < math.inf for a in scales) or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
-        raise DomainError("a_grid must be finite, non-negative and strictly increasing")
+        raise DomainError("a_grid must be non-empty, finite, non-negative and strictly increasing")
     require_distinct_labels([t.label for t in tests])
-    counts = _counts(tests, np.multiply.outer(scales, family.theta(d)), plan, workers)
+    unit = Unit.from_runs(*family.runs(d))
+    counts = _counts(tests, [(unit, a) for a in scales], plan, workers)
     rows = []
     for ti, t in enumerate(tests):
         for si, a in enumerate(scales):
@@ -211,12 +212,11 @@ def auto_a_grid(
     if points < 2:
         raise DomainError("grid needs at least two points")
     probe_plan = plan.with_replications(min(plan.replications, 400))
+    unit = Unit.from_runs(*family.runs(d))
     hi = _FAMILY_START_SCALE.get(family.kind, 1.0)
     for _ in range(12):
-        rates = estimate_rejection_many(
-            tests, family.theta(d, hi), probe_plan, workers=workers
-        )
-        if max(rate for rate, _ in rates) >= top_power:
+        counts = _counts(tests, [(unit, hi)], probe_plan, workers)[0]
+        if counts.max() / probe_plan.replications >= top_power:
             break
         hi *= 2.0
     return tuple(np.linspace(0.0, hi, int(points)))
@@ -295,10 +295,9 @@ def pe_demo(
     p4 = mc_calibrate(Exponent.finite(4.0), d, total, calibration_plan, stats=stats)
     tests = [two, supt, maxcomb, combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
-    theta = semi_sparse().theta(d)
-    rates = estimate_rejection_many(tests, theta, plan, workers=workers)
+    counts = _counts(tests, [(Unit.from_runs(*semi_sparse().runs(d)), 1.0)], plan, workers)
     rows = tuple(
-        (label, rate, se) for label, (rate, se) in zip(labels, rates)
+        (label, *_rate_se(int(c), plan.replications)) for label, c in zip(labels, counts[0])
     )
     return PowerEnhancementReport(d=d, alpha2=float(alpha2), alpha_inf=float(alpha_inf), rows=rows)
 
@@ -346,7 +345,8 @@ def power_gap_scan(
     bound = (
         std_normal_quantile(1.0 - limit_a) - std_normal_quantile(1.0 - combined.alpha)
     ) / math.sqrt(2.0 * math.pi)
-    counts = _counts([standalone, combined], [theta for _, theta in thetas], plan, workers)
+    shifts = [(Unit.from_vector(theta), 1.0) for _, theta in thetas]
+    counts = _counts([standalone, combined], shifts, plan, workers)
     gaps = []
     for (label, _), row in zip(thetas, counts):
         (r_single, se_s), (r_comb, se_c) = (_rate_se(int(c), plan.replications) for c in row)
@@ -442,15 +442,16 @@ def enhancement_demo(d: int, base, plan: MonteCarloPlan, workers: int = 1) -> En
     enhanced = build_enhanced(base, d)
     a = enhanced.spike_mean
     t = enhanced.spike_threshold
-    shifts = np.zeros((2, int(d)))
-    shifts[1, enhanced.coordinate] = a
+    i, d = enhanced.coordinate, int(d)
+    spike = Unit.from_runs([0.0, 1.0, 0.0], [i, 1, d - i - 1])
+    shifts = [(Unit.from_runs([0.0], [d]), 0.0), (spike, a)]
     (sb, sb_se), (se_, se_se), (pb, pb_se), (pe, pe_se) = (
         _rate_se(int(c), plan.replications)
         for c in _counts([base, enhanced], shifts, plan, workers).ravel()
     )
     return EnhancementReport(
-        d=int(d),
-        coordinate=enhanced.coordinate,
+        d=d,
+        coordinate=i,
         spike_mean=a,
         spike_threshold=t,
         size_base=sb,

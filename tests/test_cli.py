@@ -407,6 +407,16 @@ class TestConsistency:
         csv = (tmp_path / "trace_semi_sparse_p2.csv").read_text()
         assert csv.splitlines()[0] == "d,value"
 
+    @pytest.mark.parametrize("exponents", ["2,2", "2,3,2.0", "sup,inf"])
+    def test_repeated_exponent_is_refused_before_any_trace(self, tmp_path, capsys, exponents):
+        # one trace file and one manifest key per exponent
+        assert run([
+            "consistency", "--family", "dagger", "--exponents", exponents,
+            "--dgrid", "geometric:1e3:1e5", "--outdir", tmp_path,
+        ]) == 2
+        assert "repeats an exponent" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_traces_reach_1e300(self, tmp_path):
         assert run([
             "consistency", "--family", "dagger", "--exponents", "2,3,sup",

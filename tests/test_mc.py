@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pnormlab import mc
+from pnormlab.consistency import custom_family, dense, power_sparse, semi_sparse, sparse
+from pnormlab.engine import PNormTest
 from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import (
     MonteCarloPlan,
@@ -13,10 +16,12 @@ from pnormlab.mc import (
     draw,
     empirical_upper_quantile,
     run_chunked,
+    Unit,
     simulate_null_statistics,
     simulate_shifted,
 )
 from pnormlab.norms import SUP, Exponent, _tile_rows, batch_norms
+from pnormlab.power import power_curve
 
 
 class TestPlan:
@@ -190,19 +195,107 @@ class TestChunkPassFootprint:
         # one block of four; one whole 128-row chunk would be 71.7 MB
         d = 70_000
         plan = MonteCarloPlan(replications=160, seed=4)
-        shifts = np.zeros((3, d))
-        shifts[1] = 0.01
-        shifts[2, :5] = 1.0
+        ones = Unit.from_runs([1.0], [d])
+        shifts = [(ones, 0.0), (ones, 0.01), (Unit.from_runs([1.0, 0.0], [5, d - 5]), 1.0)]
         exps = (Exponent.finite(2.0), Exponent.finite(2.5), SUP)
         tile_bytes = _tile_rows(d) * d * 8
         tracemalloc.start()
         try:
-            simulate_shifted(shifts, exps, plan, lambda cols, theta, norms: None)
+            simulate_shifted(shifts, exps, plan, lambda cols, at, norms: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the lower bound shows that numpy's buffers are traced at all
         assert 4 * tile_bytes <= peak < 5 * tile_bytes, peak
+
+    @pytest.mark.parametrize("family", [dense(), sparse()], ids=["dense", "sparse"])
+    def test_power_curve_peak_does_not_grow_with_the_scales(self, family):
+        # a curve holds one dense unit row, or a sparse unit's support, for
+        # all its scales: 30 more scales cost less than one more d-row, where
+        # a (scales, d) matrix of shifts would cost 30 (16.8 MB)
+        d = 70_000
+        plan = MonteCarloPlan(replications=32, seed=4)
+        tests = [PNormTest(d, Exponent.finite(2.0), math.sqrt(d) + 2.0, 0.05),
+                 PNormTest(d, SUP, 4.5, 0.05)]
+        peaks = []
+        for points in (2, 32):
+            tracemalloc.start()
+            try:
+                power_curve(tests, family, np.linspace(0.0, 1.0, points), d, plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + d * 8, peaks
+
+
+class TestUnit:
+    @pytest.mark.parametrize("family", [
+        dense(), sparse(), semi_sparse(), power_sparse(4.0),
+        custom_family(lambda n: (np.arange(n) % 7 == 0) * (1.0 + np.arange(n) % 3)),
+    ], ids=lambda f: f.label)
+    @pytest.mark.parametrize("d", [100, 10_000])
+    def test_runs_and_vector_give_one_unit(self, family, d):
+        theta = family.theta(d)
+        runs, vector = Unit.from_runs(*family.runs(d)), Unit.from_vector(theta)
+        assert (runs.d, runs.size) == (vector.d, vector.size) == (d, np.count_nonzero(theta))
+        assert (runs.support is None) == (vector.support is None)
+        if runs.support is not None:
+            assert np.array_equal(runs.support, vector.support)
+        assert np.array_equal(runs.values, vector.values)
+        coords = np.array([d - 1, 0, 1, 7, d // 2])
+        assert np.array_equal(runs.at(coords), theta[coords])
+
+    def test_zero_unit_has_an_empty_support(self):
+        zero = Unit.from_runs([0.0], [50])
+        assert zero.size == 0 and zero.support.size == 0
+        assert np.array_equal(zero.at(np.array([0, 49])), [0.0, 0.0])
+
+    def test_refuses_a_matrix(self):
+        with pytest.raises(DomainError):
+            Unit.from_vector(np.zeros((2, 5)))
+
+
+class TestShiftRouting:
+    @staticmethod
+    def _kernels(monkeypatch, shifts):
+        """(support size, has offset) of every kernel one chunk pass builds."""
+        made = []
+        kernel = mc.ShiftedNormKernel
+
+        def spy(rows, support, exps, scratch, offset=None):
+            made.append((len(support), offset is not None))
+            return kernel(rows, support, exps, scratch, offset=offset)
+
+        monkeypatch.setattr(mc, "ShiftedNormKernel", spy)
+        simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda cols, at, norms: None)
+        return sorted(made)
+
+    def test_support_block_is_capped_at_the_chunk_block(self, monkeypatch):
+        # at d = 1e4 a tile is 6 rows: a 128-row support block fits the
+        # chunk's 4 x 6 x 1e4 block up to 1875 columns, below the 20 % share
+        d = 10_000
+        assert _tile_rows(d) == 6
+        assert mc._joins_sparse_kernel(1875, d) and not mc._joins_sparse_kernel(1876, d)
+        units = [Unit.from_runs([1.0, 0.0], [k, d - k]) for k in (1875, 1876, 2000)]
+        assert [u.support is None for u in units] == [False, True, True]
+        shifts = [(u, 0.5) for u in units] + [(units[2], 0.0)]
+        # the zero-scale shift joins the sparse kernel; the others get full passes
+        assert self._kernels(monkeypatch, shifts) == [(0, True), (0, True), (1875, False)]
+
+    def test_support_share_binds_at_small_d(self, monkeypatch):
+        d = 100
+        assert mc._joins_sparse_kernel(20, d) and not mc._joins_sparse_kernel(21, d)
+        shifts = [(Unit.from_runs([1.0, 0.0], [k, d - k]), 1.0) for k in (20, 21, 3)]
+        # the 3-coordinate shift joins the 20-coordinate kernel
+        assert self._kernels(monkeypatch, shifts) == [(0, True), (20, False)]
+
+    def test_stock_families_keep_their_kernels_up_to_d_1e7(self):
+        assert Unit.from_runs(*semi_sparse().runs(10**7)).size == 197
+        for d in (16, 10**3, 10**4, 70_000, 10**6, 10**7):
+            assert Unit.from_runs(*dense().runs(d)).support is None
+            for family in (sparse(), semi_sparse(), power_sparse(4.0)):
+                assert Unit.from_runs(*family.runs(d)).support is not None
 
 
 class TestTiledDraws:
@@ -232,14 +325,15 @@ class TestTiledDraws:
         d = 5000
         coords = (4999, 0, 17)
         plan = MonteCarloPlan(replications=300, seed=6)
-        shifts = np.zeros((2, d))
-        shifts[1] = 0.5
-        got = simulate_shifted(shifts, (SUP,), plan, lambda cols, theta, norms: dict(cols),
+        ones = Unit.from_runs([1.0], [d])
+        got = simulate_shifted([(ones, 0.0), (ones, 0.5)], (SUP,), plan,
+                               lambda cols, at, norms: (dict(cols), at),
                                workers=workers, coordinates=coords)
         for (c, _, size), chunk in zip(plan.chunk_bounds(), got):
             eps = chunk_generator(plan.seed, c).standard_normal((size, d))
-            for cols in chunk:
+            for (cols, at), scale in zip(chunk, (0.0, 0.5)):
                 assert list(cols) == list(coords)
+                assert at == {i: scale for i in coords}
                 for i in coords:
                     assert np.array_equal(cols[i], eps[:, i])
 

@@ -189,12 +189,12 @@ class TestShiftedNormKernel:
     def test_row_tiles_match_the_whole_chunk(self, seed, rows, d, width, dense, ps):
         rng = np.random.default_rng(seed)
         eps = rng.standard_normal((rows, d))
-        offset = rng.normal(scale=0.5, size=d) if dense else None
+        offset = (rng.normal(size=d), 0.5) if dense else None
         support = rng.choice(d, size=width, replace=False)
         values = rng.normal(scale=2.0, size=width)
         exps = [Exponent.finite(p) for p in ps] + [SUP]
         incr = _kernel(eps, support, exps, offset=offset).norms_at(values)
-        shifted = eps.copy() if offset is None else eps + offset
+        shifted = eps.copy() if offset is None else eps + offset[0] * offset[1]
         shifted[:, support] += values
         direct = batch_norms(shifted, exps)
         for e in exps:

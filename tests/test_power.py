@@ -16,7 +16,7 @@ from pnormlab.engine import (
     reject_matrix,
 )
 from pnormlab.errors import DomainError, RankError
-from pnormlab.mc import MonteCarloPlan, chunk_generator, simulate_null_statistics
+from pnormlab.mc import MonteCarloPlan, Unit, chunk_generator, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent
 from pnormlab.power import (
     _counts,
@@ -192,8 +192,9 @@ class TestCounts:
             at_fraction,
             above_fraction,
         ]
+        shifts = [(Unit.from_vector(theta), 1.0) for theta in shifts]
         got = _counts(tests, shifts, plan, workers)
-        want = np.vstack([_counts(tests, [theta], plan, 1) for theta in shifts])
+        want = np.vstack([_counts(tests, [shift], plan, 1) for shift in shifts])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -207,7 +208,8 @@ class TestCounts:
             .sum(axis=1)
             for c, _, size in plan.chunk_bounds()
         )
-        assert np.array_equal(_counts(tests, [theta], plan, workers)[0], want)
+        assert np.array_equal(_counts(tests, [(Unit.from_vector(theta), 1.0)], plan, workers)[0],
+                              want)
 
 
 class TestAutoGrid:
