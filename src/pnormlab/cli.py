@@ -293,8 +293,7 @@ def _cmd_power(args) -> int:
 
     outputs = []
     for family in families:
-        grid = fixed_grid or plab.auto_a_grid(tests, family, d, plan, workers=workers)
-        table = plab.power_curve(tests, family, grid, d, plan, workers=workers)
+        table = plab.power_curve(tests, family, fixed_grid, d, plan, workers=workers)
         stem = family.label.replace("(", "_").replace(")", "").replace("=", "")
         csv_path = os.path.join(outdir, f"power_{stem}.csv")
         svg_path = os.path.join(outdir, f"power_{stem}.svg")

@@ -38,6 +38,15 @@ allocates one block of `_CHUNK_BUFFERS` tile buffers, the noise tile and the
 three norm scratch matrices its kernels share as they fill in turn, never a
 128 x d chunk.  The visits run once per chunk and shift, after its last
 tile.
+Kernels are filled for a pass and dropped with it, unless the caller hands
+`simulate_shifted` a store: a dict it owns that keeps filled kernels and
+coordinate columns under exact keys (plan seed, chunk, rows and d; the
+exponents; the support, or the full pass's ``(unit, scale)``).  A later pass
+on the same plan takes what matches and draws a chunk only to fill what is
+missing, so `power.power_curve` lets its auto-grid probes fill kernels that
+its curve reads.  A kernel holds no tile buffer, so a stored one keeps only
+its chunk-height columns; a reused kernel gives the bits of a fresh fill.
+There is no store across calls of the library.
 Sums are max-factored and add the off-support part, never subtract it, so
 norms agree with the direct evaluation to a relative 1e-13 even at
 exponents near 60 with the row maximum on the support or cancelled by the
@@ -46,7 +55,8 @@ shift (pinned by ``tests/test_norms.py::TestShiftedNormKernel``).
 Execution: `run_chunked` runs chunks in a loop or on a pool of threads.
 numpy's generator fills and large ufuncs release the GIL, so chunks on
 different threads overlap; each chunk owns its generator and its buffers,
-so chunks share no mutable state.
+so chunks share no mutable state but a store, where each chunk reads and
+writes only the keys of its own index.
 """
 
 from __future__ import annotations
@@ -214,14 +224,25 @@ class Unit:
 
 def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[Exponent],
                      plan: MonteCarloPlan, visit: Callable[..., object], workers: int = 1,
-                     coordinates: Sequence[int] = ()) -> list[list]:
+                     coordinates: Sequence[int] = (), store: dict | None = None,
+                     read_only: bool = False) -> list[list]:
     """Draw each chunk of ``plan`` once and call ``visit(columns, at, norms)``
     for every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
     ``norms`` the statistics of ``eps + theta``, ``columns`` the noise columns
     ``{i: eps[:, i]}`` of the requested ``coordinates`` and ``at`` the
     shift's values there, ``{i: theta[i]}``; neither the chunk ``eps`` nor any
     ``theta`` is ever held whole.  Returns each chunk's visit results, in
-    chunk order."""
+    chunk order.
+
+    ``store``, a dict the caller owns, holds filled kernels and coordinate
+    columns for later passes.  A chunk takes from it the kernels whose key
+    matches exactly: plan seed, chunk index, row count and d, the exponent
+    tuple, and the kernel's support, or for a full pass its offset
+    ``(unit, scale)`` with the unit held by reference; the columns are keyed
+    by the coordinates in place of exponents and support.  The chunk is
+    drawn only when a kernel or its columns are missing, and then fills only
+    the missing kernels, which it adds to ``store`` unless ``read_only``.
+    A stored kernel holds the bits a fresh fill would give."""
     dims = {unit.d for unit, _ in shifts}
     if len(dims) != 1:
         raise DomainError(f"need one or more shifts of one dimension, got {sorted(dims)}")
@@ -231,21 +252,22 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
     tile = _tile_rows(d)
     empty = np.array([], dtype=np.intp)
     sizes = [unit.size if scale != 0.0 else 0 for unit, scale in shifts]
-    # (support, offset, rows): one kernel over support on eps + offset
+    # (support, offset, rows): one kernel over support on eps + offset; a
+    # full pass is keyed by its (unit, scale), a sparse kernel by its support
     full, sparse = [], []
     for si in sorted(range(len(shifts)), key=lambda i: -sizes[i]):
         unit, scale = shifts[si]
         if sizes[si] and unit.support is None:
-            full.append((empty, (unit.values, scale), [si]))
+            full.append(((unit, scale), (empty, (unit.values, scale), [si])))
             continue
         own = unit.support if sizes[si] else empty
-        for support, _, rows in sparse:
+        for _, (support, _, rows) in sparse:
             if np.isin(own, support).all():
                 rows.append(si)
                 break
         else:
-            sparse.append((own, None, [si]))
-    groups = full + sparse
+            sparse.append((own.tobytes(), (own, None, [si])))
+    keys, groups = zip(*(full + sparse))
     # each shift's values on its kernel's support and at the visit's coordinates
     on_support = [None] * len(shifts)
     for support, _, rows in groups:
@@ -255,18 +277,32 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
     at = [dict(zip(coords.tolist(), np.multiply(unit.at(coords), scale)))
           for unit, scale in shifts]
 
+    if store is None:
+        store, read_only = {}, True
+    coords_key = tuple(coords.tolist())
+
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
-        rng = chunk_generator(plan.seed, chunk_index)
-        # row 0 takes each noise tile; the others are the kernels' shared scratch
-        block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
-        kernels = [ShiftedNormKernel(size, support, exps, block[1:], offset=offset)
-                   for support, offset, _ in groups]
-        gathered = np.empty((size, coords.size))
-        for lo in range(0, size, tile):
-            eps = draw(rng, block[0, : min(tile, size - lo)])
-            gathered[lo : lo + len(eps)] = eps[:, coords]
-            for kernel in kernels:
-                kernel.fill(lo, eps)
+        chunk = (plan.seed, chunk_index, size, d)
+        names = [chunk + (exps, key) for key in keys]
+        kernels = [store.get(name) for name in names]
+        todo = [gi for gi, kernel in enumerate(kernels) if kernel is None]
+        gathered = store.get(chunk + (coords_key,))
+        if todo or gathered is None:
+            rng = chunk_generator(plan.seed, chunk_index)
+            # row 0 takes each noise tile; the others are the kernels' shared scratch
+            block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
+            for gi in todo:
+                support, offset, _ = groups[gi]
+                kernels[gi] = ShiftedNormKernel(size, support, exps, offset=offset)
+            gathered = np.empty((size, coords.size))
+            for lo in range(0, size, tile):
+                eps = draw(rng, block[0, : min(tile, size - lo)])
+                gathered[lo : lo + len(eps)] = eps[:, coords]
+                for gi in todo:
+                    kernels[gi].fill(lo, eps, block[1:])
+            if not read_only:
+                store.update(zip(names, kernels))
+                store[chunk + (coords_key,)] = gathered
         columns = {int(i): gathered[:, j] for j, i in enumerate(coords)}
         out = [None] * len(shifts)
         for kernel, (_, _, rows) in zip(kernels, groups):

@@ -199,11 +199,12 @@ class ShiftedNormKernel:
     1 (0 on an all-zero row).
 
     The kernel never sees the whole chunk: it is sized for ``rows`` rows and
-    `fill` hands it the chunk one row tile at a time.  Its large scratch is
-    ``scratch``, a ``(3, tile, d)`` array (``|y|``, the chain/exp pass and
-    the log) that the caller owns and may share between kernels that fill in
-    turn; only ``m_rest``, ``S_rest`` and the support columns (rows x
-    support) are chunk-height.  An ``offset`` pair ``(unit, scale)``, a dense
+    `fill` hands it the chunk one row tile at a time, with a ``(3, tile, d)``
+    scratch array (``|y|``, the chain/exp pass and the log) that the caller
+    owns and may share between kernels that fill in turn.  The kernel keeps
+    no reference to it: what it holds is ``m_rest``, ``S_rest`` and the
+    support columns (rows x support), so a filled kernel can outlive the
+    chunk's buffers.  An ``offset`` pair ``(unit, scale)``, a dense
     d-row ``unit`` and a float, makes it a kernel of ``eps + scale * unit``:
     each fill writes the product ``np.multiply(unit, scale)`` into one row of
     the free chain scratch and adds it there, so many scales share one unit
@@ -218,25 +219,23 @@ class ShiftedNormKernel:
         rows: int,
         support: np.ndarray,
         exponents: Sequence[Exponent],
-        scratch: np.ndarray,
         offset: tuple[np.ndarray, float] | None = None,
     ):
         self.exponents = tuple(exponents)
         self._support = np.asarray(support, dtype=np.intp)
         self._offset = offset
-        self._scratch = scratch
         self._eps_support = np.empty((rows, self._support.size))
         self._max_rest = np.empty(rows)
         self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
 
-    def fill(self, lo: int, tile: np.ndarray) -> None:
+    def fill(self, lo: int, tile: np.ndarray, scratch: np.ndarray) -> None:
         """Take rows ``lo .. lo + len(tile)`` of the noise chunk from ``tile``,
-        which has at most as many rows as the scratch."""
+        working in ``scratch``, three matrices of at least its rows."""
         tile = np.asarray(tile, dtype=float)
         hi = lo + tile.shape[0]
         support, offset = self._support, self._offset
         self._eps_support[lo:hi] = tile[:, support]
-        scratch = self._scratch[:, : tile.shape[0]]
+        scratch = scratch[:, : tile.shape[0]]
         Z = scratch[0]
         if offset is None:
             np.abs(tile, out=Z)

@@ -61,9 +61,10 @@ def _dimension(tests: Sequence) -> int:
 
 
 def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCarloPlan,
-            workers: int) -> np.ndarray:
+            workers: int, store: dict | None = None, read_only: bool = False) -> np.ndarray:
     """Rejection counts, one row per mean shift ``(unit, scale)`` and one
-    column per test, with every chunk drawn once (`mc.simulate_shifted`)."""
+    column per test, with every chunk drawn at most once and filled kernels
+    shared through ``store`` (`mc.simulate_shifted`)."""
     d = _dimension(tests)
     if {unit.d for unit, _ in shifts} != {d}:
         raise DomainError(f"need one or more shifts of the tests' dimension {d}")
@@ -73,7 +74,8 @@ def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCa
         return [int(np.count_nonzero(t.decide_batch(norms, cvals))) for t in tests]
 
     per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
-                                 coordinates=required_coordinates(tests))
+                                 coordinates=required_coordinates(tests), store=store,
+                                 read_only=read_only)
     return np.sum(per_chunk, axis=0)
 
 
@@ -158,7 +160,7 @@ def require_distinct_labels(labels: Sequence[str]) -> None:
 def power_curve(
     tests: Sequence,
     family: AlternativeFamily,
-    a_grid: Sequence[float],
+    a_grid: Sequence[float] | None,
     d: int,
     plan: MonteCarloPlan,
     workers: int = 1,
@@ -166,16 +168,26 @@ def power_curve(
     """Estimated power of every test at every scale of one signal family.
 
     All cells share the same simulated noise (common random numbers).
+    ``a_grid=None`` takes the grid `auto_a_grid` finds on ``plan``: its
+    probes keep the kernels they fill in a store that lives for this call,
+    and the curve reuses every one whose chunk, exponents and support (or
+    unit and scale) match, so a sparse family's curve draws no noise after
+    the first probe when the plan has at most 400 replications.  The table
+    is the one `auto_a_grid` followed by `power_curve` on its grid gives.
     """
     d = int(d)
+    require_distinct_labels([t.label for t in tests])
+    unit = Unit.from_runs(*family.runs(d))
+    store = None
+    if a_grid is None:
+        store = {}
+        a_grid = auto_a_grid(tests, family, d, plan, workers=workers, unit=unit, store=store)
     scales = [float(a) for a in a_grid]
     if not scales or any(not 0.0 <= a < math.inf for a in scales) or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
         raise DomainError("a_grid must be non-empty, finite, non-negative and strictly increasing")
-    require_distinct_labels([t.label for t in tests])
-    unit = Unit.from_runs(*family.runs(d))
-    counts = _counts(tests, [(unit, a) for a in scales], plan, workers)
+    counts = _counts(tests, [(unit, a) for a in scales], plan, workers, store, read_only=True)
     rows = []
     for ti, t in enumerate(tests):
         for si, a in enumerate(scales):
@@ -206,16 +218,24 @@ def auto_a_grid(
     points: int = 32,
     top_power: float = 0.99,
     workers: int = 1,
+    *,
+    unit: Unit | None = None,
+    store: dict | None = None,
 ) -> tuple[float, ...]:
     """Scale grid from 0 to the first doubling at which the fastest test
-    clears ``top_power`` (probed at a reduced replication count)."""
+    clears ``top_power`` (probed on the first 400 replications at most).
+
+    ``unit`` is the family's `mc.Unit` at ``d`` (built when None); the
+    probes add the kernels they fill to ``store``
+    (`mc.simulate_shifted`), as `power_curve` does to share them."""
     if points < 2:
         raise DomainError("grid needs at least two points")
     probe_plan = plan.with_replications(min(plan.replications, 400))
-    unit = Unit.from_runs(*family.runs(d))
+    if unit is None:
+        unit = Unit.from_runs(*family.runs(d))
     hi = _FAMILY_START_SCALE.get(family.kind, 1.0)
     for _ in range(12):
-        counts = _counts(tests, [(unit, hi)], probe_plan, workers)[0]
+        counts = _counts(tests, [(unit, hi)], probe_plan, workers, store)[0]
         if counts.max() / probe_plan.replications >= top_power:
             break
         hi *= 2.0
@@ -318,13 +338,14 @@ class GapScanReport:
 def power_gap_scan(
     combined: CombinedTest,
     member_index: int,
-    thetas: Sequence[tuple[str, np.ndarray]],
+    shifts: Sequence[tuple[str, Unit, float]],
     plan: MonteCarloPlan,
     calibration_plan: MonteCarloPlan,
     workers: int = 1,
     stats: Mapping[Exponent, np.ndarray] | None = None,
 ) -> GapScanReport:
-    """Scan mean vectors for the largest power gap between the standalone
+    """Scan labeled mean shifts ``(label, unit, scale)``, the mean
+    ``scale * unit``, for the largest power gap between the standalone
     member test (at the combined test's full level) and the combined test.
 
     The analytic ceiling on the asymptotic gap is
@@ -345,10 +366,9 @@ def power_gap_scan(
     bound = (
         std_normal_quantile(1.0 - limit_a) - std_normal_quantile(1.0 - combined.alpha)
     ) / math.sqrt(2.0 * math.pi)
-    shifts = [(Unit.from_vector(theta), 1.0) for _, theta in thetas]
-    counts = _counts([standalone, combined], shifts, plan, workers)
+    counts = _counts([standalone, combined], [(unit, a) for _, unit, a in shifts], plan, workers)
     gaps = []
-    for (label, _), row in zip(thetas, counts):
+    for (label, _, _), row in zip(shifts, counts):
         (r_single, se_s), (r_comb, se_c) = (_rate_se(int(c), plan.replications) for c in row)
         gaps.append((label, r_single - r_comb, math.hypot(se_s, se_c)))
     worst = max(gaps, key=lambda g: g[1])
@@ -362,9 +382,10 @@ def power_gap_scan(
     )
 
 
-def default_gap_grid(d: int, points_per_family: int = 15) -> list[tuple[str, np.ndarray]]:
-    """Sixty labeled mean vectors spanning the four stock families at scales
-    from null to high power."""
+def default_gap_grid(d: int, points_per_family: int = 15) -> list[tuple[str, Unit, float]]:
+    """Sixty labeled mean shifts ``(label, unit, scale)`` spanning the four
+    stock families at scales from null to high power; the shifts of one
+    family share its one `mc.Unit`, so the grid holds at most one d-row."""
     d = int(d)
     fams = [
         (dense(), np.linspace(0.0, 0.4, points_per_family)),
@@ -374,8 +395,8 @@ def default_gap_grid(d: int, points_per_family: int = 15) -> list[tuple[str, np.
     ]
     out = []
     for fam, scales in fams:
-        for a in scales:
-            out.append((f"{fam.label} a={a:.4g}", fam.theta(d, float(a))))
+        unit = Unit.from_runs(*fam.runs(d))
+        out += [(f"{fam.label} a={a:.4g}", unit, float(a)) for a in scales]
     return out
 
 

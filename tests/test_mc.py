@@ -263,9 +263,9 @@ class TestShiftRouting:
         made = []
         kernel = mc.ShiftedNormKernel
 
-        def spy(rows, support, exps, scratch, offset=None):
+        def spy(rows, support, exps, offset=None):
             made.append((len(support), offset is not None))
-            return kernel(rows, support, exps, scratch, offset=offset)
+            return kernel(rows, support, exps, offset=offset)
 
         monkeypatch.setattr(mc, "ShiftedNormKernel", spy)
         simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda cols, at, norms: None)

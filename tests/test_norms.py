@@ -113,9 +113,9 @@ def _kernel(eps, support, exps, offset=None):
     """A kernel filled from ``eps`` in the row tiles a Monte Carlo chunk uses."""
     tile = _tile_rows(eps.shape[1])
     scratch = np.empty((3, min(tile, len(eps)), eps.shape[1]))
-    kernel = ShiftedNormKernel(len(eps), support, exps, scratch, offset=offset)
+    kernel = ShiftedNormKernel(len(eps), support, exps, offset=offset)
     for lo in range(0, len(eps), tile):
-        kernel.fill(lo, eps[lo : lo + tile])
+        kernel.fill(lo, eps[lo : lo + tile], scratch)
     return kernel
 
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from pnormlab import mc
+from pnormlab import power as plab
 from pnormlab.consistency import custom_family, dense, semi_sparse, sparse
 from pnormlab.engine import (
     ConstantTest,
@@ -17,7 +20,7 @@ from pnormlab.engine import (
 )
 from pnormlab.errors import DomainError, RankError
 from pnormlab.mc import MonteCarloPlan, Unit, chunk_generator, simulate_null_statistics
-from pnormlab.norms import SUP, Exponent
+from pnormlab.norms import SUP, Exponent, _tile_rows
 from pnormlab.power import (
     _counts,
     auto_a_grid,
@@ -233,6 +236,79 @@ class TestAutoGrid:
         )
 
 
+def _spy_passes(monkeypatch, step):
+    """Record ``step(kwargs)`` after every `simulate_shifted` call that
+    `power` makes, in call order."""
+    seen = []
+    real = plab.simulate_shifted
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(step(kwargs))
+        return out
+
+    monkeypatch.setattr(plab, "simulate_shifted", spy)
+    return seen
+
+
+class TestAutoGridStore:
+    """``power_curve(..., None, ...)``: the auto-grid probes and the curve
+    share the kernels the probes fill."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reps", [256, 1000])
+    @pytest.mark.parametrize("family", [dense(), sparse(), semi_sparse()],
+                             ids=lambda f: f.label)
+    def test_equals_the_curve_on_the_auto_grid(self, suite, family, reps, workers):
+        # 1000 replications probe on 400: the last probe chunk has 16 rows
+        # and must not stand in for the curve's 128-row chunk 3
+        d, tests = suite
+        tests = tests + [build_enhanced(tests[1], d)]  # reads coordinate 0
+        plan = MonteCarloPlan(replications=reps, seed=23)
+        grid = auto_a_grid(tests, family, d, plan, workers=workers)
+        want = power_curve(tests, family, grid, d, plan, workers=workers)
+        assert power_curve(tests, family, None, d, plan, workers=workers) == want
+
+    def test_sparse_curve_draws_only_for_the_first_probe(self, suite, monkeypatch):
+        d, tests = suite
+        drawn = []
+
+        def draw(rng, out):
+            drawn.append(out.shape[0])
+            return rng.standard_normal(out=out)
+
+        monkeypatch.setattr(mc, "draw", draw)
+        rows = _spy_passes(monkeypatch, lambda kwargs: sum(drawn))
+        plan = MonteCarloPlan(replications=300, seed=24)
+        power_curve(tests, sparse(), None, d, plan)
+        # at least two probes, then the curve; only the first probe draws
+        assert len(rows) >= 3 and rows == [300] * len(rows), rows
+
+    @pytest.mark.parametrize("family", [dense(), sparse()], ids=lambda f: f.label)
+    def test_curve_adds_nothing_and_no_kernel_keeps_a_tile_block(self, family, monkeypatch):
+        # at d = 70000 a tile is one row (560 KB) and a chunk's block four;
+        # between passes the store and a dense unit's row are all that lives
+        d = 70_000
+        tile_bytes = _tile_rows(d) * d * 8
+        tests = [PNormTest(d, E2, math.sqrt(d) + 2.0, 0.05), PNormTest(d, SUP, 4.5, 0.05)]
+        plan = MonteCarloPlan(replications=160, seed=25)  # 128 + 32 rows
+        passes = _spy_passes(monkeypatch, lambda kwargs: (
+            kwargs["read_only"], len(kwargs["store"]), tracemalloc.get_traced_memory()[0]))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            power_curve(tests, family, None, d, plan)
+        finally:
+            tracemalloc.stop()
+        *probes, curve = passes
+        assert probes and not any(read_only for read_only, _, _ in probes) and curve[0]
+        assert curve[1] == probes[-1][1] > 0
+        unit_bytes = 0 if family.kind == "sparse" else tile_bytes
+        for _, _, held in passes:
+            assert held - base < unit_bytes + tile_bytes, (held - base, tile_bytes)
+        assert curve[2] - probes[-1][2] < tile_bytes // 8
+
+
 class TestPeDemo:
     def test_report_structure_and_union_bound(self):
         d = 2000
@@ -262,8 +338,8 @@ class TestGapScan:
         m, exps = member_exponents(d, "exp")
         combined = build_combined(d, exps, geometric_budget(m, 0.05), cal)
         plan = MonteCarloPlan(replications=4000, seed=17)
-        thetas = [("null", np.zeros(d))]
-        report = power_gap_scan(combined, 0, thetas, plan, cal)
+        shifts = [("null", Unit.from_runs([0.0], [d]), 0.0)]
+        report = power_gap_scan(combined, 0, shifts, plan, cal)
         assert report.bound == pytest.approx(0.238, abs=0.002)
         assert abs(report.gaps[0][1]) <= 4.0 * report.gaps[0][2]
 
@@ -276,18 +352,29 @@ class TestGapScan:
         )
         combined = build_combined(d, exps, geometric_budget(m, 0.05), cal, stats=stats)
         plan = MonteCarloPlan(replications=1000, seed=19)
-        thetas = [("null", np.zeros(d)), ("dense", dense().theta(d, 0.3))]
-        assert power_gap_scan(combined, 0, thetas, plan, cal, stats=stats) == (
-            power_gap_scan(combined, 0, thetas, plan, cal)
+        ones = Unit.from_runs(*dense().runs(d))
+        shifts = [("null", ones, 0.0), ("dense", ones, 0.3)]
+        assert power_gap_scan(combined, 0, shifts, plan, cal, stats=stats) == (
+            power_gap_scan(combined, 0, shifts, plan, cal)
         )
 
     def test_default_grid_span(self):
         grid = default_gap_grid(1000, points_per_family=15)
         assert len(grid) == 60
-        labels = {label.split(" ")[0] for label, _ in grid}
+        labels = {label.split(" ")[0] for label, _, _ in grid}
         assert labels == {"dense", "sparse", "semi-sparse", "power-sparse(p=4)"}
-        for _, theta in grid:
-            assert theta.shape == (1000,)
+        for _, unit, _ in grid:
+            assert unit.d == 1000
+
+    def test_default_grid_holds_one_row_per_dense_family(self):
+        # sixty dense d-rows at d = 1e5 would be 45.8 MiB
+        tracemalloc.start()
+        try:
+            grid = default_gap_grid(100_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 60 and held < 2**20, held
 
     def test_member_index_guard(self):
         d = 200
@@ -295,7 +382,7 @@ class TestGapScan:
         m, exps = member_exponents(d, "exp")
         combined = build_combined(d, exps, geometric_budget(m, 0.05), cal)
         with pytest.raises(DomainError):
-            power_gap_scan(combined, 99, [("x", np.zeros(d))], cal, cal)
+            power_gap_scan(combined, 99, [("x", Unit.from_runs([0.0], [d]), 0.0)], cal, cal)
 
 
 class TestRegressionReduce:
