@@ -167,6 +167,12 @@ def _cmd_calibrate(args) -> int:
     exponent_text = res.get("p")
     asymptotic = res.get("asymptotic", False)
     minimax = res.get("minimax", False)
+    chosen = [key for key, given in (("asymptotic", asymptotic), ("minimax", minimax),
+                                     ("preset", preset is not None),
+                                     ("p", exponent_text is not None)) if given]
+    if len(chosen) > 1 and chosen != ["asymptotic", "p"]:
+        raise ConfigError(f"conflicting modes {', '.join('--' + key for key in chosen)}: set one "
+                          f"of --p, --preset or --minimax (--asymptotic goes with --p only)")
 
     plan = None if asymptotic else _plan(res, "reps", "seed", 100_000, 20_240_501)
     if asymptotic:

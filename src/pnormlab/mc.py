@@ -27,17 +27,21 @@ coordinates for a sparse kernel (`_joins_sparse_kernel`) is held by its
 support and values; such a shift, the zero shift included, joins the kernel
 of the widest such support containing its own and costs O(replications x
 support).  Any other unit is one dense row, and each of its shifts gets an
-empty-support kernel with ``(unit, scale)`` as its offset: one full pass
-bit-identical to `batch_norms` of the shifted noise.  The chunk is drawn one
-row tile of `norms._tile_rows` rows at a time; each tile fills every kernel
-and the visit's coordinate columns before the next tile overwrites it.
+empty-support kernel that the chunk pass fills from every tile plus ``scale
+* unit``, added in the chunk's scratch: one full pass bit-identical to
+`batch_norms` of the shifted noise.  The chunk pass is the one place that
+adds a dense shift; a kernel reduces the tile it is handed.  The chunk is
+drawn one row tile of `norms._tile_rows` rows at a time; each tile fills
+every kernel and the visit's coordinate columns before the next tile
+overwrites it.
 Successive tile draws consume the chunk's generator in the order one
 whole-chunk draw does (pinned by ``tests/test_mc.py::TestTiledDraws``), so
 the chunk, not the tile, stays the unit of the RNG stream.  A chunk
 allocates one block of `_CHUNK_BUFFERS` tile buffers, the noise tile and the
 three norm scratch matrices its kernels share as they fill in turn, never a
 128 x d chunk.  The visits run once per chunk and shift, after its last
-tile.
+tile, as ``visit(norms, coords)``: the argument order of ``decide_batch``,
+with the shifted coordinate columns ``eps[:, i] + theta_i``.
 Kernels are filled for a pass and dropped with it, unless the caller hands
 `simulate_shifted` a store: a dict it owns that keeps filled kernels and
 coordinate columns under exact keys (plan seed, chunk, rows and d; the
@@ -226,18 +230,19 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
                      plan: MonteCarloPlan, visit: Callable[..., object], workers: int = 1,
                      coordinates: Sequence[int] = (), store: dict | None = None,
                      read_only: bool = False) -> list[list]:
-    """Draw each chunk of ``plan`` once and call ``visit(columns, at, norms)``
-    for every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
-    ``norms`` the statistics of ``eps + theta``, ``columns`` the noise columns
-    ``{i: eps[:, i]}`` of the requested ``coordinates`` and ``at`` the
-    shift's values there, ``{i: theta[i]}``; neither the chunk ``eps`` nor any
-    ``theta`` is ever held whole.  Returns each chunk's visit results, in
-    chunk order.
+    """Draw each chunk of ``plan`` once and call ``visit(norms, coords)`` for
+    every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
+    ``norms`` the statistics of ``eps + theta`` and ``coords`` its columns
+    ``{i: eps[:, i] + theta[i]}`` at the requested ``coordinates``; neither
+    the chunk ``eps`` nor any ``theta`` is ever held whole.  A sparse kernel
+    adds its shifts on its support in `ShiftedNormKernel.norms_at`; for a
+    dense unit this pass adds ``scale * unit`` to every tile of a full pass.
+    Returns each chunk's visit results, in chunk order.
 
     ``store``, a dict the caller owns, holds filled kernels and coordinate
     columns for later passes.  A chunk takes from it the kernels whose key
     matches exactly: plan seed, chunk index, row count and d, the exponent
-    tuple, and the kernel's support, or for a full pass its offset
+    tuple, and the kernel's support, or for a full pass its shift
     ``(unit, scale)`` with the unit held by reference; the columns are keyed
     by the coordinates in place of exponents and support.  The chunk is
     drawn only when a kernel or its columns are missing, and then fills only
@@ -289,17 +294,21 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
         gathered = store.get(chunk + (coords_key,))
         if todo or gathered is None:
             rng = chunk_generator(plan.seed, chunk_index)
-            # row 0 takes each noise tile; the others are the kernels' shared scratch
+            # row 0 takes each noise tile; the others are the kernels' shared
+            # scratch, where a full pass first adds its shift to the tile
             block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
             for gi in todo:
-                support, offset, _ = groups[gi]
-                kernels[gi] = ShiftedNormKernel(size, support, exps, offset=offset)
+                kernels[gi] = ShiftedNormKernel(size, groups[gi][0], exps)
             gathered = np.empty((size, coords.size))
             for lo in range(0, size, tile):
                 eps = draw(rng, block[0, : min(tile, size - lo)])
                 gathered[lo : lo + len(eps)] = eps[:, coords]
                 for gi in todo:
-                    kernels[gi].fill(lo, eps, block[1:])
+                    offset, y = groups[gi][1], eps
+                    if offset is not None:  # a full pass reduces eps + scale * unit
+                        shift = np.multiply(*offset, out=block[2, 0])
+                        y = np.add(eps, shift, out=block[1, : len(eps)])
+                    kernels[gi].fill(lo, y, block[1:])
             if not read_only:
                 store.update(zip(names, kernels))
                 store[chunk + (coords_key,)] = gathered
@@ -307,7 +316,8 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
         out = [None] * len(shifts)
         for kernel, (_, _, rows) in zip(kernels, groups):
             for si in rows:
-                out[si] = visit(columns, at[si], kernel.norms_at(on_support[si]))
+                out[si] = visit(kernel.norms_at(on_support[si]),
+                                {i: col + at[si][i] for i, col in columns.items()})
         return out
 
     return run_chunked(chunk_pass, plan, workers=workers)
@@ -333,7 +343,7 @@ def simulate_null_statistics(
     if not exps:
         raise DomainError("at least one exponent is required")
     zero = Unit.from_runs([0.0], [d])  # empty support: one kernel, no shift
-    chunks = simulate_shifted([(zero, 0.0)], exps, plan, lambda cols, at, norms: norms, workers)
+    chunks = simulate_shifted([(zero, 0.0)], exps, plan, lambda norms, coords: norms, workers)
     return {e: np.concatenate([chunk[0][e] for chunk in chunks]) for e in exps}
 
 

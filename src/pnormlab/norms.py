@@ -204,47 +204,29 @@ class ShiftedNormKernel:
     owns and may share between kernels that fill in turn.  The kernel keeps
     no reference to it: what it holds is ``m_rest``, ``S_rest`` and the
     support columns (rows x support), so a filled kernel can outlive the
-    chunk's buffers.  An ``offset`` pair ``(unit, scale)``, a dense
-    d-row ``unit`` and a float, makes it a kernel of ``eps + scale * unit``:
-    each fill writes the product ``np.multiply(unit, scale)`` into one row of
-    the free chain scratch and adds it there, so many scales share one unit
-    row and an offset allocates nothing.
-    ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row over
-    the same d elements in the same order, so any tiling gives the bits of
-    one pass over the chunk.
+    chunk's buffers.  `fill` reduces the tile it is given: a dense mean shift
+    is added by the caller (`mc.simulate_shifted`) before the tile is handed
+    over.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row
+    over the same d elements in the same order, so any tiling gives the bits
+    of one pass over the chunk.
     """
 
-    def __init__(
-        self,
-        rows: int,
-        support: np.ndarray,
-        exponents: Sequence[Exponent],
-        offset: tuple[np.ndarray, float] | None = None,
-    ):
+    def __init__(self, rows: int, support: np.ndarray, exponents: Sequence[Exponent]):
         self.exponents = tuple(exponents)
         self._support = np.asarray(support, dtype=np.intp)
-        self._offset = offset
         self._eps_support = np.empty((rows, self._support.size))
         self._max_rest = np.empty(rows)
         self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
 
     def fill(self, lo: int, tile: np.ndarray, scratch: np.ndarray) -> None:
         """Take rows ``lo .. lo + len(tile)`` of the noise chunk from ``tile``,
-        working in ``scratch``, three matrices of at least its rows."""
-        tile = np.asarray(tile, dtype=float)
+        working in ``scratch``, three matrices of at least its rows; ``tile``
+        may be ``scratch[0]``, which then turns into ``|tile|`` in place."""
         hi = lo + tile.shape[0]
-        support, offset = self._support, self._offset
-        self._eps_support[lo:hi] = tile[:, support]
+        self._eps_support[lo:hi] = tile[:, self._support]
         scratch = scratch[:, : tile.shape[0]]
-        Z = scratch[0]
-        if offset is None:
-            np.abs(tile, out=Z)
-        else:
-            # the chain scratch is free until _scaled_power_sums
-            shift = np.multiply(*offset, out=scratch[1, 0])
-            self._eps_support[lo:hi] += shift[support]
-            np.abs(np.add(tile, shift, out=Z), out=Z)
-        Z[:, support] = 0.0
+        Z = np.abs(tile, out=scratch[0])
+        Z[:, self._support] = 0.0
         m, sums = _scaled_power_sums(Z, self.exponents, scratch[1:])
         self._max_rest[lo:hi] = m
         for p, s in sums.items():

@@ -69,9 +69,8 @@ def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCa
     if {unit.d for unit, _ in shifts} != {d}:
         raise DomainError(f"need one or more shifts of the tests' dimension {d}")
 
-    def visit(columns, at, norms) -> list[int]:
-        cvals = {i: col + at[i] for i, col in columns.items()}
-        return [int(np.count_nonzero(t.decide_batch(norms, cvals))) for t in tests]
+    def visit(norms, coords) -> list[int]:
+        return [int(np.count_nonzero(t.decide_batch(norms, coords))) for t in tests]
 
     per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
                                  coordinates=required_coordinates(tests), store=store,
@@ -258,16 +257,14 @@ class PowerEnhancementReport:
     rows: tuple[tuple[str, float, float], ...]  # (label, power, stderr)
 
     def power(self, label: str) -> float:
-        for lbl, p, _ in self.rows:
-            if lbl == label:
-                return p
-        raise KeyError(label)
+        return self._row(label)[0]
 
     def stderr(self, label: str) -> float:
-        for lbl, _, se in self.rows:
-            if lbl == label:
-                return se
-        raise KeyError(label)
+        return self._row(label)[1]
+
+    def _row(self, label: str) -> tuple[float, float]:
+        """The (power, stderr) of the test ``label``; KeyError when absent."""
+        return {lbl: (p, se) for lbl, p, se in self.rows}[label]
 
 
 def pe_demo(

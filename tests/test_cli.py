@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnormlab import cli
+from pnormlab import cli, engine
 from pnormlab.cli import main
 from pnormlab.engine import (
     build_combined,
@@ -220,6 +221,39 @@ class TestCalibrate:
         test = load_test(out)
         assert test.alpha == pytest.approx(0.05)
         assert 0.0 < test.scale <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    def test_minimax_prints_its_kappas_and_threshold(self, capsys):
+        assert run(["calibrate", "--d", "100", "--minimax", "--reps", "2000"]) == 0
+        test = mc_scale_minimax(build_minimax_adaptive(100, 5.0, 8), 0.05,
+                                MonteCarloPlan(2000, 20_240_501))
+        lines = capsys.readouterr().out.splitlines()
+        want = [f"kappa[{j}] = {k:.10g}" for j, k in enumerate(test.kappas, start=1)]
+        assert lines[1:] == want + [f"threshold = {test.threshold:.10g}"]
+
+    @pytest.mark.parametrize("config, argv, keys", [
+        ("", ["--minimax", "--preset", "exp", "--p", "3"], ("minimax", "preset", "p")),
+        ("", ["--asymptotic", "--p", "2", "--minimax"], ("asymptotic", "minimax", "p")),
+        ("", ["--p", "2", "--preset", "exp"], ("preset", "p")),
+        ("", ["--asymptotic", "--preset", "exp"], ("asymptotic", "preset")),
+        ("preset = exp\n", ["--p", "2"], ("preset", "p")),
+        ("minimax = true\nasymptotic = yes\np = sup\n", [], ("asymptotic", "minimax", "p")),
+    ], ids=["three", "asymptotic-minimax", "p-preset", "asymptotic-preset",
+            "config-preset", "config-only"])
+    def test_conflicting_modes_exit_two_before_simulating(
+        self, tmp_path, monkeypatch, capsys, config, argv, keys
+    ):
+        calls = []
+        monkeypatch.setattr(engine, "simulate_null_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 100\nreps = 2000\n" + config)
+        out = tmp_path / "t.txt"
+        assert run(["calibrate", "--config", cfg, "--out", out] + argv) == 2
+        err = capsys.readouterr().err
+        named = err.split(":")[1]  # "error: conflicting modes --a, --b: ..."
+        assert set(re.findall(r"--[\w-]+", named)) == {f"--{key}" for key in keys}, err
+        assert calls == [] and not out.exists()
 
 
 class TestPower:
@@ -472,6 +506,32 @@ class TestConfigFile:
         cfg.write_text(f"d = 100\n{line}\n")
         assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, want", [
+        ("d = 100\np = 2\nasymptotic = yes\n", "kappa = 11.10233052"),
+        ("d = 100\np = 2\nasymptotic = off\nreps = 2000\n", None),
+        # 10 members at d = 16; a flat budget keeps each level above 10 / reps
+        ("d = 16\npreset = linear\nbudget-success = 0.05\nreps = 5000\n",
+         "preset = linear"),
+    ], ids=["bool-yes", "bool-off", "choice"])
+    def test_config_values_are_cast(self, tmp_path, capsys, lines, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert run(["calibrate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        if want is None:  # off: a Monte Carlo critical value, not the formula's
+            test = mc_calibrate(parse_exponent("2"), 100, 0.05, MonteCarloPlan(2000, 20_240_501))
+            want = f"kappa = {test.critical_value:.10g}"
+            assert "11.10233052" not in out
+        assert want in out
+
+    @pytest.mark.parametrize("line", ["preset = cubic", "d = ten", "minimax = maybe"])
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 2\nd = 100\n{line}\n")
+        assert run(["calibrate", "--config", cfg]) == 2
+        key = line.split(" = ")[0]
+        assert f"bad value for {key!r}" in capsys.readouterr().err
 
     def test_key_of_another_subcommand_is_valid(self, tmp_path, capsys):
         # one file can serve both calibrate and power

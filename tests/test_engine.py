@@ -62,6 +62,25 @@ class TestAsymptoticCriticalValue:
         direct = (z * math.sqrt(1000 * m.variance) + 1000 * m.mean) ** (1.0 / p)
         assert kappa == pytest.approx(direct, rel=1e-12)
 
+    # past the cutoff, alpha = 1/2 gives z == 0 (the centering alone) and
+    # alpha > 1/2 a negative z, whose bracket is a log1p difference
+    @pytest.mark.parametrize("p, d, alpha", [
+        (31.0, 1e3, 0.5), (31.0, 1e8, 0.55), (31.0, 1e8, 0.6),
+        (40.0, 1e3, 0.5), (40.0, 1e12, 0.55),
+    ])
+    def test_log_space_zero_and_negative_quantiles_match_linear(self, p, d, alpha):
+        from pnormlab.gaussmath import gauss_moments, std_normal_quantile
+
+        m = gauss_moments(p)
+        z = std_normal_quantile(1.0 - alpha)
+        assert (z == 0.0) == (alpha == 0.5) and z <= 0.0
+        direct = (z * math.sqrt(d * m.variance) + d * m.mean) ** (1.0 / p)
+        assert asymptotic_critical_value(p, int(d), alpha) == pytest.approx(direct, rel=1e-12)
+
+    def test_log_space_non_positive_bracket_raises(self):
+        with pytest.raises(CalibrationError):
+            asymptotic_critical_value(40.0, 10**8, 0.55)
+
     def test_huge_exponent_stays_finite(self):
         kappa = asymptotic_critical_value(400.0, 10_000, 0.05)
         assert math.isfinite(kappa) and 1.0 < kappa < 50.0
@@ -243,6 +262,12 @@ class TestBudgets:
     def test_custom_budget_warns(self):
         with pytest.warns(CalibrationWarning):
             custom_budget((0.02, 0.03))
+
+    def test_custom_limit_is_the_finite_level(self):
+        with pytest.warns(CalibrationWarning):
+            b = custom_budget((0.02, 0.03))
+        with pytest.warns(CalibrationWarning, match="no declared limit rule"):
+            assert b.limit_alpha(1) == 0.03
 
 
 class TestMemberExponents:

@@ -199,6 +199,9 @@ class TestSupDetectionWeight:
         # scalar-only rules are wrapped so array evaluation works downstream
         vals = sup_detection_weight(np.array([-2.0, 0.0, 3.0]), good)
         assert vals.shape == (3,) and np.all(vals > 0.0)
+        # a rule that already evaluates on arrays is returned as it is
+        vector = np.vectorize(lambda z: math.exp(z * z / 2.0), otypes=[float])
+        assert make_tail_weight(vector) is vector
         with pytest.raises(DomainError):
             make_tail_weight(lambda z: 1.0)  # bounded: no divergence
         with pytest.raises(DomainError):

@@ -190,7 +190,7 @@ class TestSimulateNullStatistics:
 
 class TestChunkPassFootprint:
     def test_traced_peak_stays_below_five_tile_buffers(self):
-        # a dense shift (offset kernel) and a sparse one on 160 = 128 + 32
+        # a dense shift (a full pass) and a sparse one on 160 = 128 + 32
         # rows.  At d = 70000 a tile is one row (560 KB), and a chunk holds
         # one block of four; one whole 128-row chunk would be 71.7 MB
         d = 70_000
@@ -201,7 +201,7 @@ class TestChunkPassFootprint:
         tile_bytes = _tile_rows(d) * d * 8
         tracemalloc.start()
         try:
-            simulate_shifted(shifts, exps, plan, lambda cols, at, norms: None)
+            simulate_shifted(shifts, exps, plan, lambda norms, coords: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -246,6 +246,11 @@ class TestUnit:
         coords = np.array([d - 1, 0, 1, 7, d // 2])
         assert np.array_equal(runs.at(coords), theta[coords])
 
+    def test_shifts_of_two_dimensions_are_refused(self):
+        shifts = [(Unit.from_runs([1.0], [50]), 1.0), (Unit.from_runs([1.0], [60]), 1.0)]
+        with pytest.raises(DomainError, match=r"\[50, 60\]"):
+            simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, coords: None)
+
     def test_zero_unit_has_an_empty_support(self):
         zero = Unit.from_runs([0.0], [50])
         assert zero.size == 0 and zero.support.size == 0
@@ -259,16 +264,16 @@ class TestUnit:
 class TestShiftRouting:
     @staticmethod
     def _kernels(monkeypatch, shifts):
-        """(support size, has offset) of every kernel one chunk pass builds."""
+        """The support size of every kernel one chunk pass builds."""
         made = []
         kernel = mc.ShiftedNormKernel
 
-        def spy(rows, support, exps, offset=None):
-            made.append((len(support), offset is not None))
-            return kernel(rows, support, exps, offset=offset)
+        def spy(rows, support, exps):
+            made.append(len(support))
+            return kernel(rows, support, exps)
 
         monkeypatch.setattr(mc, "ShiftedNormKernel", spy)
-        simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda cols, at, norms: None)
+        simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, coords: None)
         return sorted(made)
 
     def test_support_block_is_capped_at_the_chunk_block(self, monkeypatch):
@@ -281,14 +286,14 @@ class TestShiftRouting:
         assert [u.support is None for u in units] == [False, True, True]
         shifts = [(u, 0.5) for u in units] + [(units[2], 0.0)]
         # the zero-scale shift joins the sparse kernel; the others get full passes
-        assert self._kernels(monkeypatch, shifts) == [(0, True), (0, True), (1875, False)]
+        assert self._kernels(monkeypatch, shifts) == [0, 0, 1875]
 
     def test_support_share_binds_at_small_d(self, monkeypatch):
         d = 100
         assert mc._joins_sparse_kernel(20, d) and not mc._joins_sparse_kernel(21, d)
         shifts = [(Unit.from_runs([1.0, 0.0], [k, d - k]), 1.0) for k in (20, 21, 3)]
         # the 3-coordinate shift joins the 20-coordinate kernel
-        assert self._kernels(monkeypatch, shifts) == [(0, True), (20, False)]
+        assert self._kernels(monkeypatch, shifts) == [0, 20]
 
     def test_stock_families_keep_their_kernels_up_to_d_1e7(self):
         assert Unit.from_runs(*semi_sparse().runs(10**7)).size == 197
@@ -327,15 +332,14 @@ class TestTiledDraws:
         plan = MonteCarloPlan(replications=300, seed=6)
         ones = Unit.from_runs([1.0], [d])
         got = simulate_shifted([(ones, 0.0), (ones, 0.5)], (SUP,), plan,
-                               lambda cols, at, norms: (dict(cols), at),
+                               lambda norms, coords: dict(coords),
                                workers=workers, coordinates=coords)
         for (c, _, size), chunk in zip(plan.chunk_bounds(), got):
             eps = chunk_generator(plan.seed, c).standard_normal((size, d))
-            for (cols, at), scale in zip(chunk, (0.0, 0.5)):
-                assert list(cols) == list(coords)
-                assert at == {i: scale for i in coords}
+            for got_coords, scale in zip(chunk, (0.0, 0.5)):
+                assert list(got_coords) == list(coords)
                 for i in coords:
-                    assert np.array_equal(cols[i], eps[:, i])
+                    assert np.array_equal(got_coords[i], eps[:, i] + scale)
 
 
 class TestEmpiricalUpperQuantile:

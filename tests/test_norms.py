@@ -110,12 +110,17 @@ class TestBatchNorms:
 
 
 def _kernel(eps, support, exps, offset=None):
-    """A kernel filled from ``eps`` in the row tiles a Monte Carlo chunk uses."""
+    """A kernel filled from ``eps`` in the row tiles a Monte Carlo chunk uses;
+    an ``offset`` pair ``(unit, scale)`` is added to each tile in the scratch,
+    as `mc.simulate_shifted` does for a full pass."""
     tile = _tile_rows(eps.shape[1])
     scratch = np.empty((3, min(tile, len(eps)), eps.shape[1]))
-    kernel = ShiftedNormKernel(len(eps), support, exps, offset=offset)
+    kernel = ShiftedNormKernel(len(eps), support, exps)
     for lo in range(0, len(eps), tile):
-        kernel.fill(lo, eps[lo : lo + tile], scratch)
+        y = eps[lo : lo + tile]
+        if offset is not None:
+            y = np.add(y, np.multiply(*offset, out=scratch[1, 0]), out=scratch[0, : len(y)])
+        kernel.fill(lo, y, scratch)
     return kernel
 
 

@@ -322,6 +322,11 @@ class TestPeDemo:
         assert report.power("max-comb") >= max(
             report.power("p=2"), report.power("sup")
         ) - 1e-12
+        for label, rate, se in report.rows:
+            assert (report.power(label), report.stderr(label)) == (rate, se)
+            assert se == math.sqrt(rate * (1.0 - rate) / plan.replications)
+        with pytest.raises(KeyError):
+            report.stderr("p=5")
 
     def test_budget_guard(self):
         plan = MonteCarloPlan(replications=2000, seed=1)
