@@ -22,14 +22,16 @@ import os
 import shutil
 import sys
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import consistency as clab
 from . import power as plab
 from .engine import (
+    CombinedTest,
     ConstantTest,
+    MinimaxAdaptiveTest,
     asymptotic_test,
     build_combined,
     build_minimax_adaptive,
@@ -38,6 +40,7 @@ from .engine import (
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,
+    require_tail_plan,
     save_test,
 )
 from .errors import (
@@ -64,10 +67,13 @@ class _Resolver:
     """Flag value if given, else config-file value, else default.  A config
     key may be any option in ``_OPTIONS`` but ``config``, so one file can
     serve several subcommands; any other key is a ConfigError.  Config
-    values are cast by the option's declared type."""
+    values are cast by the option's declared type.  A key that is not an
+    option of the run's subcommand resolves to its default and is not
+    recorded."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.command = args.command
         self.config = read_kv(args.config) if args.config else {}
         unknown = sorted(k for k in self.config if k not in _OPTIONS or k == "config")
         if unknown:
@@ -75,6 +81,8 @@ class _Resolver:
         self.resolved: dict[str, object] = {}
 
     def get(self, key: str, default=None):
+        if self.command not in _OPTIONS[key].commands.split():
+            return default
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None and key in self.config:
             value = _cast(key, self.config[key])
@@ -126,15 +134,11 @@ def _family_from_spec(spec: str) -> clab.AlternativeFamily:
     )
 
 
-def _plan(res: _Resolver, reps_key: str, seed_key: str, default_reps: int, default_seed: int) -> MonteCarloPlan:
-    return MonteCarloPlan(res.get(reps_key, default_reps), res.get(seed_key, default_seed))
-
-
-def _write_manifest(res: _Resolver, command: str, path: str, outputs: list[str]) -> None:
+def _write_manifest(res: _Resolver, path: str, outputs: list[str]) -> None:
     """Record the resolved options as each option's ``manifest`` field says:
     ``config.<key> = value``, or ``input.<key>.sha256`` for an input file, so
     the bytes do not depend on where files live."""
-    entries: dict[str, object] = {"command": command}
+    entries: dict[str, object] = {"command": res.command}
     for key, value in res.resolved.items():
         record = _OPTIONS[key].manifest
         if value is None or record is None:
@@ -157,8 +161,34 @@ def _outdir(res: _Resolver) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(args) -> int:
-    res = _Resolver(args)
+class _Calibration(NamedTuple):
+    label: str  # the calibrated test's label
+    exponents: list[Exponent]  # the null statistic columns it reads
+    level: float  # the deepest tail level it reads
+    calibrate: Callable  # calibrate(workers=..., stats=...) -> the test
+
+
+def _calibration(name: str, d: int, alpha: float, plan: MonteCarloPlan,
+                 res: _Resolver) -> _Calibration:
+    """The test a ``--tests`` name stands for, as a calibration at level
+    ``alpha`` on ``plan``.  A subcommand that lacks an option the test reads
+    (``preset``, ``budget-*``, ``margin``, ``max-power``) gets its default."""
+    name = name.strip().lower()
+    if name == "combined":
+        m, exps = member_exponents(d, res.get("preset", "exp"))
+        budget = geometric_budget(m, alpha, res.get("budget-success", 0.5),
+                                  res.get("budget-last-share", 0.5))
+        return _Calibration(f"combined(m={m})", [Exponent.finite(p) for p in exps],
+                            min(budget.alphas), partial(build_combined, d, exps, budget, plan))
+    if name == "minimax":
+        t = build_minimax_adaptive(d, res.get("margin", 5.0), res.get("max-power", 8))
+        return _Calibration(t.label, list(t.norm_exponents()), alpha,
+                            partial(mc_scale_minimax, t, alpha, plan))
+    e = parse_exponent(name.removeprefix("p="))
+    return _Calibration(e.label, [e], alpha, partial(mc_calibrate, e, d, alpha, plan))
+
+
+def _cmd_calibrate(res: _Resolver):
     d = res.require("d")
     alpha = res.get("alpha", 0.05)
     workers = res.get("workers", 1)
@@ -174,48 +204,37 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"conflicting modes {', '.join('--' + key for key in chosen)}: set one "
                           f"of --p, --preset or --minimax (--asymptotic goes with --p only)")
 
-    plan = None if asymptotic else _plan(res, "reps", "seed", 100_000, 20_240_501)
     if asymptotic:
         if exponent_text is None:
             raise ConfigError("--asymptotic needs --p (a positive real or 'sup')")
         test = asymptotic_test(parse_exponent(exponent_text), d, alpha)
-        print(f"test = {test.label}  d = {d}  alpha = {alpha:g}")
-        print(f"kappa = {test.critical_value:.10g}")
-    elif minimax:
-        margin = res.get("margin", 5.0)
-        max_power = res.get("max-power", 8)
-        test = build_minimax_adaptive(d, margin, max_power)
-        test = mc_scale_minimax(test, alpha, plan, workers=workers)
-        print(f"test = {test.label}  d = {d}  alpha = {alpha:g}  margin = {margin:g}")
+    elif not chosen:
+        raise ConfigError("choose one of --p, --preset, or --minimax")
+    else:
+        name = "minimax" if minimax else "combined" if preset else f"p={exponent_text}"
+        plan = MonteCarloPlan(res.get("reps", 100_000), res.get("seed", 20_240_501))
+        test = _calibration(name, d, alpha, plan, res).calibrate(workers=workers)
+
+    header = f"test = {test.label}  d = {d}  alpha = {alpha:g}"
+    if isinstance(test, MinimaxAdaptiveTest):
+        print(f"{header}  margin = {test.margin:g}")
         for j, k in enumerate(test.kappas, start=1):
             print(f"kappa[{j}] = {k:.10g}")
         print(f"threshold = {test.threshold:.10g}")
-    elif preset:
-        m, exps = member_exponents(d, preset)
-        budget = geometric_budget(
-            m, alpha,
-            success=res.get("budget-success", 0.5),
-            last_share=res.get("budget-last-share", 0.5),
-        )
-        test = build_combined(d, exps, budget, plan, workers=workers)
-        print(f"test = {test.label}  d = {d}  alpha = {alpha:g}  preset = {preset}")
-        for p, a, k in zip(test.exponents, budget.alphas, test.kappas):
+    elif isinstance(test, CombinedTest):
+        print(f"{header}  preset = {preset}")
+        for p, a, k in zip(test.exponents, test.budget.alphas, test.kappas):
             print(f"member p = {p:.6g}  alpha_j = {a:.6g}  kappa = {k:.10g}")
         print(f"scale = {test.scale:.10g}")
         print(f"size_at_calibration = {test.calibration_size:.6g}")
-    elif exponent_text is not None:
-        exponent = parse_exponent(exponent_text)
-        test = mc_calibrate(exponent, d, alpha, plan, workers=workers)
-        print(f"test = {exponent.label}  d = {d}  alpha = {alpha:g}")
-        print(f"kappa = {test.critical_value:.10g}")
     else:
-        raise ConfigError("choose one of --p, --preset, or --minimax")
-
-    if out:
-        save_test(test, out)
-        _write_manifest(res, "calibrate", out + ".manifest", [out])
-        print(f"artifact = {out}")
-    return 0
+        print(header)
+        print(f"kappa = {test.critical_value:.10g}")
+    if not out:
+        return None
+    save_test(test, out)
+    print(f"artifact = {out}")
+    return out + ".manifest", [out]
 
 
 _TEST_MENU = ("p=1", "p=2", "p=3", "p=4", "sup", "combined", "minimax")
@@ -233,65 +252,45 @@ def _build_test_suite(names, d, alpha, calib_plan, res, workers):
 
     A statistic column depends only on the plan and its own exponent, so
     each test gets the same critical values as a calibration of its own.
-    A power table is keyed by test label, so a repeated label is refused
-    before anything is drawn.
+    A repeated label (a power table is keyed by label) and a plan too small
+    for the deepest level a test reads are refused before anything is drawn.
     """
     artifact = res.get("artifact")
     loaded = [load_test(artifact)] if artifact else []
     if any(t.d != d for t in loaded):
         raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
-    calibrations = []  # (label, exponents the test reads, calibrate(stats=...))
-    for name in names:
-        name = name.strip().lower()
-        if name == "combined":
-            m, exps = member_exponents(d, res.get("preset", "exp"))
-            calibrations.append((
-                f"combined(m={m})",  # the calibrated CombinedTest's label
-                [Exponent.finite(p) for p in exps],
-                partial(build_combined, d, exps, geometric_budget(m, alpha), calib_plan),
-            ))
-        elif name == "minimax":
-            t = build_minimax_adaptive(
-                d, res.get("margin", 5.0), res.get("max-power", 8)
-            )
-            calibrations.append(
-                (t.label, t.norm_exponents(), partial(mc_scale_minimax, t, alpha, calib_plan))
-            )
-        else:
-            e = parse_exponent(name.removeprefix("p="))
-            calibrations.append((e.label, [e], partial(mc_calibrate, e, d, alpha, calib_plan)))
-    plab.require_distinct_labels([label for label, _, _ in calibrations]
-                                 + [t.label for t in loaded])
+    calibrations = [_calibration(name, d, alpha, calib_plan, res) for name in names]
+    plab.require_distinct_labels([c.label for c in calibrations] + [t.label for t in loaded])
     if not calibrations:
         return loaded
-    union = [e for _, exps, _ in calibrations for e in exps]
+    require_tail_plan(min(c.level for c in calibrations), calib_plan)
+    union = [e for c in calibrations for e in c.exponents]
     stats = simulate_null_statistics(d, union, calib_plan, workers=workers)
-    return [calibrate(stats=stats) for _, _, calibrate in calibrations] + loaded
+    return [c.calibrate(stats=stats) for c in calibrations] + loaded
 
 
-def _cmd_power(args) -> int:
-    res = _Resolver(args)
+def _cmd_power(res: _Resolver):
     workers = res.get("workers", 1)
     outdir = _outdir(res)
-    figure3 = res.get("figure3", False)
-    scale_preset = res.get("scale", "desk")
-    if figure3:
-        given = [f"--{key}" for key in ("tests", "family") if getattr(args, key) is not None]
+    if res.get("figure3", False):
+        given = [f"--{key}" for key in ("tests", "family") if getattr(res.args, key) is not None]
         if given:
             raise ConfigError(f"--figure3 runs its own tests and families; "
                               f"drop {' and '.join(given)}")
-        default_d, calib_reps, power_reps, names = _FIGURE3[scale_preset]
+        default_d, calib_reps, power_reps, names = _FIGURE3[res.get("scale", "desk")]
         d = res.get("d", default_d)
         families = [clab.dense(), clab.semi_sparse(), clab.sparse()]
     else:
+        if res.args.scale is not None:
+            raise ConfigError("--scale picks a --figure3 preset; add --figure3 or drop --scale")
         d = res.require("d")
         calib_reps, power_reps = 100_000, 2000
         names = [s for s in res.get("tests", "p=2,sup").split(",") if s]
         families = [_family_from_spec(res.get("family", "dense"))]
 
     alpha = res.get("alpha", 0.05)
-    calib_plan = _plan(res, "calib-reps", "calib-seed", calib_reps, 20_240_501)
-    plan = _plan(res, "reps", "seed", power_reps, 20_240_777)
+    calib_plan = MonteCarloPlan(res.get("calib-reps", calib_reps), res.get("calib-seed", 20_240_501))
+    plan = MonteCarloPlan(res.get("reps", power_reps), res.get("seed", 20_240_777))
 
     # read every input before the (long) calibration
     fixed_grid = _parse_agrid(res.get("agrid", "auto"))
@@ -304,18 +303,12 @@ def _cmd_power(args) -> int:
         csv_path = os.path.join(outdir, f"power_{stem}.csv")
         svg_path = os.path.join(outdir, f"power_{stem}.svg")
         table.to_csv(csv_path)
-        svg_line_chart(
-            svg_path,
-            [(label, xs, ys) for label, (xs, ys) in table.series().items()],
-            title=f"Power against {family.label} signals (d={d})",
-            xlabel="signal scale a",
-            ylabel="rejection rate",
-            ylim=(0.0, 1.0),
-        )
+        svg_line_chart(svg_path, [(label, xs, ys) for label, (xs, ys) in table.series().items()],
+                       title=f"Power against {family.label} signals (d={d})",
+                       xlabel="signal scale a", ylabel="rejection rate", ylim=(0.0, 1.0))
         outputs += [csv_path, svg_path]
         print(f"family = {family.label}  rows = {len(table.rows)}  csv = {csv_path}")
-    _write_manifest(res, "power", os.path.join(outdir, "power_manifest.txt"), outputs)
-    return 0
+    return os.path.join(outdir, "power_manifest.txt"), outputs
 
 
 def _parse_dgrid(spec: str) -> tuple[int, ...]:
@@ -370,14 +363,13 @@ def _parse_range(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _cmd_consistency(args) -> int:
-    res = _Resolver(args)
+def _cmd_consistency(res: _Resolver):
     if res.get("radius", False):
         exponent = parse_exponent(res.require("p"))
         if exponent.is_sup:
             raise ConfigError("--radius needs a finite --p")
         print(f"radius = {clab.minimax_radius(exponent.p, res.require('d')):.10g}")
-        return 0
+        return None
 
     outdir = _outdir(res)
     outputs = []
@@ -413,42 +405,35 @@ def _cmd_consistency(args) -> int:
                 f"family = {family.label}  exponent = {e.label}  "
                 f"slope = {tr.fitted_log_slope:.6g}{sat}  csv = {path}"
             )
-    _write_manifest(res, "consistency", os.path.join(outdir, "consistency_manifest.txt"), outputs)
-    return 0
+    return os.path.join(outdir, "consistency_manifest.txt"), outputs
 
 
-def _cmd_demo_pe(args) -> int:
-    res = _Resolver(args)
+def _cmd_demo_pe(res: _Resolver):
     workers = res.get("workers", 1)
     outdir = _outdir(res)
     d = res.get("d", 50_000)
     alpha2 = res.get("alpha2", 0.025)
     alpha_inf = res.get("alpha-inf", 0.025)
-    plan = _plan(res, "reps", "seed", 4000, 20_240_777)
-    calib_plan = _plan(res, "calib-reps", "calib-seed", 20_000, 20_240_501)
+    plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
+    calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
     report = plab.pe_demo(d, alpha2, alpha_inf, plan, calib_plan, workers=workers)
     path = os.path.join(outdir, "pe_demo.csv")
     write_csv(path, ("test", "power", "stderr"), report.rows)
     for label, rate, se in report.rows:
         print(f"{label:<12} power = {rate:.4f}  stderr = {se:.4f}")
-    _write_manifest(res, "demo-pe", os.path.join(outdir, "pe_demo_manifest.txt"), [path])
-    return 0
+    return os.path.join(outdir, "pe_demo_manifest.txt"), [path]
 
 
-def _cmd_demo_enhance(args) -> int:
-    res = _Resolver(args)
+def _cmd_demo_enhance(res: _Resolver):
     workers = res.get("workers", 1)
     outdir = _outdir(res)
     d = res.require("d")
     alpha = res.get("alpha", 0.05)
-    plan = _plan(res, "reps", "seed", 4000, 20_240_777)
-    calib_plan = _plan(res, "calib-reps", "calib-seed", 20_000, 20_240_501)
-    base_spec = res.get("base", "p=2")
-    if base_spec == "never":
-        base = ConstantTest(d=d)
-    else:
-        base = mc_calibrate(parse_exponent(base_spec.removeprefix("p=")), d, alpha,
-                            calib_plan, workers=workers)
+    plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
+    calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
+    name = res.get("base", "p=2")
+    base = ConstantTest(d=d) if name == "never" else (
+        _calibration(name, d, alpha, calib_plan, res).calibrate(workers=workers))
     rep = plab.enhancement_demo(d, base, plan, workers=workers)
     rows = [
         ("size_base", rep.size_base, rep.size_base_stderr),
@@ -464,12 +449,10 @@ def _cmd_demo_enhance(args) -> int:
         print(f"{name:<16} = {val:.4f}  stderr = {se:.4f}")
     print(f"spike_tail_exact = {rep.spike_tail_exact:.6g}")
     print(f"size_inflation_bound = {rep.size_inflation_bound:.6g}")
-    _write_manifest(res, "demo-enhance", os.path.join(outdir, "enhancement_manifest.txt"), [path])
-    return 0
+    return os.path.join(outdir, "enhancement_manifest.txt"), [path]
 
 
-def _cmd_reduce(args) -> int:
-    res = _Resolver(args)
+def _cmd_reduce(res: _Resolver):
     design = res.require("design")
     response = res.require("response")
     out = res.require("out")
@@ -481,9 +464,8 @@ def _cmd_reduce(args) -> int:
     theta = plab.regression_reduce(X, np.atleast_1d(z))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(format(v, ".17g") for v in theta) + "\n")
-    _write_manifest(res, "reduce", out + ".manifest", [out])
     print(f"reduced = {out}  d = {theta.size}")
-    return 0
+    return out + ".manifest", [out]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +473,8 @@ def _cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# a handler reads its options from a _Resolver and returns the manifest path
+# and output files of its run, or None when it writes no files
 _COMMANDS = {
     "calibrate": (_cmd_calibrate, "calibrate critical values"),
     "power": (_cmd_power, "power curves against signal families"),
@@ -549,7 +533,7 @@ _OPTIONS = {
     "radius": _Option(bool, "consistency"),
     "alpha2": _Option(float, "demo-pe"),
     "alpha-inf": _Option(float, "demo-pe"),
-    "base": _Option(str, "demo-enhance", "p=<x>, sup, or never"),
+    "base": _Option(str, "demo-enhance", "a --tests name (p=<x>, sup, combined, minimax) or never"),
     "design": _Option(str, "reduce", "whitespace-delimited n x d matrix file", manifest="input"),
     "response": _Option(str, "reduce", "whitespace-delimited n-vector file", manifest="input"),
 }
@@ -566,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = {}
     for command, (handler, summary) in _COMMANDS.items():
         subparsers[command] = sub.add_parser(command, help=summary, formatter_class=formatter)
-        subparsers[command].set_defaults(handler=handler)
+        subparsers[command].set_defaults(handler=handler, command=command)
     for name, opt in _OPTIONS.items():
         if opt.type is bool:
             kwargs = {"action": "store_true", "default": None}
@@ -580,10 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        res = _Resolver(args)
+        record = args.handler(res)
+        if record is not None:
+            _write_manifest(res, *record)
+        return 0
     except (ConfigError, DomainError, OSError) as exc:
         # an unwritable output path is a configuration error too
         print(f"error: {exc}", file=sys.stderr)

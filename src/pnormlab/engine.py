@@ -48,6 +48,7 @@ __all__ = [
     "sup_asymptotic_critical_value",
     "minimax_critical_value",
     "mc_calibrate",
+    "require_tail_plan",
     "asymptotic_test",
     "AlphaBudget",
     "geometric_budget",
@@ -291,22 +292,31 @@ def _max_ratio(
     )
 
 
+def require_tail_plan(alpha: float, plan: MonteCarloPlan) -> None:
+    """Refuse a plan too small for the upper ``alpha`` order statistic: it
+    needs at least 1000 replications and ``alpha * replications >= 10``.
+    The error names the least replication count that passes."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if plan.replications < 1000:
+        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
+    if alpha * plan.replications < 10:
+        least = math.ceil(10 / alpha) - 1  # the quotient may round either way
+        while alpha * least < 10:
+            least += 1
+        raise ConfigError(f"Monte Carlo calibration at level {alpha:g} needs alpha * replications"
+                          f" >= 10, so at least {least} replications, got {plan.replications}")
+
+
 def _null_statistics(
     d: int, exponents: Sequence[Exponent], alpha: float, plan: MonteCarloPlan,
     workers: int, stats: Mapping[Exponent, np.ndarray] | None,
 ) -> Mapping[Exponent, np.ndarray]:
     """The null statistic columns a calibration at level ``alpha`` reads:
     simulated under ``plan``, or the precomputed ``stats`` once they hold a
-    column of the plan's length for every exponent.  A plan too small for a
-    tail order statistic is refused: it needs at least 1000 replications
-    and ``alpha * replications >= 10``."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if plan.replications < 1000:
-        raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
-    if alpha * plan.replications < 10:
-        raise ConfigError(f"Monte Carlo calibration at level {alpha:g} needs alpha * "
-                          f"replications >= 10, got {plan.replications} replications")
+    column of the plan's length for every exponent.  A plan too small for
+    the level is refused first (:func:`require_tail_plan`)."""
+    require_tail_plan(alpha, plan)
     if stats is None:
         return simulate_null_statistics(d, exponents, plan, workers=workers)
     if any(e not in stats for e in exponents) or any(

@@ -17,15 +17,40 @@ from pnormlab.engine import (
     mc_calibrate,
     mc_scale_minimax,
     member_exponents,
+    save_test,
 )
 from pnormlab.errors import ConfigError
 from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import parse_exponent
-from pnormlab.report import read_kv, sha256_file
+from pnormlab.power import enhancement_demo
+from pnormlab.report import fmt, read_kv, sha256_file
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def count_draws(monkeypatch):
+    """Record every null-statistics draw, from the CLI's suite or a calibrator."""
+    calls = []
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "simulate_null_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def least_replications(level):
+    """The least n with ``level * n >= 10``, the plan a level-``level`` tail needs."""
+    n = max(1, int(10 / level) - 2)
+    while level * n < 10:
+        n += 1
+    return n
+
+
+def linear_preset_level(d, alpha=0.05):
+    """The smallest member level of the linear preset under the default budget."""
+    m, _ = member_exponents(d, "linear")
+    return min(geometric_budget(m, alpha).alphas)
 
 
 # option values: text, floats, and integers far beyond the float range
@@ -115,10 +140,13 @@ class TestExitCodes:
         # the preset runs its own tests and families
         ["power", "--figure3", "--tests", "p=2"],
         ["power", "--figure3", "--family", "sparse"],
+        # a --scale preset is a --figure3 preset
+        ["power", "--d", "100", "--tests", "p=2", "--scale", "paper", "--calib-reps", "2000",
+         "--reps", "100", "--agrid", "0:1:2"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
-            "tests-twice", "figure3-tests", "figure3-family"])
+            "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -231,6 +259,45 @@ class TestCalibrate:
         want = [f"kappa[{j}] = {k:.10g}" for j, k in enumerate(test.kappas, start=1)]
         assert lines[1:] == want + [f"threshold = {test.threshold:.10g}"]
 
+    def test_no_mode_exits_two_before_drawing(self, tmp_path, monkeypatch, capsys):
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "t.txt"
+        assert run(["calibrate", "--d", "100", "--reps", "2000", "--out", out]) == 2
+        assert "choose one of" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("config, argv", [
+        ("", ["--p", "2"]),
+        ("", ["--preset", "exp"]),
+        ("budget-success = 0.3\n", ["--preset", "exp"]),
+        ("", ["--minimax"]),
+    ], ids=["p2", "exp", "exp-config", "minimax"])
+    def test_artifacts_equal_direct_calibrations(self, tmp_path, config, argv):
+        d, alpha, plan = 200, 0.05, MonteCarloPlan(4000, 20_240_501)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "cli.txt"
+        assert run(["calibrate", "--d", d, "--reps", 4000, "--config", cfg, "--out", out]
+                   + argv) == 0
+        if argv[0] == "--p":
+            test = mc_calibrate(parse_exponent("2"), d, alpha, plan)
+        elif argv[0] == "--preset":
+            m, exps = member_exponents(d, "exp")
+            success = 0.3 if config else 0.5
+            test = build_combined(d, exps, geometric_budget(m, alpha, success, 0.5), plan)
+        else:
+            test = mc_scale_minimax(build_minimax_adaptive(d, 5.0, 8), alpha, plan)
+        save_test(test, tmp_path / "direct.txt")
+        assert out.read_bytes() == (tmp_path / "direct.txt").read_bytes()
+
+    def test_too_small_plan_names_the_least_replications(self, tmp_path, capsys):
+        # ten linear members at d = 16 halve the level down to 4.9e-5
+        assert run(["calibrate", "--d", "16", "--preset", "linear"]) == 2
+        least = least_replications(linear_preset_level(16))
+        assert least == 204_400
+        assert f"at least {least} replications" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config, argv, keys", [
         ("", ["--minimax", "--preset", "exp", "--p", "3"], ("minimax", "preset", "p")),
         ("", ["--asymptotic", "--p", "2", "--minimax"], ("asymptotic", "minimax", "p")),
@@ -311,6 +378,24 @@ class TestPower:
             "--outdir", tmp_path / "out",
         ]) == 2
 
+    def test_config_scale_is_ignored_without_figure3(self, tmp_path):
+        # as --figure3 ignores a tests or family key, a plain run ignores scale
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scale = paper\n")
+        assert run(["power", "--config", cfg, "--d", "100", "--tests", "p=2",
+                    "--calib-reps", "2000", "--reps", "100", "--agrid", "0:1:2",
+                    "--outdir", tmp_path]) == 0
+        manifest = (tmp_path / "power_manifest.txt").read_text()
+        assert "config.d = 100" in manifest and "config.scale" not in manifest
+
+    def test_too_small_plan_is_refused_before_the_draw(self, tmp_path, monkeypatch, capsys):
+        calls = count_draws(monkeypatch)
+        assert run(["power", "--d", "16", "--tests", "combined", "--preset", "linear",
+                    "--calib-reps", "20000", "--outdir", tmp_path]) == 2
+        least = least_replications(linear_preset_level(16))
+        assert f"at least {least} replications" in capsys.readouterr().err
+        assert calls == []
+
     def test_figure3_keeps_config_keys(self, tmp_path, monkeypatch):
         # one config file can serve both modes: --figure3 ignores its tests
         # and family, and gets as far as calibrating the preset's own suite
@@ -366,6 +451,21 @@ class TestSharedCalibration:
         plan = MonteCarloPlan(replications=4000, seed=1)
         assert cli._build_test_suite([], 200, 0.05, plan, res, 1) == []
         assert len(calls) == 1
+
+    def test_power_reads_no_budget_keys(self, tmp_path):
+        # budget-* are calibrate options: a power run keeps the default budget
+        # and records neither key, though one config file serves both
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget-success = 0.3\nbudget-last-share = 0.4\n")
+        d, alpha, plan = 200, 0.05, MonteCarloPlan(4000, 20_240_501)
+        res = cli._Resolver(cli.build_parser().parse_args(["power", "--config", str(cfg)]))
+        (test,) = cli._build_test_suite(["combined"], d, alpha, plan, res, 1)
+        m, _ = member_exponents(d, "exp")
+        assert test.budget.alphas == geometric_budget(m, alpha).alphas
+        assert run(["power", "--config", cfg, "--d", d, "--tests", "combined",
+                    "--calib-reps", 4000, "--reps", 100, "--agrid", "0:1:2",
+                    "--outdir", tmp_path]) == 0
+        assert "budget-" not in (tmp_path / "power_manifest.txt").read_text()
 
     @pytest.mark.parametrize("tests, artifact", [("p=2,2", False), ("p=2,p=2", False),
                                                  ("p=2", True)])
@@ -606,6 +706,25 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "size_inflation_bound" in out
         assert (tmp_path / "enhancement_demo.csv").exists()
+
+    @pytest.mark.parametrize("base", [None, "combined"], ids=["default-base", "combined"])
+    def test_demo_enhance_base_is_a_calibrated_test(self, tmp_path, base):
+        d, alpha = 200, 0.05
+        calib_plan, plan = MonteCarloPlan(4000, 20_240_501), MonteCarloPlan(500, 20_240_777)
+        argv = ["demo-enhance", "--d", d, "--reps", 500, "--calib-reps", 4000,
+                "--outdir", tmp_path]
+        assert run(argv + (["--base", base] if base else [])) == 0
+        if base is None:  # p=2
+            test = mc_calibrate(parse_exponent("2"), d, alpha, calib_plan)
+        else:
+            m, exps = member_exponents(d, "exp")
+            test = build_combined(d, exps, geometric_budget(m, alpha), calib_plan)
+        rep = enhancement_demo(d, test, plan)
+        want = ["quantity,estimate,stderr"] + [
+            f"{name},{fmt(getattr(rep, name))},{fmt(getattr(rep, name + '_stderr'))}"
+            for name in ("size_base", "size_enhanced", "power_base", "power_enhanced")
+        ]
+        assert (tmp_path / "enhancement_demo.csv").read_text().splitlines() == want
 
     def test_demo_pe_small(self, tmp_path, capsys):
         code = run([
