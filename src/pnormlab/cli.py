@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +33,9 @@ from .engine import (
     ConstantTest,
     MinimaxAdaptiveTest,
     asymptotic_test,
-    build_combined,
-    build_minimax_adaptive,
-    geometric_budget,
+    calibrate_suite,
+    calibration,
     load_test,
-    mc_calibrate,
-    mc_scale_minimax,
-    member_exponents,
-    require_tail_plan,
     save_test,
 )
 from .errors import (
@@ -51,8 +46,8 @@ from .errors import (
     PnormLabError,
     RankError,
 )
-from .mc import MonteCarloPlan, simulate_null_statistics
-from .norms import Exponent, parse_exponent
+from .mc import MonteCarloPlan
+from .norms import parse_exponent
 from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
 
 _FAMILIES = {
@@ -151,41 +146,22 @@ def _write_manifest(res: _Resolver, path: str, outputs: list[str]) -> None:
 
 
 def _outdir(res: _Resolver) -> str:
+    """The output directory, created: a handler calls this once every input
+    is validated, so a refused run writes nothing."""
     out = res.get("outdir", ".")
     os.makedirs(out, exist_ok=True)
     return out
 
 
+def _given(res: _Resolver, *keys: str) -> list[str]:
+    """The flags among ``keys`` given on the command line; a config file's
+    value for a key does not count."""
+    return [f"--{key}" for key in keys if getattr(res.args, key.replace("-", "_")) is not None]
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
-
-
-class _Calibration(NamedTuple):
-    label: str  # the calibrated test's label
-    exponents: list[Exponent]  # the null statistic columns it reads
-    level: float  # the deepest tail level it reads
-    calibrate: Callable  # calibrate(workers=..., stats=...) -> the test
-
-
-def _calibration(name: str, d: int, alpha: float, plan: MonteCarloPlan,
-                 res: _Resolver) -> _Calibration:
-    """The test a ``--tests`` name stands for, as a calibration at level
-    ``alpha`` on ``plan``.  A subcommand that lacks an option the test reads
-    (``preset``, ``budget-*``, ``margin``, ``max-power``) gets its default."""
-    name = name.strip().lower()
-    if name == "combined":
-        m, exps = member_exponents(d, res.get("preset", "exp"))
-        budget = geometric_budget(m, alpha, res.get("budget-success", 0.5),
-                                  res.get("budget-last-share", 0.5))
-        return _Calibration(f"combined(m={m})", [Exponent.finite(p) for p in exps],
-                            min(budget.alphas), partial(build_combined, d, exps, budget, plan))
-    if name == "minimax":
-        t = build_minimax_adaptive(d, res.get("margin", 5.0), res.get("max-power", 8))
-        return _Calibration(t.label, list(t.norm_exponents()), alpha,
-                            partial(mc_scale_minimax, t, alpha, plan))
-    e = parse_exponent(name.removeprefix("p="))
-    return _Calibration(e.label, [e], alpha, partial(mc_calibrate, e, d, alpha, plan))
 
 
 def _cmd_calibrate(res: _Resolver):
@@ -213,7 +189,7 @@ def _cmd_calibrate(res: _Resolver):
     else:
         name = "minimax" if minimax else "combined" if preset else f"p={exponent_text}"
         plan = MonteCarloPlan(res.get("reps", 100_000), res.get("seed", 20_240_501))
-        test = _calibration(name, d, alpha, plan, res).calibrate(workers=workers)
+        (test,) = calibrate_suite([calibration(name, d, alpha, plan, res.get)], d, plan, workers)
 
     header = f"test = {test.label}  d = {d}  alpha = {alpha:g}"
     if isinstance(test, MinimaxAdaptiveTest):
@@ -248,40 +224,29 @@ _FIGURE3 = {
 
 def _build_test_suite(names, d, alpha, calib_plan, res, workers):
     """The requested tests, calibrated on one shared null sample of the
-    plan, followed by the ``--artifact`` test if one is given.
-
-    A statistic column depends only on the plan and its own exponent, so
-    each test gets the same critical values as a calibration of its own.
-    A repeated label (a power table is keyed by label) and a plan too small
-    for the deepest level a test reads are refused before anything is drawn.
-    """
+    plan (`engine.calibrate_suite`), followed by the ``--artifact`` test if
+    one is given.  A repeated label (a power table is keyed by label) is
+    refused before anything is drawn."""
     artifact = res.get("artifact")
     loaded = [load_test(artifact)] if artifact else []
     if any(t.d != d for t in loaded):
         raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
-    calibrations = [_calibration(name, d, alpha, calib_plan, res) for name in names]
+    calibrations = [calibration(name, d, alpha, calib_plan, res.get) for name in names]
     plab.require_distinct_labels([c.label for c in calibrations] + [t.label for t in loaded])
-    if not calibrations:
-        return loaded
-    require_tail_plan(min(c.level for c in calibrations), calib_plan)
-    union = [e for c in calibrations for e in c.exponents]
-    stats = simulate_null_statistics(d, union, calib_plan, workers=workers)
-    return [c.calibrate(stats=stats) for c in calibrations] + loaded
+    return calibrate_suite(calibrations, d, calib_plan, workers) + loaded
 
 
 def _cmd_power(res: _Resolver):
     workers = res.get("workers", 1)
-    outdir = _outdir(res)
     if res.get("figure3", False):
-        given = [f"--{key}" for key in ("tests", "family") if getattr(res.args, key) is not None]
-        if given:
+        if given := _given(res, "tests", "family"):
             raise ConfigError(f"--figure3 runs its own tests and families; "
                               f"drop {' and '.join(given)}")
         default_d, calib_reps, power_reps, names = _FIGURE3[res.get("scale", "desk")]
         d = res.get("d", default_d)
         families = [clab.dense(), clab.semi_sparse(), clab.sparse()]
     else:
-        if res.args.scale is not None:
+        if _given(res, "scale"):
             raise ConfigError("--scale picks a --figure3 preset; add --figure3 or drop --scale")
         d = res.require("d")
         calib_reps, power_reps = 100_000, 2000
@@ -294,11 +259,15 @@ def _cmd_power(res: _Resolver):
 
     # read every input before the (long) calibration
     fixed_grid = _parse_agrid(res.get("agrid", "auto"))
+    if fixed_grid is not None:
+        plab.require_scale_grid(fixed_grid)
     tests = _build_test_suite(names, d, alpha, calib_plan, res, workers)
+    tables = [plab.power_curve(tests, family, fixed_grid, d, plan, workers=workers)
+              for family in families]
 
+    outdir = _outdir(res)
     outputs = []
-    for family in families:
-        table = plab.power_curve(tests, family, fixed_grid, d, plan, workers=workers)
+    for family, table in zip(families, tables):
         stem = family.label.replace("(", "_").replace(")", "").replace("=", "")
         csv_path = os.path.join(outdir, f"power_{stem}.csv")
         svg_path = os.path.join(outdir, f"power_{stem}.svg")
@@ -363,18 +332,34 @@ def _parse_range(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
+# the options each consistency mode reads; --outdir and --workers go with any
+_CONSISTENCY_MODES = {
+    "traces": ("family", "dgrid", "exponents"),
+    "contour": ("p", "range", "resolution"),
+    "radius": ("p", "d"),
+}
+
+
 def _cmd_consistency(res: _Resolver):
-    if res.get("radius", False):
+    radius, contour = res.get("radius", False), res.get("contour", False)
+    if radius and contour:
+        raise ConfigError("--radius and --contour are two modes; set one of them")
+    mode = "radius" if radius else "contour" if contour else "traces"
+    reads = _CONSISTENCY_MODES[mode]
+    # a config file may carry the keys of every mode; a flag is meant for this run
+    others = [k for keys in _CONSISTENCY_MODES.values() for k in keys if k not in reads]
+    if foreign := _given(res, *dict.fromkeys(others)):
+        raise ConfigError(f"consistency {mode} reads {', '.join('--' + k for k in reads)}; "
+                          f"drop {' and '.join(foreign)}")
+
+    if radius:
         exponent = parse_exponent(res.require("p"))
         if exponent.is_sup:
             raise ConfigError("--radius needs a finite --p")
         print(f"radius = {clab.minimax_radius(exponent.p, res.require('d')):.10g}")
         return None
 
-    outdir = _outdir(res)
-    outputs = []
-
-    if res.get("contour", False):
+    if contour:
         exponent = parse_exponent(res.require("p"))
         lo, hi = _parse_range(res.get("range", "-5:5"))
         resolution = res.get("resolution", 101)
@@ -382,41 +367,44 @@ def _cmd_consistency(res: _Resolver):
             raise ConfigError(f"--resolution {resolution} exceeds the cap of "
                               f"{_MAX_CONTOUR_RESOLUTION} points per axis")
         axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
+        outdir = _outdir(res)
         path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
         n = len(axis)
         write_csv(path, ("x1", "x2", "value"),
                   [(axis[i], axis[j], grid[i, j]) for i in range(n) for j in range(n)])
-        outputs.append(path)
         print(f"contour = {path}  resolution = {resolution}")
-    else:
-        family = _family_from_spec(res.require("family"))
-        grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
-        exponents = [parse_exponent(t) for t in res.get("exponents", "2").split(",")]
-        if len(set(exponents)) != len(exponents):
-            raise ConfigError(f"--exponents repeats an exponent: "
-                              f"{', '.join(e.label for e in exponents)}")
-        for e in exponents:
-            tr = clab.criterion_trace(family, e, grid)
-            path = os.path.join(outdir, f"trace_{family.kind}_{e.label.replace('=', '')}.csv")
-            write_csv(path, ("d", "value"), tr.rows())
-            outputs.append(path)
-            sat = "  saturated" if tr.saturated else ""
-            print(
-                f"family = {family.label}  exponent = {e.label}  "
-                f"slope = {tr.fitted_log_slope:.6g}{sat}  csv = {path}"
-            )
+        return os.path.join(outdir, "consistency_manifest.txt"), [path]
+
+    family = _family_from_spec(res.require("family"))
+    grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
+    exponents = [parse_exponent(t) for t in res.get("exponents", "2").split(",")]
+    if len(set(exponents)) != len(exponents):
+        raise ConfigError(f"--exponents repeats an exponent: "
+                          f"{', '.join(e.label for e in exponents)}")
+    traces = [clab.criterion_trace(family, e, grid) for e in exponents]
+    outdir = _outdir(res)
+    outputs = []
+    for e, tr in zip(exponents, traces):
+        path = os.path.join(outdir, f"trace_{family.kind}_{e.label.replace('=', '')}.csv")
+        write_csv(path, ("d", "value"), tr.rows())
+        outputs.append(path)
+        sat = "  saturated" if tr.saturated else ""
+        print(
+            f"family = {family.label}  exponent = {e.label}  "
+            f"slope = {tr.fitted_log_slope:.6g}{sat}  csv = {path}"
+        )
     return os.path.join(outdir, "consistency_manifest.txt"), outputs
 
 
 def _cmd_demo_pe(res: _Resolver):
     workers = res.get("workers", 1)
-    outdir = _outdir(res)
     d = res.get("d", 50_000)
     alpha2 = res.get("alpha2", 0.025)
     alpha_inf = res.get("alpha-inf", 0.025)
     plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
     calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
     report = plab.pe_demo(d, alpha2, alpha_inf, plan, calib_plan, workers=workers)
+    outdir = _outdir(res)
     path = os.path.join(outdir, "pe_demo.csv")
     write_csv(path, ("test", "power", "stderr"), report.rows)
     for label, rate, se in report.rows:
@@ -426,15 +414,15 @@ def _cmd_demo_pe(res: _Resolver):
 
 def _cmd_demo_enhance(res: _Resolver):
     workers = res.get("workers", 1)
-    outdir = _outdir(res)
     d = res.require("d")
     alpha = res.get("alpha", 0.05)
     plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
     calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
     name = res.get("base", "p=2")
-    base = ConstantTest(d=d) if name == "never" else (
-        _calibration(name, d, alpha, calib_plan, res).calibrate(workers=workers))
+    base = ConstantTest(d=d) if name == "never" else calibrate_suite(
+        [calibration(name, d, alpha, calib_plan, res.get)], d, calib_plan, workers)[0]
     rep = plab.enhancement_demo(d, base, plan, workers=workers)
+    outdir = _outdir(res)
     rows = [
         ("size_base", rep.size_base, rep.size_base_stderr),
         ("size_enhanced", rep.size_enhanced, rep.size_enhanced_stderr),

@@ -11,6 +11,9 @@ Three calibration routes coexist:
   global scale are calibrated on one shared simulated null sample, so the
   joint law behind the size constraint is coherent (:func:`build_combined`).
 
+A test name stands for one such calibration (:func:`calibration`), and
+:func:`calibrate_suite` calibrates several on one shared null sample.
+
 All test objects are frozen dataclasses implementing a tiny protocol:
 ``d``, ``label``, ``norm_exponents()``, ``coordinate_indices()`` and
 ``decide_batch(norms, coords)`` operating on equal-shape arrays.  The
@@ -32,7 +35,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +67,9 @@ __all__ = [
     "build_combined",
     "build_minimax_adaptive",
     "mc_scale_minimax",
+    "Calibration",
+    "calibration",
+    "calibrate_suite",
     "build_enhanced",
     "reject_matrix",
     "evaluate",
@@ -664,6 +671,47 @@ def mc_scale_minimax(
         alpha=alpha,
         provenance=test.provenance + f" mc-scaled({plan.descriptor()})",
     )
+
+
+class Calibration(NamedTuple):
+    label: str  # the calibrated test's label
+    exponents: list[Exponent]  # the null statistic columns it reads
+    level: float  # the deepest tail level it reads
+    calibrate: Callable  # calibrate(stats=...) -> the test
+
+
+def calibration(name: str, d: int, alpha: float, plan: MonteCarloPlan,
+                option: Callable = lambda key, default: default) -> Calibration:
+    """The test a name (``p=<p>``, ``sup``, ``combined``, ``minimax``) stands
+    for, as a calibration at level ``alpha`` on ``plan``.  ``option(key,
+    default)`` is asked only for the settings the test reads."""
+    name = name.strip().lower()
+    if name == "combined":
+        m, exps = member_exponents(d, option("preset", "exp"))
+        budget = geometric_budget(m, alpha, option("budget-success", 0.5),
+                                  option("budget-last-share", 0.5))
+        return Calibration(f"combined(m={m})", [Exponent.finite(p) for p in exps],
+                           min(budget.alphas), partial(build_combined, d, exps, budget, plan))
+    if name == "minimax":
+        t = build_minimax_adaptive(d, option("margin", 5.0), option("max-power", 8))
+        return Calibration(t.label, list(t.norm_exponents()), alpha,
+                           partial(mc_scale_minimax, t, alpha, plan))
+    e = parse_exponent(name.removeprefix("p="))
+    return Calibration(e.label, [e], alpha, partial(mc_calibrate, e, d, alpha, plan))
+
+
+def calibrate_suite(calibrations: Sequence[Calibration], d: int, plan: MonteCarloPlan,
+                    workers: int = 1) -> list:
+    """The tests of ``calibrations`` on one shared null sample of ``plan``.
+    A column depends only on the plan and its exponent, so each test gets
+    the critical values of a calibration of its own.  A plan too small for
+    the deepest level read is refused before any draw."""
+    if not calibrations:
+        return []
+    require_tail_plan(min(c.level for c in calibrations), plan)
+    stats = simulate_null_statistics(d, [e for c in calibrations for e in c.exponents], plan,
+                                     workers=workers)
+    return [c.calibrate(stats=stats) for c in calibrations]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ generator; Gaussian variates come from numpy's ziggurat
 index through order-independent reductions (integer counts, concatenation
 followed by sorting), so the worker count used to execute chunks can never
 change any output.  Outputs are bit-identical for a fixed ``(seed,
-replications)`` and a fixed numpy version; manifests record the library
-versions alongside every run.
+replications)``, a fixed numpy version and a fixed SIMD target of numpy's
+float64 ``exp``, ``log`` and ``power`` (across targets an elementwise value
+can move by about an ulp).  Manifests record the library versions
+alongside every run, but not yet that target.
 
 Common random numbers: streams are keyed on (seed, chunk, replication)
 only.  Everything evaluated "for the same plan" sees the same noise

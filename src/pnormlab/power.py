@@ -20,18 +20,17 @@ from .consistency import AlternativeFamily, dense, power_sparse, semi_sparse, sp
 from .engine import (
     CombinedTest,
     UnionTest,
-    build_combined,
     build_enhanced,
-    geometric_budget,
+    calibrate_suite,
+    calibration,
     mc_calibrate,
-    member_exponents,
     required_coordinates,
     required_exponents,
 )
 from .errors import DomainError, RankError
 from .gaussmath import std_normal_quantile, std_normal_sf
-from .mc import MonteCarloPlan, Unit, simulate_null_statistics, simulate_shifted
-from .norms import SUP, Exponent
+from .mc import MonteCarloPlan, Unit, simulate_shifted
+from .norms import Exponent
 
 __all__ = [
     "PowerRow",
@@ -39,6 +38,7 @@ __all__ = [
     "estimate_rejection",
     "estimate_rejection_many",
     "require_distinct_labels",
+    "require_scale_grid",
     "power_curve",
     "auto_a_grid",
     "PowerEnhancementReport",
@@ -156,6 +156,17 @@ def require_distinct_labels(labels: Sequence[str]) -> None:
         raise DomainError(f"tests need distinct labels, got {', '.join(labels)}")
 
 
+def require_scale_grid(a_grid: Sequence[float]) -> list[float]:
+    """The scales of a power-curve grid, refused unless it is non-empty,
+    finite, non-negative and strictly increasing."""
+    scales = [float(a) for a in a_grid]
+    if not scales or any(not 0.0 <= a < math.inf for a in scales) or any(
+        scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
+    ):
+        raise DomainError("a_grid must be non-empty, finite, non-negative and strictly increasing")
+    return scales
+
+
 def power_curve(
     tests: Sequence,
     family: AlternativeFamily,
@@ -181,11 +192,7 @@ def power_curve(
     if a_grid is None:
         store = {}
         a_grid = auto_a_grid(tests, family, d, plan, workers=workers, unit=unit, store=store)
-    scales = [float(a) for a in a_grid]
-    if not scales or any(not 0.0 <= a < math.inf for a in scales) or any(
-        scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
-    ):
-        raise DomainError("a_grid must be non-empty, finite, non-negative and strictly increasing")
+    scales = require_scale_grid(a_grid)
     counts = _counts(tests, [(unit, a) for a in scales], plan, workers, store, read_only=True)
     rows = []
     for ti, t in enumerate(tests):
@@ -293,23 +300,12 @@ def pe_demo(
     d = int(d)
     if d < 16:
         raise DomainError("the semi-sparse signal needs d >= 16")
-    _, exps = member_exponents(d, "exp")
-    wanted = tuple(
-        dict.fromkeys(
-            [Exponent.finite(2.0), SUP, Exponent.finite(3.0), Exponent.finite(4.0)]
-            + [Exponent.finite(p) for p in exps]
-        )
+    levels = {"p=2": alpha2, "sup": alpha_inf, "combined": total, "p=3": total, "p=4": total}
+    two, supt, combined, p3, p4 = calibrate_suite(
+        [calibration(name, d, level, calibration_plan) for name, level in levels.items()],
+        d, calibration_plan, workers,
     )
-    stats = simulate_null_statistics(d, wanted, calibration_plan, workers=workers)
-    two = mc_calibrate(Exponent.finite(2.0), d, alpha2, calibration_plan, stats=stats)
-    supt = mc_calibrate(SUP, d, alpha_inf, calibration_plan, stats=stats)
     maxcomb = UnionTest(members=(two, supt), name="max-comb(2,sup)")
-    combined = build_combined(
-        d, exps, geometric_budget(len(exps), total), calibration_plan, workers,
-        stats=stats,
-    )
-    p3 = mc_calibrate(Exponent.finite(3.0), d, total, calibration_plan, stats=stats)
-    p4 = mc_calibrate(Exponent.finite(4.0), d, total, calibration_plan, stats=stats)
     tests = [two, supt, maxcomb, combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
     counts = _counts(tests, [(Unit.from_runs(*semi_sparse().runs(d)), 1.0)], plan, workers)

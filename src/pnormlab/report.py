@@ -49,10 +49,12 @@ def sha256_file(path) -> str:
 def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] = ()) -> None:
     """Key=value run manifest with content hashes of the produced files.
 
-    The manifest records everything needed to re-run bit-identically
-    (resolved configuration, seeds, library versions) and deliberately
-    excludes wall-clock time, worker counts and the output directory, which
-    must not matter.
+    The manifest records the resolved configuration, seeds and library
+    versions, and deliberately excludes wall-clock time, worker counts and
+    the output directory, which must not matter.  A re-run is bit-identical
+    on the same seed, replications, numpy version and SIMD target of
+    numpy's float64 ``exp``, ``log`` and ``power``; the manifest does not
+    yet record that target.
     """
     import numpy
     import scipy

@@ -31,11 +31,10 @@ def run(argv):
 
 
 def count_draws(monkeypatch):
-    """Record every null-statistics draw, from the CLI's suite or a calibrator."""
+    """Record every null-statistics draw: a suite's or a calibrator's, both in the engine."""
     calls = []
-    for module in (cli, engine):
-        monkeypatch.setattr(module, "simulate_null_statistics",
-                            lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(engine, "simulate_null_statistics",
+                        lambda *args, **kwargs: calls.append(args))
     return calls
 
 
@@ -143,16 +142,33 @@ class TestExitCodes:
         # a --scale preset is a --figure3 preset
         ["power", "--d", "100", "--tests", "p=2", "--scale", "paper", "--calib-reps", "2000",
          "--reps", "100", "--agrid", "0:1:2"],
+        ["power", "--d", "100", "--tests", "p=2,bogus", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:2"],
+        ["demo-enhance", "--d", "100", "--base", "bogus", "--calib-reps", "2000",
+         "--reps", "200"],
+        # the semi-sparse signal needs d >= 16
+        ["demo-pe", "--d", "10", "--calib-reps", "2000", "--reps", "200"],
+        # consistency runs one mode, and a flag of another mode is refused
+        ["consistency", "--radius", "--contour", "--p", "2", "--d", "100"],
+        ["consistency", "--contour", "--p", "2", "--family", "dense", "--dgrid", "1,2"],
+        ["consistency", "--radius", "--p", "2", "--d", "100", "--family", "dense"],
+        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--d", "100"],
+        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--p", "2"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
-            "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3"])
+            "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3",
+            "tests-bogus", "base-bogus", "demo-pe-small-d", "radius-and-contour",
+            "contour-trace-flags", "radius-trace-flag", "trace-radius-flag",
+            "trace-contour-flag"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
             argv += ["--outdir", tmp_path / "out"]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        # a refused run writes nothing, not even its output directory
+        assert not (tmp_path / "out").exists()
 
     # both write where --out says, and reduce draws nothing
     @pytest.mark.parametrize("argv", [
@@ -396,6 +412,15 @@ class TestPower:
         assert f"at least {least} replications" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("agrid", ["1:0:3", "0:0:2", "-1:1:3"],
+                             ids=["decreasing", "repeated", "negative"])
+    def test_bad_grid_is_refused_before_the_draw(self, tmp_path, monkeypatch, capsys, agrid):
+        calls = count_draws(monkeypatch)
+        assert run(["power", "--d", "500", "--tests", "p=2,sup", "--calib-reps", "4000",
+                    f"--agrid={agrid}", "--outdir", tmp_path / "out"]) == 2
+        assert "a_grid must be" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
+
     def test_figure3_keeps_config_keys(self, tmp_path, monkeypatch):
         # one config file can serve both modes: --figure3 ignores its tests
         # and family, and gets as far as calibrating the preset's own suite
@@ -435,13 +460,13 @@ class TestSharedCalibration:
     @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
     def test_figure3_simulates_the_calibration_plan_once(self, tmp_path, monkeypatch):
         calls = []
-        simulate = cli.simulate_null_statistics
+        simulate = engine.simulate_null_statistics
 
         def counting(*args, **kwargs):
             calls.append(args)
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate_null_statistics", counting)
+        monkeypatch.setattr(engine, "simulate_null_statistics", counting)
         assert run([
             "power", "--figure3", "--d", "200", "--calib-reps", "4000",
             "--reps", "200", "--agrid", "0:1:3", "--outdir", tmp_path,
@@ -475,13 +500,13 @@ class TestSharedCalibration:
         art = tmp_path / "a.txt"
         assert run(["calibrate", "--asymptotic", "--p", "2", "--d", "300", "--out", art]) == 0
         calls = []
-        simulate = cli.simulate_null_statistics
+        simulate = engine.simulate_null_statistics
 
         def counting(*args, **kwargs):
             calls.append(args)
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate_null_statistics", counting)
+        monkeypatch.setattr(engine, "simulate_null_statistics", counting)
         argv = ["power", "--d", "300", "--tests", tests, "--calib-reps", "2000",
                 "--reps", "200", "--outdir", tmp_path / "out"]
         assert run(argv + (["--artifact", art] if artifact else [])) == 2
@@ -725,6 +750,16 @@ class TestDemos:
             for name in ("size_base", "size_enhanced", "power_base", "power_enhanced")
         ]
         assert (tmp_path / "enhancement_demo.csv").read_text().splitlines() == want
+
+    def test_demo_pe_too_small_plan_is_refused_before_the_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the combined test's deepest member level at d = 2000 is 0.00357
+        calls = count_draws(monkeypatch)
+        assert run(["demo-pe", "--d", 2000, "--reps", 200, "--calib-reps", 2000,
+                    "--outdir", tmp_path / "out"]) == 2
+        assert "at least 2800 replications" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
 
     def test_demo_pe_small(self, tmp_path, capsys):
         code = run([

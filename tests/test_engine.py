@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from pnormlab import engine
 from pnormlab.engine import (
     AlphaBudget,
     CalibrationWarning,
@@ -18,6 +19,8 @@ from pnormlab.engine import (
     build_combined,
     build_enhanced,
     build_minimax_adaptive,
+    calibrate_suite,
+    calibration,
     custom_budget,
     evaluate,
     geometric_budget,
@@ -452,6 +455,56 @@ class TestMinimaxAdaptive:
         test = build_minimax_adaptive(100, 5.0, 8)
         with pytest.raises(ConfigError):
             mc_scale_minimax(test, alpha, MonteCarloPlan(replications=reps, seed=1))
+
+
+class TestCalibrationByName:
+    """A test name stands for the null columns and the deepest level its
+    calibration reads."""
+
+    D, ALPHA, PLAN = 200, 0.05, MonteCarloPlan(replications=4000, seed=9)
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("name", ["p=1", "p=2", "sup", "combined", "minimax"])
+    def test_reads_the_columns_and_level_of_its_test(self, name):
+        c = calibration(name, self.D, self.ALPHA, self.PLAN)
+        (test,) = calibrate_suite([c], self.D, self.PLAN)
+        assert tuple(c.exponents) == test.norm_exponents()
+        assert c.label == test.label
+        assert c.level == (min(test.budget.alphas) if name == "combined" else self.ALPHA)
+
+    def test_option_is_asked_only_for_what_the_test_reads(self):
+        def option(key, default):
+            raise AssertionError(key)
+
+        assert calibration("p=2", self.D, self.ALPHA, self.PLAN, option).exponents == [E2]
+
+    def test_option_sets_the_preset(self):
+        asked = []
+
+        def option(key, default):
+            asked.append(key)
+            return "linear" if key == "preset" else default
+
+        c = calibration("combined", self.D, self.ALPHA, self.PLAN, option)
+        m, exps = member_exponents(self.D, "linear")
+        assert c.exponents == [Exponent.finite(p) for p in exps]
+        assert c.label == f"combined(m={m})"
+        assert c.level == min(geometric_budget(m, self.ALPHA).alphas)
+        assert asked == ["preset", "budget-success", "budget-last-share"]
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    def test_option_sets_the_max_power(self):
+        c = calibration("minimax", self.D, self.ALPHA, self.PLAN,
+                        lambda key, default: 4 if key == "max-power" else default)
+        assert c.exponents == [Exponent.finite(float(j)) for j in range(1, 5)]
+        assert c.label == "minimax(pmax=4)"
+
+    def test_empty_suite_draws_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "simulate_null_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+        assert calibrate_suite([], self.D, self.PLAN) == []
+        assert calls == []
 
 
 class TestEnhancement:

@@ -18,7 +18,7 @@ from pnormlab.engine import (
     member_exponents,
     reject_matrix,
 )
-from pnormlab.errors import DomainError, RankError
+from pnormlab.errors import ConfigError, DomainError, RankError
 from pnormlab.mc import MonteCarloPlan, Unit, chunk_generator, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent, _tile_rows
 from pnormlab.power import (
@@ -334,6 +334,14 @@ class TestPeDemo:
             pe_demo(100, 0.6, 0.5, plan, plan)
         with pytest.raises(DomainError):
             pe_demo(8, 0.025, 0.025, plan, plan)
+
+    def test_too_small_calibration_plan_is_refused_before_the_draw(self, monkeypatch):
+        # the combined test's deepest member level at d = 2000 is 0.00357
+        calls = []
+        monkeypatch.setattr(mc, "simulate_shifted", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="at least 2800 replications"):
+            pe_demo(2000, 0.025, 0.025, MonteCarloPlan(2000, 1), MonteCarloPlan(2000, 2))
+        assert calls == []
 
 
 class TestGapScan:
