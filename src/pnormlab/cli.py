@@ -38,14 +38,7 @@ from .engine import (
     load_test,
     save_test,
 )
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DomainError,
-    NumericError,
-    PnormLabError,
-    RankError,
-)
+from .errors import ConfigError, DomainError, PnormLabError
 from .mc import MonteCarloPlan
 from .norms import parse_exponent
 from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
@@ -261,6 +254,8 @@ def _cmd_power(res: _Resolver):
     fixed_grid = _parse_agrid(res.get("agrid", "auto"))
     if fixed_grid is not None:
         plab.require_scale_grid(fixed_grid)
+    for family in families:
+        family.runs(d)  # refuses a d below the family's floor before the draw
     tests = _build_test_suite(names, d, alpha, calib_plan, res, workers)
     tables = [plab.power_curve(tests, family, fixed_grid, d, plan, workers=workers)
               for family in families]
@@ -421,7 +416,7 @@ def _cmd_demo_enhance(res: _Resolver):
     name = res.get("base", "p=2")
     base = ConstantTest(d=d) if name == "never" else calibrate_suite(
         [calibration(name, d, alpha, calib_plan, res.get)], d, calib_plan, workers)[0]
-    rep = plab.enhancement_demo(d, base, plan, workers=workers)
+    rep = plab.enhancement_demo(base, plan, workers=workers)
     outdir = _outdir(res)
     rows = [
         ("size_base", rep.size_base, rep.size_base_stderr),
@@ -563,12 +558,9 @@ def main(argv=None) -> int:
         # an unwritable output path is a configuration error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, NumericError, RankError, OverflowError) as exc:
+    except (PnormLabError, OverflowError) as exc:
         # OverflowError: a value too large for a float, e.g. a 400-digit --d
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except PnormLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

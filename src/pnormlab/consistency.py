@@ -172,9 +172,10 @@ class SupCriterion:
     """Both equivalent forms of the sup-norm criterion.
 
     ``ratio_sum`` is the cancellation-safe tail/cdf ratio form (weight-free);
-    ``weight_sum`` uses the sup detection weight and therefore depends on the
-    chosen tail weight below the kink.  ``saturated`` flags ratio terms
-    capped because the cdf underflowed, which certifies divergence.
+    ``weight_sum`` uses the sup detection weight, so below the kink it
+    depends on the choice made there (`gaussmath.default_tail_weight`).
+    ``saturated`` flags ratio terms capped because the cdf underflowed,
+    which certifies divergence.
     """
 
     ratio_sum: float
@@ -192,21 +193,21 @@ def _ratio_terms(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms, low
 
 
-def _sup_sum(values, counts, d: int, tail_weight: Callable | None) -> SupCriterion:
+def _sup_sum(values, counts, d: int) -> SupCriterion:
     """Both sup criterion sums over constant runs, centered for dimension d."""
     args = sup_centering(d) - np.abs(values)
     terms, low = _ratio_terms(args)
     return SupCriterion(
         ratio_sum=float(np.sum(counts * terms)),
-        weight_sum=float(np.sum(counts * sup_detection_weight(args, tail_weight))),
+        weight_sum=float(np.sum(counts * sup_detection_weight(args))),
         saturated=bool(low.any()),
     )
 
 
-def sup_criterion(theta, tail_weight: Callable | None = None) -> SupCriterion:
+def sup_criterion(theta) -> SupCriterion:
     """Sup-norm consistency criterion at the centering for dimension d."""
     theta = _vector(theta)
-    return _sup_sum(theta, 1.0, theta.size, tail_weight)
+    return _sup_sum(theta, 1.0, theta.size)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +253,15 @@ def criterion_trace(
     family: AlternativeFamily,
     exponent: Exponent,
     d_grid: Sequence[int],
-    cutoff: float = 1.0,
 ) -> CriterionTrace:
     """Evaluate the matching criterion on every grid dimension and fit the
     least-squares slope of log(value) on log(d).
 
     The criterion sums one term per run of ``family.runs(d)``, so d may
-    reach any float.  Sup traces use the weight-free ratio form so that
-    reported numbers do not silently depend on the tail-weight choice.
+    reach any float.  Finite-p traces use the detection weight's default
+    cutoff 1, on which the criterion's divergence does not depend.  Sup
+    traces use the weight-free ratio form so that reported numbers do not
+    silently depend on the tail-weight choice.
     """
     grid = tuple(int(d) for d in d_grid)
     if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
@@ -271,11 +273,11 @@ def criterion_trace(
     for d in grid:
         runs = family.runs(d)
         if exponent.is_sup:
-            crit = _sup_sum(*runs, d, None)
+            crit = _sup_sum(*runs, d)
             saturated = saturated or crit.saturated
             values.append(crit.ratio_sum)
         else:
-            values.append(_finite_sum(*runs, d, exponent.p, cutoff))
+            values.append(_finite_sum(*runs, d, exponent.p, 1.0))
     return CriterionTrace(
         d_grid=grid,
         values=tuple(values),

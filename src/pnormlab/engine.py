@@ -441,10 +441,10 @@ class EnhancedTest:
 
     Rejects when the base rejects or the designated coordinate exceeds the
     spike threshold in absolute value, so it dominates the base pointwise.
+    Its dimension is the base's.
     """
 
     base: object
-    d: int
     coordinate: int  # 0-based index of the detector's coordinate
     spike_threshold: float
     spike_mean: float
@@ -452,6 +452,10 @@ class EnhancedTest:
     def __post_init__(self):
         if not 0 <= self.coordinate < self.d:
             raise DomainError(f"coordinate must lie in [0, {self.d}), got {self.coordinate!r}")
+
+    @property
+    def d(self) -> int:
+        return self.base.d
 
     @property
     def label(self) -> str:
@@ -474,10 +478,16 @@ class EnhancedTest:
 
 @dataclass(frozen=True)
 class UnionTest:
-    """Reject when any member rejects (the max-combination of tests)."""
+    """Reject when any member rejects (the max-combination of tests); the
+    members share one dimension, the union's."""
 
     members: tuple
     name: str = "max-comb"
+
+    def __post_init__(self):
+        dims = sorted({t.d for t in self.members})
+        if len(dims) != 1:
+            raise DomainError(f"union members need one dimension, got {dims}")
 
     @property
     def d(self) -> int:
@@ -760,28 +770,28 @@ def evaluate(test, y) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def build_enhanced(base, d: int) -> EnhancedTest:
+def build_enhanced(base) -> EnhancedTest:
     """Augment ``base`` with a spike detector on coordinate 0.
 
-    The spike mean is ``sqrt(log(d)/2)`` and the detector threshold is its
-    square root.  The detector belongs on the base's weakest coordinate, the
-    one where a spike of that mean is hardest for the base to detect, and
-    for a base that decides from norm statistics alone (no
-    ``coordinate_indices``) coordinate 0 is one.  Every norm is invariant
-    under coordinate permutations, so such a base's rejection region is too;
-    the i.i.d. Gaussian noise is exchangeable, so the base's power against a
-    spike on coordinate i is the same for every i.  This covers the single,
-    combined, minimax and constant tests, unions of them, and duck-typed
-    norm-only bases.  A base that reads coordinates (an enhanced test, or a
-    union holding one) is outside the argument; coordinate 0 is then a fixed
-    convention.
+    The spike mean is ``sqrt(log(d)/2)`` at the base's dimension d, and the
+    detector threshold is its square root.  The detector belongs on the
+    base's weakest coordinate, the one where a spike of that mean is hardest
+    for the base to detect, and for a base that decides from norm statistics
+    alone (no ``coordinate_indices``) coordinate 0 is one.  Every norm is
+    invariant under coordinate permutations, so such a base's rejection
+    region is too; the i.i.d. Gaussian noise is exchangeable, so the base's
+    power against a spike on coordinate i is the same for every i.  This
+    covers the single, combined, minimax and constant tests, unions of them,
+    and duck-typed norm-only bases.  A base that reads coordinates (an
+    enhanced test, or a union holding one) is outside the argument;
+    coordinate 0 is then a fixed convention.
     """
-    d = int(d)
+    d = int(base.d)
     if d < 2:
         raise DomainError("enhancement requires d >= 2")
     spike_mean = math.sqrt(math.log(d) / 2.0)
     return EnhancedTest(
-        base=base, d=d, coordinate=0,
+        base=base, coordinate=0,
         spike_threshold=math.sqrt(spike_mean), spike_mean=spike_mean,
     )
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -38,7 +37,6 @@ __all__ = [
     "gauss_moments",
     "detection_weight",
     "default_tail_weight",
-    "make_tail_weight",
     "sup_detection_weight",
     "sup_centering",
     "absmax_gumbel_cdf",
@@ -176,51 +174,21 @@ def default_tail_weight(z):
     return out
 
 
-def make_tail_weight(fn: Callable) -> Callable:
-    """Validate a user weight function by sampling its required behavior.
-
-    The weight must be positive on the probe grid and blow up toward
-    ``-inf``.  Divergence can only be spot-checked, so the probe demands a
-    large increase across ``z = -10, -20, -30``.
-    """
-    probe = np.array([-30.0, -20.0, -10.0, -3.0, -1.0, 0.0, 0.5, 0.99])
-    with np.errstate(over="ignore"):
-        vals = np.asarray([float(fn(z)) for z in probe])
-    if np.any(np.isnan(vals)) or np.any(vals <= 0.0):
-        raise DomainError("tail weight must be positive on the real line")
-    v30, v20, v10 = vals[0], vals[1], vals[2]
-    if not (v30 >= v20 >= v10 and v30 >= 100.0 * max(vals[3:])):
-        raise DomainError(
-            "tail weight must diverge as its argument goes to -inf "
-            "(probe values do not increase toward -inf)"
-        )
-    # the assembled sup weight evaluates on arrays; wrap scalar-only rules
-    try:
-        with np.errstate(over="ignore"):
-            arr = np.asarray(fn(probe), dtype=float)
-        if arr.shape != probe.shape:
-            raise TypeError
-        return fn
-    except Exception:
-        return np.vectorize(fn, otypes=[float])
-
-
-def sup_detection_weight(x, tail_weight: Callable | None = None):
+def sup_detection_weight(x):
     """Detection weight for the supremum-norm consistency criterion.
 
-    ``tail_weight(x)`` for x < 1 and ``exp(-x^2/2)/x`` for x >= 1.  With the
-    default weight the function is continuous and strictly decreasing on the
-    whole line (both branches equal ``exp(-1/2)`` at x = 1).  May overflow
-    to ``inf`` for arguments far below -37, which signals certain divergence
-    of any sum containing such a term.
+    ``default_tail_weight(x)`` for x < 1 and ``exp(-x^2/2)/x`` for x >= 1:
+    continuous and strictly decreasing on the whole line (both branches
+    equal ``exp(-1/2)`` at x = 1).  May overflow to ``inf`` for arguments
+    far below -37, which signals certain divergence of any sum containing
+    such a term.
     """
-    w = default_tail_weight if tail_weight is None else tail_weight
     ax = np.asarray(x, dtype=float)
     upper = ax >= 1.0
     with np.errstate(over="ignore", divide="ignore"):
         head = np.where(upper, np.exp(-ax * ax / 2.0) / np.where(upper, ax, 1.0), 0.0)
         low = np.where(upper, 1.0, ax)
-        tail = np.where(upper, 0.0, np.asarray(w(low), dtype=float))
+        tail = np.where(upper, 0.0, np.asarray(default_tail_weight(low), dtype=float))
     out = head + tail
     if np.ndim(x) == 0:
         return float(out)

@@ -13,8 +13,8 @@ followed by sorting), so the worker count used to execute chunks can never
 change any output.  Outputs are bit-identical for a fixed ``(seed,
 replications)``, a fixed numpy version and a fixed SIMD target of numpy's
 float64 ``exp``, ``log`` and ``power`` (across targets an elementwise value
-can move by about an ulp).  Manifests record the library versions
-alongside every run, but not yet that target.
+can move by about an ulp).  Manifests record the library versions and
+that target (`report.numpy_dispatch`) alongside every run.
 
 Common random numbers: streams are keyed on (seed, chunk, replication)
 only.  Everything evaluated "for the same plan" sees the same noise

@@ -191,7 +191,7 @@ def power_curve(
     store = None
     if a_grid is None:
         store = {}
-        a_grid = auto_a_grid(tests, family, d, plan, workers=workers, unit=unit, store=store)
+        a_grid = auto_a_grid(tests, family, plan, workers=workers, unit=unit, store=store)
     scales = require_scale_grid(a_grid)
     counts = _counts(tests, [(unit, a) for a in scales], plan, workers, store, read_only=True)
     rows = []
@@ -214,38 +214,36 @@ _FAMILY_START_SCALE = {
     "power_sparse": 1.0,
     "custom": 1.0,
 }
+_AUTO_GRID_POINTS = 32
+_AUTO_GRID_TOP_POWER = 0.99
 
 
 def auto_a_grid(
     tests: Sequence,
     family: AlternativeFamily,
-    d: int,
     plan: MonteCarloPlan,
-    points: int = 32,
-    top_power: float = 0.99,
     workers: int = 1,
     *,
     unit: Unit | None = None,
     store: dict | None = None,
 ) -> tuple[float, ...]:
-    """Scale grid from 0 to the first doubling at which the fastest test
-    clears ``top_power`` (probed on the first 400 replications at most).
+    """Scale grid of 32 points from 0 to the first doubling at which the
+    fastest test clears power 0.99 (probed on the first 400 replications at
+    most), at the dimension the tests share.
 
-    ``unit`` is the family's `mc.Unit` at ``d`` (built when None); the
-    probes add the kernels they fill to ``store``
+    ``unit`` is the family's `mc.Unit` at that dimension (built when None);
+    the probes add the kernels they fill to ``store``
     (`mc.simulate_shifted`), as `power_curve` does to share them."""
-    if points < 2:
-        raise DomainError("grid needs at least two points")
     probe_plan = plan.with_replications(min(plan.replications, 400))
     if unit is None:
-        unit = Unit.from_runs(*family.runs(d))
+        unit = Unit.from_runs(*family.runs(_dimension(tests)))
     hi = _FAMILY_START_SCALE.get(family.kind, 1.0)
     for _ in range(12):
         counts = _counts(tests, [(unit, hi)], probe_plan, workers, store)[0]
-        if counts.max() / probe_plan.replications >= top_power:
+        if counts.max() / probe_plan.replications >= _AUTO_GRID_TOP_POWER:
             break
         hi *= 2.0
-    return tuple(np.linspace(0.0, hi, int(points)))
+    return tuple(np.linspace(0.0, hi, _AUTO_GRID_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +296,7 @@ def pe_demo(
     if not (0.0 < total < 1.0):
         raise DomainError("alpha2 + alpha_inf must lie in (0, 1)")
     d = int(d)
-    if d < 16:
-        raise DomainError("the semi-sparse signal needs d >= 16")
+    unit = Unit.from_runs(*semi_sparse().runs(d))
     levels = {"p=2": alpha2, "sup": alpha_inf, "combined": total, "p=3": total, "p=4": total}
     two, supt, combined, p3, p4 = calibrate_suite(
         [calibration(name, d, level, calibration_plan) for name, level in levels.items()],
@@ -308,7 +305,7 @@ def pe_demo(
     maxcomb = UnionTest(members=(two, supt), name="max-comb(2,sup)")
     tests = [two, supt, maxcomb, combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
-    counts = _counts(tests, [(Unit.from_runs(*semi_sparse().runs(d)), 1.0)], plan, workers)
+    counts = _counts(tests, [(unit, 1.0)], plan, workers)
     rows = tuple(
         (label, *_rate_se(int(c), plan.replications)) for label, c in zip(labels, counts[0])
     )
@@ -375,16 +372,17 @@ def power_gap_scan(
     )
 
 
-def default_gap_grid(d: int, points_per_family: int = 15) -> list[tuple[str, Unit, float]]:
-    """Sixty labeled mean shifts ``(label, unit, scale)`` spanning the four
-    stock families at scales from null to high power; the shifts of one
-    family share its one `mc.Unit`, so the grid holds at most one d-row."""
+def default_gap_grid(d: int) -> list[tuple[str, Unit, float]]:
+    """Sixty labeled mean shifts ``(label, unit, scale)``, fifteen for each
+    of the four stock families at scales from null to high power; the shifts
+    of one family share its one `mc.Unit`, so the grid holds at most one
+    d-row."""
     d = int(d)
     fams = [
-        (dense(), np.linspace(0.0, 0.4, points_per_family)),
-        (sparse(), np.linspace(0.0, 8.0, points_per_family)),
-        (semi_sparse(), np.linspace(0.0, 2.5, points_per_family)),
-        (power_sparse(4.0), np.linspace(0.0, 2.0, points_per_family)),
+        (dense(), np.linspace(0.0, 0.4, 15)),
+        (sparse(), np.linspace(0.0, 8.0, 15)),
+        (semi_sparse(), np.linspace(0.0, 2.5, 15)),
+        (power_sparse(4.0), np.linspace(0.0, 2.0, 15)),
     ]
     out = []
     for fam, scales in fams:
@@ -393,14 +391,15 @@ def default_gap_grid(d: int, points_per_family: int = 15) -> list[tuple[str, Uni
     return out
 
 
-def regression_reduce(X, z, tol: float = 1e-10) -> np.ndarray:
+def regression_reduce(X, z) -> np.ndarray:
     """Reduce a full-rank Gaussian regression to the sequence model.
 
     Returns ``M b_hat`` where ``M`` is the symmetric PSD square root of
     ``X'X`` and ``b_hat`` the least-squares coefficient; under
     ``z = X b + u`` with standard normal noise the output is
     ``N(M b, I_d)``.  The square root is taken through the symmetric
-    eigendecomposition; a relative singular-value tolerance guards rank.
+    eigendecomposition; a relative tolerance of 1e-10 on the Gram
+    eigenvalues guards rank.
     """
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -415,7 +414,7 @@ def regression_reduce(X, z, tol: float = 1e-10) -> np.ndarray:
     w, v = np.linalg.eigh(gram)
     # the Gram squares the conditioning, so the relative tolerance applies
     # to its eigenvalues: collinear columns land at numerical zero here
-    if w[-1] <= 0.0 or w[0] < tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] < 1e-10 * w[-1]:
         raise RankError(
             "design matrix is numerically rank deficient "
             f"(Gram eigenvalue ratio {max(w[0], 0.0):.3e} / {w[-1]:.3e})"
@@ -445,18 +444,19 @@ class EnhancementReport:
     size_inflation_bound: float
 
 
-def enhancement_demo(d: int, base, plan: MonteCarloPlan, workers: int = 1) -> EnhancementReport:
-    """Build the enhanced test and report sizes and spike power.
+def enhancement_demo(base, plan: MonteCarloPlan, workers: int = 1) -> EnhancementReport:
+    """Build the enhanced test and report sizes and spike power at the
+    base's dimension.
 
     ``spike_tail_exact`` is the closed-form detection probability of the
     one-coordinate detector against the spike it targets;
     ``size_inflation_bound`` is its exact null rejection probability, an
     upper bound on the size the enhancement can add.
     """
-    enhanced = build_enhanced(base, d)
+    enhanced = build_enhanced(base)
     a = enhanced.spike_mean
     t = enhanced.spike_threshold
-    i, d = enhanced.coordinate, int(d)
+    i, d = enhanced.coordinate, int(enhanced.d)
     spike = Unit.from_runs([0.0, 1.0, 0.0], [i, 1, d - i - 1])
     shifts = [(Unit.from_runs([0.0], [d]), 0.0), (spike, a)]
     (sb, sb_se), (se_, se_se), (pb, pb_se), (pe, pe_se) = (

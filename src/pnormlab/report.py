@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigError
 
 __all__ = [
-    "fmt", "write_csv", "sha256_file", "write_manifest", "write_kv", "read_kv",
+    "fmt", "write_csv", "sha256_file", "numpy_dispatch", "write_manifest", "write_kv", "read_kv",
     "svg_line_chart",
 ]
 
@@ -49,12 +49,12 @@ def sha256_file(path) -> str:
 def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] = ()) -> None:
     """Key=value run manifest with content hashes of the produced files.
 
-    The manifest records the resolved configuration, seeds and library
-    versions, and deliberately excludes wall-clock time, worker counts and
-    the output directory, which must not matter.  A re-run is bit-identical
-    on the same seed, replications, numpy version and SIMD target of
-    numpy's float64 ``exp``, ``log`` and ``power``; the manifest does not
-    yet record that target.
+    The manifest records the resolved configuration, seeds, library
+    versions and the SIMD target of numpy's float64 ``exp``, ``log`` and
+    ``power`` (:func:`numpy_dispatch`), and deliberately excludes wall-clock
+    time, worker counts and the output directory, which must not matter.
+    A re-run is bit-identical on the same seed, replications, numpy version
+    and SIMD target.
     """
     import numpy
     import scipy
@@ -65,10 +65,24 @@ def write_manifest(path, entries: Mapping[str, object], outputs: Sequence[str] =
         ("manifest", "pnormlab-run/1"),
         ("pnormlab_version", __version__),
         ("numpy_version", numpy.__version__),
+        ("numpy_dispatch", numpy_dispatch()),
         ("scipy_version", scipy.__version__),
         *entries.items(),
         *((f"output.{os.path.basename(out)}.sha256", sha256_file(out)) for out in outputs),
     ])
+
+
+def numpy_dispatch() -> str:
+    """The SIMD target numpy runs float64 ``exp``, ``log`` and ``power`` on,
+    as ``exp:X86_V4,log:X86_V4,power:X86_V4``; ``unknown`` before numpy 2.0,
+    which cannot report it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    info = opt_func_info(func_name="^(exp|log|power)$")
+    return ",".join(f"{name}:{info[name][sig]['current']}"
+                    for name, sig in (("exp", "dd"), ("log", "dd"), ("power", "ddd")))
 
 
 def write_kv(path, entries: Iterable[tuple[str, object]]) -> None:

@@ -164,7 +164,7 @@ def _oracle_log_slope(p, d_min, d_max=ORACLE_D_MAX):
 
 
 def _power_matrix(tests, family, plan):
-    grid = auto_a_grid(tests, family, D_DESK, plan)
+    grid = auto_a_grid(tests, family, plan)
     table = power_curve(tests, family, grid, D_DESK, plan)
     rows = {
         t.label: [table.cell(t.label, a) for a in grid] for t in tests
@@ -508,7 +508,7 @@ def test_criterion_6_property_suites(desk, tmp_path):
 
     # enhancement dominates its base pointwise
     base = small_tests[0]
-    enhanced = build_enhanced(base, 300)
+    enhanced = build_enhanced(base)
     Yd = rng.normal(size=(10_000, 300))
     dec = reject_matrix([base, enhanced], Yd)
     checks.append(("enhancement domination", bool(np.all(dec[1][dec[0]])),

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pnormlab
 from pnormlab import cli, engine
 from pnormlab.cli import main
 from pnormlab.engine import (
@@ -23,7 +27,7 @@ from pnormlab.errors import ConfigError
 from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import parse_exponent
 from pnormlab.power import enhancement_demo
-from pnormlab.report import fmt, read_kv, sha256_file
+from pnormlab.report import fmt, numpy_dispatch, read_kv, sha256_file
 
 
 def run(argv):
@@ -421,6 +425,17 @@ class TestPower:
         assert "a_grid must be" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--d", "2", "--family", "dagger", "--tests", "p=2", "--calib-reps", "2000",
+         "--reps", "200", "--agrid", "0:1:2"],
+        ["--figure3", "--d", "10"],
+    ], ids=["dagger", "figure3"])
+    def test_family_floor_is_refused_before_the_draw(self, tmp_path, monkeypatch, capsys, argv):
+        calls = count_draws(monkeypatch)
+        assert run(["power", *argv, "--outdir", tmp_path / "out"]) == 2
+        assert "requires d >= 16" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
+
     def test_figure3_keeps_config_keys(self, tmp_path, monkeypatch):
         # one config file can serve both modes: --figure3 ignores its tests
         # and family, and gets as far as calibrating the preset's own suite
@@ -693,6 +708,8 @@ class TestSharedReader:
         assert manifest["manifest"] == "pnormlab-run/1"
         assert manifest["config.d"] == "100"
         assert len(manifest["output.a.txt.sha256"]) == 64
+        assert manifest["numpy_dispatch"] == numpy_dispatch()
+        assert re.fullmatch(r"exp:\S+,log:\S+,power:\S+|unknown", manifest["numpy_dispatch"])
 
     def test_manifest_bytes_do_not_depend_on_the_output_path(self, tmp_path, rng):
         # nor on where the input files live: inputs are recorded by content
@@ -744,7 +761,7 @@ class TestDemos:
         else:
             m, exps = member_exponents(d, "exp")
             test = build_combined(d, exps, geometric_budget(m, alpha), calib_plan)
-        rep = enhancement_demo(d, test, plan)
+        rep = enhancement_demo(test, plan)
         want = ["quantity,estimate,stderr"] + [
             f"{name},{fmt(getattr(rep, name))},{fmt(getattr(rep, name + '_stderr'))}"
             for name in ("size_base", "size_enhanced", "power_base", "power_enhanced")
@@ -809,3 +826,35 @@ class TestFigure3Preset:
         text = (tmp_path / "power_dense.csv").read_text()
         for label in ("p=1", "p=4", "sup", "combined", "minimax"):
             assert label in text
+
+
+_ABOVE_X86_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _calibrate_in_subprocess(out, disabled):
+    """A non-integer-exponent calibration run through ``python -m pnormlab.cli`` in
+    a fresh interpreter, with the numpy CPU features ``disabled`` turned off;
+    returns its artifact and its manifest."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnormlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-m", "pnormlab.cli", "calibrate", "--d", "300",
+                    "--p", "2.5", "--reps", "2000", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    return read_kv(out), read_kv(f"{out}.manifest")
+
+
+class TestNumpyDispatch:
+    def test_lower_target_changes_the_manifest_line_not_the_values(self, tmp_path):
+        if not any(target in numpy_dispatch() for target in _ABOVE_X86_V3.split()):
+            pytest.skip(f"numpy dispatches to no target above X86_V3: {numpy_dispatch()}")
+        art_hi, man_hi = _calibrate_in_subprocess(tmp_path / "hi.txt", None)
+        art_lo, man_lo = _calibrate_in_subprocess(tmp_path / "lo.txt", _ABOVE_X86_V3)
+        assert man_hi["numpy_dispatch"] == numpy_dispatch()
+        assert man_lo["numpy_dispatch"] != man_hi["numpy_dispatch"]
+        # the bits may or may not move by an ulp across targets
+        assert float(art_lo.pop("critical_value")) == pytest.approx(
+            float(art_hi.pop("critical_value")), rel=1e-13)
+        assert art_lo == art_hi

@@ -511,7 +511,7 @@ class TestEnhancement:
     def test_symmetric_base_ties_to_first_coordinate(self):
         plan = MonteCarloPlan(replications=2000, seed=5)
         base = mc_calibrate(E2, 300, 0.05, plan)
-        enhanced = build_enhanced(base, 300)
+        enhanced = build_enhanced(base)
         assert enhanced.coordinate == 0
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(300) / 2))
         assert enhanced.spike_threshold == pytest.approx(
@@ -521,7 +521,7 @@ class TestEnhancement:
     def test_pointwise_domination(self, rng):
         plan = MonteCarloPlan(replications=3000, seed=6)
         base = mc_calibrate(E2, 100, 0.05, plan)
-        enhanced = build_enhanced(base, 100)
+        enhanced = build_enhanced(base)
         Y = rng.normal(size=(5000, 100))
         decisions = reject_matrix([base, enhanced], Y)
         assert np.all(decisions[1][decisions[0]])
@@ -531,7 +531,7 @@ class TestEnhancement:
 
         d = 5000
         plan = MonteCarloPlan(replications=40_000, seed=17)
-        enhanced = build_enhanced(ConstantTest(d=d), d)
+        enhanced = build_enhanced(ConstantTest(d=d))
         rate, se = estimate_rejection(enhanced, 0, plan)
         exact = 2.0 * std_normal_sf((math.log(d) / 2.0) ** 0.25)
         assert abs(rate - exact) <= 3.0 * se + 1e-12
@@ -560,7 +560,7 @@ class TestEnhancement:
                 return inner.decide_batch(norms, coords)
 
         base = NormOnly()
-        enhanced = build_enhanced(base, d)
+        enhanced = build_enhanced(base)
         assert enhanced.coordinate == 0
         first, last = np.zeros(d), np.zeros(d)
         first[0] = last[d - 1] = enhanced.spike_mean
@@ -571,23 +571,27 @@ class TestEnhancement:
 
     def test_union_with_enhanced_member_uses_first_coordinate(self):
         a = PNormTest(d=30, exponent=E2, critical_value=6.0, alpha=0.05)
-        member = EnhancedTest(base=a, d=30, coordinate=7, spike_threshold=1.5,
-                              spike_mean=2.0)
+        member = EnhancedTest(base=a, coordinate=7, spike_threshold=1.5, spike_mean=2.0)
         union = UnionTest(members=(a, member))
         assert union.coordinate_indices() == (7,)
-        enhanced = build_enhanced(union, 30)
+        enhanced = build_enhanced(union)
         assert enhanced.coordinate == 0
         assert enhanced.coordinate_indices() == (0, 7)
 
+    def test_dimension_is_the_base_s(self):
+        enhanced = build_enhanced(PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05))
+        assert enhanced.d == 50
+        assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(50) / 2))
+
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
-            build_enhanced(ConstantTest(d=1), 1)
+            build_enhanced(ConstantTest(d=1))
 
     @pytest.mark.parametrize("coordinate", [-1, 50])
     def test_coordinate_outside_the_dimension_is_refused(self, coordinate):
         # -1 would read the last column, 50 would index past it
         with pytest.raises(DomainError, match="coordinate"):
-            EnhancedTest(base=ConstantTest(d=50), d=50, coordinate=coordinate,
+            EnhancedTest(base=ConstantTest(d=50), coordinate=coordinate,
                          spike_threshold=1.0, spike_mean=1.0)
 
 
@@ -618,6 +622,15 @@ class TestEvaluate:
         dec = reject_matrix([a, b, u], Y)
         np.testing.assert_array_equal(dec[2], dec[0] | dec[1])
         assert u.alpha == pytest.approx(0.2)
+
+    def test_union_of_two_dimensions_is_refused(self):
+        # evaluated at d = 50, the 100-dimensional member would never reject
+        b50 = PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05)
+        b100 = PNormTest(d=100, exponent=E2, critical_value=11.0, alpha=0.05)
+        with pytest.raises(DomainError, match=r"one dimension, got \[50, 100\]"):
+            UnionTest(members=(b50, b100))
+        with pytest.raises(DomainError, match="one dimension"):
+            UnionTest(members=())
 
     def test_constant_tests_alone(self, rng):
         # constant tests take their row count from the sup column they request

@@ -12,7 +12,6 @@ from pnormlab.gaussmath import (
     detection_weight,
     gauss_moments,
     log_abs_moment,
-    make_tail_weight,
     std_normal_cdf,
     std_normal_quantile,
     std_normal_sf,
@@ -192,20 +191,6 @@ class TestSupDetectionWeight:
         xs = np.linspace(-25.0, 25.0, 2001)
         vals = sup_detection_weight(xs)
         assert np.all(np.diff(vals) < 0.0)
-
-    def test_custom_weight_validation(self):
-        good = make_tail_weight(lambda z: math.exp(z * z / 2.0))
-        assert sup_detection_weight(0.0, good) == 1.0
-        # scalar-only rules are wrapped so array evaluation works downstream
-        vals = sup_detection_weight(np.array([-2.0, 0.0, 3.0]), good)
-        assert vals.shape == (3,) and np.all(vals > 0.0)
-        # a rule that already evaluates on arrays is returned as it is
-        vector = np.vectorize(lambda z: math.exp(z * z / 2.0), otypes=[float])
-        assert make_tail_weight(vector) is vector
-        with pytest.raises(DomainError):
-            make_tail_weight(lambda z: 1.0)  # bounded: no divergence
-        with pytest.raises(DomainError):
-            make_tail_weight(lambda z: z)  # not positive
 
 
 class TestSupCentering:

@@ -178,7 +178,7 @@ class TestCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_call_equals_single_shift_calls(self, suite, workers):
         d, tests = suite
-        tests = tests + [build_enhanced(tests[1], d)]  # reads coordinate 0
+        tests = tests + [build_enhanced(tests[1])]  # reads coordinate 0
         plan = MonteCarloPlan(replications=600, seed=13)
         at_fraction = np.zeros(d)
         at_fraction[: d // 5] = np.linspace(0.1, 0.5, d // 5)
@@ -203,7 +203,7 @@ class TestCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dense_shift_equals_reject_matrix_on_the_same_chunks(self, suite, workers):
         d, tests = suite
-        tests = [tests[1], tests[2], build_enhanced(tests[1], d)]  # p=2, sup, enhanced
+        tests = [tests[1], tests[2], build_enhanced(tests[1])]  # p=2, sup, enhanced
         plan = MonteCarloPlan(replications=300, seed=17)
         theta = np.full(d, 0.1)
         want = sum(
@@ -221,8 +221,8 @@ class TestAutoGrid:
         cal = MonteCarloPlan(replications=10_000, seed=12)
         tests = [mc_calibrate(E2, d, 0.05, cal)]
         plan = MonteCarloPlan(replications=2000, seed=13)
-        grid = auto_a_grid(tests, dense(), d, plan, points=16)
-        assert grid[0] == 0.0 and len(grid) == 16
+        grid = auto_a_grid(tests, dense(), plan)
+        assert grid[0] == 0.0 and len(grid) == 32
         rate, _ = estimate_rejection(tests[0], dense().theta(d, grid[-1]), plan)
         assert rate >= 0.95
 
@@ -231,9 +231,17 @@ class TestAutoGrid:
         cal = MonteCarloPlan(replications=10_000, seed=12)
         tests = [mc_calibrate(E2, d, 0.05, cal)]
         plan = MonteCarloPlan(replications=2000, seed=13)
-        assert auto_a_grid(tests, dense(), d, plan) == auto_a_grid(
-            tests, dense(), d, plan
-        )
+        grid = auto_a_grid(tests, dense(), plan)
+        assert auto_a_grid(tests, dense(), plan) == grid
+        # and it is the grid a curve on the auto grid takes
+        table = power_curve(tests, dense(), None, d, plan)
+        assert tuple(r.scale for r in table.rows) == grid
+
+    def test_tests_of_two_dimensions_are_refused(self):
+        plan = MonteCarloPlan(replications=400, seed=13)
+        tests = [ConstantTest(d=300), ConstantTest(d=200, always_reject=True)]
+        with pytest.raises(DomainError, match="one dimension"):
+            auto_a_grid(tests, dense(), plan)
 
 
 def _spy_passes(monkeypatch, step):
@@ -263,9 +271,9 @@ class TestAutoGridStore:
         # 1000 replications probe on 400: the last probe chunk has 16 rows
         # and must not stand in for the curve's 128-row chunk 3
         d, tests = suite
-        tests = tests + [build_enhanced(tests[1], d)]  # reads coordinate 0
+        tests = tests + [build_enhanced(tests[1])]  # reads coordinate 0
         plan = MonteCarloPlan(replications=reps, seed=23)
-        grid = auto_a_grid(tests, family, d, plan, workers=workers)
+        grid = auto_a_grid(tests, family, plan, workers=workers)
         want = power_curve(tests, family, grid, d, plan, workers=workers)
         assert power_curve(tests, family, None, d, plan, workers=workers) == want
 
@@ -372,7 +380,7 @@ class TestGapScan:
         )
 
     def test_default_grid_span(self):
-        grid = default_gap_grid(1000, points_per_family=15)
+        grid = default_gap_grid(1000)
         assert len(grid) == 60
         labels = {label.split(" ")[0] for label, _, _ in grid}
         assert labels == {"dense", "sparse", "semi-sparse", "power-sparse(p=4)"}
@@ -444,7 +452,7 @@ class TestEnhancementDemo:
     def test_exact_oracles_and_domination(self):
         d = 2000
         plan = MonteCarloPlan(replications=20_000, seed=19)
-        report = enhancement_demo(d, ConstantTest(d=d), plan)
+        report = enhancement_demo(ConstantTest(d=d), plan)
         assert report.coordinate == 0
         # detector-only test: size and power match the closed-form tails
         assert abs(report.size_enhanced - report.size_inflation_bound) <= (
@@ -459,7 +467,7 @@ class TestEnhancementDemo:
         cal = MonteCarloPlan(replications=10_000, seed=20)
         base = mc_calibrate(E2, d, 0.05, cal)
         plan = MonteCarloPlan(replications=10_000, seed=21)
-        report = enhancement_demo(d, base, plan)
+        report = enhancement_demo(base, plan)
         assert report.power_enhanced >= report.power_base - 1e-12
         assert report.size_enhanced >= report.size_base - 1e-12
         assert report.size_enhanced <= (
