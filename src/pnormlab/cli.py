@@ -1,6 +1,7 @@
 """Batch command-line surface.
 
-Subcommands: calibrate, power, consistency, demo-pe, demo-enhance, reduce.
+Subcommands: calibrate, power, consistency, contour, radius, demo-pe,
+demo-enhance, reduce.
 
 Configuration comes from a flat key=value file (``--config``) merged with
 command-line flags; flags win.  Seeds are mandatory inputs with defaults —
@@ -160,29 +161,19 @@ def _given(res: _Resolver, *keys: str) -> list[str]:
 def _cmd_calibrate(res: _Resolver):
     d = res.require("d")
     alpha = res.get("alpha", 0.05)
-    workers = res.get("workers", 1)
+    name = res.require("test")
     out = res.get("out")
-    preset = res.get("preset")
-    exponent_text = res.get("p")
-    asymptotic = res.get("asymptotic", False)
-    minimax = res.get("minimax", False)
-    chosen = [key for key, given in (("asymptotic", asymptotic), ("minimax", minimax),
-                                     ("preset", preset is not None),
-                                     ("p", exponent_text is not None)) if given]
-    if len(chosen) > 1 and chosen != ["asymptotic", "p"]:
-        raise ConfigError(f"conflicting modes {', '.join('--' + key for key in chosen)}: set one "
-                          f"of --p, --preset or --minimax (--asymptotic goes with --p only)")
-
-    if asymptotic:
-        if exponent_text is None:
-            raise ConfigError("--asymptotic needs --p (a positive real or 'sup')")
-        test = asymptotic_test(parse_exponent(exponent_text), d, alpha)
-    elif not chosen:
-        raise ConfigError("choose one of --p, --preset, or --minimax")
+    if res.get("asymptotic", False):
+        try:
+            exponent = parse_exponent(name)
+        except DomainError as exc:
+            raise ConfigError(f"--asymptotic needs a single-exponent --test "
+                              f"(p=<x> or sup), got {name!r}") from exc
+        test = asymptotic_test(exponent, d, alpha)
     else:
-        name = "minimax" if minimax else "combined" if preset else f"p={exponent_text}"
         plan = MonteCarloPlan(res.get("reps", 100_000), res.get("seed", 20_240_501))
-        (test,) = calibrate_suite([calibration(name, d, alpha, plan, res.get)], d, plan, workers)
+        (test,) = calibrate_suite([calibration(name, d, alpha, plan, res.get)],
+                                  res.get("workers", 1))
 
     header = f"test = {test.label}  d = {d}  alpha = {alpha:g}"
     if isinstance(test, MinimaxAdaptiveTest):
@@ -191,7 +182,7 @@ def _cmd_calibrate(res: _Resolver):
             print(f"kappa[{j}] = {k:.10g}")
         print(f"threshold = {test.threshold:.10g}")
     elif isinstance(test, CombinedTest):
-        print(f"{header}  preset = {preset}")
+        print(f"{header}  preset = {res.resolved['preset']}")  # as the calibration read it
         for p, a, k in zip(test.exponents, test.budget.alphas, test.kappas):
             print(f"member p = {p:.6g}  alpha_j = {a:.6g}  kappa = {k:.10g}")
         print(f"scale = {test.scale:.10g}")
@@ -226,7 +217,7 @@ def _build_test_suite(names, d, alpha, calib_plan, res, workers):
         raise ConfigError(f"artifact was calibrated at d={loaded[0].d}, run requests d={d}")
     calibrations = [calibration(name, d, alpha, calib_plan, res.get) for name in names]
     plab.require_distinct_labels([c.label for c in calibrations] + [t.label for t in loaded])
-    return calibrate_suite(calibrations, d, calib_plan, workers) + loaded
+    return calibrate_suite(calibrations, workers) + loaded
 
 
 def _cmd_power(res: _Resolver):
@@ -327,49 +318,31 @@ def _parse_range(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
-# the options each consistency mode reads; --outdir and --workers go with any
-_CONSISTENCY_MODES = {
-    "traces": ("family", "dgrid", "exponents"),
-    "contour": ("p", "range", "resolution"),
-    "radius": ("p", "d"),
-}
+def _cmd_radius(res: _Resolver):
+    exponent = parse_exponent(res.require("p"))
+    if exponent.is_sup:
+        raise ConfigError("radius needs a finite --p")
+    print(f"radius = {clab.minimax_radius(exponent.p, res.require('d')):.10g}")
+
+
+def _cmd_contour(res: _Resolver):
+    exponent = parse_exponent(res.require("p"))
+    lo, hi = _parse_range(res.get("range", "-5:5"))
+    resolution = res.get("resolution", 101)
+    if resolution > _MAX_CONTOUR_RESOLUTION:
+        raise ConfigError(f"--resolution {resolution} exceeds the cap of "
+                          f"{_MAX_CONTOUR_RESOLUTION} points per axis")
+    axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
+    outdir = _outdir(res)
+    path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
+    n = len(axis)
+    write_csv(path, ("x1", "x2", "value"),
+              [(axis[i], axis[j], grid[i, j]) for i in range(n) for j in range(n)])
+    print(f"contour = {path}  resolution = {resolution}")
+    return os.path.join(outdir, "consistency_manifest.txt"), [path]
 
 
 def _cmd_consistency(res: _Resolver):
-    radius, contour = res.get("radius", False), res.get("contour", False)
-    if radius and contour:
-        raise ConfigError("--radius and --contour are two modes; set one of them")
-    mode = "radius" if radius else "contour" if contour else "traces"
-    reads = _CONSISTENCY_MODES[mode]
-    # a config file may carry the keys of every mode; a flag is meant for this run
-    others = [k for keys in _CONSISTENCY_MODES.values() for k in keys if k not in reads]
-    if foreign := _given(res, *dict.fromkeys(others)):
-        raise ConfigError(f"consistency {mode} reads {', '.join('--' + k for k in reads)}; "
-                          f"drop {' and '.join(foreign)}")
-
-    if radius:
-        exponent = parse_exponent(res.require("p"))
-        if exponent.is_sup:
-            raise ConfigError("--radius needs a finite --p")
-        print(f"radius = {clab.minimax_radius(exponent.p, res.require('d')):.10g}")
-        return None
-
-    if contour:
-        exponent = parse_exponent(res.require("p"))
-        lo, hi = _parse_range(res.get("range", "-5:5"))
-        resolution = res.get("resolution", 101)
-        if resolution > _MAX_CONTOUR_RESOLUTION:
-            raise ConfigError(f"--resolution {resolution} exceeds the cap of "
-                              f"{_MAX_CONTOUR_RESOLUTION} points per axis")
-        axis, grid = clab.contour_grid(exponent, lo, hi, resolution)
-        outdir = _outdir(res)
-        path = os.path.join(outdir, f"contour_{exponent.label.replace('=', '')}.csv")
-        n = len(axis)
-        write_csv(path, ("x1", "x2", "value"),
-                  [(axis[i], axis[j], grid[i, j]) for i in range(n) for j in range(n)])
-        print(f"contour = {path}  resolution = {resolution}")
-        return os.path.join(outdir, "consistency_manifest.txt"), [path]
-
     family = _family_from_spec(res.require("family"))
     grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
     exponents = [parse_exponent(t) for t in res.get("exponents", "2").split(",")]
@@ -415,7 +388,7 @@ def _cmd_demo_enhance(res: _Resolver):
     calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
     name = res.get("base", "p=2")
     base = ConstantTest(d=d) if name == "never" else calibrate_suite(
-        [calibration(name, d, alpha, calib_plan, res.get)], d, calib_plan, workers)[0]
+        [calibration(name, d, alpha, calib_plan, res.get)], workers)[0]
     rep = plab.enhancement_demo(base, plan, workers=workers)
     outdir = _outdir(res)
     rows = [
@@ -461,7 +434,9 @@ def _cmd_reduce(res: _Resolver):
 _COMMANDS = {
     "calibrate": (_cmd_calibrate, "calibrate critical values"),
     "power": (_cmd_power, "power curves against signal families"),
-    "consistency": (_cmd_consistency, "criterion traces, contours, radii"),
+    "consistency": (_cmd_consistency, "criterion traces over a dimension grid"),
+    "contour": (_cmd_contour, "criterion surface of one exponent at d = 2"),
+    "radius": (_cmd_radius, "minimax separation radius of a p-norm ball"),
     "demo-pe": (_cmd_demo_pe, "max-combination power comparison"),
     "demo-enhance": (_cmd_demo_enhance, "one-coordinate power enhancement"),
     "reduce": (_cmd_reduce, "regression-to-sequence-model reduction"),
@@ -485,15 +460,15 @@ _OPTIONS = {
     "config": _Option(str, _ALL, "flat key=value config file; flags win"),
     "workers": _Option(int, "calibrate power consistency demo-pe demo-enhance",
                        "chunk workers (never affects results)", manifest=None),
-    "outdir": _Option(str, "power consistency demo-pe demo-enhance", manifest=None),
-    "d": _Option(int, "calibrate power consistency demo-pe demo-enhance"),
+    "outdir": _Option(str, "power consistency contour demo-pe demo-enhance", manifest=None),
+    "d": _Option(int, "calibrate power radius demo-pe demo-enhance"),
     "alpha": _Option(float, "calibrate power demo-enhance"),
-    "p": _Option(str, "calibrate consistency", "norm exponent (positive real or 'sup')"),
+    "test": _Option(str, "calibrate", "a --tests name: p=<x>, sup, combined, minimax"),
+    "p": _Option(str, "contour radius", "norm exponent (positive real or 'sup')"),
     "preset": _Option(("exp", "linear"), "calibrate power", "combined-test member preset"),
-    "minimax": _Option(bool, "calibrate"),
     "margin": _Option(float, "calibrate power"),
     "max-power": _Option(int, "calibrate power"),
-    "asymptotic": _Option(bool, "calibrate"),
+    "asymptotic": _Option(bool, "calibrate", "analytic critical value of a p=<x> or sup test"),
     "seed": _Option(int, "calibrate power demo-pe demo-enhance"),
     "reps": _Option(int, "calibrate power demo-pe demo-enhance"),
     "calib-reps": _Option(int, "power demo-pe demo-enhance"),
@@ -510,10 +485,8 @@ _OPTIONS = {
                         manifest="input"),
     "exponents": _Option(str, "consistency", "comma list of exponents or 'sup'"),
     "dgrid": _Option(str, "consistency", "geometric:lo:hi or comma list"),
-    "contour": _Option(bool, "consistency"),
-    "range": _Option(str, "consistency"),
-    "resolution": _Option(int, "consistency"),
-    "radius": _Option(bool, "consistency"),
+    "range": _Option(str, "contour"),
+    "resolution": _Option(int, "contour"),
     "alpha2": _Option(float, "demo-pe"),
     "alpha-inf": _Option(float, "demo-pe"),
     "base": _Option(str, "demo-enhance", "a --tests name (p=<x>, sup, combined, minimax) or never"),
@@ -522,17 +495,24 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``only`` alone when
+    it names one: a run builds just the subparser it uses."""
     parser = argparse.ArgumentParser(
         prog="pnormlab",
         description="Norm-based tests for high-dimensional Gaussian sequence models",
     )
-    sub = parser.add_subparsers(required=True)
+    # every subcommand's name, also in the usage of a parser built for one
+    sub = parser.add_subparsers(required=True, metavar="{" + ",".join(_COMMANDS) + "}")
     # the width argparse would find, queried once instead of once per option
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     subparsers = {}
-    for command, (handler, summary) in _COMMANDS.items():
-        subparsers[command] = sub.add_parser(command, help=summary, formatter_class=formatter)
+    for command in [only] if only in _COMMANDS else _COMMANDS:
+        handler, summary = _COMMANDS[command]
+        # no abbreviations: a flag of another subcommand, such as --d under
+        # consistency, is refused rather than read as a prefix (--dgrid)
+        subparsers[command] = sub.add_parser(command, help=summary, formatter_class=formatter,
+                                             allow_abbrev=False)
         subparsers[command].set_defaults(handler=handler, command=command)
     for name, opt in _OPTIONS.items():
         if opt.type is bool:
@@ -542,12 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             kwargs = {"type": opt.type}
         for command in opt.commands.split():
-            subparsers[command].add_argument(f"--{name}", help=opt.help, **kwargs)
+            if command in subparsers:
+                subparsers[command].add_argument(f"--{name}", help=opt.help, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         res = _Resolver(args)
         record = args.handler(res)

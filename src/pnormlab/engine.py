@@ -687,6 +687,8 @@ class Calibration(NamedTuple):
     label: str  # the calibrated test's label
     exponents: list[Exponent]  # the null statistic columns it reads
     level: float  # the deepest tail level it reads
+    d: int  # the dimension and plan it calibrates on
+    plan: MonteCarloPlan
     calibrate: Callable  # calibrate(stats=...) -> the test
 
 
@@ -701,23 +703,31 @@ def calibration(name: str, d: int, alpha: float, plan: MonteCarloPlan,
         budget = geometric_budget(m, alpha, option("budget-success", 0.5),
                                   option("budget-last-share", 0.5))
         return Calibration(f"combined(m={m})", [Exponent.finite(p) for p in exps],
-                           min(budget.alphas), partial(build_combined, d, exps, budget, plan))
+                           min(budget.alphas), d, plan,
+                           partial(build_combined, d, exps, budget, plan))
     if name == "minimax":
         t = build_minimax_adaptive(d, option("margin", 5.0), option("max-power", 8))
-        return Calibration(t.label, list(t.norm_exponents()), alpha,
+        return Calibration(t.label, list(t.norm_exponents()), alpha, d, plan,
                            partial(mc_scale_minimax, t, alpha, plan))
-    e = parse_exponent(name.removeprefix("p="))
-    return Calibration(e.label, [e], alpha, partial(mc_calibrate, e, d, alpha, plan))
+    e = parse_exponent(name)
+    return Calibration(e.label, [e], alpha, d, plan, partial(mc_calibrate, e, d, alpha, plan))
 
 
-def calibrate_suite(calibrations: Sequence[Calibration], d: int, plan: MonteCarloPlan,
-                    workers: int = 1) -> list:
-    """The tests of ``calibrations`` on one shared null sample of ``plan``.
-    A column depends only on the plan and its exponent, so each test gets
-    the critical values of a calibration of its own.  A plan too small for
-    the deepest level read is refused before any draw."""
+def calibrate_suite(calibrations: Sequence[Calibration], workers: int = 1) -> list:
+    """The tests of ``calibrations`` on one shared null sample of the plan
+    they were given.  A column depends only on the plan and its exponent,
+    so each test gets the critical values of a calibration of its own.
+    Calibrations of different dimensions or plans, or a plan too small for
+    the deepest level read, are refused before any draw."""
     if not calibrations:
         return []
+    first = calibrations[0]
+    d, plan = first.d, first.plan
+    for c in calibrations:
+        if (c.d, c.plan) != (d, plan):
+            raise DomainError(f"a suite calibrates at one d on one plan: {c.label} asks d={c.d}, "
+                              f"{c.plan.descriptor()}; {first.label} asks d={d}, "
+                              f"{plan.descriptor()}")
     require_tail_plan(min(c.level for c in calibrations), plan)
     stats = simulate_null_statistics(d, [e for c in calibrations for e in c.exponents], plan,
                                      workers=workers)

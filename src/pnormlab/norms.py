@@ -75,8 +75,8 @@ SUP = Exponent(None)
 
 
 def parse_exponent(text: str) -> Exponent:
-    """Parse 'sup'/'inf' or a positive real."""
-    t = str(text).strip().lower()
+    """Parse 'sup'/'inf' or a positive real, bare or as a test name's 'p=<x>'."""
+    t = str(text).strip().lower().removeprefix("p=")
     if t in ("sup", "inf", "max", "infinity"):
         return SUP
     try:

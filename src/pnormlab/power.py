@@ -299,9 +299,7 @@ def pe_demo(
     unit = Unit.from_runs(*semi_sparse().runs(d))
     levels = {"p=2": alpha2, "sup": alpha_inf, "combined": total, "p=3": total, "p=4": total}
     two, supt, combined, p3, p4 = calibrate_suite(
-        [calibration(name, d, level, calibration_plan) for name, level in levels.items()],
-        d, calibration_plan, workers,
-    )
+        [calibration(name, d, level, calibration_plan) for name, level in levels.items()], workers)
     maxcomb = UnionTest(members=(two, supt), name="max-comb(2,sup)")
     tests = [two, supt, maxcomb, combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]

@@ -82,15 +82,33 @@ _TRACE_OPTIONS = {
         st.lists(_D_VALUE, min_size=1, max_size=4).map(",".join),
     ),
     "--exponents": st.lists(
-        st.one_of(st.sampled_from(["2", "3", "sup", "0.5"]), _ARG_VALUE),
+        st.one_of(st.sampled_from(["2", "3", "sup", "0.5", "p=2"]), _ARG_VALUE),
         min_size=1, max_size=3,
     ).map(",".join),
 }
+# contour options; a few points per axis keep each example cheap
+_CONTOUR_OPTIONS = {
+    "--p": st.one_of(st.sampled_from(["1", "3", "sup", "p=2", "0.5"]), _ARG_VALUE),
+    "--range": st.one_of(st.tuples(_ARG_VALUE, _ARG_VALUE).map(":".join), _ARG_VALUE),
+    "--resolution": st.integers(min_value=-2, max_value=12).map(str),
+}
+
+
+def exit_code_in_fresh_outdir(command, options):
+    """The exit code of ``command`` with the given ``--flag=value`` options
+    (a None value leaves its flag out), argparse's included."""
+    argv = [command] + [f"{flag}={value}" for flag, value in options.items()
+                        if value is not None]
+    with tempfile.TemporaryDirectory() as outdir:
+        try:
+            return main(argv + ["--outdir", outdir])
+        except SystemExit as exc:
+            return exc.code
 
 
 class TestExitCodes:
     def test_missing_required_option(self, capsys):
-        assert run(["calibrate", "--p", "2", "--alpha", "0.05", "--asymptotic"]) == 2
+        assert run(["calibrate", "--test", "p=2", "--alpha", "0.05", "--asymptotic"]) == 2
         assert "missing required option" in capsys.readouterr().err
 
     def test_chunk_size_is_not_an_option(self, tmp_path):
@@ -102,7 +120,7 @@ class TestExitCodes:
     def test_sup_is_not_a_flag(self, tmp_path):
         # the sup surface is --p sup, as in every other subcommand
         with pytest.raises(SystemExit) as exc:
-            run(["consistency", "--contour", "--sup", "--outdir", tmp_path])
+            run(["contour", "--sup", "--outdir", tmp_path])
         assert exc.value.code == 2
 
     def test_unknown_family(self, tmp_path):
@@ -116,28 +134,28 @@ class TestExitCodes:
          "--reps", "200", "--agrid", "1:2"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:0"],
-        ["consistency", "--contour", "--p", "2", "--range", "5"],
+        ["contour", "--p", "2", "--range", "5"],
         ["consistency", "--family", "dense", "--dgrid", "geometric:1e3"],
         ["consistency", "--family", "power-sparse:abc", "--dgrid", "1000,2000"],
-        ["calibrate", "--d", "100", "--p", "2", "--asymptotic",
+        ["calibrate", "--d", "100", "--test", "p=2", "--asymptotic",
          "--out", "{tmp}/missing/x.txt"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2", "--artifact", "{tmp}/missing.txt"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:nan:3"],
-        ["consistency", "--contour", "--p", "2", "--range", "0:inf"],
+        ["contour", "--p", "2", "--range", "0:inf"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:10001"],
-        ["consistency", "--contour", "--p", "2", "--resolution", "1002"],
+        ["contour", "--p", "2", "--resolution", "1002"],
         # a grid bound past float range
         ["consistency", "--family", "dagger", "--dgrid", "geometric:1e3:1e309"],
         ["power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2", "--workers", "0"],
         ["power", "--d", "100", "--tests", ","],
-        ["consistency", "--radius", "--p", "sup", "--d", "100"],
+        ["radius", "--p", "sup", "--d", "100"],
         # a threshold from 5 draws, or from the 2 draws above it
-        ["calibrate", "--minimax", "--d", "100", "--reps", "5"],
-        ["calibrate", "--minimax", "--d", "100", "--reps", "2000", "--alpha", "0.001"],
+        ["calibrate", "--test", "minimax", "--d", "100", "--reps", "5"],
+        ["calibrate", "--test", "minimax", "--d", "100", "--reps", "2000", "--alpha", "0.001"],
         ["power", "--d", "100", "--tests", "p=2,p=2", "--calib-reps", "2000",
          "--reps", "200", "--agrid", "0:1:2"],
         # the preset runs its own tests and families
@@ -152,19 +170,12 @@ class TestExitCodes:
          "--reps", "200"],
         # the semi-sparse signal needs d >= 16
         ["demo-pe", "--d", "10", "--calib-reps", "2000", "--reps", "200"],
-        # consistency runs one mode, and a flag of another mode is refused
-        ["consistency", "--radius", "--contour", "--p", "2", "--d", "100"],
-        ["consistency", "--contour", "--p", "2", "--family", "dense", "--dgrid", "1,2"],
-        ["consistency", "--radius", "--p", "2", "--d", "100", "--family", "dense"],
-        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--d", "100"],
-        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--p", "2"],
+        ["calibrate", "--d", "100", "--test", "bogus", "--reps", "2000"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
             "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3",
-            "tests-bogus", "base-bogus", "demo-pe-small-d", "radius-and-contour",
-            "contour-trace-flags", "radius-trace-flag", "trace-radius-flag",
-            "trace-contour-flag"])
+            "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -174,40 +185,55 @@ class TestExitCodes:
         # a refused run writes nothing, not even its output directory
         assert not (tmp_path / "out").exists()
 
-    # both write where --out says, and reduce draws nothing
+    # a subcommand takes only the options it reads: calibrate and reduce
+    # write where --out says, contour and reduce draw nothing and take no
+    # --workers, calibrate names its test with --test, and consistency,
+    # contour and radius refuse one another's flags
     @pytest.mark.parametrize("argv", [
-        ["calibrate", "--asymptotic", "--p", "2", "--d", "100", "--out", "{tmp}/a.txt",
+        ["calibrate", "--asymptotic", "--test", "p=2", "--d", "100", "--out", "{tmp}/a.txt",
          "--outdir", "{tmp}/D"],
         ["reduce", "--design", "{tmp}/X.txt", "--response", "{tmp}/z.txt",
          "--out", "{tmp}/a.txt", "--outdir", "{tmp}/D"],
         ["reduce", "--design", "{tmp}/X.txt", "--response", "{tmp}/z.txt",
          "--out", "{tmp}/a.txt", "--workers", "2"],
-    ], ids=["calibrate-outdir", "reduce-outdir", "reduce-workers"])
+        ["contour", "--p", "2", "--outdir", "{tmp}/D", "--workers", "2"],
+        ["calibrate", "--asymptotic", "--p", "2", "--d", "100", "--out", "{tmp}/a.txt"],
+        ["contour", "--p", "2", "--d", "100", "--outdir", "{tmp}/D"],
+        ["contour", "--p", "2", "--family", "dense", "--dgrid", "1,2", "--outdir", "{tmp}/D"],
+        ["radius", "--p", "2", "--d", "100", "--family", "dense"],
+        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--d", "100",
+         "--outdir", "{tmp}/D"],
+        ["consistency", "--family", "dense", "--dgrid", "1000,2000", "--p", "2",
+         "--outdir", "{tmp}/D"],
+    ], ids=["calibrate-outdir", "reduce-outdir", "reduce-workers", "contour-workers",
+            "calibrate-p", "radius-and-contour", "contour-trace-flags", "radius-trace-flag",
+            "trace-radius-flag", "trace-contour-flag"])
     def test_ignored_options_are_refused(self, tmp_path, rng, argv):
         np.savetxt(tmp_path / "X.txt", rng.normal(size=(5, 2)))
         np.savetxt(tmp_path / "z.txt", rng.normal(size=5))
         with pytest.raises(SystemExit) as exc:
             run([a.format(tmp=tmp_path) for a in argv])
         assert exc.value.code == 2
-        assert not (tmp_path / "D").exists() and not (tmp_path / "a.txt").exists()
+        assert sorted(os.listdir(tmp_path)) == ["X.txt", "z.txt"]
 
-    @pytest.mark.parametrize("command", [["calibrate", "--asymptotic"],
-                                         ["consistency", "--radius"]])
+    @pytest.mark.parametrize("command", [["calibrate", "--asymptotic", "--test", "p=2"],
+                                         ["radius", "--p", "2"]])
     def test_overflowing_dimension_exits_three(self, capsys, command):
-        assert run(command + ["--p", "2", "--d", "1" + "0" * 400]) == 3
+        assert run(command + ["--d", "1" + "0" * 400]) == 3
         assert capsys.readouterr().err.startswith("numeric error: ")
 
-    # these two commands and the trace command (next test) start no
-    # simulation and allocate nothing that grows with d, so any argv is cheap
-    # to run
+    # these two commands and the trace and contour commands (next tests)
+    # start no simulation and allocate nothing that grows with d, so any argv
+    # is cheap to run
     @settings(max_examples=300, deadline=None)
-    @example(argv=["calibrate", "--asymptotic", "--p", "sup", "--d", "1000",
+    @example(argv=["calibrate", "--asymptotic", "--test", "sup", "--d", "1000",
                    "--alpha", "5e-324"])
-    @given(argv=st.tuples(
-        st.sampled_from([("calibrate", "--asymptotic"), ("consistency", "--radius")]),
-        st.lists(st.tuples(st.sampled_from(["--p", "--d", "--alpha"]), _ARG_VALUE),
-                 max_size=4),
-    ).map(lambda t: list(t[0]) + [x for pair in t[1] for x in pair]))
+    @given(argv=st.sampled_from([
+        (["calibrate", "--asymptotic"], ["--test", "--d", "--alpha"]),
+        (["radius"], ["--p", "--d"]),
+    ]).flatmap(lambda command: st.lists(
+        st.tuples(st.sampled_from(command[1]), _ARG_VALUE), max_size=4,
+    ).map(lambda pairs: command[0] + [x for pair in pairs for x in pair])))
     def test_scalar_commands_exit_with_a_documented_code(self, argv):
         try:
             code = main(argv)
@@ -220,20 +246,18 @@ class TestExitCodes:
         flag: st.none() | values for flag, values in _TRACE_OPTIONS.items()
     }))
     def test_trace_command_exits_with_a_documented_code(self, options):
-        argv = ["consistency"] + [
-            x for flag, value in options.items() if value is not None
-            for x in (flag, value)
-        ]
-        with tempfile.TemporaryDirectory() as outdir:
-            try:
-                code = main(argv + ["--outdir", outdir])
-            except SystemExit as exc:  # argparse rejected the argv
-                code = exc.code
-        assert code in (0, 2, 3)
+        assert exit_code_in_fresh_outdir("consistency", options) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=st.fixed_dictionaries({
+        flag: st.none() | values for flag, values in _CONTOUR_OPTIONS.items()
+    }))
+    def test_contour_command_exits_with_a_documented_code(self, options):
+        assert exit_code_in_fresh_outdir("contour", options) in (0, 2, 3)
 
     def test_numeric_failure(self, capsys):
         code = run(
-            ["calibrate", "--p", "2", "--d", "1", "--alpha", "0.9999", "--asymptotic"]
+            ["calibrate", "--test", "p=2", "--d", "1", "--alpha", "0.9999", "--asymptotic"]
         )
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
@@ -241,7 +265,7 @@ class TestExitCodes:
 
 class TestCalibrate:
     def test_asymptotic_prints_formula_value(self, capsys):
-        assert run(["calibrate", "--p", "2", "--d", "100", "--alpha", "0.05",
+        assert run(["calibrate", "--test", "p=2", "--d", "100", "--alpha", "0.05",
                     "--asymptotic"]) == 0
         out = capsys.readouterr().out
         assert "kappa = 11.10233052" in out
@@ -249,7 +273,7 @@ class TestCalibrate:
     def test_monte_carlo_artifact_round_trip(self, tmp_path):
         out = tmp_path / "p2.txt"
         code = run([
-            "calibrate", "--p", "2", "--d", "200", "--alpha", "0.05",
+            "calibrate", "--test", "p=2", "--d", "200", "--alpha", "0.05",
             "--reps", "5000", "--seed", "3", "--out", out,
         ])
         assert code == 0
@@ -260,7 +284,7 @@ class TestCalibrate:
     def test_combined_preset(self, tmp_path, capsys):
         out = tmp_path / "combined.txt"
         code = run([
-            "calibrate", "--preset", "exp", "--d", "500", "--alpha", "0.05",
+            "calibrate", "--test", "combined", "--preset", "exp", "--d", "500", "--alpha", "0.05",
             "--reps", "5000", "--seed", "3", "--out", out,
         ])
         assert code == 0
@@ -272,7 +296,7 @@ class TestCalibrate:
 
     @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
     def test_minimax_prints_its_kappas_and_threshold(self, capsys):
-        assert run(["calibrate", "--d", "100", "--minimax", "--reps", "2000"]) == 0
+        assert run(["calibrate", "--d", "100", "--test", "minimax", "--reps", "2000"]) == 0
         test = mc_scale_minimax(build_minimax_adaptive(100, 5.0, 8), 0.05,
                                 MonteCarloPlan(2000, 20_240_501))
         lines = capsys.readouterr().out.splitlines()
@@ -283,16 +307,18 @@ class TestCalibrate:
         calls = count_draws(monkeypatch)
         out = tmp_path / "t.txt"
         assert run(["calibrate", "--d", "100", "--reps", "2000", "--out", out]) == 2
-        assert "choose one of" in capsys.readouterr().err
+        assert "missing required option --test" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
     @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
     @pytest.mark.parametrize("config, argv", [
-        ("", ["--p", "2"]),
-        ("", ["--preset", "exp"]),
-        ("budget-success = 0.3\n", ["--preset", "exp"]),
-        ("", ["--minimax"]),
-    ], ids=["p2", "exp", "exp-config", "minimax"])
+        ("", ["--test", "p=2"]),
+        ("", ["--test", "combined", "--preset", "exp"]),
+        ("budget-success = 0.3\n", ["--test", "combined"]),
+        ("", ["--test", "minimax"]),
+        ("", ["--test", "sup"]),
+        ("test = p=2\n", []),
+    ], ids=["p2", "exp", "exp-config", "minimax", "sup", "config-test"])
     def test_artifacts_equal_direct_calibrations(self, tmp_path, config, argv):
         d, alpha, plan = 200, 0.05, MonteCarloPlan(4000, 20_240_501)
         cfg = tmp_path / "run.cfg"
@@ -300,9 +326,10 @@ class TestCalibrate:
         out = tmp_path / "cli.txt"
         assert run(["calibrate", "--d", d, "--reps", 4000, "--config", cfg, "--out", out]
                    + argv) == 0
-        if argv[0] == "--p":
-            test = mc_calibrate(parse_exponent("2"), d, alpha, plan)
-        elif argv[0] == "--preset":
+        name = argv[1] if argv else "p=2"
+        if name in ("p=2", "sup"):
+            test = mc_calibrate(parse_exponent(name), d, alpha, plan)
+        elif name == "combined":
             m, exps = member_exponents(d, "exp")
             success = 0.3 if config else 0.5
             test = build_combined(d, exps, geometric_budget(m, alpha, success, 0.5), plan)
@@ -313,33 +340,26 @@ class TestCalibrate:
 
     def test_too_small_plan_names_the_least_replications(self, tmp_path, capsys):
         # ten linear members at d = 16 halve the level down to 4.9e-5
-        assert run(["calibrate", "--d", "16", "--preset", "linear"]) == 2
+        assert run(["calibrate", "--d", "16", "--test", "combined", "--preset", "linear"]) == 2
         least = least_replications(linear_preset_level(16))
         assert least == 204_400
         assert f"at least {least} replications" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, argv, keys", [
-        ("", ["--minimax", "--preset", "exp", "--p", "3"], ("minimax", "preset", "p")),
-        ("", ["--asymptotic", "--p", "2", "--minimax"], ("asymptotic", "minimax", "p")),
-        ("", ["--p", "2", "--preset", "exp"], ("preset", "p")),
-        ("", ["--asymptotic", "--preset", "exp"], ("asymptotic", "preset")),
-        ("preset = exp\n", ["--p", "2"], ("preset", "p")),
-        ("minimax = true\nasymptotic = yes\np = sup\n", [], ("asymptotic", "minimax", "p")),
-    ], ids=["three", "asymptotic-minimax", "p-preset", "asymptotic-preset",
-            "config-preset", "config-only"])
+    # --asymptotic gives the analytic critical value of one exponent
+    @pytest.mark.parametrize("config, argv", [
+        ("", ["--asymptotic", "--test", "minimax"]),
+        ("", ["--asymptotic", "--test", "combined", "--preset", "exp"]),
+        ("test = minimax\nasymptotic = yes\n", []),
+    ], ids=["asymptotic-minimax", "asymptotic-preset", "config-only"])
     def test_conflicting_modes_exit_two_before_simulating(
-        self, tmp_path, monkeypatch, capsys, config, argv, keys
+        self, tmp_path, monkeypatch, capsys, config, argv
     ):
-        calls = []
-        monkeypatch.setattr(engine, "simulate_null_statistics",
-                            lambda *args, **kwargs: calls.append(args))
+        calls = count_draws(monkeypatch)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\nreps = 2000\n" + config)
         out = tmp_path / "t.txt"
         assert run(["calibrate", "--config", cfg, "--out", out] + argv) == 2
-        err = capsys.readouterr().err
-        named = err.split(":")[1]  # "error: conflicting modes --a, --b: ..."
-        assert set(re.findall(r"--[\w-]+", named)) == {f"--{key}" for key in keys}, err
+        assert "--asymptotic needs a single-exponent --test" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
 
@@ -379,7 +399,7 @@ class TestPower:
     def test_artifact_dimension_guard(self, tmp_path):
         art = tmp_path / "a.txt"
         assert run([
-            "calibrate", "--p", "2", "--d", "100", "--alpha", "0.05",
+            "calibrate", "--test", "p=2", "--d", "100", "--alpha", "0.05",
             "--reps", "2000", "--seed", "1", "--out", art,
         ]) == 0
         code = run([
@@ -391,7 +411,7 @@ class TestPower:
 
     def test_artifact_label_taken(self, tmp_path):
         art = tmp_path / "a.txt"
-        assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic", "--out", art]) == 0
+        assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic", "--out", art]) == 0
         assert run([
             "power", "--d", "100", "--tests", "p=2", "--calib-reps", "2000",
             "--reps", "200", "--agrid", "0:1:2", "--artifact", art,
@@ -513,7 +533,7 @@ class TestSharedCalibration:
         self, tmp_path, monkeypatch, capsys, tests, artifact
     ):
         art = tmp_path / "a.txt"
-        assert run(["calibrate", "--asymptotic", "--p", "2", "--d", "300", "--out", art]) == 0
+        assert run(["calibrate", "--asymptotic", "--test", "p=2", "--d", "300", "--out", art]) == 0
         calls = []
         simulate = engine.simulate_null_statistics
 
@@ -561,13 +581,15 @@ class TestOptionParsers:
 
 class TestConsistency:
     def test_radius(self, capsys):
-        assert run(["consistency", "--radius", "--p", "2", "--d", "10000"]) == 0
+        assert run(["radius", "--p", "2", "--d", "10000"]) == 0
         assert "radius = 10" in capsys.readouterr().out
 
     def test_radius_creates_no_outdir(self, tmp_path):
+        # it writes nothing, so it takes no --outdir
         outdir = tmp_path / "out"
-        assert run(["consistency", "--radius", "--p", "2", "--d", "10000",
-                    "--outdir", outdir]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["radius", "--p", "2", "--d", "10000", "--outdir", outdir])
+        assert exc.value.code == 2
         assert not outdir.exists()
 
     def test_traces(self, tmp_path, capsys):
@@ -605,7 +627,7 @@ class TestConsistency:
 
     def test_contour(self, tmp_path):
         code = run([
-            "consistency", "--contour", "--p", "1", "--resolution", "11",
+            "contour", "--p", "1", "--resolution", "11",
             "--range=-2:2", "--outdir", tmp_path,
         ])
         assert code == 0
@@ -615,10 +637,20 @@ class TestConsistency:
 
     def test_sup_contour(self, tmp_path):
         assert run([
-            "consistency", "--contour", "--p", "sup", "--resolution", "5",
+            "contour", "--p", "sup", "--resolution", "5",
             "--outdir", tmp_path,
         ]) == 0
         assert (tmp_path / "contour_sup.csv").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["consistency", "--family", "dagger", "--dgrid", "geometric:1e3:1e5",
+          "--exponents", "{p},sup"], "trace_semi_sparse_p2.csv"),
+        (["contour", "--p", "{p}", "--resolution", "7"], "contour_p2.csv"),
+    ], ids=["traces", "contour"])
+    def test_test_name_spelling_of_an_exponent_writes_the_same_bytes(self, tmp_path, argv, name):
+        for p in ("2", "p=2"):
+            assert run([a.format(p=p) for a in argv] + ["--outdir", tmp_path / p]) == 0
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "p=2" / name).read_bytes()
 
 
 class TestConfigFile:
@@ -626,7 +658,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\nalpha = 0.05\n# comment\n")
         assert run([
-            "calibrate", "--config", cfg, "--p", "2", "--asymptotic",
+            "calibrate", "--config", cfg, "--test", "p=2", "--asymptotic",
             "--d", "400",
         ]) == 0
         out = capsys.readouterr().out
@@ -635,7 +667,7 @@ class TestConfigFile:
     def test_config_supplies_missing_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\n")
-        assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 0
+        assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 0
         assert "kappa = 11.10233052" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line", ["alpah = 0.5", "calib_reps = 1000", "chunk-size = 64",
@@ -644,14 +676,14 @@ class TestConfigFile:
     def test_unknown_key_exits_two(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"d = 100\n{line}\n")
-        assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 2
+        assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines, want", [
-        ("d = 100\np = 2\nasymptotic = yes\n", "kappa = 11.10233052"),
-        ("d = 100\np = 2\nasymptotic = off\nreps = 2000\n", None),
+        ("d = 100\ntest = p=2\nasymptotic = yes\n", "kappa = 11.10233052"),
+        ("d = 100\ntest = p=2\nasymptotic = off\nreps = 2000\n", None),
         # 10 members at d = 16; a flat budget keeps each level above 10 / reps
-        ("d = 16\npreset = linear\nbudget-success = 0.05\nreps = 5000\n",
+        ("d = 16\ntest = combined\npreset = linear\nbudget-success = 0.05\nreps = 5000\n",
          "preset = linear"),
     ], ids=["bool-yes", "bool-off", "choice"])
     def test_config_values_are_cast(self, tmp_path, capsys, lines, want):
@@ -665,10 +697,10 @@ class TestConfigFile:
             assert "11.10233052" not in out
         assert want in out
 
-    @pytest.mark.parametrize("line", ["preset = cubic", "d = ten", "minimax = maybe"])
+    @pytest.mark.parametrize("line", ["preset = cubic", "d = ten", "asymptotic = maybe"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"p = 2\nd = 100\n{line}\n")
+        cfg.write_text(f"test = combined\nd = 100\n{line}\n")
         assert run(["calibrate", "--config", cfg]) == 2
         key = line.split(" = ")[0]
         assert f"bad value for {key!r}" in capsys.readouterr().err
@@ -677,8 +709,21 @@ class TestConfigFile:
         # one file can serve both calibrate and power
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\nfamily = dense\n")
-        assert run(["calibrate", "--config", cfg, "--p", "2", "--asymptotic"]) == 0
+        assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 0
         assert "kappa = 11.10233052" in capsys.readouterr().out
+
+    def test_combined_keys_serve_a_single_exponent_calibration(self, tmp_path, capsys):
+        # the preset is the combined test's ladder, as under power --tests,
+        # so a p=2 calibration neither reads nor records it
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("preset = linear\nmax-power = 4\np = 3\n")
+        out = tmp_path / "a.txt"
+        assert run(["calibrate", "--config", cfg, "--test", "p=2", "--d", "100",
+                    "--asymptotic", "--out", out]) == 0
+        assert "kappa = 11.10233052" in capsys.readouterr().out
+        manifest = read_kv(f"{out}.manifest")
+        assert manifest["config.test"] == "p=2"
+        assert not {"config.preset", "config.max-power", "config.p"} & manifest.keys()
 
 
 class TestSharedReader:
@@ -702,7 +747,7 @@ class TestSharedReader:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_reads_what_the_manifest_writer_writes(self, tmp_path):
-        assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic",
+        assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic",
                     "--out", tmp_path / "a.txt"]) == 0
         manifest = read_kv(tmp_path / "a.txt.manifest")
         assert manifest["manifest"] == "pnormlab-run/1"
@@ -720,7 +765,7 @@ class TestSharedReader:
             where.mkdir(parents=True)
             for name in ("X.txt", "z.txt"):
                 (where / name).write_bytes((tmp_path / name).read_bytes())
-            assert run(["calibrate", "--p", "2", "--d", "100", "--asymptotic",
+            assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic",
                         "--out", where / "a.txt"]) == 0
             assert run(["reduce", "--design", where / "X.txt", "--response", where / "z.txt",
                         "--out", where / "theta.txt"]) == 0
@@ -841,7 +886,7 @@ def _calibrate_in_subprocess(out, disabled):
     src = os.path.dirname(os.path.dirname(os.path.abspath(pnormlab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     subprocess.run([sys.executable, "-m", "pnormlab.cli", "calibrate", "--d", "300",
-                    "--p", "2.5", "--reps", "2000", "--out", str(out)],
+                    "--test", "p=2.5", "--reps", "2000", "--out", str(out)],
                    env=env, check=True, capture_output=True)
     return read_kv(out), read_kv(f"{out}.manifest")
 

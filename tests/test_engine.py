@@ -467,7 +467,7 @@ class TestCalibrationByName:
     @pytest.mark.parametrize("name", ["p=1", "p=2", "sup", "combined", "minimax"])
     def test_reads_the_columns_and_level_of_its_test(self, name):
         c = calibration(name, self.D, self.ALPHA, self.PLAN)
-        (test,) = calibrate_suite([c], self.D, self.PLAN)
+        (test,) = calibrate_suite([c])
         assert tuple(c.exponents) == test.norm_exponents()
         assert c.label == test.label
         assert c.level == (min(test.budget.alphas) if name == "combined" else self.ALPHA)
@@ -503,7 +503,29 @@ class TestCalibrationByName:
         calls = []
         monkeypatch.setattr(engine, "simulate_null_statistics",
                             lambda *args, **kwargs: calls.append(args))
-        assert calibrate_suite([], self.D, self.PLAN) == []
+        assert calibrate_suite([]) == []
+        assert calls == []
+
+    def test_suite_draws_the_plan_and_d_of_its_calibrations(self):
+        plan = MonteCarloPlan(replications=2000, seed=1)
+        (test,) = calibrate_suite([calibration("p=2", 100, 0.05, plan)])
+        assert test == mc_calibrate(E2, 100, 0.05, plan)
+
+    @pytest.mark.parametrize("d, plan", [
+        (400, MonteCarloPlan(replications=4000, seed=9)),
+        (200, MonteCarloPlan(replications=4000, seed=10)),
+        (200, MonteCarloPlan(replications=2000, seed=9)),
+    ], ids=["d", "seed", "replications"])
+    def test_suite_of_two_dimensions_or_plans_is_refused_before_drawing(
+        self, monkeypatch, d, plan
+    ):
+        calls = []
+        monkeypatch.setattr(engine, "simulate_null_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+        calibrations = [calibration("p=2", self.D, self.ALPHA, self.PLAN),
+                        calibration("sup", d, self.ALPHA, plan)]
+        with pytest.raises(DomainError, match="one d on one plan"):
+            calibrate_suite(calibrations)
         assert calls == []
 
 

@@ -34,8 +34,11 @@ class TestExponent:
         assert SUP.label == "sup"
         assert parse_exponent("sup") == SUP
         assert parse_exponent("3.5") == Exponent.finite(3.5)
-        with pytest.raises(DomainError):
-            parse_exponent("nope")
+        # a test name's spelling
+        assert parse_exponent(" P=2 ") == parse_exponent("2") == Exponent.finite(2.0)
+        for bad in ("nope", "p=", "p=p=2"):
+            with pytest.raises(DomainError):
+                parse_exponent(bad)
 
 
 class TestPNormStat:
