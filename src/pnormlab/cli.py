@@ -55,28 +55,28 @@ _FAMILIES = {
 class _Resolver:
     """Flag value if given, else config-file value, else default.  A config
     key may be any option in ``_OPTIONS`` but ``config``, so one file can
-    serve several subcommands; any other key is a ConfigError.  Config
-    values are cast by the option's declared type.  A key that is not an
-    option of the run's subcommand resolves to its default and is not
-    recorded."""
+    serve several subcommands; any other key is a ConfigError.  The values
+    of the run's subcommand's options are cast by type when the file is
+    read, so a malformed one is refused even where the run would not read
+    it; a key of another subcommand is neither checked nor recorded."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.command = args.command
-        self.config = read_kv(args.config) if args.config else {}
-        unknown = sorted(k for k in self.config if k not in _OPTIONS or k == "config")
+        config = read_kv(args.config) if args.config else {}
+        unknown = sorted(k for k in config if k not in _OPTIONS or k == "config")
         if unknown:
             raise ConfigError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        self.config = {key: _cast(key, text) for key, text in config.items()
+                       if self.command in _OPTIONS[key].commands.split()}
         self.resolved: dict[str, object] = {}
 
     def get(self, key: str, default=None):
         if self.command not in _OPTIONS[key].commands.split():
             return default
         value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None and key in self.config:
-            value = _cast(key, self.config[key])
         if value is None:
-            value = default
+            value = self.config.get(key, default)
         self.resolved[key] = value
         return value
 
@@ -339,7 +339,7 @@ def _cmd_contour(res: _Resolver):
     write_csv(path, ("x1", "x2", "value"),
               [(axis[i], axis[j], grid[i, j]) for i in range(n) for j in range(n)])
     print(f"contour = {path}  resolution = {resolution}")
-    return os.path.join(outdir, "consistency_manifest.txt"), [path]
+    return os.path.join(outdir, "contour_manifest.txt"), [path]
 
 
 def _cmd_consistency(res: _Resolver):

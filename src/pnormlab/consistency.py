@@ -5,8 +5,9 @@ dimension grid characterizes when a norm test's power tends to one.  The
 lab reports fitted log-log slopes plus the raw trace and never a boolean
 "consistent" verdict: divergence is a limit property, and a finite grid can
 only shadow it.  Every criterion is a coordinate sum and every family a
-few constant runs, so a trace sums one term per run and reaches any d a
-float holds, past the semi-sparse turning points near 1e175.
+few constant runs, so one stacked pass over the runs of every grid d gives
+a whole trace, which reaches any d a float holds, past the semi-sparse
+turning points near 1e175.
 """
 
 from __future__ import annotations
@@ -154,17 +155,34 @@ def _vector(theta) -> np.ndarray:
     return theta
 
 
-def _finite_sum(values, counts, d: int, p: float, cutoff: float) -> float:
-    """``sum_j counts_j * w_p(values_j) / sqrt(d)`` over constant runs."""
+def _ratio_terms(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi(-x) / Phi(x)`` per argument and the mask of capped terms."""
+    low = args < _RATIO_ARG_FLOOR
+    safe = np.where(low, 0.0, args)
+    with np.errstate(over="ignore"):
+        log_ratio = special.log_ndtr(-safe) - special.log_ndtr(safe)
+        terms = np.where(low, _RATIO_CAP, np.exp(log_ratio))
+    return terms, low
+
+
+def _stacked_sums(values, counts, dims, p: float | None, cutoff: float = 1.0):
+    """Criterion of each row of a ``(points, runs)`` stack of dimensions
+    ``dims`` (``counts`` broadcasts), the sup ratio sum for p None, and
+    whether a sup term saturated.  A row sum adds as ``np.sum`` of that row
+    alone, so no value depends on the rows stacked with it."""
+    if p is None:
+        centering = np.array([sup_centering(d) for d in dims])
+        terms, low = _ratio_terms(centering[:, None] - np.abs(values))
+        return (counts * terms).sum(axis=1), bool(low.any())
     w = detection_weight(values, p, cutoff=cutoff)
-    return float(np.sum(counts * w)) / math.sqrt(d)
+    return (counts * w).sum(axis=1) / np.sqrt(np.asarray(dims, dtype=float)), False
 
 
 def finite_p_criterion(theta, p: float, cutoff: float = 1.0) -> float:
     """Normalized detection-weight sum whose divergence in d characterizes
     consistency of the p-norm test: ``sum_i w_p(theta_i) / sqrt(d)``."""
     theta = _vector(theta)
-    return _finite_sum(theta, 1.0, theta.size, p, cutoff)
+    return float(_stacked_sums(theta[None], 1.0, (theta.size,), p, cutoff)[0][0])
 
 
 @dataclass(frozen=True)
@@ -183,31 +201,12 @@ class SupCriterion:
     saturated: bool
 
 
-def _ratio_terms(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Phi(-x) / Phi(x)`` per argument and the mask of capped terms."""
-    low = args < _RATIO_ARG_FLOOR
-    safe = np.where(low, 0.0, args)
-    with np.errstate(over="ignore"):
-        log_ratio = special.log_ndtr(-safe) - special.log_ndtr(safe)
-        terms = np.where(low, _RATIO_CAP, np.exp(log_ratio))
-    return terms, low
-
-
-def _sup_sum(values, counts, d: int) -> SupCriterion:
-    """Both sup criterion sums over constant runs, centered for dimension d."""
-    args = sup_centering(d) - np.abs(values)
-    terms, low = _ratio_terms(args)
-    return SupCriterion(
-        ratio_sum=float(np.sum(counts * terms)),
-        weight_sum=float(np.sum(counts * sup_detection_weight(args))),
-        saturated=bool(low.any()),
-    )
-
-
 def sup_criterion(theta) -> SupCriterion:
     """Sup-norm consistency criterion at the centering for dimension d."""
     theta = _vector(theta)
-    return _sup_sum(theta, 1.0, theta.size)
+    (ratio,), saturated = _stacked_sums(theta[None], 1.0, (theta.size,), None)
+    weights = sup_detection_weight(sup_centering(theta.size) - np.abs(theta))
+    return SupCriterion(float(ratio), float(np.sum(weights)), saturated)
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +256,31 @@ def criterion_trace(
     """Evaluate the matching criterion on every grid dimension and fit the
     least-squares slope of log(value) on log(d).
 
-    The criterion sums one term per run of ``family.runs(d)``, so d may
-    reach any float.  Finite-p traces use the detection weight's default
-    cutoff 1, on which the criterion's divergence does not depend.  Sup
-    traces use the weight-free ratio form so that reported numbers do not
-    silently depend on the tail-weight choice.
+    One stacked pass covers every grid d: the runs of ``family.runs(d)``
+    form one ``(points, runs)`` matrix per run count (a custom family's
+    rows stand alone), evaluated in one array call and summed by row, so d
+    may reach any float and each value is the one that d alone gives.
+    Finite-p traces use the detection weight's default cutoff 1, on which
+    the criterion's divergence does not depend.  Sup traces use the
+    weight-free ratio form so that reported numbers do not silently depend
+    on the tail-weight choice.
     """
     grid = tuple(int(d) for d in d_grid)
     if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
         raise DomainError("d_grid must be strictly increasing with >= 2 points")
     if grid[0] < 3:
         raise DomainError("d_grid entries must be >= 3")
-    values = []
+    runs = [family.runs(d) for d in grid]
+    values = np.empty(len(grid))
     saturated = False
-    for d in grid:
-        runs = family.runs(d)
-        if exponent.is_sup:
-            crit = _sup_sum(*runs, d)
-            saturated = saturated or crit.saturated
-            values.append(crit.ratio_sum)
-        else:
-            values.append(_finite_sum(*runs, d, exponent.p, 1.0))
+    for size in {v.size for v, _ in runs}:
+        rows = [i for i, (v, _) in enumerate(runs) if v.size == size]
+        stack, counts = (np.stack(part) for part in zip(*(runs[i] for i in rows)))
+        values[rows], sat = _stacked_sums(stack, counts, [grid[i] for i in rows], exponent.p)
+        saturated = saturated or sat
     return CriterionTrace(
         d_grid=grid,
-        values=tuple(values),
+        values=tuple(values.tolist()),
         exponent=exponent,
         family_label=family.label,
         fitted_log_slope=_fit_log_slope(grid, values),

@@ -642,6 +642,17 @@ class TestConsistency:
         ]) == 0
         assert (tmp_path / "contour_sup.csv").exists()
 
+    def test_traces_and_contour_share_an_outdir(self, tmp_path):
+        # each subcommand writes its own manifest, listing only its own files
+        assert run(["consistency", "--family", "dense", "--dgrid", "1000,2000",
+                    "--outdir", tmp_path]) == 0
+        assert run(["contour", "--p", "2", "--resolution", "3", "--outdir", tmp_path]) == 0
+        for manifest, own in (("consistency_manifest.txt", "trace_dense_p2.csv"),
+                              ("contour_manifest.txt", "contour_p2.csv")):
+            entries = read_kv(tmp_path / manifest)
+            assert [k for k in entries if k.startswith("output.")] == [f"output.{own}.sha256"]
+            assert entries[f"output.{own}.sha256"] == sha256_file(tmp_path / own)
+
     @pytest.mark.parametrize("argv, name", [
         (["consistency", "--family", "dagger", "--dgrid", "geometric:1e3:1e5",
           "--exponents", "{p},sup"], "trace_semi_sparse_p2.csv"),
@@ -704,6 +715,19 @@ class TestConfigFile:
         assert run(["calibrate", "--config", cfg]) == 2
         key = line.split(" = ")[0]
         assert f"bad value for {key!r}" in capsys.readouterr().err
+
+    def test_malformed_value_the_run_would_not_read_exits_two(self, tmp_path, capsys):
+        # every key of the subcommand is cast when the file is read; a key of
+        # another subcommand (resolution is contour's) is not checked
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("preset = cubic\nresolution = many\n")
+        argv = ["calibrate", "--config", cfg, "--test", "p=2", "--d", "100", "--asymptotic"]
+        assert run(argv) == 2
+        assert "bad value for 'preset'" in capsys.readouterr().err
+        cfg.write_text("resolution = many\n")
+        out = tmp_path / "a.txt"
+        assert run(argv + ["--out", out]) == 0
+        assert "config.resolution" not in read_kv(f"{out}.manifest")
 
     def test_key_of_another_subcommand_is_valid(self, tmp_path, capsys):
         # one file can serve both calibrate and power

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from pnormlab.consistency import (
+    AlternativeFamily,
     contour_grid,
     criterion_trace,
     custom_family,
@@ -20,7 +21,7 @@ from pnormlab.consistency import (
     sup_criterion,
 )
 from pnormlab.errors import DomainError
-from pnormlab.gaussmath import sup_centering
+from pnormlab.gaussmath import detection_weight, sup_centering
 from pnormlab.norms import SUP, Exponent
 
 from conftest import (
@@ -234,6 +235,59 @@ class TestTrace:
             assert sup_criterion(family.theta(d)).ratio_sum == pytest.approx(
                 value, rel=1e-14, abs=0.0
             )
+
+    @pytest.mark.parametrize("family", STOCK_FAMILIES, ids=lambda f: f.label)
+    @pytest.mark.parametrize("exponent", [Exponent.finite(0.5), Exponent.finite(2.0),
+                                          Exponent.finite(3.0), SUP], ids=lambda e: e.label)
+    def test_stacking_leaves_every_value_as_its_pair_gives_it(self, family, exponent):
+        # one stacked pass over the grid: no value depends on the other rows
+        grid = geometric_dgrid(16, 10**300)
+        tr = criterion_trace(family, exponent, grid)
+        for i in range(len(grid) - 1):
+            pair = criterion_trace(family, exponent, grid[i:i + 2])
+            assert pair.values == tr.values[i:i + 2], grid[i]
+
+    @pytest.mark.parametrize("spiked", [0, 1], ids=["even-spiked", "odd-spiked"])
+    def test_run_count_that_changes_along_the_grid(self, spiked):
+        # eleven runs at even d and three at odd d, so the rows stack in two
+        # groups; a spike past the sup ratio form's range marks one parity
+        def rule(d):
+            spike = [60.0 if d % 2 == spiked else 0.5]
+            if d % 2:
+                return spike + [1.5, 0.0], [1, 7, d - 8]
+            steps = np.arange(1.0, 10.0)
+            return (np.concatenate([spike, np.sqrt(steps), [0.0]]),
+                    np.concatenate([[1], 3 * steps, [d - 136]]))
+
+        family = AlternativeFamily("custom", "alternating", rule)
+        grid = (1000, 1001, 1002, 1003, 4000, 4001)
+        for exponent in (Exponent.finite(0.5), Exponent.finite(2.0), Exponent.finite(3.0), SUP):
+            tr = criterion_trace(family, exponent, grid)
+            assert tr.saturated == exponent.is_sup
+            for d, value in tr.rows():
+                assert value == criterion_trace(family, exponent, (d, d + 2)).values[0], d
+                theta = family.theta(d)
+                if exponent.is_sup:
+                    assert value == pytest.approx(sup_criterion(theta).ratio_sum, rel=1e-14), d
+                    continue
+                # a row sums as np.sum of its runs alone
+                values, counts = family.runs(d)
+                weights = detection_weight(values, exponent.p)
+                assert value == np.sum(counts * weights) / math.sqrt(d), d
+                assert value == pytest.approx(finite_p_criterion(theta, exponent.p),
+                                              rel=1e-14), d
+
+    def test_sup_trace_saturating_at_some_dimensions(self):
+        # the spike sqrt(d) leaves the ratio form's range between d = 1e3 and 1e4
+        family = power_sparse(1.0)
+        tr = criterion_trace(family, SUP, geometric_dgrid(10**3, 10**4))
+        assert tr.saturated
+        flags = [sup_criterion(family.theta(d)).saturated for d in tr.d_grid]
+        assert any(flags) and not all(flags)
+        for (d, value), flag in zip(tr.rows(), flags):
+            if not flag:
+                pair = criterion_trace(family, SUP, (d, d + 1))
+                assert value == pair.values[0] and not pair.saturated, d
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
