@@ -399,7 +399,7 @@ def _cmd_demo_enhance(res: _Resolver):
     ]
     path = os.path.join(outdir, "enhancement_demo.csv")
     write_csv(path, ("quantity", "estimate", "stderr"), rows)
-    print(f"coordinate = {rep.coordinate}  spike_mean = {rep.spike_mean:.6g}  "
+    print(f"coordinate = 0  spike_mean = {rep.spike_mean:.6g}  "
           f"threshold = {rep.spike_threshold:.6g}")
     for name, val, se in rows:
         print(f"{name:<16} = {val:.4f}  stderr = {se:.4f}")

@@ -241,11 +241,16 @@ class CriterionTrace:
 
 
 def _fit_log_slope(d_grid, values) -> float:
+    """Least-squares slope of log(values) on log(d_grid), in closed form:
+    x is centred on its mean and y shifted by its first entry, which leaves
+    the slope as it is and makes a flat trace's slope exactly 0."""
     v = np.asarray(values, dtype=float)
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         return float("nan")
     x = np.log(np.asarray(d_grid, dtype=float))
-    return float(np.polyfit(x, np.log(v), 1)[0])
+    y = np.log(v)
+    xc = x - x.mean()
+    return float(xc @ (y - y[0]) / (xc @ xc))
 
 
 def criterion_trace(

@@ -15,12 +15,13 @@ A test name stands for one such calibration (:func:`calibration`), and
 :func:`calibrate_suite` calibrates several on one shared null sample.
 
 All test objects are frozen dataclasses implementing a tiny protocol:
-``d``, ``label``, ``norm_exponents()``, ``coordinate_indices()`` and
-``decide_batch(norms, coords)`` operating on equal-shape arrays.  The
-single, combined, minimax and constant tests decide from norm statistics
-alone, so their rejection regions are invariant under coordinate
-permutations; the power enhancement (:func:`build_enhanced`) therefore puts
-its spike detector on coordinate 0.
+``d``, ``label``, ``norm_exponents()`` and ``decide_batch(norms, first)``
+operating on equal-shape arrays, with ``first`` the column ``y[:, 0]`` of
+the observations.  Only the spike detector of the power enhancement
+(:func:`build_enhanced`) reads ``first``; the single, combined, minimax and
+constant tests decide from norm statistics alone, so their rejection
+regions are invariant under coordinate permutations and coordinate 0 is as
+weak as any.
 
 A single, combined or minimax test is kept as a ``pnormlab-test/1``
 artifact of ``key = value`` lines.  One table, ``_ARTIFACTS``, declares each
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import CalibrationError, ConfigError, DomainError
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
-from .norms import SUP, Exponent, batch_norms, parse_exponent
+from .norms import Exponent, batch_norms, parse_exponent
 from .report import read_kv, write_kv
 
 __all__ = [
@@ -351,10 +352,7 @@ class PNormTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return (self.exponent,)
 
-    def coordinate_indices(self) -> tuple[int, ...]:
-        return ()
-
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], coords=None):
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
         return np.asarray(norms[self.exponent]) >= self.critical_value
 
 
@@ -387,13 +385,10 @@ class CombinedTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return tuple(Exponent.finite(p) for p in self.exponents)
 
-    def coordinate_indices(self) -> tuple[int, ...]:
-        return ()
-
     def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
         return _max_ratio(norms, self.norm_exponents(), self.kappas)
 
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], coords=None):
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
         return self.ratio_statistic(norms) >= self.scale
 
 
@@ -425,33 +420,25 @@ class MinimaxAdaptiveTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return tuple(Exponent.finite(float(j)) for j in range(1, self.max_power + 1))
 
-    def coordinate_indices(self) -> tuple[int, ...]:
-        return ()
-
     def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
         return _max_ratio(norms, self.norm_exponents(), self.kappas)
 
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], coords=None):
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
         return self.ratio_statistic(norms) >= self.threshold
 
 
 @dataclass(frozen=True)
 class EnhancedTest:
-    """Base test augmented with a one-coordinate spike detector.
+    """Base test augmented with a spike detector on coordinate 0.
 
-    Rejects when the base rejects or the designated coordinate exceeds the
-    spike threshold in absolute value, so it dominates the base pointwise.
-    Its dimension is the base's.
+    Rejects when the base rejects or coordinate 0 exceeds the spike
+    threshold in absolute value, so it dominates the base pointwise.  Its
+    dimension is the base's.
     """
 
     base: object
-    coordinate: int  # 0-based index of the detector's coordinate
     spike_threshold: float
     spike_mean: float
-
-    def __post_init__(self):
-        if not 0 <= self.coordinate < self.d:
-            raise DomainError(f"coordinate must lie in [0, {self.d}), got {self.coordinate!r}")
 
     @property
     def d(self) -> int:
@@ -468,12 +455,9 @@ class EnhancedTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return self.base.norm_exponents()
 
-    def coordinate_indices(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys((self.coordinate,) + self.base.coordinate_indices()))
-
-    def decide_batch(self, norms, coords):
-        spike = np.abs(np.asarray(coords[self.coordinate])) >= self.spike_threshold
-        return np.asarray(self.base.decide_batch(norms, coords)) | spike
+    def decide_batch(self, norms, first):
+        spike = np.abs(np.asarray(first)) >= self.spike_threshold
+        return np.asarray(self.base.decide_batch(norms, first)) | spike
 
 
 @dataclass(frozen=True)
@@ -504,13 +488,10 @@ class UnionTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return required_exponents(self.members)
 
-    def coordinate_indices(self) -> tuple[int, ...]:
-        return required_coordinates(self.members)
-
-    def decide_batch(self, norms, coords=None):
-        out = np.asarray(self.members[0].decide_batch(norms, coords), dtype=bool)
+    def decide_batch(self, norms, first=None):
+        out = np.asarray(self.members[0].decide_batch(norms, first), dtype=bool)
         for t in self.members[1:]:
-            out = out | np.asarray(t.decide_batch(norms, coords), dtype=bool)
+            out = out | np.asarray(t.decide_batch(norms, first), dtype=bool)
         return out
 
 
@@ -530,14 +511,10 @@ class ConstantTest:
         return 1.0 if self.always_reject else 0.0
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
-        # the sup column only supplies the row count of a batch
-        return (SUP,)
-
-    def coordinate_indices(self) -> tuple[int, ...]:
         return ()
 
-    def decide_batch(self, norms, coords=None):
-        return np.full(np.shape(norms[SUP]), self.always_reject, dtype=bool)
+    def decide_batch(self, norms, first):
+        return np.full(np.shape(first), self.always_reject, dtype=bool)
 
 
 def mc_calibrate(
@@ -747,21 +724,12 @@ def required_exponents(tests: Sequence) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
-def required_coordinates(tests: Sequence) -> tuple[int, ...]:
-    out: dict[int, None] = {}
-    for t in tests:
-        for i in t.coordinate_indices():
-            out[i] = None
-    return tuple(out)
-
-
 def reject_matrix(tests: Sequence, Y: np.ndarray) -> np.ndarray:
     """(n_tests, replications) rejection decisions, computing each needed
     norm exactly once per chunk."""
     Y = np.asarray(Y, dtype=float)
     norms = batch_norms(Y, required_exponents(tests))
-    coords = {i: Y[:, i] for i in required_coordinates(tests)}
-    return np.stack([np.asarray(t.decide_batch(norms, coords), dtype=bool) for t in tests])
+    return np.stack([np.asarray(t.decide_batch(norms, Y[:, 0]), dtype=bool) for t in tests])
 
 
 def evaluate(test, y) -> bool:
@@ -787,23 +755,20 @@ def build_enhanced(base) -> EnhancedTest:
     detector threshold is its square root.  The detector belongs on the
     base's weakest coordinate, the one where a spike of that mean is hardest
     for the base to detect, and for a base that decides from norm statistics
-    alone (no ``coordinate_indices``) coordinate 0 is one.  Every norm is
-    invariant under coordinate permutations, so such a base's rejection
-    region is too; the i.i.d. Gaussian noise is exchangeable, so the base's
-    power against a spike on coordinate i is the same for every i.  This
-    covers the single, combined, minimax and constant tests, unions of them,
-    and duck-typed norm-only bases.  A base that reads coordinates (an
-    enhanced test, or a union holding one) is outside the argument;
-    coordinate 0 is then a fixed convention.
+    alone coordinate 0 is one.  Every norm is invariant under coordinate
+    permutations, so such a base's rejection region is too; the i.i.d.
+    Gaussian noise is exchangeable, so the base's power against a spike on
+    coordinate i is the same for every i.  This covers the single,
+    combined, minimax and constant tests, unions of them, and duck-typed
+    norm-only bases.  A base that itself reads ``first`` (an enhanced test,
+    or a union holding one) is outside the argument; coordinate 0, the one
+    column a test can read, is then a fixed convention.
     """
     d = int(base.d)
     if d < 2:
         raise DomainError("enhancement requires d >= 2")
     spike_mean = math.sqrt(math.log(d) / 2.0)
-    return EnhancedTest(
-        base=base, coordinate=0,
-        spike_threshold=math.sqrt(spike_mean), spike_mean=spike_mean,
-    )
+    return EnhancedTest(base=base, spike_threshold=math.sqrt(spike_mean), spike_mean=spike_mean)
 
 
 # ---------------------------------------------------------------------------

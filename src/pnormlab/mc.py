@@ -34,20 +34,22 @@ empty-support kernel that the chunk pass fills from every tile plus ``scale
 `batch_norms` of the shifted noise.  The chunk pass is the one place that
 adds a dense shift; a kernel reduces the tile it is handed.  The chunk is
 drawn one row tile of `norms._tile_rows` rows at a time; each tile fills
-every kernel and the visit's coordinate columns before the next tile
-overwrites it.
+every kernel and the chunk's copy of the noise column ``eps[:, 0]`` before
+the next tile overwrites it.
 Successive tile draws consume the chunk's generator in the order one
 whole-chunk draw does (pinned by ``tests/test_mc.py::TestTiledDraws``), so
 the chunk, not the tile, stays the unit of the RNG stream.  A chunk
 allocates one block of `_CHUNK_BUFFERS` tile buffers, the noise tile and the
 three norm scratch matrices its kernels share as they fill in turn, never a
 128 x d chunk.  The visits run once per chunk and shift, after its last
-tile, as ``visit(norms, coords)``: the argument order of ``decide_batch``,
-with the shifted coordinate columns ``eps[:, i] + theta_i``.
+tile, as ``visit(norms, first)``: the argument order of ``decide_batch``,
+with ``first`` the shifted column ``eps[:, 0] + theta_0``, the one
+coordinate a test reads (the spike detector of `engine.build_enhanced`).
 Kernels are filled for a pass and dropped with it, unless the caller hands
 `simulate_shifted` a store: a dict it owns that keeps filled kernels and
-coordinate columns under exact keys (plan seed, chunk, rows and d; the
-exponents; the support, or the full pass's ``(unit, scale)``).  A later pass
+each chunk's column ``eps[:, 0]`` under exact keys (plan seed, chunk, rows
+and d, which alone key the column; then the exponents and the support, or
+the full pass's ``(unit, scale)``, for a kernel).  A later pass
 on the same plan takes what matches and draws a chunk only to fill what is
 missing, so `power.power_curve` lets its auto-grid probes fill kernels that
 its curve reads.  A kernel holds no tile buffer, so a stored one keeps only
@@ -176,6 +178,14 @@ def _joins_sparse_kernel(size: int, d: int) -> bool:
             and size * MonteCarloPlan.chunk_size <= _CHUNK_BUFFERS * _tile_rows(d) * d)
 
 
+def _finite(values) -> np.ndarray:
+    """``values`` as floats, refused when any entry is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError("a mean vector needs finite entries")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class Unit:
     """A mean-shift direction at dimension ``d``: a shift is ``scale * unit``.
@@ -183,7 +193,8 @@ class Unit:
     ``size`` counts the nonzero entries.  When a sparse kernel takes them
     (`_joins_sparse_kernel`) the unit is held by its ascending ``support``
     and the ``values`` there; otherwise ``support`` is None and ``values``
-    is the whole dense row.  Build one with `from_runs` or `from_vector`.
+    is the whole dense row.  Build one with `from_runs` or `from_vector`,
+    which refuse a NaN or infinite entry.
     """
 
     d: int
@@ -196,7 +207,7 @@ class Unit:
         """The unit that repeats ``values[j]`` ``counts[j]`` times, in order,
         as `consistency.AlternativeFamily.runs` describes a family; a sparse
         unit costs its support and the runs, never d."""
-        values = np.asarray(values, dtype=float)
+        values = _finite(values)
         counts = np.asarray(counts).astype(np.int64)
         keep = values != 0.0
         kept = counts[keep]
@@ -211,7 +222,7 @@ class Unit:
     @classmethod
     def from_vector(cls, theta) -> "Unit":
         """The unit equal to the mean vector ``theta``."""
-        theta = np.asarray(theta, dtype=float)
+        theta = _finite(theta)
         if theta.ndim != 1 or theta.size == 0:
             raise DomainError(f"a mean vector must be one-dimensional, got shape {theta.shape}")
         support = np.flatnonzero(theta)
@@ -230,32 +241,30 @@ class Unit:
 
 def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[Exponent],
                      plan: MonteCarloPlan, visit: Callable[..., object], workers: int = 1,
-                     coordinates: Sequence[int] = (), store: dict | None = None,
-                     read_only: bool = False) -> list[list]:
-    """Draw each chunk of ``plan`` once and call ``visit(norms, coords)`` for
+                     store: dict | None = None, read_only: bool = False) -> list[list]:
+    """Draw each chunk of ``plan`` once and call ``visit(norms, first)`` for
     every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
-    ``norms`` the statistics of ``eps + theta`` and ``coords`` its columns
-    ``{i: eps[:, i] + theta[i]}`` at the requested ``coordinates``; neither
-    the chunk ``eps`` nor any ``theta`` is ever held whole.  A sparse kernel
-    adds its shifts on its support in `ShiftedNormKernel.norms_at`; for a
-    dense unit this pass adds ``scale * unit`` to every tile of a full pass.
-    Returns each chunk's visit results, in chunk order.
+    ``norms`` the statistics of ``eps + theta`` and ``first`` its column
+    ``eps[:, 0] + theta_0``; neither the chunk ``eps`` nor any ``theta`` is
+    ever held whole.  A sparse kernel adds its shifts on its support in
+    `ShiftedNormKernel.norms_at`; for a dense unit this pass adds
+    ``scale * unit`` to every tile of a full pass.  Returns each chunk's
+    visit results, in chunk order.
 
-    ``store``, a dict the caller owns, holds filled kernels and coordinate
-    columns for later passes.  A chunk takes from it the kernels whose key
+    ``store``, a dict the caller owns, holds filled kernels and each chunk's
+    column ``eps[:, 0]`` for later passes.  A chunk takes from it the kernels whose key
     matches exactly: plan seed, chunk index, row count and d, the exponent
     tuple, and the kernel's support, or for a full pass its shift
-    ``(unit, scale)`` with the unit held by reference; the columns are keyed
-    by the coordinates in place of exponents and support.  The chunk is
-    drawn only when a kernel or its columns are missing, and then fills only
-    the missing kernels, which it adds to ``store`` unless ``read_only``.
-    A stored kernel holds the bits a fresh fill would give."""
+    ``(unit, scale)`` with the unit held by reference; the column
+    ``eps[:, 0]`` is keyed by the chunk alone.  The chunk is drawn only when
+    a kernel or the column is missing, and then fills only the missing
+    kernels, which it adds to ``store`` unless ``read_only``.  A stored
+    kernel holds the bits a fresh fill would give."""
     dims = {unit.d for unit, _ in shifts}
     if len(dims) != 1:
         raise DomainError(f"need one or more shifts of one dimension, got {sorted(dims)}")
     d = dims.pop()
     exps = tuple(exponents)
-    coords = np.asarray(coordinates, dtype=np.intp)
     tile = _tile_rows(d)
     empty = np.array([], dtype=np.intp)
     sizes = [unit.size if scale != 0.0 else 0 for unit, scale in shifts]
@@ -275,36 +284,34 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
         else:
             sparse.append((own.tobytes(), (own, None, [si])))
     keys, groups = zip(*(full + sparse))
-    # each shift's values on its kernel's support and at the visit's coordinates
+    # each shift's values on its kernel's support and at coordinate 0
     on_support = [None] * len(shifts)
     for support, _, rows in groups:
         for si in rows:
             unit, scale = shifts[si]
             on_support[si] = np.multiply(unit.at(support), scale)
-    at = [dict(zip(coords.tolist(), np.multiply(unit.at(coords), scale)))
-          for unit, scale in shifts]
+    at_0 = [np.multiply(unit.at([0]), scale)[0] for unit, scale in shifts]
 
     if store is None:
         store, read_only = {}, True
-    coords_key = tuple(coords.tolist())
 
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
         chunk = (plan.seed, chunk_index, size, d)
         names = [chunk + (exps, key) for key in keys]
         kernels = [store.get(name) for name in names]
         todo = [gi for gi, kernel in enumerate(kernels) if kernel is None]
-        gathered = store.get(chunk + (coords_key,))
-        if todo or gathered is None:
+        first = store.get(chunk)
+        if todo or first is None:
             rng = chunk_generator(plan.seed, chunk_index)
             # row 0 takes each noise tile; the others are the kernels' shared
             # scratch, where a full pass first adds its shift to the tile
             block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
             for gi in todo:
                 kernels[gi] = ShiftedNormKernel(size, groups[gi][0], exps)
-            gathered = np.empty((size, coords.size))
+            first = np.empty(size)
             for lo in range(0, size, tile):
                 eps = draw(rng, block[0, : min(tile, size - lo)])
-                gathered[lo : lo + len(eps)] = eps[:, coords]
+                first[lo : lo + len(eps)] = eps[:, 0]
                 for gi in todo:
                     offset, y = groups[gi][1], eps
                     if offset is not None:  # a full pass reduces eps + scale * unit
@@ -313,13 +320,11 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
                     kernels[gi].fill(lo, y, block[1:])
             if not read_only:
                 store.update(zip(names, kernels))
-                store[chunk + (coords_key,)] = gathered
-        columns = {int(i): gathered[:, j] for j, i in enumerate(coords)}
+                store[chunk] = first
         out = [None] * len(shifts)
         for kernel, (_, _, rows) in zip(kernels, groups):
             for si in rows:
-                out[si] = visit(kernel.norms_at(on_support[si]),
-                                {i: col + at[si][i] for i, col in columns.items()})
+                out[si] = visit(kernel.norms_at(on_support[si]), first + at_0[si])
         return out
 
     return run_chunked(chunk_pass, plan, workers=workers)
@@ -345,7 +350,7 @@ def simulate_null_statistics(
     if not exps:
         raise DomainError("at least one exponent is required")
     zero = Unit.from_runs([0.0], [d])  # empty support: one kernel, no shift
-    chunks = simulate_shifted([(zero, 0.0)], exps, plan, lambda norms, coords: norms, workers)
+    chunks = simulate_shifted([(zero, 0.0)], exps, plan, lambda norms, first: norms, workers)
     return {e: np.concatenate([chunk[0][e] for chunk in chunks]) for e in exps}
 
 

@@ -24,7 +24,6 @@ from .engine import (
     calibrate_suite,
     calibration,
     mc_calibrate,
-    required_coordinates,
     required_exponents,
 )
 from .errors import DomainError, RankError
@@ -69,12 +68,11 @@ def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCa
     if {unit.d for unit, _ in shifts} != {d}:
         raise DomainError(f"need one or more shifts of the tests' dimension {d}")
 
-    def visit(norms, coords) -> list[int]:
-        return [int(np.count_nonzero(t.decide_batch(norms, coords))) for t in tests]
+    def visit(norms, first) -> list[int]:
+        return [int(np.count_nonzero(t.decide_batch(norms, first))) for t in tests]
 
     per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
-                                 coordinates=required_coordinates(tests), store=store,
-                                 read_only=read_only)
+                                 store=store, read_only=read_only)
     return np.sum(per_chunk, axis=0)
 
 
@@ -427,7 +425,6 @@ class EnhancementReport:
     """Size and spike-power comparison of a base test and its enhancement."""
 
     d: int
-    coordinate: int
     spike_mean: float
     spike_threshold: float
     size_base: float
@@ -454,8 +451,8 @@ def enhancement_demo(base, plan: MonteCarloPlan, workers: int = 1) -> Enhancemen
     enhanced = build_enhanced(base)
     a = enhanced.spike_mean
     t = enhanced.spike_threshold
-    i, d = enhanced.coordinate, int(enhanced.d)
-    spike = Unit.from_runs([0.0, 1.0, 0.0], [i, 1, d - i - 1])
+    d = int(enhanced.d)
+    spike = Unit.from_runs([1.0, 0.0], [1, d - 1])
     shifts = [(Unit.from_runs([0.0], [d]), 0.0), (spike, a)]
     (sb, sb_se), (se_, se_se), (pb, pb_se), (pe, pe_se) = (
         _rate_se(int(c), plan.replications)
@@ -463,7 +460,6 @@ def enhancement_demo(base, plan: MonteCarloPlan, workers: int = 1) -> Enhancemen
     )
     return EnhancementReport(
         d=d,
-        coordinate=i,
         spike_mean=a,
         spike_threshold=t,
         size_base=sb,

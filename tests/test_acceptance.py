@@ -486,7 +486,7 @@ def test_criterion_6_property_suites(desk, tmp_path):
     hit = np.zeros(Y.shape[0], dtype=bool)
     for pexp, kappa in zip(combined.exponents, combined.kappas):
         hit |= cnorms[Exponent.finite(pexp)] >= kappa
-    cdec = combined.decide_batch(cnorms, {})
+    cdec = combined.decide_batch(cnorms, Y[:, 0])
     checks.append(("combined nesting", bool(np.all(cdec[hit])),
                    f"{int(hit.sum())} member hits on 1e4 samples"))
 

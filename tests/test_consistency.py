@@ -6,6 +6,7 @@ from scipy import special
 
 from pnormlab.consistency import (
     AlternativeFamily,
+    _fit_log_slope,
     contour_grid,
     criterion_trace,
     custom_family,
@@ -203,6 +204,21 @@ class TestTrace:
         assert flat.fitted_log_slope == pytest.approx(0.0, abs=1e-12)
         grow = criterion_trace(power_sparse(2.0), Exponent.finite(3.0), grid)
         assert grow.fitted_log_slope == pytest.approx(3.0 / 4.0 - 0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("family", [dense(), sparse(), semi_sparse(), power_sparse(2.0)],
+                             ids=lambda f: f.label)
+    @pytest.mark.parametrize("exponent", [Exponent.finite(0.5), Exponent.finite(2.0),
+                                          Exponent.finite(3.0), SUP], ids=lambda e: e.label)
+    def test_slope_is_the_least_squares_fit(self, family, exponent):
+        grid = geometric_dgrid(10**3, 10**7)
+        tr = criterion_trace(family, exponent, grid)
+        want = np.polyfit(np.log(grid), np.log(tr.values), 1)[0]
+        # atol covers the power-sparse p=2 trace, flat up to rounding
+        np.testing.assert_allclose(tr.fitted_log_slope, want, rtol=1e-12, atol=1e-15)
+
+    def test_flat_trace_has_slope_exactly_zero(self):
+        grid = geometric_dgrid(10**3, 10**7)
+        assert _fit_log_slope(grid, [0.3] * len(grid)) == 0.0
 
     @pytest.mark.parametrize("exponent", [Exponent.finite(2.0), Exponent.finite(3.0),
                                           Exponent.finite(math.e + 1.0),

@@ -10,7 +10,6 @@ from pnormlab.engine import (
     CalibrationWarning,
     CombinedTest,
     ConstantTest,
-    EnhancedTest,
     MinimaxAdaptiveTest,
     PNormTest,
     UnionTest,
@@ -338,7 +337,7 @@ class TestBuildCombined:
         member_hit = np.zeros(10_000, dtype=bool)
         for p, k in zip(test.exponents, test.kappas):
             member_hit |= norms[Exponent.finite(p)] >= k
-        combined_reject = test.decide_batch(norms, {})
+        combined_reject = test.decide_batch(norms, Y[:, 0])
         assert np.all(combined_reject[member_hit])
 
     def test_single_member_degenerates_to_plain_quantile(self):
@@ -534,7 +533,6 @@ class TestEnhancement:
         plan = MonteCarloPlan(replications=2000, seed=5)
         base = mc_calibrate(E2, 300, 0.05, plan)
         enhanced = build_enhanced(base)
-        assert enhanced.coordinate == 0
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(300) / 2))
         assert enhanced.spike_threshold == pytest.approx(
             math.sqrt(enhanced.spike_mean)
@@ -575,30 +573,17 @@ class TestEnhancement:
             def norm_exponents(self):
                 return (E2,)
 
-            def coordinate_indices(self):
-                return ()
-
-            def decide_batch(self, norms, coords):
-                return inner.decide_batch(norms, coords)
+            def decide_batch(self, norms, first):
+                return inner.decide_batch(norms, first)
 
         base = NormOnly()
         enhanced = build_enhanced(base)
-        assert enhanced.coordinate == 0
         first, last = np.zeros(d), np.zeros(d)
         first[0] = last[d - 1] = enhanced.spike_mean
         plan = MonteCarloPlan(replications=4000, seed=12)
         (r0, se0), = estimate_rejection_many([base], first, plan)
         (r1, se1), = estimate_rejection_many([base], last, plan)
         assert abs(r0 - r1) <= 3.0 * math.hypot(se0, se1)
-
-    def test_union_with_enhanced_member_uses_first_coordinate(self):
-        a = PNormTest(d=30, exponent=E2, critical_value=6.0, alpha=0.05)
-        member = EnhancedTest(base=a, coordinate=7, spike_threshold=1.5, spike_mean=2.0)
-        union = UnionTest(members=(a, member))
-        assert union.coordinate_indices() == (7,)
-        enhanced = build_enhanced(union)
-        assert enhanced.coordinate == 0
-        assert enhanced.coordinate_indices() == (0, 7)
 
     def test_dimension_is_the_base_s(self):
         enhanced = build_enhanced(PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05))
@@ -608,13 +593,6 @@ class TestEnhancement:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             build_enhanced(ConstantTest(d=1))
-
-    @pytest.mark.parametrize("coordinate", [-1, 50])
-    def test_coordinate_outside_the_dimension_is_refused(self, coordinate):
-        # -1 would read the last column, 50 would index past it
-        with pytest.raises(DomainError, match="coordinate"):
-            EnhancedTest(base=ConstantTest(d=50), coordinate=coordinate,
-                         spike_threshold=1.0, spike_mean=1.0)
 
 
 class TestEvaluate:
@@ -655,11 +633,23 @@ class TestEvaluate:
             UnionTest(members=())
 
     def test_constant_tests_alone(self, rng):
-        # constant tests take their row count from the sup column they request
+        # constant tests read no norm and take their row count from y[:, 0]
         Y = rng.normal(size=(7, 5))
         dec = reject_matrix([ConstantTest(d=5), ConstantTest(d=5, always_reject=True)], Y)
         assert dec.shape == (2, 7)
         assert not dec[0].any() and dec[1].all()
+
+    @pytest.mark.parametrize("always_reject", [False, True])
+    def test_bare_constant_test_needs_no_norm(self, rng, always_reject):
+        # no norm column: the chunk pass runs with an empty exponent set
+        from pnormlab.power import estimate_rejection
+
+        test = ConstantTest(d=5, always_reject=always_reject)
+        assert test.norm_exponents() == ()
+        plan = MonteCarloPlan(replications=300, seed=1)
+        assert estimate_rejection(test, 0, plan) == (float(always_reject), 0.0)
+        dec = reject_matrix([test], rng.normal(size=(7, 5)))
+        assert dec.tolist() == [[always_reject] * 7]
 
 
 class TestSerialization:

@@ -201,7 +201,7 @@ class TestChunkPassFootprint:
         tile_bytes = _tile_rows(d) * d * 8
         tracemalloc.start()
         try:
-            simulate_shifted(shifts, exps, plan, lambda norms, coords: None)
+            simulate_shifted(shifts, exps, plan, lambda norms, first: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -249,7 +249,7 @@ class TestUnit:
     def test_shifts_of_two_dimensions_are_refused(self):
         shifts = [(Unit.from_runs([1.0], [50]), 1.0), (Unit.from_runs([1.0], [60]), 1.0)]
         with pytest.raises(DomainError, match=r"\[50, 60\]"):
-            simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, coords: None)
+            simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, first: None)
 
     def test_zero_unit_has_an_empty_support(self):
         zero = Unit.from_runs([0.0], [50])
@@ -259,6 +259,15 @@ class TestUnit:
     def test_refuses_a_matrix(self):
         with pytest.raises(DomainError):
             Unit.from_vector(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_entry(self, bad):
+        theta = np.zeros(50)
+        theta[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Unit.from_vector(theta)
+        with pytest.raises(DomainError, match="finite"):
+            Unit.from_runs([0.0, bad, 0.0], [3, 1, 46])
 
 
 class TestShiftRouting:
@@ -273,7 +282,7 @@ class TestShiftRouting:
             return kernel(rows, support, exps)
 
         monkeypatch.setattr(mc, "ShiftedNormKernel", spy)
-        simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, coords: None)
+        simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, first: None)
         return sorted(made)
 
     def test_support_block_is_capped_at_the_chunk_block(self, monkeypatch):
@@ -325,21 +334,35 @@ class TestTiledDraws:
         assert plan.chunk_bounds()[2][2] == 44
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_visit_columns_are_the_directly_drawn_noise(self, workers):
-        # d = 5000 puts several tiles in each chunk, 300 rows a 44-row last one
+    def test_visit_columns_are_the_directly_drawn_noise(self, workers, monkeypatch):
+        # first is eps[:, 0] + theta_0 for a dense unit, a sparse unit whose
+        # support holds 0 and one whose support does not; d = 5000 puts
+        # several tiles in each chunk, 300 rows a 44-row last one
         d = 5000
-        coords = (4999, 0, 17)
         plan = MonteCarloPlan(replications=300, seed=6)
         ones = Unit.from_runs([1.0], [d])
-        got = simulate_shifted([(ones, 0.0), (ones, 0.5)], (SUP,), plan,
-                               lambda norms, coords: dict(coords),
-                               workers=workers, coordinates=coords)
+        on_0 = Unit.from_runs([2.0, 0.0], [3, d - 3])
+        off_0 = Unit.from_runs([0.0, 3.0, 0.0], [10, 5, d - 15])
+        assert ones.support is None
+        assert 0 in on_0.support and 0 not in off_0.support
+        shifts = [(ones, 0.0), (ones, 0.5), (on_0, 1.5), (off_0, 2.0)]
+        theta_0 = (0.0, 0.5, 3.0, 0.0)
+        store = {}
+        got = simulate_shifted(shifts, (SUP,), plan, lambda norms, first: first,
+                               workers=workers, store=store)
         for (c, _, size), chunk in zip(plan.chunk_bounds(), got):
             eps = chunk_generator(plan.seed, c).standard_normal((size, d))
-            for got_coords, scale in zip(chunk, (0.0, 0.5)):
-                assert list(got_coords) == list(coords)
-                for i in coords:
-                    assert np.array_equal(got_coords[i], eps[:, i] + scale)
+            for first, t0 in zip(chunk, theta_0):
+                assert np.array_equal(first, eps[:, 0] + t0)
+        # a second pass on the same store draws nothing and gives the same bits
+        drawn = []
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(out.shape))
+        again = simulate_shifted(shifts, (SUP,), plan, lambda norms, first: first,
+                                 workers=workers, store=store)
+        assert drawn == []
+        for chunk, chunk_again in zip(got, again):
+            for first, first_again in zip(chunk, chunk_again):
+                assert np.array_equal(first, first_again)
 
 
 class TestEmpiricalUpperQuantile:

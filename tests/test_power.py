@@ -73,6 +73,17 @@ class TestEstimateRejection:
         with pytest.raises(DomainError):
             estimate_rejection_many([], 0, plan)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_is_refused(self, bad):
+        # let through, a NaN entry reads as power 0 for both tests and an
+        # infinite one as power 0 for the 2-norm test but 1 for the sup test
+        plan = MonteCarloPlan(replications=500, seed=1)
+        tests = [PNormTest(20, E2, 6.0, 0.05), PNormTest(20, SUP, 3.0, 0.05)]
+        theta = np.zeros(20)
+        theta[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            estimate_rejection_many(tests, theta, plan)
+
     def test_reproducible_and_worker_invariant(self):
         plan = MonteCarloPlan(replications=3000, seed=6)
         test = mc_calibrate(E2, 40, 0.05, plan)
@@ -125,6 +136,13 @@ class TestPowerCurve:
             direct = estimate_rejection_many(tests, fam.theta(d, a), plan)
             for t, (rate, _) in zip(tests, direct):
                 assert abs(table.cell(t.label, a).power - rate) <= 1.0 / plan.replications + 1e-12
+
+    def test_non_finite_family_is_refused(self, suite):
+        # let through, a family of NaNs reads as power 0 at scale 1
+        d, tests = suite
+        family = custom_family(lambda n: np.full(n, math.nan))
+        with pytest.raises(DomainError, match="finite"):
+            power_curve(tests, family, (0.0, 1.0), d, MonteCarloPlan(replications=200, seed=12))
 
     def test_zero_signal_curve_is_the_null_rejection_rate(self, suite):
         # an all-zero signal has an empty support, so every scale takes the
@@ -453,7 +471,6 @@ class TestEnhancementDemo:
         d = 2000
         plan = MonteCarloPlan(replications=20_000, seed=19)
         report = enhancement_demo(ConstantTest(d=d), plan)
-        assert report.coordinate == 0
         # detector-only test: size and power match the closed-form tails
         assert abs(report.size_enhanced - report.size_inflation_bound) <= (
             3.0 * report.size_enhanced_stderr
