@@ -38,7 +38,6 @@ from .engine import (
     asymptotic_critical_value,
     asymptotic_test,
     build_combined,
-    build_enhanced,
     build_minimax_adaptive,
     custom_budget,
     evaluate,
@@ -78,7 +77,6 @@ from .norms import SUP, Exponent, p_norm_stat
 from .power import (
     EnhancementReport,
     GapScanReport,
-    PowerEnhancementReport,
     PowerRow,
     PowerTable,
     auto_a_grid,

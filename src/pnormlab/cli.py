@@ -371,11 +371,11 @@ def _cmd_demo_pe(res: _Resolver):
     alpha_inf = res.get("alpha-inf", 0.025)
     plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
     calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
-    report = plab.pe_demo(d, alpha2, alpha_inf, plan, calib_plan, workers=workers)
+    rows = plab.pe_demo(d, alpha2, alpha_inf, plan, calib_plan, workers=workers)
     outdir = _outdir(res)
     path = os.path.join(outdir, "pe_demo.csv")
-    write_csv(path, ("test", "power", "stderr"), report.rows)
-    for label, rate, se in report.rows:
+    write_csv(path, ("test", "power", "stderr"), rows)
+    for label, rate, se in rows:
         print(f"{label:<12} power = {rate:.4f}  stderr = {se:.4f}")
     return os.path.join(outdir, "pe_demo_manifest.txt"), [path]
 

@@ -18,7 +18,7 @@ All test objects are frozen dataclasses implementing a tiny protocol:
 ``d``, ``label``, ``norm_exponents()`` and ``decide_batch(norms, first)``
 operating on equal-shape arrays, with ``first`` the column ``y[:, 0]`` of
 the observations.  Only the spike detector of the power enhancement
-(:func:`build_enhanced`) reads ``first``; the single, combined, minimax and
+(:class:`EnhancedTest`) reads ``first``; the single, combined, minimax and
 constant tests decide from norm statistics alone, so their rejection
 regions are invariant under coordinate permutations and coordinate 0 is as
 weak as any.
@@ -71,7 +71,6 @@ __all__ = [
     "Calibration",
     "calibration",
     "calibrate_suite",
-    "build_enhanced",
     "reject_matrix",
     "evaluate",
     "save_test",
@@ -352,7 +351,7 @@ class PNormTest:
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return (self.exponent,)
 
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first):
         return np.asarray(norms[self.exponent]) >= self.critical_value
 
 
@@ -361,14 +360,14 @@ class CombinedTest:
     """Max of scaled member norms with an exact-size multiplier.
 
     Rejects when ``max_j ||y||_{p_j} / kappa_j >= scale``; ``scale <= 1``
-    restores exact size after the conservative union allocation.
+    restores exact size after the conservative union allocation.  Its level
+    is the budget's total.
     """
 
     d: int
     exponents: tuple[float, ...]
     kappas: tuple[float, ...]
     scale: float
-    alpha: float
     budget: AlphaBudget
     calibration_size: float = float("nan")
     provenance: str = ""
@@ -379,22 +378,24 @@ class CombinedTest:
                               f"alphas and {len(self.kappas)} kappas")
 
     @property
+    def alpha(self) -> float:
+        return self.budget.total
+
+    @property
     def label(self) -> str:
         return f"combined(m={len(self.exponents)})"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return tuple(Exponent.finite(p) for p in self.exponents)
 
-    def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
-        return _max_ratio(norms, self.norm_exponents(), self.kappas)
-
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
-        return self.ratio_statistic(norms) >= self.scale
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first):
+        return _max_ratio(norms, self.norm_exponents(), self.kappas) >= self.scale
 
 
 @dataclass(frozen=True)
 class MinimaxAdaptiveTest:
-    """Max over integer-norm members with analytic critical values.
+    """Max over the integer-norm members 1..max_power, one per kappa, with
+    analytic critical values.
 
     With ``threshold = 1`` this is the separation-margin construction whose
     size vanishes with the margin; ``mc_scale_minimax`` replaces the
@@ -403,28 +404,24 @@ class MinimaxAdaptiveTest:
 
     d: int
     margin: float
-    max_power: int
     kappas: tuple[float, ...]
     threshold: float = 1.0
     alpha: float | None = None
     provenance: str = ""
 
-    def __post_init__(self):
-        if len(self.kappas) != self.max_power:
-            raise DomainError(f"max_power = {self.max_power} but {len(self.kappas)} kappas")
+    @property
+    def max_power(self) -> int:
+        return len(self.kappas)
 
     @property
     def label(self) -> str:
         return f"minimax(pmax={self.max_power})"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(Exponent.finite(float(j)) for j in range(1, self.max_power + 1))
+        return tuple(Exponent.finite(float(j)) for j in range(1, len(self.kappas) + 1))
 
-    def ratio_statistic(self, norms: Mapping[Exponent, np.ndarray]) -> np.ndarray:
-        return _max_ratio(norms, self.norm_exponents(), self.kappas)
-
-    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first=None):
-        return self.ratio_statistic(norms) >= self.threshold
+    def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first):
+        return _max_ratio(norms, self.norm_exponents(), self.kappas) >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -433,24 +430,43 @@ class EnhancedTest:
 
     Rejects when the base rejects or coordinate 0 exceeds the spike
     threshold in absolute value, so it dominates the base pointwise.  Its
-    dimension is the base's.
+    dimension d is the base's, at least 2.  The spike mean is
+    ``sqrt(log(d)/2)`` and the detector threshold is its square root.
+
+    The detector belongs on the base's weakest coordinate, the one where a
+    spike of that mean is hardest for the base to detect, and for a base
+    that decides from norm statistics alone coordinate 0 is one.  Every
+    norm is invariant under coordinate permutations, so such a base's
+    rejection region is too; the i.i.d. Gaussian noise is exchangeable, so
+    the base's power against a spike on coordinate i is the same for every
+    i.  This covers the single, combined, minimax and constant tests, unions
+    of them, and duck-typed norm-only bases.  A base that itself reads
+    ``first`` (an enhanced test, or a union holding one) is outside the
+    argument; coordinate 0, the one column a test can read, is then a fixed
+    convention.
     """
 
     base: object
-    spike_threshold: float
-    spike_mean: float
+
+    def __post_init__(self):
+        if int(self.base.d) < 2:
+            raise DomainError("enhancement requires d >= 2")
 
     @property
     def d(self) -> int:
         return self.base.d
 
     @property
-    def label(self) -> str:
-        return f"enhanced({self.base.label})"
+    def spike_mean(self) -> float:
+        return math.sqrt(math.log(int(self.d)) / 2.0)
 
     @property
-    def alpha(self) -> float:
-        return getattr(self.base, "alpha", float("nan"))
+    def spike_threshold(self) -> float:
+        return math.sqrt(self.spike_mean)
+
+    @property
+    def label(self) -> str:
+        return f"enhanced({self.base.label})"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return self.base.norm_exponents()
@@ -466,7 +482,6 @@ class UnionTest:
     members share one dimension, the union's."""
 
     members: tuple
-    name: str = "max-comb"
 
     def __post_init__(self):
         dims = sorted({t.d for t in self.members})
@@ -479,16 +494,12 @@ class UnionTest:
 
     @property
     def label(self) -> str:
-        return self.name
-
-    @property
-    def alpha(self) -> float:
-        return float(math.fsum(getattr(t, "alpha", 0.0) or 0.0 for t in self.members))
+        return f"max-comb({','.join(t.label for t in self.members)})"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return required_exponents(self.members)
 
-    def decide_batch(self, norms, first=None):
+    def decide_batch(self, norms, first):
         out = np.asarray(self.members[0].decide_batch(norms, first), dtype=bool)
         for t in self.members[1:]:
             out = out | np.asarray(t.decide_batch(norms, first), dtype=bool)
@@ -497,24 +508,17 @@ class UnionTest:
 
 @dataclass(frozen=True)
 class ConstantTest:
-    """Always-accept or always-reject test; useful as a degenerate base."""
+    """The test that never rejects: a degenerate base that reads no norm."""
 
     d: int
-    always_reject: bool = False
 
-    @property
-    def label(self) -> str:
-        return "always-reject" if self.always_reject else "never-reject"
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 if self.always_reject else 0.0
+    label = "never-reject"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
         return ()
 
     def decide_batch(self, norms, first):
-        return np.full(np.shape(first), self.always_reject, dtype=bool)
+        return np.zeros(np.shape(first), dtype=bool)
 
 
 def mc_calibrate(
@@ -600,7 +604,6 @@ def build_combined(
         exponents=exps,
         kappas=kappas,
         scale=scale,
-        alpha=budget.total,
         budget=budget,
         calibration_size=calib_size,
         provenance=f"mc({plan.descriptor()})"
@@ -632,7 +635,7 @@ def build_minimax_adaptive(d: int, margin: float, max_power: int) -> MinimaxAdap
         minimax_critical_value(float(j), d, margin) for j in range(1, max_power + 1)
     )
     return MinimaxAdaptiveTest(
-        d=d, margin=float(margin), max_power=max_power, kappas=kappas,
+        d=d, margin=float(margin), kappas=kappas,
         provenance=f"analytic(margin={margin:g})",
     )
 
@@ -650,8 +653,9 @@ def mc_scale_minimax(
     ``stats`` may carry precomputed columns of the same plan as in
     :func:`build_combined`.
     """
-    stats = _null_statistics(test.d, test.norm_exponents(), alpha, plan, workers, stats)
-    threshold = empirical_upper_quantile(test.ratio_statistic(stats), alpha)
+    exponents = test.norm_exponents()
+    stats = _null_statistics(test.d, exponents, alpha, plan, workers, stats)
+    threshold = empirical_upper_quantile(_max_ratio(stats, exponents, test.kappas), alpha)
     return replace(
         test,
         threshold=threshold,
@@ -744,34 +748,6 @@ def evaluate(test, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enhancement
-# ---------------------------------------------------------------------------
-
-
-def build_enhanced(base) -> EnhancedTest:
-    """Augment ``base`` with a spike detector on coordinate 0.
-
-    The spike mean is ``sqrt(log(d)/2)`` at the base's dimension d, and the
-    detector threshold is its square root.  The detector belongs on the
-    base's weakest coordinate, the one where a spike of that mean is hardest
-    for the base to detect, and for a base that decides from norm statistics
-    alone coordinate 0 is one.  Every norm is invariant under coordinate
-    permutations, so such a base's rejection region is too; the i.i.d.
-    Gaussian noise is exchangeable, so the base's power against a spike on
-    coordinate i is the same for every i.  This covers the single,
-    combined, minimax and constant tests, unions of them, and duck-typed
-    norm-only bases.  A base that itself reads ``first`` (an enhanced test,
-    or a union holding one) is outside the argument; coordinate 0, the one
-    column a test can read, is then a fixed convention.
-    """
-    d = int(base.d)
-    if d < 2:
-        raise DomainError("enhancement requires d >= 2")
-    spike_mean = math.sqrt(math.log(d) / 2.0)
-    return EnhancedTest(base=base, spike_threshold=math.sqrt(spike_mean), spike_mean=spike_mean)
-
-
-# ---------------------------------------------------------------------------
 # Plain-text calibration artifacts
 # ---------------------------------------------------------------------------
 
@@ -794,7 +770,10 @@ _CODECS = {
 # The lines of each artifact kind after ``schema`` and ``kind``, in file
 # order: (key, type, required).  A None value is not written, and an absent
 # optional key loads as the field's default.  A combined test's ``alphas``
-# and ``budget_<field>`` lines are the fields of its AlphaBudget.
+# and ``budget_<field>`` lines are the fields of its AlphaBudget.  A key
+# that names no field (a combined test's ``alpha``, a minimax test's
+# ``max_power``) is worked out from the other lines: it is written from the
+# test's property, and on load it must equal the value the test works out.
 _ARTIFACTS = {
     "single": (PNormTest, (
         ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
@@ -843,15 +822,17 @@ def load_test(path):
     if kv.get("kind") not in _ARTIFACTS:
         raise ConfigError(f"unknown artifact kind: {kv.get('kind')!r}")
     cls, lines = _ARTIFACTS[kv["kind"]]
-    fields, budget = {}, {}
+    fields, budget, derived = {}, {}, {}
     try:
         for key, value_type, required in lines:
             if required or key in kv:
                 value = _CODECS[value_type][1](kv[key])
                 if name := _budget_field(key):
                     budget[name] = value
-                else:
+                elif key in cls.__dataclass_fields__:
                     fields[key] = value
+                else:
+                    derived[key] = value
         if budget:
             fields["budget"] = AlphaBudget(**budget)
         test = cls(**fields)
@@ -868,6 +849,8 @@ def load_test(path):
         if not math.isfinite(getattr(test, name, 0.0)):
             bad.append(f"{name} = {getattr(test, name)!r}")
     bad += [f"kappa = {k!r}" for k in getattr(test, "kappas", ()) if not 0.0 < k < math.inf]
+    bad += [f"{key} = {kv[key]} where the other lines give {getattr(test, key)!r}"
+            for key, value in derived.items() if value != getattr(test, key)]
     if bad:
         raise ConfigError(f"artifact value out of range: {', '.join(bad)}")
     return test

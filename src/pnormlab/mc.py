@@ -44,7 +44,7 @@ three norm scratch matrices its kernels share as they fill in turn, never a
 128 x d chunk.  The visits run once per chunk and shift, after its last
 tile, as ``visit(norms, first)``: the argument order of ``decide_batch``,
 with ``first`` the shifted column ``eps[:, 0] + theta_0``, the one
-coordinate a test reads (the spike detector of `engine.build_enhanced`).
+coordinate a test reads (the spike detector of `engine.EnhancedTest`).
 Kernels are filled for a pass and dropped with it, unless the caller hands
 `simulate_shifted` a store: a dict it owns that keeps filled kernels and
 each chunk's column ``eps[:, 0]`` under exact keys (plan seed, chunk, rows
@@ -193,8 +193,8 @@ class Unit:
     ``size`` counts the nonzero entries.  When a sparse kernel takes them
     (`_joins_sparse_kernel`) the unit is held by its ascending ``support``
     and the ``values`` there; otherwise ``support`` is None and ``values``
-    is the whole dense row.  Build one with `from_runs` or `from_vector`,
-    which refuse a NaN or infinite entry.
+    is the whole dense row.  Build one with `from_runs`, which refuses a NaN
+    or infinite entry.
     """
 
     d: int
@@ -218,17 +218,6 @@ class Unit:
         starts = np.cumsum(counts)[keep] - kept
         support = np.repeat(starts - (np.cumsum(kept) - kept), kept) + np.arange(size)
         return cls(d, size, support.astype(np.intp), np.repeat(values[keep], kept))
-
-    @classmethod
-    def from_vector(cls, theta) -> "Unit":
-        """The unit equal to the mean vector ``theta``."""
-        theta = _finite(theta)
-        if theta.ndim != 1 or theta.size == 0:
-            raise DomainError(f"a mean vector must be one-dimensional, got shape {theta.shape}")
-        support = np.flatnonzero(theta)
-        if _joins_sparse_kernel(support.size, theta.size):
-            return cls(theta.size, support.size, support, theta[support])
-        return cls(theta.size, support.size, None, theta)
 
     def at(self, coords: np.ndarray) -> np.ndarray:
         """The unit's entries at the coordinates ``coords``."""

@@ -19,8 +19,8 @@ import numpy as np
 from .consistency import AlternativeFamily, dense, power_sparse, semi_sparse, sparse
 from .engine import (
     CombinedTest,
+    EnhancedTest,
     UnionTest,
-    build_enhanced,
     calibrate_suite,
     calibration,
     mc_calibrate,
@@ -40,7 +40,6 @@ __all__ = [
     "require_scale_grid",
     "power_curve",
     "auto_a_grid",
-    "PowerEnhancementReport",
     "pe_demo",
     "GapScanReport",
     "power_gap_scan",
@@ -95,8 +94,13 @@ def estimate_rejection(test, theta, plan: MonteCarloPlan, workers: int = 1):
 def estimate_rejection_many(tests: Sequence, theta, plan: MonteCarloPlan, workers: int = 1):
     """Common-random-numbers rejection rates of several tests against one
     mean vector (pass ``theta=0`` or a zero vector for null size)."""
-    zero = np.isscalar(theta) and theta == 0
-    unit = Unit.from_runs([0.0], [_dimension(tests)]) if zero else Unit.from_vector(theta)
+    if np.isscalar(theta) and theta == 0:
+        unit = Unit.from_runs([0.0], [_dimension(tests)])
+    else:
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim != 1 or theta.size == 0:
+            raise DomainError(f"a mean vector must be one-dimensional, got shape {theta.shape}")
+        unit = Unit.from_runs(theta, np.ones(theta.size))
     counts = _counts(tests, [(unit, 1.0)], plan, workers)
     return [_rate_se(int(c), plan.replications) for c in counts[0]]
 
@@ -249,27 +253,6 @@ def auto_a_grid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerEnhancementReport:
-    """Power against the semi-sparse signal of the Euclidean test, the sup
-    test, their max-combination, the combined test, and mid exponents."""
-
-    d: int
-    alpha2: float
-    alpha_inf: float
-    rows: tuple[tuple[str, float, float], ...]  # (label, power, stderr)
-
-    def power(self, label: str) -> float:
-        return self._row(label)[0]
-
-    def stderr(self, label: str) -> float:
-        return self._row(label)[1]
-
-    def _row(self, label: str) -> tuple[float, float]:
-        """The (power, stderr) of the test ``label``; KeyError when absent."""
-        return {lbl: (p, se) for lbl, p, se in self.rows}[label]
-
-
 def pe_demo(
     d: int,
     alpha2: float,
@@ -277,14 +260,16 @@ def pe_demo(
     plan: MonteCarloPlan,
     calibration_plan: MonteCarloPlan,
     workers: int = 1,
-) -> PowerEnhancementReport:
-    """Head-to-head power against the semi-sparse signal.
+) -> tuple[tuple[str, float, float], ...]:
+    """Head-to-head power against the semi-sparse signal, as ``(label,
+    power, stderr)`` rows.
 
-    Estimates, on common random numbers: the Euclidean test at ``alpha2``,
-    the sup test at ``alpha_inf``, their max-combination (whose rejection
-    event is the per-sample union, so its rate never exceeds the sum of the
-    members' rates), the combined test and the 3- and 4-norm tests at the
-    pooled level ``alpha2 + alpha_inf``.
+    Estimates, on common random numbers: the Euclidean test at ``alpha2``
+    (``p=2``), the sup test at ``alpha_inf`` (``sup``), their
+    max-combination (``max-comb``, whose rejection event is the per-sample
+    union, so its rate never exceeds the sum of the members' rates), the
+    combined test (``combined``) and the 3- and 4-norm tests (``p=3``,
+    ``p=4``) at the pooled level ``alpha2 + alpha_inf``.
 
     No power separation is promised: the separation is a limit statement,
     and at desk dimensions (d = 5e4, say) all six powers sit within a few
@@ -298,14 +283,12 @@ def pe_demo(
     levels = {"p=2": alpha2, "sup": alpha_inf, "combined": total, "p=3": total, "p=4": total}
     two, supt, combined, p3, p4 = calibrate_suite(
         [calibration(name, d, level, calibration_plan) for name, level in levels.items()], workers)
-    maxcomb = UnionTest(members=(two, supt), name="max-comb(2,sup)")
-    tests = [two, supt, maxcomb, combined, p3, p4]
+    tests = [two, supt, UnionTest(members=(two, supt)), combined, p3, p4]
     labels = ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
     counts = _counts(tests, [(unit, 1.0)], plan, workers)
-    rows = tuple(
+    return tuple(
         (label, *_rate_se(int(c), plan.replications)) for label, c in zip(labels, counts[0])
     )
-    return PowerEnhancementReport(d=d, alpha2=float(alpha2), alpha_inf=float(alpha_inf), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -448,7 +431,7 @@ def enhancement_demo(base, plan: MonteCarloPlan, workers: int = 1) -> Enhancemen
     ``size_inflation_bound`` is its exact null rejection probability, an
     upper bound on the size the enhancement can add.
     """
-    enhanced = build_enhanced(base)
+    enhanced = EnhancedTest(base)
     a = enhanced.spike_mean
     t = enhanced.spike_threshold
     d = int(enhanced.d)

@@ -35,9 +35,9 @@ from pnormlab.consistency import (
 )
 from pnormlab.engine import (
     CalibrationWarning,
+    EnhancedTest,
     PNormTest,
     build_combined,
-    build_enhanced,
     build_minimax_adaptive,
     geometric_budget,
     mc_calibrate,
@@ -320,8 +320,8 @@ def test_criterion_4_max_combination_demo():
     """
     cal_plan = MonteCarloPlan(replications=20_000, seed=PE_CAL_SEED)
     plan = MonteCarloPlan(replications=4_000, seed=PE_POWER_SEED)
-    report = pe_demo(PE_D, PE_ALPHA2, PE_ALPHA_INF, plan, cal_plan)
-    powers = {label: power for label, power, _ in report.rows}
+    rows = pe_demo(PE_D, PE_ALPHA2, PE_ALPHA_INF, plan, cal_plan)
+    powers = {label: power for label, power, _ in rows}
     checks = []
 
     count = {
@@ -508,7 +508,7 @@ def test_criterion_6_property_suites(desk, tmp_path):
 
     # enhancement dominates its base pointwise
     base = small_tests[0]
-    enhanced = build_enhanced(base)
+    enhanced = EnhancedTest(base)
     Yd = rng.normal(size=(10_000, 300))
     dec = reject_matrix([base, enhanced], Yd)
     checks.append(("enhancement domination", bool(np.all(dec[1][dec[0]])),

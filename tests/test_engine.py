@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,13 @@ from pnormlab.engine import (
     CalibrationWarning,
     CombinedTest,
     ConstantTest,
+    EnhancedTest,
     MinimaxAdaptiveTest,
     PNormTest,
     UnionTest,
     asymptotic_critical_value,
     asymptotic_test,
     build_combined,
-    build_enhanced,
     build_minimax_adaptive,
     calibrate_suite,
     calibration,
@@ -532,16 +533,21 @@ class TestEnhancement:
     def test_symmetric_base_ties_to_first_coordinate(self):
         plan = MonteCarloPlan(replications=2000, seed=5)
         base = mc_calibrate(E2, 300, 0.05, plan)
-        enhanced = build_enhanced(base)
+        enhanced = EnhancedTest(base)
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(300) / 2))
         assert enhanced.spike_threshold == pytest.approx(
             math.sqrt(enhanced.spike_mean)
         )
 
+    @pytest.mark.parametrize("d", [2, 3, 300, 10_000, 10**12])
+    def test_spike_threshold_is_worked_out_from_d(self, d):
+        enhanced = EnhancedTest(ConstantTest(d=d))
+        assert enhanced.spike_threshold == math.sqrt(math.sqrt(math.log(d) / 2.0))
+
     def test_pointwise_domination(self, rng):
         plan = MonteCarloPlan(replications=3000, seed=6)
         base = mc_calibrate(E2, 100, 0.05, plan)
-        enhanced = build_enhanced(base)
+        enhanced = EnhancedTest(base)
         Y = rng.normal(size=(5000, 100))
         decisions = reject_matrix([base, enhanced], Y)
         assert np.all(decisions[1][decisions[0]])
@@ -551,7 +557,7 @@ class TestEnhancement:
 
         d = 5000
         plan = MonteCarloPlan(replications=40_000, seed=17)
-        enhanced = build_enhanced(ConstantTest(d=d))
+        enhanced = EnhancedTest(ConstantTest(d=d))
         rate, se = estimate_rejection(enhanced, 0, plan)
         exact = 2.0 * std_normal_sf((math.log(d) / 2.0) ** 0.25)
         assert abs(rate - exact) <= 3.0 * se + 1e-12
@@ -577,7 +583,7 @@ class TestEnhancement:
                 return inner.decide_batch(norms, first)
 
         base = NormOnly()
-        enhanced = build_enhanced(base)
+        enhanced = EnhancedTest(base)
         first, last = np.zeros(d), np.zeros(d)
         first[0] = last[d - 1] = enhanced.spike_mean
         plan = MonteCarloPlan(replications=4000, seed=12)
@@ -586,13 +592,13 @@ class TestEnhancement:
         assert abs(r0 - r1) <= 3.0 * math.hypot(se0, se1)
 
     def test_dimension_is_the_base_s(self):
-        enhanced = build_enhanced(PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05))
+        enhanced = EnhancedTest(PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05))
         assert enhanced.d == 50
         assert enhanced.spike_mean == pytest.approx(math.sqrt(math.log(50) / 2))
 
     def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            build_enhanced(ConstantTest(d=1))
+        with pytest.raises(DomainError, match="d >= 2"):
+            EnhancedTest(ConstantTest(d=1))
 
 
 class TestEvaluate:
@@ -621,7 +627,12 @@ class TestEvaluate:
         Y = rng.normal(size=(200, 4))
         dec = reject_matrix([a, b, u], Y)
         np.testing.assert_array_equal(dec[2], dec[0] | dec[1])
-        assert u.alpha == pytest.approx(0.2)
+
+    def test_union_label_comes_from_its_members(self):
+        a = PNormTest(d=4, exponent=E2, critical_value=2.0, alpha=0.1)
+        b = PNormTest(d=4, exponent=SUP, critical_value=1.5, alpha=0.1)
+        assert UnionTest(members=(a, b)).label == "max-comb(p=2,sup)"
+        assert UnionTest(members=(b, ConstantTest(d=4))).label == "max-comb(sup,never-reject)"
 
     def test_union_of_two_dimensions_is_refused(self):
         # evaluated at d = 50, the 100-dimensional member would never reject
@@ -635,21 +646,52 @@ class TestEvaluate:
     def test_constant_tests_alone(self, rng):
         # constant tests read no norm and take their row count from y[:, 0]
         Y = rng.normal(size=(7, 5))
-        dec = reject_matrix([ConstantTest(d=5), ConstantTest(d=5, always_reject=True)], Y)
+        Y[:3, 0] = 4.0  # above the spike threshold, about 0.95 at d = 5
+        enhanced = EnhancedTest(ConstantTest(d=5))
+        dec = reject_matrix([ConstantTest(d=5), enhanced], Y)
         assert dec.shape == (2, 7)
-        assert not dec[0].any() and dec[1].all()
+        assert not dec[0].any()
+        assert dec[1].tolist() == (np.abs(Y[:, 0]) >= enhanced.spike_threshold).tolist()
+        assert dec[1, :3].all()
 
-    @pytest.mark.parametrize("always_reject", [False, True])
-    def test_bare_constant_test_needs_no_norm(self, rng, always_reject):
+    def test_bare_constant_test_needs_no_norm(self, rng):
         # no norm column: the chunk pass runs with an empty exponent set
         from pnormlab.power import estimate_rejection
 
-        test = ConstantTest(d=5, always_reject=always_reject)
+        test = ConstantTest(d=5)
         assert test.norm_exponents() == ()
+        assert test.label == "never-reject"
         plan = MonteCarloPlan(replications=300, seed=1)
-        assert estimate_rejection(test, 0, plan) == (float(always_reject), 0.0)
+        assert estimate_rejection(test, 0, plan) == (0.0, 0.0)
         dec = reject_matrix([test], rng.normal(size=(7, 5)))
-        assert dec.tolist() == [[always_reject] * 7]
+        assert dec.tolist() == [[False] * 7]
+
+
+class TestFields:
+    """A test object holds only what its calibration produced; the rest is
+    worked out from these fields."""
+
+    FIELDS = {
+        CombinedTest: "d exponents kappas scale budget calibration_size provenance",
+        MinimaxAdaptiveTest: "d margin kappas threshold alpha provenance",
+        EnhancedTest: "base",
+        UnionTest: "members",
+        ConstantTest: "d",
+        PNormTest: "d exponent critical_value alpha provenance",
+    }
+
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+    def test_field_names(self, cls):
+        assert [f.name for f in dataclasses.fields(cls)] == self.FIELDS[cls].split()
+
+    def test_derived_values(self):
+        budget = geometric_budget(3, 0.05)
+        combined = CombinedTest(d=60, exponents=(1.0, 2.0, 4.0), kappas=(50.0, 9.0, 4.0),
+                                scale=1.0, budget=budget)
+        assert combined.alpha == budget.total
+        minimax = MinimaxAdaptiveTest(d=60, margin=4.0, kappas=(60.0, 10.0, 6.0))
+        assert minimax.max_power == 3 and minimax.label == "minimax(pmax=3)"
+        assert minimax.norm_exponents() == tuple(Exponent.finite(p) for p in (1.0, 2.0, 3.0))
 
 
 class TestSerialization:
@@ -737,10 +779,26 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="out of range"):
             load_test(path)
 
+    @pytest.mark.parametrize("content, line", [
+        # the alphas sum to 0.05
+        (b"schema = pnormlab-test/1\nkind = combined\nd = 100\nalpha = 0.07\n"
+         b"exponents = 2,3\nalphas = 0.025,0.025\nbudget_generator = geometric\n"
+         b"budget_success = 0.5\nbudget_last_share = 0.5\nkappas = 11.1,5.2\nscale = 1\n",
+         "alpha = 0.07"),
+        # three kappas make max_power 3
+        (b"schema = pnormlab-test/1\nkind = minimax\nd = 100\nmargin = 5\n"
+         b"max_power = 2\nkappas = 90,13,6\nthreshold = 1\n", "max_power = 2"),
+    ], ids=["combined-alpha", "minimax-max-power"])
+    def test_derived_line_must_agree(self, tmp_path, content, line):
+        path = tmp_path / "a.txt"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=line):
+            load_test(path)
+
     def test_uncalibrated_combined_artifact_loads(self, tmp_path):
         # save_test writes calibration_size = nan for a test built by hand
         test = CombinedTest(d=60, exponents=(2.0, 4.0), kappas=(11.0, 4.0), scale=1.0,
-                            alpha=0.05, budget=geometric_budget(2, 0.05))
+                            budget=geometric_budget(2, 0.05))
         path = tmp_path / "c.txt"
         save_test(test, path)
         assert "calibration_size = nan" in path.read_text()
@@ -786,8 +844,7 @@ class TestSerialization:
         # built by hand: never calibrated, no provenance
         "combined-uncalibrated": (
             lambda plan: CombinedTest(d=60, exponents=(2.0, 4.0), kappas=(11.0, 4.0),
-                                      scale=1.0, alpha=0.05,
-                                      budget=geometric_budget(2, 0.05)),
+                                      scale=1.0, budget=geometric_budget(2, 0.05)),
             "kind = combined\nd = 60\nalpha = 0.050000000000000003\nexponents = 2,4\n"
             "alphas = 0.025000000000000001,0.025000000000000001\n"
             "budget_generator = geometric\nbudget_success = 0.5\nbudget_last_share = 0.5\n"

@@ -8,7 +8,7 @@ from scipy import stats
 
 from pnormlab import mc
 from pnormlab.consistency import custom_family, dense, power_sparse, semi_sparse, sparse
-from pnormlab.engine import PNormTest
+from pnormlab.engine import ConstantTest, PNormTest
 from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import (
     MonteCarloPlan,
@@ -21,7 +21,7 @@ from pnormlab.mc import (
     simulate_shifted,
 )
 from pnormlab.norms import SUP, Exponent, _tile_rows, batch_norms
-from pnormlab.power import power_curve
+from pnormlab.power import estimate_rejection, power_curve
 
 
 class TestPlan:
@@ -237,11 +237,13 @@ class TestUnit:
     @pytest.mark.parametrize("d", [100, 10_000])
     def test_runs_and_vector_give_one_unit(self, family, d):
         theta = family.theta(d)
-        runs, vector = Unit.from_runs(*family.runs(d)), Unit.from_vector(theta)
+        # a mean vector is the runs of its entries, one each
+        runs, vector = Unit.from_runs(*family.runs(d)), Unit.from_runs(theta, np.ones(d))
         assert (runs.d, runs.size) == (vector.d, vector.size) == (d, np.count_nonzero(theta))
         assert (runs.support is None) == (vector.support is None)
         if runs.support is not None:
             assert np.array_equal(runs.support, vector.support)
+            assert runs.support.dtype == vector.support.dtype == np.intp
         assert np.array_equal(runs.values, vector.values)
         coords = np.array([d - 1, 0, 1, 7, d // 2])
         assert np.array_equal(runs.at(coords), theta[coords])
@@ -257,15 +259,17 @@ class TestUnit:
         assert np.array_equal(zero.at(np.array([0, 49])), [0.0, 0.0])
 
     def test_refuses_a_matrix(self):
-        with pytest.raises(DomainError):
-            Unit.from_vector(np.zeros((2, 5)))
+        # a rejection estimate refuses a mean vector it cannot build a unit of
+        for theta in (np.zeros((2, 5)), np.zeros(0)):
+            with pytest.raises(DomainError, match="one-dimensional"):
+                estimate_rejection(ConstantTest(d=5), theta, MonteCarloPlan(10, 1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_a_non_finite_entry(self, bad):
         theta = np.zeros(50)
         theta[3] = bad
         with pytest.raises(DomainError, match="finite"):
-            Unit.from_vector(theta)
+            Unit.from_runs(theta, np.ones(50))
         with pytest.raises(DomainError, match="finite"):
             Unit.from_runs([0.0, bad, 0.0], [3, 1, 46])
 

@@ -10,9 +10,9 @@ from pnormlab import power as plab
 from pnormlab.consistency import custom_family, dense, semi_sparse, sparse
 from pnormlab.engine import (
     ConstantTest,
+    EnhancedTest,
     PNormTest,
     build_combined,
-    build_enhanced,
     geometric_budget,
     mc_calibrate,
     member_exponents,
@@ -39,8 +39,10 @@ E2 = Exponent.finite(2.0)
 
 class TestEstimateRejection:
     def test_always_reject(self):
+        # every norm reaches a zero critical value
         plan = MonteCarloPlan(replications=500, seed=1)
-        rate, se = estimate_rejection(ConstantTest(d=20, always_reject=True), 0, plan)
+        test = PNormTest(d=20, exponent=E2, critical_value=0.0, alpha=0.05)
+        rate, se = estimate_rejection(test, 0, plan)
         assert rate == 1.0 and se == 0.0
 
     def test_size_matches_level(self):
@@ -196,7 +198,7 @@ class TestCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_call_equals_single_shift_calls(self, suite, workers):
         d, tests = suite
-        tests = tests + [build_enhanced(tests[1])]  # reads coordinate 0
+        tests = tests + [EnhancedTest(tests[1])]  # reads coordinate 0
         plan = MonteCarloPlan(replications=600, seed=13)
         at_fraction = np.zeros(d)
         at_fraction[: d // 5] = np.linspace(0.1, 0.5, d // 5)
@@ -213,7 +215,7 @@ class TestCounts:
             at_fraction,
             above_fraction,
         ]
-        shifts = [(Unit.from_vector(theta), 1.0) for theta in shifts]
+        shifts = [(Unit.from_runs(theta, np.ones(d)), 1.0) for theta in shifts]
         got = _counts(tests, shifts, plan, workers)
         want = np.vstack([_counts(tests, [shift], plan, 1) for shift in shifts])
         assert np.array_equal(got, want)
@@ -221,7 +223,7 @@ class TestCounts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dense_shift_equals_reject_matrix_on_the_same_chunks(self, suite, workers):
         d, tests = suite
-        tests = [tests[1], tests[2], build_enhanced(tests[1])]  # p=2, sup, enhanced
+        tests = [tests[1], tests[2], EnhancedTest(tests[1])]  # p=2, sup, enhanced
         plan = MonteCarloPlan(replications=300, seed=17)
         theta = np.full(d, 0.1)
         want = sum(
@@ -229,8 +231,8 @@ class TestCounts:
             .sum(axis=1)
             for c, _, size in plan.chunk_bounds()
         )
-        assert np.array_equal(_counts(tests, [(Unit.from_vector(theta), 1.0)], plan, workers)[0],
-                              want)
+        unit = Unit.from_runs(theta, np.ones(d))
+        assert np.array_equal(_counts(tests, [(unit, 1.0)], plan, workers)[0], want)
 
 
 class TestAutoGrid:
@@ -257,7 +259,7 @@ class TestAutoGrid:
 
     def test_tests_of_two_dimensions_are_refused(self):
         plan = MonteCarloPlan(replications=400, seed=13)
-        tests = [ConstantTest(d=300), ConstantTest(d=200, always_reject=True)]
+        tests = [ConstantTest(d=300), ConstantTest(d=200)]
         with pytest.raises(DomainError, match="one dimension"):
             auto_a_grid(tests, dense(), plan)
 
@@ -289,7 +291,7 @@ class TestAutoGridStore:
         # 1000 replications probe on 400: the last probe chunk has 16 rows
         # and must not stand in for the curve's 128-row chunk 3
         d, tests = suite
-        tests = tests + [build_enhanced(tests[1])]  # reads coordinate 0
+        tests = tests + [EnhancedTest(tests[1])]  # reads coordinate 0
         plan = MonteCarloPlan(replications=reps, seed=23)
         grid = auto_a_grid(tests, family, plan, workers=workers)
         want = power_curve(tests, family, grid, d, plan, workers=workers)
@@ -340,19 +342,15 @@ class TestPeDemo:
         d = 2000
         plan = MonteCarloPlan(replications=4000, seed=14)
         cal = MonteCarloPlan(replications=20_000, seed=15)
-        report = pe_demo(d, 0.025, 0.025, plan, cal)
-        labels = [row[0] for row in report.rows]
+        rows = pe_demo(d, 0.025, 0.025, plan, cal)
+        labels = [row[0] for row in rows]
         assert labels == ["p=2", "sup", "max-comb", "combined", "p=3", "p=4"]
+        power = {label: rate for label, rate, _ in rows}
         # the max-combination rejects exactly when a member does, per sample
-        assert report.power("max-comb") <= report.power("p=2") + report.power("sup") + 1e-12
-        assert report.power("max-comb") >= max(
-            report.power("p=2"), report.power("sup")
-        ) - 1e-12
-        for label, rate, se in report.rows:
-            assert (report.power(label), report.stderr(label)) == (rate, se)
+        assert power["max-comb"] <= power["p=2"] + power["sup"] + 1e-12
+        assert power["max-comb"] >= max(power["p=2"], power["sup"]) - 1e-12
+        for label, rate, se in rows:
             assert se == math.sqrt(rate * (1.0 - rate) / plan.replications)
-        with pytest.raises(KeyError):
-            report.stderr("p=5")
 
     def test_budget_guard(self):
         plan = MonteCarloPlan(replications=2000, seed=1)
