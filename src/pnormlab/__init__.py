@@ -75,7 +75,6 @@ from .gaussmath import (
 from .mc import MonteCarloPlan
 from .norms import SUP, Exponent, p_norm_stat
 from .power import (
-    EnhancementReport,
     GapScanReport,
     PowerRow,
     PowerTable,

@@ -32,6 +32,7 @@ from . import power as plab
 from .engine import (
     CombinedTest,
     ConstantTest,
+    EnhancedTest,
     MinimaxAdaptiveTest,
     asymptotic_test,
     calibrate_suite,
@@ -389,22 +390,17 @@ def _cmd_demo_enhance(res: _Resolver):
     name = res.get("base", "p=2")
     base = ConstantTest(d=d) if name == "never" else calibrate_suite(
         [calibration(name, d, alpha, calib_plan, res.get)], workers)[0]
-    rep = plab.enhancement_demo(base, plan, workers=workers)
+    rows = plab.enhancement_demo(base, plan, workers=workers)
+    enhanced = EnhancedTest(base)
     outdir = _outdir(res)
-    rows = [
-        ("size_base", rep.size_base, rep.size_base_stderr),
-        ("size_enhanced", rep.size_enhanced, rep.size_enhanced_stderr),
-        ("power_base", rep.power_base, rep.power_base_stderr),
-        ("power_enhanced", rep.power_enhanced, rep.power_enhanced_stderr),
-    ]
     path = os.path.join(outdir, "enhancement_demo.csv")
     write_csv(path, ("quantity", "estimate", "stderr"), rows)
-    print(f"coordinate = 0  spike_mean = {rep.spike_mean:.6g}  "
-          f"threshold = {rep.spike_threshold:.6g}")
+    print(f"coordinate = 0  spike_mean = {enhanced.spike_mean:.6g}  "
+          f"threshold = {enhanced.spike_threshold:.6g}")
     for name, val, se in rows:
         print(f"{name:<16} = {val:.4f}  stderr = {se:.4f}")
-    print(f"spike_tail_exact = {rep.spike_tail_exact:.6g}")
-    print(f"size_inflation_bound = {rep.size_inflation_bound:.6g}")
+    print(f"spike_tail_exact = {enhanced.spike_power:.6g}")
+    print(f"size_inflation_bound = {enhanced.spike_size:.6g}")
     return os.path.join(outdir, "enhancement_manifest.txt"), [path]
 
 

@@ -227,30 +227,29 @@ def geometric_dgrid(d_min: int, d_max: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CriterionTrace:
-    """Criterion values over a dimension grid with the fitted log-log slope."""
+    """Criterion values over a dimension grid, and whether any sup term
+    saturated."""
 
     d_grid: tuple[int, ...]
     values: tuple[float, ...]
-    exponent: Exponent
-    family_label: str
-    fitted_log_slope: float
-    saturated: bool = False
+    saturated: bool
 
     def rows(self):
         return list(zip(self.d_grid, self.values))
 
-
-def _fit_log_slope(d_grid, values) -> float:
-    """Least-squares slope of log(values) on log(d_grid), in closed form:
-    x is centred on its mean and y shifted by its first entry, which leaves
-    the slope as it is and makes a flat trace's slope exactly 0."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        return float("nan")
-    x = np.log(np.asarray(d_grid, dtype=float))
-    y = np.log(v)
-    xc = x - x.mean()
-    return float(xc @ (y - y[0]) / (xc @ xc))
+    @property
+    def fitted_log_slope(self) -> float:
+        """Least-squares slope of log(values) on log(d_grid), in closed
+        form: x is centred on its mean and y shifted by its first entry,
+        which leaves the slope as it is and makes a flat trace's slope
+        exactly 0.  NaN when a value is not positive and finite."""
+        v = np.asarray(self.values, dtype=float)
+        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+            return float("nan")
+        x = np.log(np.asarray(self.d_grid, dtype=float))
+        y = np.log(v)
+        xc = x - x.mean()
+        return float(xc @ (y - y[0]) / (xc @ xc))
 
 
 def criterion_trace(
@@ -258,8 +257,8 @@ def criterion_trace(
     exponent: Exponent,
     d_grid: Sequence[int],
 ) -> CriterionTrace:
-    """Evaluate the matching criterion on every grid dimension and fit the
-    least-squares slope of log(value) on log(d).
+    """Evaluate the matching criterion on every grid dimension; the trace's
+    ``fitted_log_slope`` is the least-squares slope of log(value) on log(d).
 
     One stacked pass covers every grid d: the runs of ``family.runs(d)``
     form one ``(points, runs)`` matrix per run count (a custom family's
@@ -283,14 +282,7 @@ def criterion_trace(
         stack, counts = (np.stack(part) for part in zip(*(runs[i] for i in rows)))
         values[rows], sat = _stacked_sums(stack, counts, [grid[i] for i in rows], exponent.p)
         saturated = saturated or sat
-    return CriterionTrace(
-        d_grid=grid,
-        values=tuple(values.tolist()),
-        exponent=exponent,
-        family_label=family.label,
-        fitted_log_slope=_fit_log_slope(grid, values),
-        saturated=saturated,
-    )
+    return CriterionTrace(d_grid=grid, values=tuple(values.tolist()), saturated=saturated)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, DomainError
-from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile
+from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile, std_normal_sf
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from .norms import Exponent, batch_norms, parse_exponent
 from .report import read_kv, write_kv
@@ -163,6 +163,21 @@ def minimax_critical_value(p: float, d: int, margin: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_alphas(
+    members: int, alpha: float, success: float, last_share: float
+) -> tuple[float, ...]:
+    """The geometric allocation of level ``alpha`` over ``members``."""
+    if members < 2:
+        raise DomainError("geometric budget requires at least two members")
+    for name, v in (("success", success), ("last_share", last_share)):
+        if not (0.0 < v < 1.0):
+            raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
+    weights = [success * (1.0 - success) ** j for j in range(members - 1)]
+    wsum = math.fsum(weights)
+    head = (1.0 - last_share) * alpha
+    return tuple(head * w / wsum for w in weights) + (last_share * alpha,)
+
+
 @dataclass(frozen=True)
 class AlphaBudget:
     """Per-member size allocation of a combined test.
@@ -171,13 +186,13 @@ class AlphaBudget:
     exponent).  The geometric generator spreads a ``1 - last_share`` fraction
     of the total level over the first ``m - 1`` members proportionally to a
     geometric mass function with the given success parameter, and puts
-    ``last_share`` of the level on the largest exponent.  Only the geometric
-    generator has parameters: any other generator is stored as ``custom``
-    with ``success`` and ``last_share`` None.
+    ``last_share`` of the level on the largest exponent.  A budget that
+    gives its success and last_share is geometric, and its alphas must be
+    that allocation of their total (to relative 1e-12); one that gives
+    neither is custom.
     """
 
     alphas: tuple[float, ...]
-    generator: str = "custom"
     success: float | None = None
     last_share: float | None = None
 
@@ -189,11 +204,20 @@ class AlphaBudget:
                 raise DomainError(f"every member level must lie in (0, 1), got {a!r}")
         if not (0.0 < self.total < 1.0):
             raise DomainError("total level must lie in (0, 1)")
-        if self.generator != "geometric":
-            for name, value in (("generator", "custom"), ("success", None), ("last_share", None)):
-                object.__setattr__(self, name, value)
-        elif None in (self.success, self.last_share):
-            raise DomainError("a geometric budget needs its success and last_share")
+        if (self.success is None) != (self.last_share is None):
+            raise DomainError("a geometric budget needs both its success and last_share")
+        if self.success is not None:
+            want = _geometric_alphas(self.member_count, self.total, self.success,
+                                     self.last_share)
+            for j, (a, w) in enumerate(zip(self.alphas, want)):
+                if abs(a - w) > 1e-12 * w:
+                    raise DomainError(f"alphas are not the geometric allocation of success "
+                                      f"{self.success!r} and last_share {self.last_share!r}:"
+                                      f" member {j} has {a!r} where it gives {w!r}")
+
+    @property
+    def generator(self) -> str:
+        return "custom" if self.success is None else "geometric"
 
     @property
     def total(self) -> float:
@@ -231,21 +255,10 @@ def geometric_budget(
     members: int, alpha: float, success: float = 0.5, last_share: float = 0.5
 ) -> AlphaBudget:
     """Geometric size allocation over ``members`` ordered exponents."""
-    members = int(members)
-    if members < 2:
-        raise DomainError("geometric budget requires at least two members")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    for name, v in (("success", success), ("last_share", last_share)):
-        if not (0.0 < v < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
-    weights = [success * (1.0 - success) ** j for j in range(members - 1)]
-    wsum = math.fsum(weights)
-    head = (1.0 - last_share) * alpha
-    alphas = tuple(head * w / wsum for w in weights) + (last_share * alpha,)
-    return AlphaBudget(
-        alphas=alphas, generator="geometric", success=success, last_share=last_share
-    )
+    return AlphaBudget(alphas=_geometric_alphas(int(members), alpha, success, last_share),
+                       success=success, last_share=last_share)
 
 
 def custom_budget(alphas: Sequence[float]) -> AlphaBudget:
@@ -258,7 +271,7 @@ def custom_budget(alphas: Sequence[float]) -> AlphaBudget:
         CalibrationWarning,
         stacklevel=2,
     )
-    return AlphaBudget(alphas=tuple(float(a) for a in alphas), generator="custom")
+    return AlphaBudget(alphas=tuple(float(a) for a in alphas))
 
 
 def member_exponents(d: int, preset: str = "exp") -> tuple[int, tuple[float, ...]]:
@@ -463,6 +476,18 @@ class EnhancedTest:
     @property
     def spike_threshold(self) -> float:
         return math.sqrt(self.spike_mean)
+
+    @property
+    def spike_power(self) -> float:
+        """Exact probability that the detector flags the spike it targets."""
+        a, t = self.spike_mean, self.spike_threshold
+        return std_normal_sf(t - a) + std_normal_sf(t + a)
+
+    @property
+    def spike_size(self) -> float:
+        """Exact null rejection probability of the detector, an upper bound
+        on the size the enhancement adds to the base's."""
+        return 2.0 * std_normal_sf(self.spike_threshold)
 
     @property
     def label(self) -> str:
@@ -770,10 +795,10 @@ _CODECS = {
 # The lines of each artifact kind after ``schema`` and ``kind``, in file
 # order: (key, type, required).  A None value is not written, and an absent
 # optional key loads as the field's default.  A combined test's ``alphas``
-# and ``budget_<field>`` lines are the fields of its AlphaBudget.  A key
-# that names no field (a combined test's ``alpha``, a minimax test's
-# ``max_power``) is worked out from the other lines: it is written from the
-# test's property, and on load it must equal the value the test works out.
+# and ``budget_<name>`` lines are its AlphaBudget's.  A key that names no
+# field (a combined test's ``alpha`` and ``budget_generator``, a minimax
+# test's ``max_power``) is worked out from the other lines: it is written
+# from the property, and on load it must equal the value worked out.
 _ARTIFACTS = {
     "single": (PNormTest, (
         ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
@@ -794,10 +819,15 @@ _ARTIFACTS = {
 }
 
 
-def _budget_field(key: str) -> str | None:
-    """The AlphaBudget field an artifact key names, if it names one."""
-    name = key.removeprefix("budget_")
-    return name if name in AlphaBudget.__dataclass_fields__ else None
+def _budget_attr(key: str) -> str | None:
+    """The AlphaBudget attribute an artifact key names, if it names one."""
+    return key.removeprefix("budget_") if key == "alphas" or key.startswith("budget_") else None
+
+
+def _value(test, key: str):
+    """The value the artifact line ``key`` of ``test`` records."""
+    name = _budget_attr(key)
+    return getattr(test.budget, name) if name else getattr(test, key)
 
 
 def save_test(test, path) -> None:
@@ -807,8 +837,7 @@ def save_test(test, path) -> None:
         raise DomainError(f"cannot serialize test of type {type(test).__name__}")
     entries = [("schema", _SCHEMA), ("kind", kind)]
     for key, value_type, _ in _ARTIFACTS[kind][1]:
-        name = _budget_field(key)
-        value = getattr(test.budget, name) if name else getattr(test, key)
+        value = _value(test, key)
         if value is not None:
             entries.append((key, _CODECS[value_type][0](value)))
     write_kv(path, entries)
@@ -827,7 +856,7 @@ def load_test(path):
         for key, value_type, required in lines:
             if required or key in kv:
                 value = _CODECS[value_type][1](kv[key])
-                if name := _budget_field(key):
+                if (name := _budget_attr(key)) in AlphaBudget.__dataclass_fields__:
                     budget[name] = value
                 elif key in cls.__dataclass_fields__:
                     fields[key] = value
@@ -849,8 +878,8 @@ def load_test(path):
         if not math.isfinite(getattr(test, name, 0.0)):
             bad.append(f"{name} = {getattr(test, name)!r}")
     bad += [f"kappa = {k!r}" for k in getattr(test, "kappas", ()) if not 0.0 < k < math.inf]
-    bad += [f"{key} = {kv[key]} where the other lines give {getattr(test, key)!r}"
-            for key, value in derived.items() if value != getattr(test, key)]
+    bad += [f"{key} = {kv[key]} where the other lines give {_value(test, key)!r}"
+            for key, value in derived.items() if value != _value(test, key)]
     if bad:
         raise ConfigError(f"artifact value out of range: {', '.join(bad)}")
     return test

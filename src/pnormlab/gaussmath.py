@@ -99,7 +99,8 @@ def abs_moment(r: float) -> float:
 
 @dataclass(frozen=True)
 class GaussMoments:
-    """Mean and variance of |Z|^p together with their log-scale values.
+    """Log-scale mean and variance of |Z|^p; ``mean`` and ``variance`` are
+    their exponentials, inf past the range of ``exp``.
 
     ``variance`` equals ``abs_moment(2p) - abs_moment(p)**2`` by
     construction; it is assembled in log space, so it is strictly positive
@@ -108,10 +109,16 @@ class GaussMoments:
     """
 
     p: float
-    mean: float
-    variance: float
     log_mean: float
     log_variance: float
+
+    @property
+    def mean(self) -> float:
+        return math.exp(self.log_mean) if self.log_mean <= 709.0 else math.inf
+
+    @property
+    def variance(self) -> float:
+        return math.exp(self.log_variance) if self.log_variance <= 709.0 else math.inf
 
 
 def gauss_moments(p: float) -> GaussMoments:
@@ -129,11 +136,7 @@ def gauss_moments(p: float) -> GaussMoments:
             f"variance of |Z|^p for p={p!r} cancels to fewer than two "
             "significant digits in double precision"
         )
-    log_variance = log_m2 + math.log(one_minus)
-    mean = math.exp(log_mean) if log_mean <= 709.0 else math.inf
-    variance = math.exp(log_variance) if log_variance <= 709.0 else math.inf
-    return GaussMoments(p=p, mean=mean, variance=variance,
-                        log_mean=log_mean, log_variance=log_variance)
+    return GaussMoments(p=p, log_mean=log_mean, log_variance=log_m2 + math.log(one_minus))
 
 
 def detection_weight(x, p: float, cutoff: float = 1.0):

@@ -27,7 +27,7 @@ from .engine import (
     required_exponents,
 )
 from .errors import DomainError, RankError
-from .gaussmath import std_normal_quantile, std_normal_sf
+from .gaussmath import std_normal_quantile
 from .mc import MonteCarloPlan, Unit, simulate_shifted
 from .norms import Exponent
 
@@ -45,7 +45,6 @@ __all__ = [
     "power_gap_scan",
     "default_gap_grid",
     "regression_reduce",
-    "EnhancementReport",
     "enhancement_demo",
 ]
 
@@ -209,13 +208,7 @@ def power_curve(
     return PowerTable(rows=tuple(rows))
 
 
-_FAMILY_START_SCALE = {
-    "dense": 0.25,
-    "sparse": 4.0,
-    "semi_sparse": 1.0,
-    "power_sparse": 1.0,
-    "custom": 1.0,
-}
+_FAMILY_START_SCALE = {"dense": 0.25, "sparse": 4.0}  # any other family starts at 1
 _AUTO_GRID_POINTS = 32
 _AUTO_GRID_TOP_POWER = 0.99
 
@@ -293,15 +286,16 @@ def pe_demo(
 
 @dataclass(frozen=True)
 class GapScanReport:
-    """Worst observed power shortfall of a combined test against one of its
-    members recalibrated standalone at the full level."""
+    """Power shortfalls of a combined test against one of its members
+    recalibrated standalone at the full level, and their analytic ceiling."""
 
-    member_exponent: float
     bound: float
-    max_gap: float
-    max_gap_stderr: float
-    max_gap_label: str
     gaps: tuple[tuple[str, float, float], ...]  # (label, gap, pooled stderr)
+
+    @property
+    def worst(self) -> tuple[str, float, float]:
+        """The largest gap's ``(label, gap, pooled stderr)``; the first on a tie."""
+        return max(self.gaps, key=lambda g: g[1])
 
 
 def power_gap_scan(
@@ -314,10 +308,11 @@ def power_gap_scan(
     stats: Mapping[Exponent, np.ndarray] | None = None,
 ) -> GapScanReport:
     """Scan labeled mean shifts ``(label, unit, scale)``, the mean
-    ``scale * unit``, for the largest power gap between the standalone
-    member test (at the combined test's full level) and the combined test.
+    ``scale * unit``, for the power gap between the standalone member test
+    (at the combined test's full level) and the combined test; the report's
+    ``worst`` is the largest.
 
-    The analytic ceiling on the asymptotic gap is
+    The report's ``bound``, the analytic ceiling on the asymptotic gap, is
     ``(quantile(1 - limit member level) - quantile(1 - level)) / sqrt(2 pi)``.
     ``stats`` may carry precomputed null columns of ``calibration_plan``
     that include the member's exponent, as in :func:`mc_calibrate`.
@@ -326,10 +321,9 @@ def power_gap_scan(
     if not (0 <= int(member_index) < m):
         raise DomainError(f"member index out of range: {member_index!r}")
     member_index = int(member_index)
-    p = combined.exponents[member_index]
     standalone = mc_calibrate(
-        Exponent.finite(p), combined.d, combined.alpha, calibration_plan, workers,
-        stats=stats,
+        Exponent.finite(combined.exponents[member_index]), combined.d, combined.alpha,
+        calibration_plan, workers, stats=stats,
     )
     limit_a = combined.budget.limit_alpha(member_index)
     bound = (
@@ -340,15 +334,7 @@ def power_gap_scan(
     for (label, _, _), row in zip(shifts, counts):
         (r_single, se_s), (r_comb, se_c) = (_rate_se(int(c), plan.replications) for c in row)
         gaps.append((label, r_single - r_comb, math.hypot(se_s, se_c)))
-    worst = max(gaps, key=lambda g: g[1])
-    return GapScanReport(
-        member_exponent=p,
-        bound=bound,
-        max_gap=worst[1],
-        max_gap_stderr=worst[2],
-        max_gap_label=worst[0],
-        gaps=tuple(gaps),
-    )
+    return GapScanReport(bound=bound, gaps=tuple(gaps))
 
 
 def default_gap_grid(d: int) -> list[tuple[str, Unit, float]]:
@@ -403,56 +389,24 @@ def regression_reduce(X, z) -> np.ndarray:
     return v @ ((v.T @ (X.T @ z)) / sing)
 
 
-@dataclass(frozen=True)
-class EnhancementReport:
-    """Size and spike-power comparison of a base test and its enhancement."""
+def enhancement_demo(
+    base, plan: MonteCarloPlan, workers: int = 1
+) -> tuple[tuple[str, float, float], ...]:
+    """Sizes of ``base`` and its `engine.EnhancedTest`, and their power
+    against the spike the detector targets, as ``(quantity, estimate,
+    stderr)`` rows: ``size_base``, ``size_enhanced``, ``power_base`` and
+    ``power_enhanced``.
 
-    d: int
-    spike_mean: float
-    spike_threshold: float
-    size_base: float
-    size_base_stderr: float
-    size_enhanced: float
-    size_enhanced_stderr: float
-    power_base: float
-    power_base_stderr: float
-    power_enhanced: float
-    power_enhanced_stderr: float
-    spike_tail_exact: float
-    size_inflation_bound: float
-
-
-def enhancement_demo(base, plan: MonteCarloPlan, workers: int = 1) -> EnhancementReport:
-    """Build the enhanced test and report sizes and spike power at the
-    base's dimension.
-
-    ``spike_tail_exact`` is the closed-form detection probability of the
-    one-coordinate detector against the spike it targets;
-    ``size_inflation_bound`` is its exact null rejection probability, an
-    upper bound on the size the enhancement can add.
+    The enhanced test's ``spike_power`` and ``spike_size`` are the
+    detector's exact spike power and null rejection probability to set
+    these against.
     """
     enhanced = EnhancedTest(base)
-    a = enhanced.spike_mean
-    t = enhanced.spike_threshold
     d = int(enhanced.d)
     spike = Unit.from_runs([1.0, 0.0], [1, d - 1])
-    shifts = [(Unit.from_runs([0.0], [d]), 0.0), (spike, a)]
-    (sb, sb_se), (se_, se_se), (pb, pb_se), (pe, pe_se) = (
-        _rate_se(int(c), plan.replications)
-        for c in _counts([base, enhanced], shifts, plan, workers).ravel()
-    )
-    return EnhancementReport(
-        d=d,
-        spike_mean=a,
-        spike_threshold=t,
-        size_base=sb,
-        size_base_stderr=sb_se,
-        size_enhanced=se_,
-        size_enhanced_stderr=se_se,
-        power_base=pb,
-        power_base_stderr=pb_se,
-        power_enhanced=pe,
-        power_enhanced_stderr=pe_se,
-        spike_tail_exact=std_normal_sf(t - a) + std_normal_sf(t + a),
-        size_inflation_bound=2.0 * std_normal_sf(t),
+    shifts = [(Unit.from_runs([0.0], [d]), 0.0), (spike, enhanced.spike_mean)]
+    counts = _counts([base, enhanced], shifts, plan, workers).ravel()
+    names = ("size_base", "size_enhanced", "power_base", "power_enhanced")
+    return tuple(
+        (name, *_rate_se(int(c), plan.replications)) for name, c in zip(names, counts)
     )

@@ -14,6 +14,7 @@ import pnormlab
 from pnormlab import cli, engine
 from pnormlab.cli import main
 from pnormlab.engine import (
+    EnhancedTest,
     build_combined,
     build_minimax_adaptive,
     geometric_budget,
@@ -280,6 +281,28 @@ class TestCalibrate:
         test = load_test(out)
         assert test.d == 200 and test.alpha == 0.05
         assert (tmp_path / "p2.txt.manifest").exists()
+
+    @pytest.mark.parametrize("key, edit, refusal", [
+        ("alphas", lambda v: ",".join(v.split(",")[-2::-1] + v.split(",")[-1:]),
+         "member 0 has"),
+        ("budget_generator", lambda v: "custom",
+         "budget_generator = custom where the other lines give 'geometric'"),
+    ], ids=["head-alphas-reversed", "generator-custom"])
+    def test_combined_artifact_whose_budget_lines_disagree_exits_two(
+        self, tmp_path, key, edit, refusal
+    ):
+        art = tmp_path / "comb.txt"
+        assert run(["calibrate", "--d", 300, "--test", "combined", "--reps", 4000,
+                    "--out", art]) == 0
+        lines = art.read_text().splitlines()
+        art.write_text("".join(
+            f"{k} = {edit(v) if k == key else v}\n" for k, v in (x.split(" = ", 1) for x in lines)
+        ))
+        with pytest.raises(ConfigError, match=refusal):
+            load_test(art)
+        assert run(["power", "--d", 300, "--tests", "sup", "--artifact", art, "--calib-reps",
+                    2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
+        assert not (tmp_path / "pw").exists()
 
     def test_combined_preset(self, tmp_path, capsys):
         out = tmp_path / "combined.txt"
@@ -819,7 +842,7 @@ class TestDemos:
         assert (tmp_path / "enhancement_demo.csv").exists()
 
     @pytest.mark.parametrize("base", [None, "combined"], ids=["default-base", "combined"])
-    def test_demo_enhance_base_is_a_calibrated_test(self, tmp_path, base):
+    def test_demo_enhance_base_is_a_calibrated_test(self, tmp_path, capsys, base):
         d, alpha = 200, 0.05
         calib_plan, plan = MonteCarloPlan(4000, 20_240_501), MonteCarloPlan(500, 20_240_777)
         argv = ["demo-enhance", "--d", d, "--reps", 500, "--calib-reps", 4000,
@@ -830,12 +853,15 @@ class TestDemos:
         else:
             m, exps = member_exponents(d, "exp")
             test = build_combined(d, exps, geometric_budget(m, alpha), calib_plan)
-        rep = enhancement_demo(test, plan)
         want = ["quantity,estimate,stderr"] + [
-            f"{name},{fmt(getattr(rep, name))},{fmt(getattr(rep, name + '_stderr'))}"
-            for name in ("size_base", "size_enhanced", "power_base", "power_enhanced")
+            f"{name},{fmt(rate)},{fmt(se)}" for name, rate, se in enhancement_demo(test, plan)
         ]
         assert (tmp_path / "enhancement_demo.csv").read_text().splitlines() == want
+        enhanced = EnhancedTest(test)
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"spike_tail_exact = {enhanced.spike_power:.6g}",
+            f"size_inflation_bound = {enhanced.spike_size:.6g}",
+        ]
 
     def test_demo_pe_too_small_plan_is_refused_before_the_draw(
         self, tmp_path, monkeypatch, capsys

@@ -6,7 +6,7 @@ from scipy import special
 
 from pnormlab.consistency import (
     AlternativeFamily,
-    _fit_log_slope,
+    CriterionTrace,
     contour_grid,
     criterion_trace,
     custom_family,
@@ -218,7 +218,7 @@ class TestTrace:
 
     def test_flat_trace_has_slope_exactly_zero(self):
         grid = geometric_dgrid(10**3, 10**7)
-        assert _fit_log_slope(grid, [0.3] * len(grid)) == 0.0
+        assert CriterionTrace(grid, (0.3,) * len(grid), False).fitted_log_slope == 0.0
 
     @pytest.mark.parametrize("exponent", [Exponent.finite(2.0), Exponent.finite(3.0),
                                           Exponent.finite(math.e + 1.0),

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from pnormlab import engine
+from pnormlab.consistency import CriterionTrace
 from pnormlab.engine import (
     AlphaBudget,
     CalibrationWarning,
@@ -34,9 +35,10 @@ from pnormlab.engine import (
     sup_asymptotic_critical_value,
 )
 from pnormlab.errors import CalibrationError, ConfigError, DomainError
-from pnormlab.gaussmath import std_normal_cdf, std_normal_sf
+from pnormlab.gaussmath import GaussMoments, std_normal_cdf, std_normal_sf
 from pnormlab.mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent, batch_norms
+from pnormlab.power import GapScanReport
 
 from conftest import bisection_solve
 
@@ -261,6 +263,25 @@ class TestBudgets:
             geometric_budget(3, 1.2)
         with pytest.raises(DomainError):
             AlphaBudget(alphas=(0.4, 0.7))  # total above 1
+
+    @pytest.mark.parametrize("given", [{"success": 0.5}, {"last_share": 0.5}])
+    def test_success_and_last_share_come_together(self, given):
+        with pytest.raises(DomainError, match="both its success and last_share"):
+            AlphaBudget(alphas=(0.025, 0.025), **given)
+
+    def test_geometric_alphas_must_be_the_allocation(self):
+        b = geometric_budget(4, 0.05, success=0.3, last_share=0.4)
+        assert AlphaBudget(alphas=b.alphas, success=0.3, last_share=0.4) == b
+        swapped = (b.alphas[1], b.alphas[0]) + b.alphas[2:]
+        with pytest.raises(DomainError, match="member 0 has"):
+            AlphaBudget(alphas=swapped, success=0.3, last_share=0.4)
+        with pytest.raises(DomainError, match="not the geometric allocation"):
+            AlphaBudget(alphas=b.alphas, success=0.5, last_share=0.4)
+        for success in (0.0, 1.0, float("nan")):
+            with pytest.raises(DomainError, match="success must lie in"):
+                AlphaBudget(alphas=b.alphas, success=success, last_share=0.4)
+        with pytest.raises(DomainError, match="at least two members"):
+            AlphaBudget(alphas=(0.05,), success=0.5, last_share=0.5)
 
     def test_custom_budget_warns(self):
         with pytest.warns(CalibrationWarning):
@@ -544,6 +565,13 @@ class TestEnhancement:
         enhanced = EnhancedTest(ConstantTest(d=d))
         assert enhanced.spike_threshold == math.sqrt(math.sqrt(math.log(d) / 2.0))
 
+    @pytest.mark.parametrize("d", [2, 300, 10_000])
+    def test_spike_power_and_size_are_the_detector_s_closed_forms(self, d):
+        enhanced = EnhancedTest(ConstantTest(d=d))
+        a, t = math.sqrt(math.log(d) / 2.0), math.sqrt(math.sqrt(math.log(d) / 2.0))
+        assert enhanced.spike_power == std_normal_sf(t - a) + std_normal_sf(t + a)
+        assert enhanced.spike_size == 2.0 * std_normal_sf(t)
+
     def test_pointwise_domination(self, rng):
         plan = MonteCarloPlan(replications=3000, seed=6)
         base = mc_calibrate(E2, 100, 0.05, plan)
@@ -668,8 +696,9 @@ class TestEvaluate:
 
 
 class TestFields:
-    """A test object holds only what its calibration produced; the rest is
-    worked out from these fields."""
+    """A test object holds only what its calibration produced, and a result
+    or budget record only what was measured or given; the rest is worked
+    out from these fields."""
 
     FIELDS = {
         CombinedTest: "d exponents kappas scale budget calibration_size provenance",
@@ -678,6 +707,10 @@ class TestFields:
         UnionTest: "members",
         ConstantTest: "d",
         PNormTest: "d exponent critical_value alpha provenance",
+        GapScanReport: "bound gaps",
+        CriterionTrace: "d_grid values saturated",
+        GaussMoments: "p log_mean log_variance",
+        AlphaBudget: "alphas success last_share",
     }
 
     @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
@@ -692,6 +725,16 @@ class TestFields:
         minimax = MinimaxAdaptiveTest(d=60, margin=4.0, kappas=(60.0, 10.0, 6.0))
         assert minimax.max_power == 3 and minimax.label == "minimax(pmax=3)"
         assert minimax.norm_exponents() == tuple(Exponent.finite(p) for p in (1.0, 2.0, 3.0))
+
+    def test_derived_record_values(self):
+        scan = GapScanReport(bound=0.1, gaps=(("a", 0.01, 0.002), ("b", 0.03, 0.004),
+                                              ("c", 0.03, 0.001)))
+        assert scan.worst == ("b", 0.03, 0.004)  # the first of a tie
+        assert math.isnan(CriterionTrace((10, 100), (1.0, 0.0), False).fitted_log_slope)
+        moments = GaussMoments(p=2.0, log_mean=0.0, log_variance=math.log(2.0))
+        assert (moments.mean, moments.variance) == (1.0, math.exp(math.log(2.0)))
+        huge = GaussMoments(p=400.0, log_mean=710.0, log_variance=1500.0)
+        assert (huge.mean, huge.variance) == (math.inf, math.inf)
 
 
 class TestSerialization:

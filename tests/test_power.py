@@ -465,27 +465,30 @@ class TestRegressionReduce:
 
 
 class TestEnhancementDemo:
+    NAMES = ["size_base", "size_enhanced", "power_base", "power_enhanced"]
+
     def test_exact_oracles_and_domination(self):
         d = 2000
         plan = MonteCarloPlan(replications=20_000, seed=19)
-        report = enhancement_demo(ConstantTest(d=d), plan)
+        rows = enhancement_demo(ConstantTest(d=d), plan)
+        assert [name for name, _, _ in rows] == self.NAMES
+        (_, size, size_se), (_, power, power_se) = rows[1], rows[3]
+        enhanced = EnhancedTest(ConstantTest(d=d))
         # detector-only test: size and power match the closed-form tails
-        assert abs(report.size_enhanced - report.size_inflation_bound) <= (
-            3.0 * report.size_enhanced_stderr
-        )
-        assert abs(report.power_enhanced - report.spike_tail_exact) <= (
-            3.0 * report.power_enhanced_stderr
-        )
+        assert abs(size - enhanced.spike_size) <= 3.0 * size_se
+        assert abs(power - enhanced.spike_power) <= 3.0 * power_se
 
     def test_norm_base_report(self):
         d = 500
         cal = MonteCarloPlan(replications=10_000, seed=20)
         base = mc_calibrate(E2, d, 0.05, cal)
         plan = MonteCarloPlan(replications=10_000, seed=21)
-        report = enhancement_demo(base, plan)
-        assert report.power_enhanced >= report.power_base - 1e-12
-        assert report.size_enhanced >= report.size_base - 1e-12
-        assert report.size_enhanced <= (
-            report.size_base + report.size_inflation_bound + 3.0 * report.size_enhanced_stderr
-        )
-        assert report.power_enhanced >= report.spike_tail_exact - 3.0 * report.power_enhanced_stderr
+        rows = enhancement_demo(base, plan)
+        assert [name for name, _, _ in rows] == self.NAMES
+        (size_b, _), (size_e, size_e_se), (power_b, _), (power_e, power_e_se) = (
+            row[1:] for row in rows)
+        enhanced = EnhancedTest(base)
+        assert power_e >= power_b - 1e-12
+        assert size_e >= size_b - 1e-12
+        assert size_e <= size_b + enhanced.spike_size + 3.0 * size_e_se
+        assert power_e >= enhanced.spike_power - 3.0 * power_e_se
