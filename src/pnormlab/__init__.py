@@ -76,7 +76,6 @@ from .mc import MonteCarloPlan
 from .norms import SUP, Exponent, p_norm_stat
 from .power import (
     GapScanReport,
-    PowerRow,
     PowerTable,
     auto_a_grid,
     default_gap_grid,

@@ -263,7 +263,8 @@ def _cmd_power(res: _Resolver):
                        title=f"Power against {family.label} signals (d={d})",
                        xlabel="signal scale a", ylabel="rejection rate", ylim=(0.0, 1.0))
         outputs += [csv_path, svg_path]
-        print(f"family = {family.label}  rows = {len(table.rows)}  csv = {csv_path}")
+        rows = len(table.tests) * len(table.scales)
+        print(f"family = {family.label}  rows = {rows}  csv = {csv_path}")
     return os.path.join(outdir, "power_manifest.txt"), outputs
 
 

@@ -7,7 +7,9 @@ lab reports fitted log-log slopes plus the raw trace and never a boolean
 only shadow it.  Every criterion is a coordinate sum and every family a
 few constant runs, so one stacked pass over the runs of every grid d gives
 a whole trace, which reaches any d a float holds, past the semi-sparse
-turning points near 1e175.
+turning points near 1e175.  A mean vector, whether passed to a criterion
+or returned by a `custom_family` rule, must have finite entries: a NaN or
+infinite one raises DomainError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from scipy import special
 
 from .errors import DomainError
 from .gaussmath import detection_weight, sup_centering, sup_detection_weight
+from .mc import _finite
 from .norms import Exponent
 
 __all__ = [
@@ -132,10 +135,10 @@ def power_sparse(exponent: float) -> AlternativeFamily:
 
 
 def custom_family(rule: Callable[[int], np.ndarray], label: str = "custom") -> AlternativeFamily:
-    """A family given by its d-vector; each coordinate is a run of one."""
+    """A family given by its finite d-vector; each coordinate is a run of one."""
 
     def runs(d: int) -> tuple:
-        vector = np.asarray(rule(d), dtype=float)
+        vector = _finite(rule(d))
         if vector.shape != (d,):
             raise DomainError("custom family rule returned the wrong shape")
         return vector, np.ones(d)
@@ -149,7 +152,7 @@ def custom_family(rule: Callable[[int], np.ndarray], label: str = "custom") -> A
 
 
 def _vector(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite(theta)
     if theta.ndim != 1 or theta.size == 0:
         raise DomainError("theta must be a non-empty vector")
     return theta

@@ -862,13 +862,17 @@ def load_test(path):
                     fields[key] = value
                 else:
                     derived[key] = value
-        if budget:
-            fields["budget"] = AlphaBudget(**budget)
-        test = cls(**fields)
     except KeyError as exc:
         raise ConfigError(f"artifact is missing field {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"artifact has a malformed value: {exc}") from exc
+    # every line parsed: a constructor's refusal is a value out of range
+    try:
+        if budget:
+            fields["budget"] = AlphaBudget(**budget)
+        test = cls(**fields)
+    except DomainError as exc:
+        raise ConfigError(f"artifact value out of range: {exc}") from exc
     # calibration never writes these; an uncalibrated combined test's
     # calibration_size is nan and stays valid
     bad = [f"d = {test.d}"] if test.d < 1 else []

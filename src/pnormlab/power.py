@@ -5,7 +5,9 @@ mean shift is evaluated on the same simulated noise, each chunk drawn once;
 RNG streams are keyed on (seed, chunk, replication) only.  This sharpens
 ordering comparisons between tests at the cost of correlated estimates,
 which the reported per-cell standard errors do not account for (they are
-the usual binomial ones).  Norms are evaluated by `mc.simulate_shifted`.
+the usual binomial ones).  Every estimate starts as a rejection count,
+and `_rate_se` is the one place a count becomes a rate and its standard
+error.  Norms are evaluated by `mc.simulate_shifted`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .mc import MonteCarloPlan, Unit, simulate_shifted
 from .norms import Exponent
 
 __all__ = [
-    "PowerRow",
     "PowerTable",
     "estimate_rejection",
     "estimate_rejection_many",
@@ -105,49 +106,44 @@ def estimate_rejection_many(tests: Sequence, theta, plan: MonteCarloPlan, worker
 
 
 @dataclass(frozen=True)
-class PowerRow:
-    test: str
-    family: str
-    scale: float
-    d: int
-    power: float
-    stderr: float
-    replications: int
-
-
-@dataclass(frozen=True)
 class PowerTable:
-    """Tidy rejection-rate table over (test, scale) cells of one family."""
+    """Rejection counts over the (test, scale) cells of one signal family,
+    all on the same simulated noise: test ``tests[i]`` rejected
+    ``counts[i][j]`` of the ``replications`` rows at scale ``scales[j]``.
+    A cell's power is its count over ``replications``, with the binomial
+    standard error."""
 
-    rows: tuple[PowerRow, ...]
+    family: str
+    d: int
+    replications: int
+    tests: tuple[str, ...]
+    scales: tuple[float, ...]
+    counts: tuple[tuple[int, ...], ...]
 
     HEADER = ("test", "family", "a", "d", "power", "stderr", "replications")
 
     def to_csv(self, path) -> None:
+        """One row per cell, test by test, each in scale order."""
         from .report import write_csv
 
-        write_csv(
-            path,
-            self.HEADER,
-            [
-                (r.test, r.family, r.scale, r.d, r.power, r.stderr, r.replications)
-                for r in self.rows
-            ],
-        )
+        r = self.replications
+        write_csv(path, self.HEADER, [
+            (test, self.family, a, self.d, *_rate_se(c, r), r)
+            for test, row in zip(self.tests, self.counts) for a, c in zip(self.scales, row)
+        ])
 
     def series(self) -> dict[str, tuple[list[float], list[float]]]:
-        out: dict[str, tuple[list[float], list[float]]] = {}
-        for r in self.rows:
-            xs, ys = out.setdefault(r.test, ([], []))
-            xs.append(r.scale)
-            ys.append(r.power)
-        return out
+        """Each test's scales and powers."""
+        return {test: (list(self.scales), [c / self.replications for c in row])
+                for test, row in zip(self.tests, self.counts)}
 
-    def cell(self, test: str, scale: float) -> PowerRow:
-        for r in self.rows:
-            if r.test == test and r.scale == scale:
-                return r
-        raise KeyError((test, scale))
+    def cell(self, test: str, scale: float) -> tuple[float, float]:
+        """The ``(power, stderr)`` of one cell; KeyError when the table lacks it."""
+        try:
+            count = self.counts[self.tests.index(test)][self.scales.index(scale)]
+        except ValueError:
+            raise KeyError((test, scale)) from None
+        return _rate_se(count, self.replications)
 
 
 def require_distinct_labels(labels: Sequence[str]) -> None:
@@ -176,7 +172,8 @@ def power_curve(
     plan: MonteCarloPlan,
     workers: int = 1,
 ) -> PowerTable:
-    """Estimated power of every test at every scale of one signal family.
+    """The `PowerTable` of every test's rejection count at every scale of
+    one signal family.
 
     All cells share the same simulated noise (common random numbers).
     ``a_grid=None`` takes the grid `auto_a_grid` finds on ``plan``: its
@@ -195,17 +192,9 @@ def power_curve(
         a_grid = auto_a_grid(tests, family, plan, workers=workers, unit=unit, store=store)
     scales = require_scale_grid(a_grid)
     counts = _counts(tests, [(unit, a) for a in scales], plan, workers, store, read_only=True)
-    rows = []
-    for ti, t in enumerate(tests):
-        for si, a in enumerate(scales):
-            rate, se = _rate_se(int(counts[si, ti]), plan.replications)
-            rows.append(
-                PowerRow(
-                    test=t.label, family=family.label, scale=a, d=d,
-                    power=rate, stderr=se, replications=plan.replications,
-                )
-            )
-    return PowerTable(rows=tuple(rows))
+    return PowerTable(family=family.label, d=d, replications=plan.replications,
+                      tests=tuple(t.label for t in tests), scales=tuple(scales),
+                      counts=tuple(map(tuple, counts.T.tolist())))
 
 
 _FAMILY_START_SCALE = {"dense": 0.25, "sparse": 4.0}  # any other family starts at 1

@@ -53,7 +53,6 @@ from pnormlab.mc import (
 )
 from pnormlab.norms import SUP, Exponent, batch_norms
 from pnormlab.power import (
-    auto_a_grid,
     default_gap_grid,
     estimate_rejection_many,
     pe_demo,
@@ -164,12 +163,13 @@ def _oracle_log_slope(p, d_min, d_max=ORACLE_D_MAX):
 
 
 def _power_matrix(tests, family, plan):
-    grid = auto_a_grid(tests, family, plan)
-    table = power_curve(tests, family, grid, D_DESK, plan)
+    """The auto grid and, per test label, the ``(power, stderr)`` of each
+    of its scales."""
+    table = power_curve(tests, family, None, D_DESK, plan)
     rows = {
-        t.label: [table.cell(t.label, a) for a in grid] for t in tests
+        t.label: [table.cell(t.label, a) for a in table.scales] for t in tests
     }
-    return grid, rows
+    return table.scales, rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +204,24 @@ def test_criterion_2_family_orderings(desk):
     # (a) dense: at the first scale where the 1-norm test clears 0.9, the
     # 1-norm beats the 4-norm beats the sup test, each by 3 pooled stderr
     grid, rows = _power_matrix(tests, dense(), plan)
-    idx = next(i for i, c in enumerate(rows["p=1"]) if c.power >= 0.9)
-    c1, c4, cs = rows["p=1"][idx], rows["p=4"][idx], rows["sup"][idx]
-    margin_14 = c1.power - c4.power - 3.0 * (c1.stderr + c4.stderr)
-    margin_4s = c4.power - cs.power - 3.0 * (c4.stderr + cs.stderr)
+    idx = next(i for i, (power, _) in enumerate(rows["p=1"]) if power >= 0.9)
+    (p1, se1), (p4, se4), (ps, ses) = rows["p=1"][idx], rows["p=4"][idx], rows["sup"][idx]
+    margin_14 = p1 - p4 - 3.0 * (se1 + se4)
+    margin_4s = p4 - ps - 3.0 * (se4 + ses)
     checks.append(
         ("dense ordering", margin_14 > 0 and margin_4s > 0,
-         f"a={grid[idx]:.3g} p1={c1.power:.3f} p4={c4.power:.3f} sup={cs.power:.3f}")
+         f"a={grid[idx]:.3g} p1={p1:.3f} p4={p4:.3f} sup={ps:.3f}")
     )
 
     # (b) sparse: at the first scale where the sup test clears 0.9 it beats
     # the 1-norm test by 3 pooled stderr
     grid, rows = _power_matrix(tests, sparse(), plan)
-    idx = next(i for i, c in enumerate(rows["sup"]) if c.power >= 0.9)
-    cs, c1 = rows["sup"][idx], rows["p=1"][idx]
-    margin = cs.power - c1.power - 3.0 * (cs.stderr + c1.stderr)
+    idx = next(i for i, (power, _) in enumerate(rows["sup"]) if power >= 0.9)
+    (ps, ses), (p1, se1) = rows["sup"][idx], rows["p=1"][idx]
+    margin = ps - p1 - 3.0 * (ses + se1)
     checks.append(
         ("sparse ordering", margin > 0,
-         f"a={grid[idx]:.3g} sup={cs.power:.3f} p1={c1.power:.3f}")
+         f"a={grid[idx]:.3g} sup={ps:.3f} p1={p1:.3f}")
     )
 
     # (c) semi-sparse: the combined test is highest or tied-highest at every
@@ -229,15 +229,14 @@ def test_criterion_2_family_orderings(desk):
     grid, rows = _power_matrix(tests, semi_sparse(), plan)
     worst = None
     for i, a in enumerate(grid):
-        in_band = any(0.2 <= rows[lbl][i].power <= 0.95 for lbl in labels)
+        in_band = any(0.2 <= rows[lbl][i][0] <= 0.95 for lbl in labels)
         if not in_band:
             continue
-        comb = rows["combined(m=5)"][i]
-        top_label = max(labels, key=lambda lbl: rows[lbl][i].power)
-        top = rows[top_label][i]
-        slack = top.power - comb.power - 3.0 * (top.stderr + comb.stderr)
+        top_label = max(labels, key=lambda lbl: rows[lbl][i][0])
+        (top, top_se), (comb, comb_se) = rows[top_label][i], rows["combined(m=5)"][i]
+        slack = top - comb - 3.0 * (top_se + comb_se)
         if worst is None or slack > worst[0]:
-            worst = (slack, a, top_label, top.power, comb.power)
+            worst = (slack, a, top_label, top, comb)
     ok_c = worst is not None and worst[0] <= 0
     checks.append(
         ("semi-sparse dominance", ok_c,

@@ -304,6 +304,29 @@ class TestCalibrate:
                     2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
         assert not (tmp_path / "pw").exists()
 
+    @pytest.mark.parametrize("key, edit, refusal", [
+        ("alphas", lambda v: ",".join(v.split(",")[1::-1] + v.split(",")[2:]),
+         "artifact value out of range: alphas are not the geometric allocation"),
+        ("budget_last_share", lambda v: None,
+         "artifact value out of range: a geometric budget needs both"),
+        ("kappas", lambda v: v.rsplit(",", 1)[0],
+         "artifact value out of range: 3 exponents, 3 alphas and 2 kappas"),
+        ("kappas", lambda v: "1,abc", "artifact has a malformed value"),
+    ], ids=["alphas-swapped", "no-last-share", "kappa-dropped", "kappas-unparsable"])
+    def test_combined_artifact_refusal_names_its_kind(self, tmp_path, capsys, key, edit, refusal):
+        # a line that parses to a value the test's constructor refuses is out
+        # of range; only a line that does not parse is malformed
+        art = tmp_path / "comb.txt"
+        save_test(build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05),
+                                 MonteCarloPlan(2000, 44)), art)
+        lines = (x.split(" = ", 1) for x in art.read_text().splitlines())
+        edited = ((k, edit(v) if k == key else v) for k, v in lines)
+        art.write_text("".join(f"{k} = {v}\n" for k, v in edited if v is not None))
+        capsys.readouterr()
+        assert run(["power", "--d", 60, "--tests", "sup", "--artifact", art, "--calib-reps",
+                    2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
+        assert refusal in capsys.readouterr().err
+
     def test_combined_preset(self, tmp_path, capsys):
         out = tmp_path / "combined.txt"
         code = run([

@@ -87,6 +87,23 @@ class TestFamilies:
             assert counts.tolist() == [float(k), float(d - k)]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: finite_p_criterion(v, 3.0),
+    sup_criterion,
+    lambda v: rewrite_check(v, 3.0),
+    lambda v: sparsity_diagnostic(v, 0.5, 2.0),
+    lambda v: criterion_trace(custom_family(lambda d: np.resize(v, d)), Exponent.finite(2.0),
+                              (10, 20)),
+], ids=["finite_p_criterion", "sup_criterion", "rewrite_check", "sparsity_diagnostic",
+        "custom_family_trace"])
+def test_non_finite_entry_is_refused(call, bad):
+    # let through, a NaN becomes a NaN criterion (or trips the rewrite
+    # sandwich assertion, which python -O skips)
+    with pytest.raises(DomainError, match="finite entries"):
+        call(np.array([1.0, bad]))
+
+
 class TestFiniteCriterion:
     def test_zero_vector(self):
         assert finite_p_criterion(np.zeros(50), 3.0) == 0.0

@@ -38,7 +38,7 @@ from pnormlab.errors import CalibrationError, ConfigError, DomainError
 from pnormlab.gaussmath import GaussMoments, std_normal_cdf, std_normal_sf
 from pnormlab.mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent, batch_norms
-from pnormlab.power import GapScanReport
+from pnormlab.power import GapScanReport, PowerTable
 
 from conftest import bisection_solve
 
@@ -708,6 +708,7 @@ class TestFields:
         ConstantTest: "d",
         PNormTest: "d exponent critical_value alpha provenance",
         GapScanReport: "bound gaps",
+        PowerTable: "family d replications tests scales counts",
         CriterionTrace: "d_grid values saturated",
         GaussMoments: "p log_mean log_variance",
         AlphaBudget: "alphas success last_share",

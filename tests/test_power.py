@@ -114,8 +114,8 @@ class TestPowerCurve:
         plan = MonteCarloPlan(replications=4000, seed=8)
         table = power_curve(tests, dense(), (0.0, 0.1), d, plan)
         for t in tests:
-            row = table.cell(t.label, 0.0)
-            assert abs(row.power - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / 4000)
+            power, _ = table.cell(t.label, 0.0)
+            assert abs(power - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / 4000)
 
     def test_noisy_monotonicity_in_scale(self, suite):
         d, tests = suite
@@ -124,9 +124,9 @@ class TestPowerCurve:
             grid = tuple(np.linspace(0.0, hi, 9))
             table = power_curve(tests, family, grid, d, plan)
             for t in tests:
-                rows = [r for r in table.rows if r.test == t.label]
-                for a, b in zip(rows, rows[1:]):
-                    assert b.power >= a.power - 3.0 * (a.stderr + b.stderr)
+                cells = [table.cell(t.label, a) for a in grid]
+                for (pa, sa), (pb, sb) in zip(cells, cells[1:]):
+                    assert pb >= pa - 3.0 * (sa + sb)
 
     def test_incremental_path_matches_single_theta_estimates(self, suite):
         d, tests = suite
@@ -137,7 +137,7 @@ class TestPowerCurve:
         for a in grid:
             direct = estimate_rejection_many(tests, fam.theta(d, a), plan)
             for t, (rate, _) in zip(tests, direct):
-                assert abs(table.cell(t.label, a).power - rate) <= 1.0 / plan.replications + 1e-12
+                assert abs(table.cell(t.label, a)[0] - rate) <= 1.0 / plan.replications + 1e-12
 
     def test_non_finite_family_is_refused(self, suite):
         # let through, a family of NaNs reads as power 0 at scale 1
@@ -156,7 +156,32 @@ class TestPowerCurve:
         null = estimate_rejection_many(tests, 0, plan)
         for a in grid:
             for t, (rate, _) in zip(tests, null):
-                assert table.cell(t.label, a).power == rate
+                assert table.cell(t.label, a)[0] == rate
+
+    def test_csv_bytes(self, tmp_path):
+        # each row's power and stderr are worked out from the cell's count
+        cal = MonteCarloPlan(2000, 44)
+        tests = [mc_calibrate(E2, 60, 0.05, cal), mc_calibrate(SUP, 60, 0.05, cal),
+                 build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05), cal)]
+        table = power_curve(tests, dense(), (0.0, 0.5, 1.0), 60, MonteCarloPlan(400, 45))
+        assert table.counts[0] == (19, 159, 400)
+        assert table.cell("sup", 1.0) == (0.46, math.sqrt(0.46 * (1.0 - 0.46) / 400))
+        with pytest.raises(KeyError):
+            table.cell("sup", 0.25)
+        path = tmp_path / "t.csv"
+        table.to_csv(path)
+        assert path.read_bytes() == (
+            b"test,family,a,d,power,stderr,replications\n"
+            b"p=2,dense,0,60,0.0475,0.01063528914,400\n"
+            b"p=2,dense,0.5,60,0.3975,0.02446904933,400\n"
+            b"p=2,dense,1,60,1,0,400\n"
+            b"sup,dense,0,60,0.0575,0.01163977556,400\n"
+            b"sup,dense,0.5,60,0.1575,0.01821357667,400\n"
+            b"sup,dense,1,60,0.46,0.02491987159,400\n"
+            b"combined(m=3),dense,0,60,0.0525,0.01115165346,400\n"
+            b"combined(m=3),dense,0.5,60,0.3975,0.02446904933,400\n"
+            b"combined(m=3),dense,1,60,0.9925,0.004313858482,400\n"
+        )
 
     def test_bit_identical_reruns_and_worker_invariance(self, suite, tmp_path):
         d, tests = suite
@@ -255,7 +280,7 @@ class TestAutoGrid:
         assert auto_a_grid(tests, dense(), plan) == grid
         # and it is the grid a curve on the auto grid takes
         table = power_curve(tests, dense(), None, d, plan)
-        assert tuple(r.scale for r in table.rows) == grid
+        assert table.scales == grid
 
     def test_tests_of_two_dimensions_are_refused(self):
         plan = MonteCarloPlan(replications=400, seed=13)
