@@ -12,9 +12,16 @@ hundreds of thousands) cannot overflow.
 caller-owned scratch matrices it walks small integer exponents through one
 sequential multiplication chain and shares the elementwise log across
 non-integer exponents; `_power_split` sorts an exponent set into those two
-groups once.  `ShiftedNormKernel` (the Monte Carlo hot path) and
-`batch_norms` (the untiled reference, also behind `engine.reject_matrix`)
-both call it.  The kernel is filled one row tile at a time, at most
+groups once.  `_norms` is the one finish step, ``m * S_p^(1/p)``.
+`batch_norms` (the untiled reference, also behind `engine.reject_matrix`
+and `p_norm_stat`) calls both.  `ShiftedNormKernel`, the Monte Carlo hot
+path, sums the noise off a sparse support once per tile and the shifted
+support block once per shift, and joins the two under their common maximum
+``M``,
+
+    ||y||_p = M * (S_rest * (m_rest/M)^p + S_on * (m_on/M)^p)^(1/p).
+
+The kernel is filled one row tile at a time, at most
 ``_TILE_ELEMENTS`` doubles per scratch buffer, or one row when d is larger
 (the drawn tile and three scratch buffers, 2 MiB, stay near a 2 MiB per-core
 L2 cache through the roughly twenty passes over a tile); every reduction in
@@ -86,23 +93,17 @@ def parse_exponent(text: str) -> Exponent:
 
 
 def p_norm_stat(y, exponent: Exponent) -> float:
-    """Norm statistic of a single observation vector.
+    """Norm statistic of a single observation vector, as `batch_norms` of
+    its one row.
 
     Returns 0.0 on the zero vector; raises DomainError on an empty vector.
     """
     if not isinstance(exponent, Exponent):
         raise DomainError(f"exponent must be an Exponent, got {type(exponent)!r}")
-    a = np.abs(np.asarray(y, dtype=float))
-    if a.ndim != 1 or a.size == 0:
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0:
         raise DomainError("observation vector must be one-dimensional and non-empty")
-    m = float(a.max())
-    if exponent.is_sup:
-        return m
-    if m == 0.0:
-        return 0.0
-    z = a / m
-    p = exponent.p
-    return m * float(np.sum(z**p)) ** (1.0 / p)
+    return float(batch_norms(y[None, :], [exponent])[exponent][0])
 
 
 def _tile_rows(d: int) -> int:
@@ -127,27 +128,23 @@ def _scaled_power_sums(
     """Row max ``m`` of the non-negative matrix ``Z`` and, for every finite
     exponent, the power sums ``sum_i (Z_i/m)^p`` keyed by ``p``.
 
-    Divides ``Z`` by ``m`` in place; rows with ``m == 0`` keep zero sums.
-    ``work`` is two scratch matrices of ``Z``'s shape: the multiply chain
-    (then the exp pass) and the log.
+    Divides ``Z`` by ``m`` in place; rows with ``m == 0``, an empty row
+    included, keep zero sums.  ``work`` is two scratch matrices of ``Z``'s
+    shape: the multiply chain (then the exp pass) and the log.
     """
     chain, logz = work
-    m = Z.max(axis=1)
+    m = Z.max(axis=1, initial=0.0)
     safe_m = np.where(m > 0.0, m, 1.0)
     Z /= safe_m[:, None]
 
     power_sums: dict[float, np.ndarray] = {}
     chain_targets, other = _power_split(exponents)
-    if chain_targets:
-        top = chain_targets[-1]
-        if 1 in chain_targets:
-            power_sums[1.0] = Z.sum(axis=1)
-        if top >= 2:
-            np.copyto(chain, Z)
-            for j in range(2, top + 1):
-                np.multiply(chain, Z, out=chain)
-                if j in chain_targets:
-                    power_sums[float(j)] = chain.sum(axis=1)
+    if 1 in chain_targets:
+        power_sums[1.0] = Z.sum(axis=1)
+    for j in range(2, max(chain_targets, default=0) + 1):
+        np.multiply(Z if j == 2 else chain, Z, out=chain)
+        if j in chain_targets:
+            power_sums[float(j)] = chain.sum(axis=1)
 
     if other:
         with np.errstate(divide="ignore"):
@@ -172,14 +169,14 @@ def batch_norms(Y: np.ndarray, exponents: Sequence[Exponent]) -> dict[Exponent, 
     if Y.ndim != 2 or Y.shape[1] == 0:
         raise DomainError("batch_norms expects a non-empty (replications, d) matrix")
     m, power_sums = _scaled_power_sums(np.abs(Y), tuple(exponents), np.empty((2,) + Y.shape))
+    return _norms(m, power_sums, exponents)
 
-    out: dict[Exponent, np.ndarray] = {}
-    for e in exponents:
-        if e.is_sup:
-            out[e] = m.copy()
-        else:
-            out[e] = m * power_sums[e.p] ** (1.0 / e.p)
-    return out
+
+def _norms(m: np.ndarray, sums: dict[float, np.ndarray],
+           exponents: Sequence[Exponent]) -> dict[Exponent, np.ndarray]:
+    """The norms ``m * S_p^(1/p)`` from row maxima ``m`` and power sums
+    ``S_p`` of the rows scaled by them, keyed by exponent; ``m`` for sup."""
+    return {e: m if e.is_sup else m * sums[e.p] ** (1.0 / e.p) for e in exponents}
 
 
 class ShiftedNormKernel:
@@ -188,15 +185,16 @@ class ShiftedNormKernel:
     Given a noise chunk ``eps`` and a support (column indices), the
     statistics of ``eps`` plus any shift supported there cost one
     `_scaled_power_sums` pass over ``|eps|`` with the support columns zeroed
-    (row max ``m_rest``, sums ``S_rest``) plus O(replications x support)
-    work per shift: with ``M = max(m_rest, max |shifted support|)``,
+    (row max ``m_rest``, sums ``S_rest``) plus one over the shifted support
+    columns per shift (row max ``m_on``, sums ``S_on``), O(replications x
+    support): with ``M = max(m_rest, m_on)``,
 
-        ||y||_p = M * (S_rest * (m_rest/M)^p + sum (|shifted|/M)^p)^(1/p).
+        ||y||_p = M * (S_rest * (m_rest/M)^p + S_on * (m_on/M)^p)^(1/p).
 
-    Every term is at most 1 and nothing is subtracted, so no sum overflows
-    or cancels.  With an empty support every norm is bit-identical to
-    `batch_norms` of ``eps``: ``M = m_rest`` and ``(m_rest/M)^p`` is exactly
-    1 (0 on an all-zero row).
+    Every scaled entry is at most 1 and nothing is subtracted, so no sum
+    overflows or cancels.  With an empty support every norm is
+    bit-identical to `batch_norms` of ``eps``: ``S_on`` is exactly 0 and
+    ``(m_rest/M)^p`` exactly 1 (0 on an all-zero row).
 
     The kernel never sees the whole chunk: it is sized for ``rows`` rows and
     `fill` hands it the chunk one row tile at a time, with a ``(3, tile, d)``
@@ -235,15 +233,9 @@ class ShiftedNormKernel:
     def norms_at(self, values: np.ndarray) -> dict[Exponent, np.ndarray]:
         """Norms of every row of ``eps`` with ``values`` added on the support."""
         shifted = np.abs(self._eps_support + np.asarray(values, dtype=float)[None, :])
-        M = np.maximum(self._max_rest, shifted.max(axis=1, initial=0.0))
+        m_on, sum_on = _scaled_power_sums(shifted, self.exponents, np.empty((2,) + shifted.shape))
+        M = np.maximum(self._max_rest, m_on)
         safe_M = np.where(M > 0.0, M, 1.0)
-        shifted /= safe_M[:, None]
-        rest = self._max_rest / safe_M
-        out: dict[Exponent, np.ndarray] = {}
-        for e in self.exponents:
-            if e.is_sup:
-                out[e] = M
-            else:
-                s = self._sum_rest[e.p] * rest**e.p + (shifted**e.p).sum(axis=1)
-                out[e] = M * s ** (1.0 / e.p)
-        return out
+        rest, on = self._max_rest / safe_M, m_on / safe_M
+        sums = {p: s * rest**p + sum_on[p] * on**p for p, s in self._sum_rest.items()}
+        return _norms(M, sums, self.exponents)

@@ -95,21 +95,27 @@ def write_kv(path, entries: Iterable[tuple[str, object]]) -> None:
 def read_kv(path) -> dict[str, str]:
     """Parse a flat ``key = value`` file: a manifest, a calibration artifact
     or a CLI config.  Blank lines and ``#`` comments are skipped; a file
-    that cannot be read or a line without ``=`` raises ConfigError."""
+    that cannot be read, a line without ``=`` or a key given twice raises
+    ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for line in lines:
+    seen: dict[str, int] = {}
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"malformed line in {path}: {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"key {key!r} repeated in {path}, on lines {seen[key]} and {number}")
+        seen[key] = number
+        out[key] = value.strip()
     return out
 
 

@@ -736,6 +736,15 @@ class TestConfigFile:
         assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        # a repeated key is refused, not overwritten by its later line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 100\ntest = p=2\n# later\nd = 5000\nasymptotic = true\n")
+        assert run(["calibrate", "--config", cfg]) == 2
+        assert "key 'd' repeated" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="on lines 1 and 4"):
+            read_kv(cfg)
+
     @pytest.mark.parametrize("lines, want", [
         ("d = 100\ntest = p=2\nasymptotic = yes\n", "kappa = 11.10233052"),
         ("d = 100\ntest = p=2\nasymptotic = off\nreps = 2000\n", None),
@@ -756,10 +765,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["preset = cubic", "d = ten", "asymptotic = maybe"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, line):
+        # the line replaces its key's valid value: a key given twice is refused
+        key, value = line.split(" = ")
+        lines = {"test": "combined", "d": "100", key: value}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"test = combined\nd = 100\n{line}\n")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         assert run(["calibrate", "--config", cfg]) == 2
-        key = line.split(" = ")[0]
         assert f"bad value for {key!r}" in capsys.readouterr().err
 
     def test_malformed_value_the_run_would_not_read_exits_two(self, tmp_path, capsys):
@@ -815,6 +826,20 @@ class TestSharedReader:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_artifact_with_a_repeated_key_exits_two(self, tmp_path, capsys):
+        # a repeated critical_value is refused, not overwritten by its later line
+        art = tmp_path / "a.txt"
+        assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic",
+                    "--out", art]) == 0
+        art.write_text(art.read_text() + "critical_value = 1e9\n")
+        capsys.readouterr()
+        code = run(["power", "--d", "100", "--tests", "sup", "--calib-reps", "2000",
+                    "--reps", "200", "--agrid", "0:1:2", "--artifact", art,
+                    "--outdir", tmp_path / "out"])
+        assert code == 2
+        assert "key 'critical_value' repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_reads_what_the_manifest_writer_writes(self, tmp_path):
         assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic",

@@ -5,16 +5,44 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pnormlab.engine import member_exponents
 from pnormlab.errors import DomainError
 from pnormlab.norms import (
     SUP,
     Exponent,
     ShiftedNormKernel,
+    _scaled_power_sums,
     _tile_rows,
     batch_norms,
     p_norm_stat,
     parse_exponent,
 )
+
+
+# the 13 exponents a figure-3 desk run reads: p=1..8 (the singles and the
+# minimax ladder), sup and the exp-preset combined ladder at d = 1e4
+DESK_UNION = tuple(dict.fromkeys(
+    [Exponent.finite(p) for p in range(1, 9)] + [SUP]
+    + [Exponent.finite(p) for p in member_exponents(10_000)[1]]))
+
+
+def _direct_norm(y, e: Exponent) -> float:
+    """The norm as one scaled power sum ``m * sum((|y|/m)^p)^(1/p)``, written
+    apart from `_scaled_power_sums` (no multiply chain, no shared log)."""
+    a = np.abs(np.asarray(y, dtype=float))
+    m = float(a.max())
+    if e.is_sup or m == 0.0:
+        return m
+    return m * float(np.sum((a / m) ** e.p)) ** (1.0 / e.p)
+
+
+def _longdouble_norm(y, e: Exponent) -> float:
+    """The norm summed unscaled in extended precision."""
+    a = np.abs(np.asarray(y, dtype=np.longdouble))
+    if e.is_sup:
+        return float(a.max())
+    p = np.longdouble(e.p)
+    return float(np.sum(a**p) ** (np.longdouble(1.0) / p))
 
 
 class TestExponent:
@@ -76,10 +104,8 @@ class TestPNormStat:
         y = rng.normal(scale=1e6, size=64)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.sum(np.abs(y) ** p))  # naive evaluation fails
-        ax = np.abs(y).astype(np.longdouble)
-        oracle = float(np.sum(ax**np.longdouble(p)) ** (np.longdouble(1.0) / p))
         got = p_norm_stat(y, Exponent.finite(p))
-        assert got == pytest.approx(oracle, rel=1e-10)
+        assert got == pytest.approx(_longdouble_norm(y, Exponent.finite(p)), rel=1e-10)
 
 
 class TestBatchNorms:
@@ -89,8 +115,27 @@ class TestBatchNorms:
         exps = [Exponent.finite(p) for p in (0.5, 1, 2, 3, 4, 8, 11.3, 55.6)] + [SUP]
         norms = batch_norms(Y, exps)
         for e in exps:
-            ref = np.array([p_norm_stat(row, e) for row in Y])
+            ref = np.array([_direct_norm(row, e) for row in Y])
             np.testing.assert_allclose(norms[e], ref, rtol=1e-12)
+
+    def test_matches_extended_precision_oracle(self, rng):
+        # every exponent a desk run reads, and the off-ladder 0.5, 11.3 and
+        # 55.6, through `batch_norms`, a sparse kernel and `p_norm_stat`
+        assert len(DESK_UNION) == 13
+        exps = list(DESK_UNION) + [Exponent.finite(p) for p in (0.5, 11.3, 55.6)]
+        Y = rng.normal(size=(8, 500))
+        Y[3] = 0.0
+        support = np.array([0, 9, 250])
+        values = np.array([3.0, -2.0, 0.5])
+        kernel = _kernel(Y, support, exps)
+        shifted = Y.copy()
+        shifted[:, support] += values
+        for got, rows in ((batch_norms(Y, exps), Y), (kernel.norms_at(values), shifted)):
+            for e in exps:
+                oracle = np.array([_longdouble_norm(row, e) for row in rows])
+                np.testing.assert_allclose(got[e], oracle, rtol=1e-13, atol=0.0)
+        for e in exps:
+            assert p_norm_stat(Y[0], e) == pytest.approx(_longdouble_norm(Y[0], e), rel=1e-13)
 
     def test_norm_inequality_chain_10k_vectors(self, rng):
         # sup <= ||.||_q <= ||.||_p for 1 <= p <= q, on every vector
@@ -104,6 +149,15 @@ class TestBatchNorms:
                 norms[Exponent.finite(hi)] <= norms[Exponent.finite(lo)] * tol
             )
         assert np.all(norms[SUP] <= norms[Exponent.finite(ps[-1])] * tol)
+
+    def test_power_sums_of_an_empty_block_are_zero(self):
+        # a kernel's support block on an empty support has no columns
+        Z = np.empty((6, 0))
+        m, sums = _scaled_power_sums(Z, DESK_UNION, np.empty((2, 6, 0)))
+        assert np.array_equal(m, np.zeros(6))
+        assert sorted(sums) == sorted(e.p for e in DESK_UNION if not e.is_sup)
+        for s in sums.values():
+            assert np.array_equal(s, np.zeros(6))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DomainError):
