@@ -261,7 +261,7 @@ def _cmd_power(res: _Resolver):
         table.to_csv(csv_path)
         svg_line_chart(svg_path, [(label, xs, ys) for label, (xs, ys) in table.series().items()],
                        title=f"Power against {family.label} signals (d={d})",
-                       xlabel="signal scale a", ylabel="rejection rate", ylim=(0.0, 1.0))
+                       xlabel="signal scale a", ylabel="rejection rate")
         outputs += [csv_path, svg_path]
         rows = len(table.tests) * len(table.scales)
         print(f"family = {family.label}  rows = {rows}  csv = {csv_path}")

@@ -386,6 +386,10 @@ class CombinedTest:
     provenance: str = ""
 
     def __post_init__(self):
+        ps = self.exponents  # each below the next, the last below infinity
+        if not all(0.0 < p < q for p, q in zip(ps, (*ps[1:], math.inf))):
+            raise DomainError(f"exponents must be strictly increasing finite positive reals, "
+                              f"got {ps}")
         if not len(self.exponents) == self.budget.member_count == len(self.kappas):
             raise DomainError(f"{len(self.exponents)} exponents, {self.budget.member_count} "
                               f"alphas and {len(self.kappas)} kappas")
@@ -605,12 +609,7 @@ def build_combined(
     not depend on which statistics are evaluated on it).
     """
     exps = tuple(float(p) for p in exponents)
-    if len(exps) != budget.member_count:
-        raise DomainError("budget length must match the number of exponents")
-    if any(not (p > 0.0) for p in exps) or any(
-        exps[i] >= exps[i + 1] for i in range(len(exps) - 1)
-    ):
-        raise DomainError("exponents must be strictly increasing positive reals")
+    CombinedTest(d, exps, exps, 1.0, budget)  # the constructor's checks, before the draw
     members = [Exponent.finite(p) for p in exps]
     # the smallest member level is the deepest tail the calibration reads
     stats = _null_statistics(d, members, min(budget.alphas), plan, workers, stats)

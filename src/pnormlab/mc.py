@@ -34,8 +34,7 @@ empty-support kernel that the chunk pass fills from every tile plus ``scale
 `batch_norms` of the shifted noise.  The chunk pass is the one place that
 adds a dense shift; a kernel reduces the tile it is handed.  The chunk is
 drawn one row tile of `norms._tile_rows` rows at a time; each tile fills
-every kernel and the chunk's copy of the noise column ``eps[:, 0]`` before
-the next tile overwrites it.
+every kernel before the next tile overwrites it.
 Successive tile draws consume the chunk's generator in the order one
 whole-chunk draw does (pinned by ``tests/test_mc.py::TestTiledDraws``), so
 the chunk, not the tile, stays the unit of the RNG stream.  A chunk
@@ -44,16 +43,17 @@ three norm scratch matrices its kernels share as they fill in turn, never a
 128 x d chunk.  The visits run once per chunk and shift, after its last
 tile, as ``visit(norms, first)``: the argument order of ``decide_batch``,
 with ``first`` the shifted column ``eps[:, 0] + theta_0``, the one
-coordinate a test reads (the spike detector of `engine.EnhancedTest`).
+coordinate a test reads (the spike detector of `engine.EnhancedTest`); a
+kernel keeps column 0 of the rows it is handed and gives it in `first_at`.
 Kernels are filled for a pass and dropped with it, unless the caller hands
-`simulate_shifted` a store: a dict it owns that keeps filled kernels and
-each chunk's column ``eps[:, 0]`` under exact keys (plan seed, chunk, rows
-and d, which alone key the column; then the exponents and the support, or
-the full pass's ``(unit, scale)``, for a kernel).  A later pass
-on the same plan takes what matches and draws a chunk only to fill what is
-missing, so `power.power_curve` lets its auto-grid probes fill kernels that
-its curve reads.  A kernel holds no tile buffer, so a stored one keeps only
-its chunk-height columns; a reused kernel gives the bits of a fresh fill.
+`simulate_shifted` a store: a mapping it owns that holds filled kernels
+only, under exact keys (plan seed, chunk, rows, d, the exponents and the
+support, or the full pass's ``(unit, scale)``); a dict is read and written,
+any other mapping only read.  A later pass on the same plan takes what
+matches and draws a chunk only to fill what is missing, so
+`power.power_curve` lets its auto-grid probes fill kernels that its curve
+reads.  A kernel holds no tile buffer, so a stored one keeps only its
+chunk-height columns; a reused kernel gives the bits of a fresh fill.
 There is no store across calls of the library.
 Sums are max-factored and add the off-support part, never subtract it, so
 norms agree with the direct evaluation to a relative 1e-13 even at
@@ -73,7 +73,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from types import MappingProxyType
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -190,15 +191,13 @@ def _finite(values) -> np.ndarray:
 class Unit:
     """A mean-shift direction at dimension ``d``: a shift is ``scale * unit``.
 
-    ``size`` counts the nonzero entries.  When a sparse kernel takes them
-    (`_joins_sparse_kernel`) the unit is held by its ascending ``support``
-    and the ``values`` there; otherwise ``support`` is None and ``values``
-    is the whole dense row.  Build one with `from_runs`, which refuses a NaN
-    or infinite entry.
+    When a sparse kernel takes its nonzero entries (`_joins_sparse_kernel`)
+    the unit is held by their ascending ``support`` and the ``values``
+    there; otherwise ``support`` is None and ``values`` is the whole dense
+    row.  Build one with `from_runs`, which refuses a NaN or infinite entry.
     """
 
     d: int
-    size: int
     support: np.ndarray | None
     values: np.ndarray
 
@@ -213,42 +212,46 @@ class Unit:
         kept = counts[keep]
         d, size = int(counts.sum()), int(kept.sum())
         if not _joins_sparse_kernel(size, d):
-            return cls(d, size, None, np.repeat(values, counts))
+            return cls(d, None, np.repeat(values, counts))
         # run j's k-th kept entry sits at its run start + k
         starts = np.cumsum(counts)[keep] - kept
         support = np.repeat(starts - (np.cumsum(kept) - kept), kept) + np.arange(size)
-        return cls(d, size, support.astype(np.intp), np.repeat(values[keep], kept))
+        return cls(d, support.astype(np.intp), np.repeat(values[keep], kept))
+
+    @property
+    def size(self) -> int:
+        """The number of nonzero entries: ``len(support)`` for a sparse unit."""
+        return int(np.count_nonzero(self.values)) if self.support is None else len(self.support)
 
     def at(self, coords: np.ndarray) -> np.ndarray:
         """The unit's entries at the coordinates ``coords``."""
         if self.support is None:
             return self.values[coords]
         pos = np.searchsorted(self.support, coords)
-        pos[~np.isin(coords, self.support)] = self.size  # the appended zero
+        pos[~np.isin(coords, self.support)] = self.values.size  # the appended zero
         return np.append(self.values, 0.0)[pos]
 
 
 def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[Exponent],
                      plan: MonteCarloPlan, visit: Callable[..., object], workers: int = 1,
-                     store: dict | None = None, read_only: bool = False) -> list[list]:
+                     store: Mapping | None = None) -> list[list]:
     """Draw each chunk of ``plan`` once and call ``visit(norms, first)`` for
     every shift ``(unit, scale)``, the mean ``theta = scale * unit``, with
     ``norms`` the statistics of ``eps + theta`` and ``first`` its column
     ``eps[:, 0] + theta_0``; neither the chunk ``eps`` nor any ``theta`` is
     ever held whole.  A sparse kernel adds its shifts on its support in
-    `ShiftedNormKernel.norms_at`; for a dense unit this pass adds
-    ``scale * unit`` to every tile of a full pass.  Returns each chunk's
-    visit results, in chunk order.
+    `ShiftedNormKernel.norms_at` and `ShiftedNormKernel.first_at`; for a
+    dense unit this pass adds ``scale * unit`` to every tile of a full pass.
+    Returns each chunk's visit results, in chunk order.
 
-    ``store``, a dict the caller owns, holds filled kernels and each chunk's
-    column ``eps[:, 0]`` for later passes.  A chunk takes from it the kernels whose key
-    matches exactly: plan seed, chunk index, row count and d, the exponent
-    tuple, and the kernel's support, or for a full pass its shift
-    ``(unit, scale)`` with the unit held by reference; the column
-    ``eps[:, 0]`` is keyed by the chunk alone.  The chunk is drawn only when
-    a kernel or the column is missing, and then fills only the missing
-    kernels, which it adds to ``store`` unless ``read_only``.  A stored
-    kernel holds the bits a fresh fill would give."""
+    ``store``, a mapping the caller owns, holds filled kernels only.  A chunk
+    takes from it the kernels whose key matches exactly: plan seed, chunk
+    index, row count and d, the exponent tuple, and the kernel's support, or
+    for a full pass its shift ``(unit, scale)`` with the unit held by
+    reference.  The chunk is drawn only when one of its kernels is missing,
+    and then fills only those, which it adds to ``store`` when that is a
+    dict; any other mapping is only read.  A stored kernel holds the bits a
+    fresh fill would give."""
     dims = {unit.d for unit, _ in shifts}
     if len(dims) != 1:
         raise DomainError(f"need one or more shifts of one dimension, got {sorted(dims)}")
@@ -273,47 +276,41 @@ def simulate_shifted(shifts: Sequence[tuple[Unit, float]], exponents: Sequence[E
         else:
             sparse.append((own.tobytes(), (own, None, [si])))
     keys, groups = zip(*(full + sparse))
-    # each shift's values on its kernel's support and at coordinate 0
+    # each shift's values on its kernel's support
     on_support = [None] * len(shifts)
     for support, _, rows in groups:
         for si in rows:
             unit, scale = shifts[si]
             on_support[si] = np.multiply(unit.at(support), scale)
-    at_0 = [np.multiply(unit.at([0]), scale)[0] for unit, scale in shifts]
-
     if store is None:
-        store, read_only = {}, True
+        store = MappingProxyType({})
 
     def chunk_pass(chunk_index: int, start: int, size: int) -> list:
-        chunk = (plan.seed, chunk_index, size, d)
-        names = [chunk + (exps, key) for key in keys]
+        names = [(plan.seed, chunk_index, size, d, exps, key) for key in keys]
         kernels = [store.get(name) for name in names]
         todo = [gi for gi, kernel in enumerate(kernels) if kernel is None]
-        first = store.get(chunk)
-        if todo or first is None:
+        if todo:
             rng = chunk_generator(plan.seed, chunk_index)
             # row 0 takes each noise tile; the others are the kernels' shared
             # scratch, where a full pass first adds its shift to the tile
             block = np.empty((_CHUNK_BUFFERS, min(tile, size), d))
             for gi in todo:
                 kernels[gi] = ShiftedNormKernel(size, groups[gi][0], exps)
-            first = np.empty(size)
             for lo in range(0, size, tile):
                 eps = draw(rng, block[0, : min(tile, size - lo)])
-                first[lo : lo + len(eps)] = eps[:, 0]
                 for gi in todo:
                     offset, y = groups[gi][1], eps
                     if offset is not None:  # a full pass reduces eps + scale * unit
                         shift = np.multiply(*offset, out=block[2, 0])
                         y = np.add(eps, shift, out=block[1, : len(eps)])
                     kernels[gi].fill(lo, y, block[1:])
-            if not read_only:
+            if isinstance(store, dict):
                 store.update(zip(names, kernels))
-                store[chunk] = first
         out = [None] * len(shifts)
         for kernel, (_, _, rows) in zip(kernels, groups):
             for si in rows:
-                out[si] = visit(kernel.norms_at(on_support[si]), first + at_0[si])
+                values = on_support[si]
+                out[si] = visit(kernel.norms_at(values), kernel.first_at(values))
         return out
 
     return run_chunked(chunk_pass, plan, workers=workers)

@@ -200,11 +200,11 @@ class ShiftedNormKernel:
     `fill` hands it the chunk one row tile at a time, with a ``(3, tile, d)``
     scratch array (``|y|``, the chain/exp pass and the log) that the caller
     owns and may share between kernels that fill in turn.  The kernel keeps
-    no reference to it: what it holds is ``m_rest``, ``S_rest`` and the
-    support columns (rows x support), so a filled kernel can outlive the
-    chunk's buffers.  `fill` reduces the tile it is given: a dense mean shift
-    is added by the caller (`mc.simulate_shifted`) before the tile is handed
-    over.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row
+    no reference to it: what it holds is ``m_rest``, ``S_rest``, the support
+    columns (rows x support) and the column ``y[:, 0]`` for `first_at`, so a
+    filled kernel can outlive the chunk's buffers.  `fill` reduces the tile
+    it is given: the caller (`mc.simulate_shifted`) adds a dense mean shift
+    first.  ``max(axis=1)`` and the pairwise ``sum(axis=1)`` reduce each row
     over the same d elements in the same order, so any tiling gives the bits
     of one pass over the chunk.
     """
@@ -213,6 +213,7 @@ class ShiftedNormKernel:
         self.exponents = tuple(exponents)
         self._support = np.asarray(support, dtype=np.intp)
         self._eps_support = np.empty((rows, self._support.size))
+        self._first = np.empty(rows)
         self._max_rest = np.empty(rows)
         self._sum_rest = {e.p: np.empty(rows) for e in self.exponents if not e.is_sup}
 
@@ -222,6 +223,7 @@ class ShiftedNormKernel:
         may be ``scratch[0]``, which then turns into ``|tile|`` in place."""
         hi = lo + tile.shape[0]
         self._eps_support[lo:hi] = tile[:, self._support]
+        self._first[lo:hi] = tile[:, 0]
         scratch = scratch[:, : tile.shape[0]]
         Z = np.abs(tile, out=scratch[0])
         Z[:, self._support] = 0.0
@@ -239,3 +241,7 @@ class ShiftedNormKernel:
         rest, on = self._max_rest / safe_M, m_on / safe_M
         sums = {p: s * rest**p + sum_on[p] * on**p for p, s in self._sum_rest.items()}
         return _norms(M, sums, self.exponents)
+
+    def first_at(self, values: np.ndarray) -> np.ndarray:
+        """Column 0 of ``y`` with ``values`` added on the support, as `norms_at`."""
+        return self._first + (values[0] if self._support[:1].tolist() == [0] else 0.0)

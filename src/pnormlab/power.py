@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ def _dimension(tests: Sequence) -> int:
 
 
 def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCarloPlan,
-            workers: int, store: dict | None = None, read_only: bool = False) -> np.ndarray:
+            workers: int, store: Mapping | None = None) -> np.ndarray:
     """Rejection counts, one row per mean shift ``(unit, scale)`` and one
     column per test, with every chunk drawn at most once and filled kernels
     shared through ``store`` (`mc.simulate_shifted`)."""
@@ -71,7 +72,7 @@ def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCa
         return [int(np.count_nonzero(t.decide_batch(norms, first))) for t in tests]
 
     per_chunk = simulate_shifted(shifts, required_exponents(tests), plan, visit, workers,
-                                 store=store, read_only=read_only)
+                                 store=store)
     return np.sum(per_chunk, axis=0)
 
 
@@ -180,18 +181,18 @@ def power_curve(
     probes keep the kernels they fill in a store that lives for this call,
     and the curve reuses every one whose chunk, exponents and support (or
     unit and scale) match, so a sparse family's curve draws no noise after
-    the first probe when the plan has at most 400 replications.  The table
-    is the one `auto_a_grid` followed by `power_curve` on its grid gives.
+    the first probe when the plan has at most 400 replications; the curve
+    only reads the store (a ``types.MappingProxyType``).  The table is the
+    one `auto_a_grid` followed by `power_curve` on its grid gives.
     """
     d = int(d)
     require_distinct_labels([t.label for t in tests])
     unit = Unit.from_runs(*family.runs(d))
-    store = None
+    store = {}
     if a_grid is None:
-        store = {}
         a_grid = auto_a_grid(tests, family, plan, workers=workers, unit=unit, store=store)
     scales = require_scale_grid(a_grid)
-    counts = _counts(tests, [(unit, a) for a in scales], plan, workers, store, read_only=True)
+    counts = _counts(tests, [(unit, a) for a in scales], plan, workers, MappingProxyType(store))
     return PowerTable(family=family.label, d=d, replications=plan.replications,
                       tests=tuple(t.label for t in tests), scales=tuple(scales),
                       counts=tuple(map(tuple, counts.T.tolist())))

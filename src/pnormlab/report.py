@@ -133,9 +133,8 @@ def _xpix(x, lo, hi) -> float:
     return _ML + (x - lo) / span * (_W - _ML - _MR)
 
 
-def _ypix(y, lo, hi) -> float:
-    span = (hi - lo) or 1.0
-    return _H - _MB - (y - lo) / span * (_H - _MT - _MB)
+def _ypix(y) -> float:
+    return _H - _MB - y * (_H - _MT - _MB)
 
 
 def svg_line_chart(
@@ -144,17 +143,13 @@ def svg_line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    ylim: tuple[float, float] | None = None,
 ) -> None:
-    """Minimal deterministic line chart: one polyline per (label, xs, ys)."""
+    """Minimal deterministic line chart of rates: one polyline per (label,
+    xs, ys), on a y axis fixed at [0, 1]."""
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("cannot plot an empty series collection")
     xlo, xhi = min(xs_all), max(xs_all)
-    ylo, yhi = ylim if ylim is not None else (min(ys_all), max(ys_all))
-    if ylo == yhi:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
@@ -169,8 +164,8 @@ def svg_line_chart(
     )
     for i in range(5):
         fx = xlo + (xhi - xlo) * i / 4
-        fy = ylo + (yhi - ylo) * i / 4
-        px, py = _xpix(fx, xlo, xhi), _ypix(fy, ylo, yhi)
+        fy = i / 4
+        px, py = _xpix(fx, xlo, xhi), _ypix(fy)
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
         parts.append(
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{fx:.3g}</text>'
@@ -189,7 +184,7 @@ def svg_line_chart(
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
-            f"{_xpix(float(x), xlo, xhi):.2f},{_ypix(float(y), ylo, yhi):.2f}"
+            f"{_xpix(float(x), xlo, xhi):.2f},{_ypix(float(y)):.2f}"
             for x, y in zip(xs, ys)
         )
         parts.append(

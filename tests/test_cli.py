@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pnormlab
-from pnormlab import cli, engine
+from pnormlab import cli, engine, mc
 from pnormlab.cli import main
 from pnormlab.engine import (
     EnhancedTest,
@@ -312,10 +312,17 @@ class TestCalibrate:
         ("kappas", lambda v: v.rsplit(",", 1)[0],
          "artifact value out of range: 3 exponents, 3 alphas and 2 kappas"),
         ("kappas", lambda v: "1,abc", "artifact has a malformed value"),
-    ], ids=["alphas-swapped", "no-last-share", "kappa-dropped", "kappas-unparsable"])
-    def test_combined_artifact_refusal_names_its_kind(self, tmp_path, capsys, key, edit, refusal):
+    ] + [("exponents", lambda v, bad=bad: bad,
+          "artifact value out of range: exponents must be strictly increasing finite positive")
+         for bad in ("2,1,4", "2,2,4", "-2,2,4")],
+        ids=["alphas-swapped", "no-last-share", "kappa-dropped", "kappas-unparsable",
+             "exponents-swapped", "exponents-repeated", "exponent-negative"])
+    def test_combined_artifact_refusal_names_its_kind(
+        self, tmp_path, capsys, monkeypatch, key, edit, refusal
+    ):
         # a line that parses to a value the test's constructor refuses is out
-        # of range; only a line that does not parse is malformed
+        # of range; only a line that does not parse is malformed.  Either is
+        # refused before the calibration plan is drawn
         art = tmp_path / "comb.txt"
         save_test(build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05),
                                  MonteCarloPlan(2000, 44)), art)
@@ -323,9 +330,12 @@ class TestCalibrate:
         edited = ((k, edit(v) if k == key else v) for k, v in lines)
         art.write_text("".join(f"{k} = {v}\n" for k, v in edited if v is not None))
         capsys.readouterr()
+        drawn = []
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(out.shape))
         assert run(["power", "--d", 60, "--tests", "sup", "--artifact", art, "--calib-reps",
                     2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
         assert refusal in capsys.readouterr().err
+        assert drawn == [] and not (tmp_path / "pw").exists()
 
     def test_combined_preset(self, tmp_path, capsys):
         out = tmp_path / "combined.txt"

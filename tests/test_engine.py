@@ -391,6 +391,10 @@ class TestBuildCombined:
             build_combined(100, (2.0, 3.0), budget, plan)  # length mismatch
         with pytest.raises(DomainError):
             build_combined(100, (3.0, 2.0, 4.0), budget, plan)  # not increasing
+        # the constructor holds the one check: strictly increasing, finite, positive
+        for exps in ((3.0, 2.0, 4.0), (2.0, 2.0, 4.0), (-2.0, 2.0, 4.0), (2.0, 4.0, math.inf)):
+            with pytest.raises(DomainError, match="strictly increasing finite positive"):
+                CombinedTest(100, exps, (1.0, 1.0, 1.0), 1.0, budget)
         with pytest.raises(ConfigError):
             build_combined(
                 100, (2.0, 3.0, 4.0), budget, MonteCarloPlan(replications=900, seed=1)

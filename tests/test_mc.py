@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 import math
 import time
 import tracemalloc
+import weakref
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from pnormlab.mc import (
     simulate_null_statistics,
     simulate_shifted,
 )
-from pnormlab.norms import SUP, Exponent, _tile_rows, batch_norms
+from pnormlab.norms import SUP, Exponent, ShiftedNormKernel, _tile_rows, batch_norms
 from pnormlab.power import estimate_rejection, power_curve
 
 
@@ -253,6 +257,12 @@ class TestUnit:
         with pytest.raises(DomainError, match=r"\[50, 60\]"):
             simulate_shifted(shifts, (SUP,), MonteCarloPlan(10, 1), lambda norms, first: None)
 
+    def test_size_counts_the_nonzero_entries_it_was_given(self):
+        # a dense unit keeps its zeros in its row; size is not stored
+        half = Unit.from_runs([0.0, 2.0], [50, 50])
+        assert half.support is None and half.size == 50
+        assert [f.name for f in dataclasses.fields(Unit)] == ["d", "support", "values"]
+
     def test_zero_unit_has_an_empty_support(self):
         zero = Unit.from_runs([0.0], [50])
         assert zero.size == 0 and zero.support.size == 0
@@ -367,6 +377,83 @@ class TestTiledDraws:
         for chunk, chunk_again in zip(got, again):
             for first, first_again in zip(chunk, chunk_again):
                 assert np.array_equal(first, first_again)
+        # a kernel's own column: y[:, 0] of the rows it was handed, plus
+        # values[0] when its support starts at coordinate 0
+        eps = chunk_generator(plan.seed, 2).standard_normal((44, d))
+        scratch = np.empty((3, 44, d))
+        for (unit, scale), t0 in zip(shifts[2:], theta_0[2:]):
+            kernel = ShiftedNormKernel(44, unit.support, (SUP,))
+            kernel.fill(0, eps, scratch)
+            assert np.array_equal(kernel.first_at(scale * unit.values), eps[:, 0] + t0)
+        kernel = ShiftedNormKernel(44, [], (SUP,))
+        kernel.fill(0, eps + 0.5 * ones.values, scratch)
+        assert np.array_equal(kernel.first_at(np.empty(0)), eps[:, 0] + 0.5)
+
+
+class TestKernelStore:
+    d = 200
+    plan = MonteCarloPlan(replications=300, seed=9)
+    exps = (Exponent.finite(2.0), SUP)
+
+    def _shifts(self):
+        # a full pass and a sparse kernel
+        ones, spike = Unit.from_runs([1.0], [self.d]), Unit.from_runs([1.0, 0.0], [3, self.d - 3])
+        return [(ones, 0.5), (spike, 2.0)]
+
+    def _pass(self, shifts, store):
+        return simulate_shifted(shifts, self.exps, self.plan,
+                                lambda norms, first: (norms, first), store=store)
+
+    @staticmethod
+    def _same(a, b):
+        flat = lambda got: [x for chunk in got for norms, first in chunk
+                            for x in (*norms.values(), first)]
+        a, b = flat(a), flat(b)
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_every_key_of_a_filled_store_names_a_kernel(self):
+        store = {}
+        self._pass(self._shifts(), store)
+        assert len(store) == 2 * self.plan.n_chunks
+        for (seed, chunk, rows, d, exps, _), kernel in store.items():
+            assert isinstance(kernel, ShiftedNormKernel)
+            assert (seed, d, exps) == (self.plan.seed, self.d, self.exps)
+            assert (chunk, rows) in {(c, size) for c, _, size in self.plan.chunk_bounds()}
+
+    def test_a_read_only_mapping_is_read_and_never_grows(self, monkeypatch):
+        shifts = self._shifts()
+        store = {}
+        want = self._pass(shifts, store)
+        keys = set(store)
+        drawn = []
+        real = mc.draw
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(1) or real(rng, out))
+        # every kernel is there: nothing is drawn
+        assert self._same(self._pass(shifts, MappingProxyType(store)), want)
+        assert drawn == []
+        # a new shift's kernel is missing: the chunks are drawn, nothing is added
+        extra = shifts + [(Unit.from_runs([0.0, 1.0], [190, 10]), 1.0)]
+        got = self._pass(extra, MappingProxyType(store))
+        assert drawn and set(store) == keys
+        assert self._same(got, self._pass(extra, None))
+
+    def test_no_store_keeps_nothing(self, monkeypatch):
+        # a chunk's kernels are dropped before the next chunk fills its own
+        made, live = [], []
+
+        def spy(*args):
+            kernel = ShiftedNormKernel(*args)
+            made.append(weakref.ref(kernel))
+            return kernel
+
+        def visit(norms, first):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in made))
+
+        monkeypatch.setattr(mc, "ShiftedNormKernel", spy)
+        simulate_shifted(self._shifts(), self.exps, self.plan, visit, store=None)
+        assert len(made) == 2 * self.plan.n_chunks
+        assert live == [2, 2] * self.plan.n_chunks
 
 
 class TestEmpiricalUpperQuantile:

@@ -195,6 +195,7 @@ class TestShiftedNormKernel:
             incr = kernel.norms_at(a * values)
             for e in exps:
                 np.testing.assert_allclose(incr[e], direct[e], rtol=1e-9)
+            assert np.array_equal(kernel.first_at(a * values), shifted[:, 0])
 
     # adversarial: a 4-8 sigma row maximum on the support, exponents up to 60,
     # and the scale that cancels it; the first example is the case where an

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -346,7 +347,8 @@ class TestAutoGridStore:
         tests = [PNormTest(d, E2, math.sqrt(d) + 2.0, 0.05), PNormTest(d, SUP, 4.5, 0.05)]
         plan = MonteCarloPlan(replications=160, seed=25)  # 128 + 32 rows
         passes = _spy_passes(monkeypatch, lambda kwargs: (
-            kwargs["read_only"], len(kwargs["store"]), tracemalloc.get_traced_memory()[0]))
+            isinstance(kwargs["store"], MappingProxyType), len(kwargs["store"]),
+            tracemalloc.get_traced_memory()[0]))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
