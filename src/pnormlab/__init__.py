@@ -24,7 +24,6 @@ from .consistency import (
     rewrite_check,
     semi_sparse,
     sparse,
-    sparsity_diagnostic,
     sup_criterion,
 )
 from .engine import (
@@ -40,7 +39,6 @@ from .engine import (
     build_combined,
     build_minimax_adaptive,
     custom_budget,
-    evaluate,
     geometric_budget,
     load_test,
     mc_calibrate,
@@ -61,8 +59,6 @@ from .errors import (
 from .gaussmath import (
     GaussMoments,
     abs_moment,
-    absmax_gumbel_cdf,
-    absmax_gumbel_quantile,
     detection_weight,
     gauss_moments,
     log_abs_moment,
@@ -80,7 +76,6 @@ from .power import (
     auto_a_grid,
     default_gap_grid,
     enhancement_demo,
-    estimate_rejection,
     estimate_rejection_many,
     pe_demo,
     power_curve,

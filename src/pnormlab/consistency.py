@@ -41,7 +41,6 @@ __all__ = [
     "geometric_dgrid",
     "RewriteParts",
     "rewrite_check",
-    "sparsity_diagnostic",
     "minimax_radius",
     "contour_grid",
 ]
@@ -306,7 +305,7 @@ def rewrite_check(theta, p: float) -> RewriteParts:
     """Scaled squared-Euclidean and p-th-power parts next to the criterion.
 
     For p >= 2 the criterion is sandwiched between half the larger part and
-    the sum of the parts; that sandwich is asserted here.  For p < 2 the
+    the sum of the parts; the tests pin that sandwich.  For p < 2 the
     criterion is dominated by the smaller part (no two-sided bound exists).
     """
     theta = _vector(theta)
@@ -319,26 +318,7 @@ def rewrite_check(theta, p: float) -> RewriteParts:
     with np.errstate(over="ignore"):
         p_part = float(np.sum(a**p)) / rd
     crit = finite_p_criterion(theta, p)
-    if p >= 2.0:
-        hi = two_part + p_part
-        lo = 0.5 * max(two_part, p_part)
-        assert lo <= crit * (1 + 1e-12) and crit <= hi * (1 + 1e-12), (
-            "criterion left its two-sided norm sandwich; this indicates a bug"
-        )
     return RewriteParts(two_norm_part=two_part, p_norm_part=p_part, criterion=crit)
-
-
-def sparsity_diagnostic(theta, delta: float, p: float) -> tuple[float, float, float]:
-    """(normalized exceedance count, max magnitude, delta^p * exceedance).
-
-    Diagnostic summaries of approximate sparsity; no limit claims attached.
-    """
-    if not (float(delta) > 0.0):
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    theta = _vector(theta)
-    a = np.abs(theta)
-    exceed = float(np.count_nonzero(a > delta)) / math.sqrt(theta.size)
-    return exceed, float(a.max()), float(delta) ** float(p) * exceed
 
 
 def minimax_radius(p: float, d: int) -> float:

@@ -72,7 +72,6 @@ __all__ = [
     "calibration",
     "calibrate_suite",
     "reject_matrix",
-    "evaluate",
     "save_test",
     "load_test",
 ]
@@ -513,9 +512,7 @@ class UnionTest:
     members: tuple
 
     def __post_init__(self):
-        dims = sorted({t.d for t in self.members})
-        if len(dims) != 1:
-            raise DomainError(f"union members need one dimension, got {dims}")
+        _dimension(self.members)
 
     @property
     def d(self) -> int:
@@ -744,6 +741,14 @@ def calibrate_suite(calibrations: Sequence[Calibration], workers: int = 1) -> li
 # ---------------------------------------------------------------------------
 
 
+def _dimension(tests: Sequence) -> int:
+    """The one dimension all of ``tests`` (at least one) are calibrated at."""
+    dims = {t.d for t in tests}
+    if len(dims) != 1:
+        raise DomainError(f"need one or more tests of one dimension, got {sorted(dims)}")
+    return dims.pop()
+
+
 def required_exponents(tests: Sequence) -> tuple[Exponent, ...]:
     out: dict[Exponent, None] = {}
     for t in tests:
@@ -753,22 +758,14 @@ def required_exponents(tests: Sequence) -> tuple[Exponent, ...]:
 
 
 def reject_matrix(tests: Sequence, Y: np.ndarray) -> np.ndarray:
-    """(n_tests, replications) rejection decisions, computing each needed
-    norm exactly once per chunk."""
+    """(n_tests, replications) rejection decisions on the rows of ``Y``,
+    computing each needed norm exactly once per chunk."""
+    d = _dimension(tests)
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != d:
+        raise DomainError(f"observations must have shape (replications, {d}), got {Y.shape}")
     norms = batch_norms(Y, required_exponents(tests))
     return np.stack([np.asarray(t.decide_batch(norms, Y[:, 0]), dtype=bool) for t in tests])
-
-
-def evaluate(test, y) -> bool:
-    """Deterministic accept/reject decision of one test on one observation."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != test.d:
-        raise DomainError(
-            f"observation has length {y.size if y.ndim == 1 else y.shape}, "
-            f"test expects {test.d}"
-        )
-    return bool(reject_matrix([test], y[None, :])[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ __all__ = [
     "default_tail_weight",
     "sup_detection_weight",
     "sup_centering",
-    "absmax_gumbel_cdf",
-    "absmax_gumbel_quantile",
 ]
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -212,19 +210,3 @@ def sup_centering(d: int) -> float:
         return 0.0
     root = math.sqrt(2.0 * math.log(d))
     return root - math.log(math.log(d)) / (2.0 * root)
-
-
-def absmax_gumbel_cdf(x: float) -> float:
-    """Limiting cdf of the normalized maximum of absolute Gaussians:
-    ``exp(-2 exp(-x))``."""
-    x = _require_finite_scalar(x, "x")
-    return math.exp(-2.0 * math.exp(-x))
-
-
-def absmax_gumbel_quantile(q: float) -> float:
-    """Inverse of :func:`absmax_gumbel_cdf` on (0, 1):
-    ``-log(-log(q)/2)``."""
-    q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
-    return -math.log(-math.log(q) / 2.0)

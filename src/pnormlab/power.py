@@ -24,6 +24,7 @@ from .engine import (
     CombinedTest,
     EnhancedTest,
     UnionTest,
+    _dimension,
     calibrate_suite,
     calibration,
     mc_calibrate,
@@ -36,7 +37,6 @@ from .norms import Exponent
 
 __all__ = [
     "PowerTable",
-    "estimate_rejection",
     "estimate_rejection_many",
     "require_distinct_labels",
     "require_scale_grid",
@@ -49,14 +49,6 @@ __all__ = [
     "regression_reduce",
     "enhancement_demo",
 ]
-
-
-def _dimension(tests: Sequence) -> int:
-    """The one dimension all of ``tests`` (at least one) are calibrated at."""
-    dims = {t.d for t in tests}
-    if len(dims) != 1:
-        raise DomainError(f"need one or more tests of one dimension, got {sorted(dims)}")
-    return dims.pop()
 
 
 def _counts(tests: Sequence, shifts: Sequence[tuple[Unit, float]], plan: MonteCarloPlan,
@@ -84,12 +76,6 @@ def _rate_se(count: int, r: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Public estimators
 # ---------------------------------------------------------------------------
-
-
-def estimate_rejection(test, theta, plan: MonteCarloPlan, workers: int = 1):
-    """Rejection rate of ``test`` against mean vector ``theta`` with its
-    binomial standard error.  Deterministic for a fixed plan."""
-    return estimate_rejection_many([test], theta, plan, workers=workers)[0]
 
 
 def estimate_rejection_many(tests: Sequence, theta, plan: MonteCarloPlan, workers: int = 1):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from pnormlab.consistency import (
@@ -18,7 +20,6 @@ from pnormlab.consistency import (
     rewrite_check,
     semi_sparse,
     sparse,
-    sparsity_diagnostic,
     sup_criterion,
 )
 from pnormlab.errors import DomainError
@@ -92,14 +93,11 @@ class TestFamilies:
     lambda v: finite_p_criterion(v, 3.0),
     sup_criterion,
     lambda v: rewrite_check(v, 3.0),
-    lambda v: sparsity_diagnostic(v, 0.5, 2.0),
     lambda v: criterion_trace(custom_family(lambda d: np.resize(v, d)), Exponent.finite(2.0),
                               (10, 20)),
-], ids=["finite_p_criterion", "sup_criterion", "rewrite_check", "sparsity_diagnostic",
-        "custom_family_trace"])
+], ids=["finite_p_criterion", "sup_criterion", "rewrite_check", "custom_family_trace"])
 def test_non_finite_entry_is_refused(call, bad):
-    # let through, a NaN becomes a NaN criterion (or trips the rewrite
-    # sandwich assertion, which python -O skips)
+    # let through, a NaN becomes a NaN criterion
     with pytest.raises(DomainError, match="finite entries"):
         call(np.array([1.0, bad]))
 
@@ -373,36 +371,42 @@ class TestRewriteCheck:
         with pytest.raises(DomainError):
             rewrite_check(np.array([]), 2.0)
 
+    def test_sandwich_on_normal_vectors(self, rng):
+        for p in (2.0, 2.5, 3.0, 4.0, 7.5, 20.0):
+            for scale in (0.1, 1.0, 3.0):
+                _assert_sandwich(rewrite_check(scale * rng.normal(size=500), p))
+
+    def test_sandwich_on_stock_families(self):
+        for fam in STOCK_FAMILIES:
+            for p in (2.0, 3.0, 4.0, 8.0):
+                _assert_sandwich(rewrite_check(fam.theta(10_000), p))
+
+    def test_sandwich_on_counterexample(self):
+        for d in (10**3, 10**4, 10**5):
+            for p in (2.0, 3.0, 6.0):
+                _assert_sandwich(rewrite_check(_counterexample(d, p), p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
+        p=st.floats(2.0, 60.0),
+    )
+    def test_sandwich_on_bounded_vectors(self, theta, p):
+        _assert_sandwich(rewrite_check(np.array(theta), p))
+
+
+def _assert_sandwich(parts):
+    # for p >= 2 the weight is max(x**2, |x|**p) pointwise, so the criterion
+    # lies between half the larger part and the sum of the parts
+    two, p_part, crit = parts.two_norm_part, parts.p_norm_part, parts.criterion
+    assert 0.5 * max(two, p_part) <= crit * (1 + 1e-12)
+    assert crit <= (two + p_part) * (1 + 1e-12)
+
 
 def _counterexample(d, p):
     theta = np.full(d, d ** (-0.25))
     theta[-1] = d ** (1.0 / (2.0 * p))
     return theta
-
-
-class TestSparsityDiagnostic:
-    def test_dense_exceedance(self):
-        d = 256
-        exceed, mx, prod = sparsity_diagnostic(np.ones(d), 0.5, 2.0)
-        assert exceed == pytest.approx(math.sqrt(d), rel=1e-12)
-        assert mx == 1.0
-        assert prod == pytest.approx(0.25 * math.sqrt(d), rel=1e-12)
-
-    def test_power_sparse_single_spike(self):
-        d, p = 10_000, 3.0
-        theta = power_sparse(p).theta(d)
-        exceed, mx, _ = sparsity_diagnostic(theta, 1.0, p)
-        assert exceed == pytest.approx(1.0 / math.sqrt(d), rel=1e-12)
-        assert mx == pytest.approx(d ** (1 / (2 * p)), rel=1e-12)
-
-    def test_semi_sparse_fraction(self):
-        d = 50_000
-        exceed, _, _ = sparsity_diagnostic(semi_sparse().theta(d), 1.0, 2.0)
-        assert exceed == pytest.approx(21.0 / math.sqrt(d), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sparsity_diagnostic(np.ones(3), 0.0, 2.0)
 
 
 class TestMinimaxRadius:

@@ -23,7 +23,6 @@ from pnormlab.engine import (
     calibrate_suite,
     calibration,
     custom_budget,
-    evaluate,
     geometric_budget,
     load_test,
     mc_calibrate,
@@ -99,11 +98,11 @@ class TestAsymptoticCriticalValue:
         kappa = asymptotic_critical_value(1.0, 10_000, 0.05)
         test = PNormTest(d=10_000, exponent=Exponent.finite(1.0),
                          critical_value=kappa, alpha=0.05)
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
-        rate, _ = estimate_rejection(
-            test, 0, MonteCarloPlan(replications=20_000, seed=41)
-        )
+        rate, _ = estimate_rejection_many(
+            [test], 0, MonteCarloPlan(replications=20_000, seed=41)
+        )[0]
         assert 0.04 <= rate <= 0.06
 
 
@@ -125,6 +124,20 @@ class TestSupAsymptoticCriticalValue:
         assert sup_asymptotic_critical_value(d, alpha) == pytest.approx(
             expected, rel=1e-14
         )
+
+    def test_gumbel_closed_form(self):
+        # root - (log log d + log 4 pi) / (2 root) + q / root, with q the
+        # (1 - alpha)-quantile -log(-log(1 - alpha) / 2) of the limit law
+        # exp(-2 exp(-x)) of the normalized absolute maximum
+        for alpha in (0.01, 0.05, 0.2, 0.5):
+            q = -math.log(-math.log1p(-alpha) / 2.0)
+            for d in (100, 5000, 10**6):
+                root = math.sqrt(2.0 * math.log(d))
+                expected = (root - (math.log(math.log(d)) + math.log(4 * math.pi)) / (2 * root)
+                            + q / root)
+                assert sup_asymptotic_critical_value(d, alpha) == pytest.approx(
+                    expected, rel=1e-14
+                )
 
     def test_monotone_in_level(self):
         d = 5000
@@ -178,9 +191,9 @@ class TestSchedules:
         plan = MonteCarloPlan(replications=2000, seed=1)
         t = mc_calibrate(E2, 40, 0.05, plan)
         assert t.d == 40
-        assert evaluate(t, np.zeros(40)) is False
+        assert not reject_matrix([t], np.zeros((1, 40)))[0, 0]
         with pytest.raises(DomainError):
-            evaluate(t, np.zeros(41))
+            reject_matrix([t], np.zeros((1, 41)))
         assert t.provenance == f"monte_carlo({plan.descriptor()})"
         assert "seed=1" in t.provenance
 
@@ -341,11 +354,11 @@ class TestBuildCombined:
         assert abs(test.calibration_size - 0.05) <= 1.0 / plan.replications + 1e-12
 
     def test_fresh_seed_size(self, combined):
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
         test, _ = combined
         vplan = MonteCarloPlan(replications=20_000, seed=9090)
-        rate, se = estimate_rejection(test, 0, vplan)
+        rate, se = estimate_rejection_many([test], 0, vplan)[0]
         assert abs(rate - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / vplan.replications)
 
     def test_membership_nesting_is_pointwise(self, combined, rng):
@@ -443,29 +456,29 @@ class TestMinimaxAdaptive:
     def test_analytic_threshold_size_is_small(self):
         import warnings
 
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationWarning)
             test = build_minimax_adaptive(10_000, 5.0, 8)
-        rate, _ = estimate_rejection(
-            test, 0, MonteCarloPlan(replications=20_000, seed=606)
-        )
+        rate, _ = estimate_rejection_many(
+            [test], 0, MonteCarloPlan(replications=20_000, seed=606)
+        )[0]
         assert rate <= 0.01
 
     def test_mc_scaled_threshold_hits_target_size(self):
         import warnings
 
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CalibrationWarning)
             test = build_minimax_adaptive(500, 5.0, 6)
         plan = MonteCarloPlan(replications=20_000, seed=77)
         scaled = mc_scale_minimax(test, 0.05, plan)
-        rate, se = estimate_rejection(
-            scaled, 0, MonteCarloPlan(replications=20_000, seed=78)
-        )
+        rate, se = estimate_rejection_many(
+            [scaled], 0, MonteCarloPlan(replications=20_000, seed=78)
+        )[0]
         assert abs(rate - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / 20_000)
 
     def test_domain(self):
@@ -585,12 +598,12 @@ class TestEnhancement:
         assert np.all(decisions[1][decisions[0]])
 
     def test_never_reject_base_size_matches_exact_tail(self):
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
         d = 5000
         plan = MonteCarloPlan(replications=40_000, seed=17)
         enhanced = EnhancedTest(ConstantTest(d=d))
-        rate, se = estimate_rejection(enhanced, 0, plan)
+        rate, se = estimate_rejection_many([enhanced], 0, plan)[0]
         exact = 2.0 * std_normal_sf((math.log(d) / 2.0) ** 0.25)
         assert abs(rate - exact) <= 3.0 * se + 1e-12
 
@@ -636,8 +649,8 @@ class TestEnhancement:
 class TestEvaluate:
     def test_single_norm_threshold(self):
         test = PNormTest(d=2, exponent=E2, critical_value=5.0, alpha=0.05)
-        assert evaluate(test, [3.0, 4.0]) is True  # statistic equals the cutoff
-        assert evaluate(test, [3.0, 3.9]) is False
+        assert reject_matrix([test], [[3.0, 4.0]])[0, 0]  # statistic equals the cutoff
+        assert not reject_matrix([test], [[3.0, 3.9]])[0, 0]
 
     def test_zero_vector_accepted_by_calibrated_tests(self):
         plan = MonteCarloPlan(replications=2000, seed=2)
@@ -645,12 +658,31 @@ class TestEvaluate:
             mc_calibrate(E2, 50, 0.3, plan),
             mc_calibrate(SUP, 50, 0.3, plan),
         ):
-            assert evaluate(test, np.zeros(50)) is False
+            assert not reject_matrix([test], np.zeros((1, 50)))[0, 0]
 
     def test_dimension_mismatch(self):
         test = PNormTest(d=3, exponent=E2, critical_value=1.0, alpha=0.05)
         with pytest.raises(DomainError):
-            evaluate(test, [1.0, 2.0])
+            reject_matrix([test], [[1.0, 2.0]])
+
+    def test_observations_of_the_wrong_width_are_refused(self):
+        # read as 40-dimensional, every row's 2-norm clears the cutoff
+        test = PNormTest(d=50, exponent=E2, critical_value=1.0, alpha=0.05)
+        with pytest.raises(DomainError, match=r"shape \(replications, 50\), got \(3, 40\)"):
+            reject_matrix([test], np.ones((3, 40)))
+
+    def test_one_dimensional_observations_are_refused(self):
+        test = PNormTest(d=50, exponent=E2, critical_value=1.0, alpha=0.05)
+        with pytest.raises(DomainError, match="shape"):
+            reject_matrix([test], np.ones(50))
+
+    def test_empty_or_mixed_test_lists_are_refused(self):
+        b50 = PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05)
+        b100 = PNormTest(d=100, exponent=E2, critical_value=11.0, alpha=0.05)
+        with pytest.raises(DomainError, match="one dimension"):
+            reject_matrix([], np.ones((3, 50)))
+        with pytest.raises(DomainError, match=r"one dimension, got \[50, 100\]"):
+            reject_matrix([b50, b100], np.ones((3, 50)))
 
     def test_union_test_is_or_of_members(self, rng):
         a = PNormTest(d=4, exponent=E2, critical_value=2.0, alpha=0.1)
@@ -688,13 +720,13 @@ class TestEvaluate:
 
     def test_bare_constant_test_needs_no_norm(self, rng):
         # no norm column: the chunk pass runs with an empty exponent set
-        from pnormlab.power import estimate_rejection
+        from pnormlab.power import estimate_rejection_many
 
         test = ConstantTest(d=5)
         assert test.norm_exponents() == ()
         assert test.label == "never-reject"
         plan = MonteCarloPlan(replications=300, seed=1)
-        assert estimate_rejection(test, 0, plan) == (0.0, 0.0)
+        assert estimate_rejection_many([test], 0, plan)[0] == (0.0, 0.0)
         dec = reject_matrix([test], rng.normal(size=(7, 5)))
         assert dec.tolist() == [[False] * 7]
 

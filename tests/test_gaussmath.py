@@ -6,8 +6,6 @@ import pytest
 from pnormlab.errors import DomainError, NumericError
 from pnormlab.gaussmath import (
     abs_moment,
-    absmax_gumbel_cdf,
-    absmax_gumbel_quantile,
     default_tail_weight,
     detection_weight,
     gauss_moments,
@@ -219,16 +217,3 @@ class TestSupCentering:
         with pytest.raises(DomainError):
             sup_centering(0)
 
-
-class TestAbsmaxGumbel:
-    def test_values(self):
-        assert absmax_gumbel_cdf(0.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert absmax_gumbel_cdf(40.0) == pytest.approx(
-            1.0 - 2.0 * math.exp(-40.0), abs=1e-15
-        )
-
-    def test_quantile_closed_form_and_inversion(self):
-        for alpha in (0.01, 0.05, 0.2, 0.5):
-            q = absmax_gumbel_quantile(1.0 - alpha)
-            assert q == pytest.approx(-math.log(-math.log(1.0 - alpha) / 2.0), rel=1e-15)
-            assert absmax_gumbel_cdf(q) == pytest.approx(1.0 - alpha, rel=1e-12)

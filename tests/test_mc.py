@@ -25,7 +25,7 @@ from pnormlab.mc import (
     simulate_shifted,
 )
 from pnormlab.norms import SUP, Exponent, ShiftedNormKernel, _tile_rows, batch_norms
-from pnormlab.power import estimate_rejection, power_curve
+from pnormlab.power import estimate_rejection_many, power_curve
 
 
 class TestPlan:
@@ -272,7 +272,7 @@ class TestUnit:
         # a rejection estimate refuses a mean vector it cannot build a unit of
         for theta in (np.zeros((2, 5)), np.zeros(0)):
             with pytest.raises(DomainError, match="one-dimensional"):
-                estimate_rejection(ConstantTest(d=5), theta, MonteCarloPlan(10, 1))
+                estimate_rejection_many([ConstantTest(d=5)], theta, MonteCarloPlan(10, 1))[0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_a_non_finite_entry(self, bad):

@@ -27,7 +27,6 @@ from pnormlab.power import (
     auto_a_grid,
     default_gap_grid,
     enhancement_demo,
-    estimate_rejection,
     estimate_rejection_many,
     pe_demo,
     power_curve,
@@ -43,14 +42,14 @@ class TestEstimateRejection:
         # every norm reaches a zero critical value
         plan = MonteCarloPlan(replications=500, seed=1)
         test = PNormTest(d=20, exponent=E2, critical_value=0.0, alpha=0.05)
-        rate, se = estimate_rejection(test, 0, plan)
+        rate, se = estimate_rejection_many([test], 0, plan)[0]
         assert rate == 1.0 and se == 0.0
 
     def test_size_matches_level(self):
         plan = MonteCarloPlan(replications=20_000, seed=2)
         test = mc_calibrate(E2, 80, 0.1, plan)
         vplan = MonteCarloPlan(replications=20_000, seed=3)
-        rate, se = estimate_rejection(test, 0, vplan)
+        rate, se = estimate_rejection_many([test], 0, vplan)[0]
         assert abs(rate - 0.1) <= 3.0 * se
 
     def test_noncentral_chi_square_oracle(self):
@@ -59,9 +58,9 @@ class TestEstimateRejection:
         test = mc_calibrate(E2, d, 0.05, plan)
         theta = np.zeros(d)
         theta[0] = 5.0
-        rate, se = estimate_rejection(
-            test, theta, MonteCarloPlan(replications=100_000, seed=5)
-        )
+        rate, se = estimate_rejection_many(
+            [test], theta, MonteCarloPlan(replications=100_000, seed=5)
+        )[0]
         exact = float(sps.ncx2.sf(test.critical_value**2, df=d, nc=25.0))
         assert abs(rate - exact) <= 3.0 * se
 
@@ -69,7 +68,7 @@ class TestEstimateRejection:
         plan = MonteCarloPlan(replications=500, seed=1)
         test = ConstantTest(d=20)
         with pytest.raises(DomainError):
-            estimate_rejection(test, np.zeros(19), plan)
+            estimate_rejection_many([test], np.zeros(19), plan)[0]
 
     def test_empty_test_list(self):
         plan = MonteCarloPlan(replications=500, seed=1)
@@ -91,8 +90,8 @@ class TestEstimateRejection:
         plan = MonteCarloPlan(replications=3000, seed=6)
         test = mc_calibrate(E2, 40, 0.05, plan)
         theta = np.full(40, 0.2)
-        r1 = estimate_rejection(test, theta, plan, workers=1)
-        r2 = estimate_rejection(test, theta, plan, workers=4)
+        r1 = estimate_rejection_many([test], theta, plan, workers=1)[0]
+        r2 = estimate_rejection_many([test], theta, plan, workers=4)[0]
         assert r1 == r2
 
 
@@ -269,7 +268,7 @@ class TestAutoGrid:
         plan = MonteCarloPlan(replications=2000, seed=13)
         grid = auto_a_grid(tests, dense(), plan)
         assert grid[0] == 0.0 and len(grid) == 32
-        rate, _ = estimate_rejection(tests[0], dense().theta(d, grid[-1]), plan)
+        rate, _ = estimate_rejection_many([tests[0]], dense().theta(d, grid[-1]), plan)[0]
         assert rate >= 0.95
 
     def test_deterministic(self):
