@@ -348,9 +348,9 @@ def _cmd_consistency(res: _Resolver):
     family = _family_from_spec(res.require("family"))
     grid = _parse_dgrid(res.get("dgrid", "geometric:1e3:1e6"))
     exponents = [parse_exponent(t) for t in res.get("exponents", "2").split(",")]
-    if len(set(exponents)) != len(exponents):
-        raise ConfigError(f"--exponents repeats an exponent: "
-                          f"{', '.join(e.label for e in exponents)}")
+    labels = [e.label for e in exponents]  # each names a trace file and a manifest key
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"--exponents repeats an exponent label: {', '.join(labels)}")
     traces = [clab.criterion_trace(family, e, grid) for e in exponents]
     outdir = _outdir(res)
     outputs = []

@@ -41,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, DomainError
+from .errors import CalibrationError, ConfigError, DomainError, NumericError
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile, std_normal_sf
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from .norms import Exponent, batch_norms, parse_exponent
@@ -87,21 +87,24 @@ class CalibrationWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 _LOG_SPACE_P = 30.0  # beyond this, assemble the CLT bracket in log space
+_UNDEFINED_BRACKET = ("analytic critical value undefined: the centering bracket is "
+                      "non-positive at this (p, d, alpha); use Monte Carlo calibration")
 
 
 def _clt_bracket_root(p: float, d: int, z: float) -> float:
-    """[z * sqrt(d * var|Z|^p) + d * E|Z|^p] ** (1/p), overflow-safe."""
+    """[z * sqrt(d * var|Z|^p) + d * E|Z|^p] ** (1/p), in log space for large p;
+    a NumericError when a small p's root passes the largest float."""
     if int(d) < 1:
         raise DomainError("dimension must be >= 1")
     mom = gauss_moments(p)
     if p <= _LOG_SPACE_P and math.isfinite(mom.variance):
         bracket = z * math.sqrt(d * mom.variance) + d * mom.mean
         if bracket <= 0.0:
-            raise CalibrationError(
-                "analytic critical value undefined: the centering bracket is "
-                "non-positive at this (p, d, alpha); use Monte Carlo calibration"
-            )
-        return bracket ** (1.0 / p)
+            raise CalibrationError(_UNDEFINED_BRACKET)
+        try:
+            return bracket ** (1.0 / p)
+        except OverflowError:  # a small p takes a large root exponent
+            raise NumericError(f"analytic critical value overflows at p={p:g}, d={d}") from None
     log_mu_term = math.log(d) + mom.log_mean
     if z == 0.0:
         return math.exp(log_mu_term / p)
@@ -110,10 +113,7 @@ def _clt_bracket_root(p: float, d: int, z: float) -> float:
         log_bracket = np.logaddexp(log_mu_term, log_sd_term)
     else:
         if log_sd_term >= log_mu_term:
-            raise CalibrationError(
-                "analytic critical value undefined: the centering bracket is "
-                "non-positive at this (p, d, alpha); use Monte Carlo calibration"
-            )
+            raise CalibrationError(_UNDEFINED_BRACKET)
         log_bracket = log_mu_term + math.log1p(-math.exp(log_sd_term - log_mu_term))
     return math.exp(float(log_bracket) / p)
 

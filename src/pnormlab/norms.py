@@ -73,7 +73,7 @@ class Exponent:
         if self.is_sup:
             return "sup"
         p = self.p
-        if float(p).is_integer():
+        if float(p).is_integer() and p < 2**53:  # a larger one prints as a float
             return f"p={int(p)}"
         return f"p={p:.6g}"
 

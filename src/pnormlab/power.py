@@ -23,17 +23,16 @@ from .consistency import AlternativeFamily, dense, power_sparse, semi_sparse, sp
 from .engine import (
     CombinedTest,
     EnhancedTest,
+    PNormTest,
     UnionTest,
     _dimension,
     calibrate_suite,
     calibration,
-    mc_calibrate,
     required_exponents,
 )
 from .errors import DomainError, RankError
 from .gaussmath import std_normal_quantile
 from .mc import MonteCarloPlan, Unit, simulate_shifted
-from .norms import Exponent
 
 __all__ = [
     "PowerTable",
@@ -262,11 +261,25 @@ def pe_demo(
 
 @dataclass(frozen=True)
 class GapScanReport:
-    """Power shortfalls of a combined test against one of its members
-    recalibrated standalone at the full level, and their analytic ceiling."""
+    """Rejection counts ``counts[i] = (single, combined)`` of a single test
+    and a combined test with its exponent as a member, out of the same
+    ``replications`` rows at shift ``labels[i]``, and the analytic ceiling
+    on their asymptotic power gap."""
 
     bound: float
-    gaps: tuple[tuple[str, float, float], ...]  # (label, gap, pooled stderr)
+    labels: tuple[str, ...]
+    replications: int
+    counts: tuple[tuple[int, int], ...]
+
+    @property
+    def gaps(self) -> tuple[tuple[str, float, float], ...]:
+        """Each shift's ``(label, gap, pooled stderr)``: the single test's power
+        less the combined test's, and the hypot of their binomial stderrs."""
+        gaps = []
+        for label, row in zip(self.labels, self.counts):
+            (r_single, se_s), (r_comb, se_c) = (_rate_se(c, self.replications) for c in row)
+            gaps.append((label, r_single - r_comb, math.hypot(se_s, se_c)))
+        return tuple(gaps)
 
     @property
     def worst(self) -> tuple[str, float, float]:
@@ -274,43 +287,29 @@ class GapScanReport:
         return max(self.gaps, key=lambda g: g[1])
 
 
-def power_gap_scan(
-    combined: CombinedTest,
-    member_index: int,
-    shifts: Sequence[tuple[str, Unit, float]],
-    plan: MonteCarloPlan,
-    calibration_plan: MonteCarloPlan,
-    workers: int = 1,
-    stats: Mapping[Exponent, np.ndarray] | None = None,
-) -> GapScanReport:
+def power_gap_scan(combined: CombinedTest, standalone: PNormTest,
+                   shifts: Sequence[tuple[str, Unit, float]], plan: MonteCarloPlan,
+                   workers: int = 1) -> GapScanReport:
     """Scan labeled mean shifts ``(label, unit, scale)``, the mean
-    ``scale * unit``, for the power gap between the standalone member test
-    (at the combined test's full level) and the combined test; the report's
-    ``worst`` is the largest.
+    ``scale * unit``, for the power gap between ``standalone`` and the
+    combined test; the report's ``worst`` is the largest.
 
-    The report's ``bound``, the analytic ceiling on the asymptotic gap, is
+    ``standalone`` is a `engine.PNormTest` on one of the combined test's
+    exponents, calibrated by the caller; it should be at the combined
+    test's level, ``combined.alpha``, which is the comparison the ceiling
+    speaks of.  Any other test is refused before anything is drawn.  The
+    report's ``bound``, the analytic ceiling on the asymptotic gap, is
     ``(quantile(1 - limit member level) - quantile(1 - level)) / sqrt(2 pi)``.
-    ``stats`` may carry precomputed null columns of ``calibration_plan``
-    that include the member's exponent, as in :func:`mc_calibrate`.
     """
-    m = len(combined.exponents)
-    if not (0 <= int(member_index) < m):
-        raise DomainError(f"member index out of range: {member_index!r}")
-    member_index = int(member_index)
-    standalone = mc_calibrate(
-        Exponent.finite(combined.exponents[member_index]), combined.d, combined.alpha,
-        calibration_plan, workers, stats=stats,
-    )
-    limit_a = combined.budget.limit_alpha(member_index)
-    bound = (
-        std_normal_quantile(1.0 - limit_a) - std_normal_quantile(1.0 - combined.alpha)
-    ) / math.sqrt(2.0 * math.pi)
+    if not isinstance(standalone, PNormTest) or standalone.exponent.p not in combined.exponents:
+        raise DomainError(f"the standalone test must be a single test on one of the combined "
+                          f"test's exponents, got {getattr(standalone, 'label', standalone)!r}")
+    limit_a = combined.budget.limit_alpha(combined.exponents.index(standalone.exponent.p))
+    bound = (std_normal_quantile(1.0 - limit_a)
+             - std_normal_quantile(1.0 - combined.alpha)) / math.sqrt(2.0 * math.pi)
     counts = _counts([standalone, combined], [(unit, a) for _, unit, a in shifts], plan, workers)
-    gaps = []
-    for (label, _, _), row in zip(shifts, counts):
-        (r_single, se_s), (r_comb, se_c) = (_rate_se(int(c), plan.replications) for c in row)
-        gaps.append((label, r_single - r_comb, math.hypot(se_s, se_c)))
-    return GapScanReport(bound=bound, gaps=tuple(gaps))
+    return GapScanReport(bound=bound, labels=tuple(label for label, _, _ in shifts),
+                         replications=plan.replications, counts=tuple(map(tuple, counts.tolist())))
 
 
 def default_gap_grid(d: int) -> list[tuple[str, Unit, float]]:

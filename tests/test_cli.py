@@ -263,6 +263,11 @@ class TestExitCodes:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    def test_overflowing_critical_value_names_its_exponent(self, capsys):
+        code = run(["calibrate", "--test", "p=1e-5", "--d", "10", "--asymptotic"])
+        assert code == 3
+        assert "overflows at p=1e-05, d=10" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_asymptotic_prints_formula_value(self, capsys):
@@ -659,15 +664,23 @@ class TestConsistency:
         csv = (tmp_path / "trace_semi_sparse_p2.csv").read_text()
         assert csv.splitlines()[0] == "d,value"
 
-    @pytest.mark.parametrize("exponents", ["2,2", "2,3,2.0", "sup,inf"])
+    @pytest.mark.parametrize("exponents", ["2,2", "2,3,2.0", "sup,inf", "3.0000001,3.0000002"])
     def test_repeated_exponent_is_refused_before_any_trace(self, tmp_path, capsys, exponents):
-        # one trace file and one manifest key per exponent
+        # one trace file and one manifest key per label: two exponents that
+        # print as p=3 would write one file twice
         assert run([
             "consistency", "--family", "dagger", "--exponents", exponents,
             "--dgrid", "geometric:1e3:1e5", "--outdir", tmp_path,
         ]) == 2
         assert "repeats an exponent" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_exponent_names_a_short_file(self, tmp_path):
+        assert run(["consistency", "--family", "dense", "--exponents", "1e308",
+                    "--dgrid", "1000,2000", "--outdir", tmp_path]) == 0
+        assert run(["contour", "--p", "1e308", "--resolution", "3", "--outdir", tmp_path]) == 0
+        assert (tmp_path / "trace_dense_p1e+308.csv").exists()
+        assert (tmp_path / "contour_p1e+308.csv").exists()
 
     def test_traces_reach_1e300(self, tmp_path):
         assert run([

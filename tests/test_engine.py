@@ -33,7 +33,7 @@ from pnormlab.engine import (
     save_test,
     sup_asymptotic_critical_value,
 )
-from pnormlab.errors import CalibrationError, ConfigError, DomainError
+from pnormlab.errors import CalibrationError, ConfigError, DomainError, NumericError
 from pnormlab.gaussmath import GaussMoments, std_normal_cdf, std_normal_sf
 from pnormlab.mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from pnormlab.norms import SUP, Exponent, batch_norms
@@ -88,6 +88,15 @@ class TestAsymptoticCriticalValue:
     def test_huge_exponent_stays_finite(self):
         kappa = asymptotic_critical_value(400.0, 10_000, 0.05)
         assert math.isfinite(kappa) and 1.0 < kappa < 50.0
+
+    @pytest.mark.parametrize("p", [1e-5, 0.003])
+    def test_tiny_exponent_overflow_is_a_numeric_error(self, p):
+        # the bracket's 1/p-th power passes the largest float
+        with pytest.raises(NumericError, match=f"overflows at p={p:g}, d=10"):
+            asymptotic_critical_value(p, 10, 0.05)
+
+    def test_small_exponent_stays_finite(self):
+        assert asymptotic_critical_value(0.01, 10, 0.05) == pytest.approx(9.44e99, rel=1e-3)
 
     def test_negative_bracket_raises_calibration_error(self):
         with pytest.raises(CalibrationError):
@@ -743,7 +752,7 @@ class TestFields:
         UnionTest: "members",
         ConstantTest: "d",
         PNormTest: "d exponent critical_value alpha provenance",
-        GapScanReport: "bound gaps",
+        GapScanReport: "bound labels replications counts",
         PowerTable: "family d replications tests scales counts",
         CriterionTrace: "d_grid values saturated",
         GaussMoments: "p log_mean log_variance",
@@ -764,9 +773,12 @@ class TestFields:
         assert minimax.norm_exponents() == tuple(Exponent.finite(p) for p in (1.0, 2.0, 3.0))
 
     def test_derived_record_values(self):
-        scan = GapScanReport(bound=0.1, gaps=(("a", 0.01, 0.002), ("b", 0.03, 0.004),
-                                              ("c", 0.03, 0.001)))
-        assert scan.worst == ("b", 0.03, 0.004)  # the first of a tie
+        scan = GapScanReport(bound=0.1, labels=("a", "b", "c"), replications=100,
+                             counts=((11, 10), (13, 10), (23, 20)))
+        assert [gap for _, gap, _ in scan.gaps] == [0.11 - 0.1, 0.13 - 0.1, 0.23 - 0.2]
+        assert scan.gaps[0][2] == math.hypot(math.sqrt(0.11 * 0.89 / 100),
+                                             math.sqrt(0.1 * 0.9 / 100))
+        assert scan.gaps[1][1] == scan.gaps[2][1] and scan.worst == scan.gaps[1]  # first of a tie
         assert math.isnan(CriterionTrace((10, 100), (1.0, 0.0), False).fitted_log_slope)
         moments = GaussMoments(p=2.0, log_mean=0.0, log_variance=math.log(2.0))
         assert (moments.mean, moments.variance) == (1.0, math.exp(math.log(2.0)))

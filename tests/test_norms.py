@@ -60,6 +60,11 @@ class TestExponent:
     def test_labels_and_parsing(self):
         assert Exponent.finite(2.0).label == "p=2"
         assert SUP.label == "sup"
+        # an integer prints in full only below 2**53, where floats are exact
+        # integers; 1e308 would print 309 digits into a file name
+        assert Exponent.finite(2.0**53 - 1).label == "p=9007199254740991"
+        assert Exponent.finite(2.0**53).label == "p=9.0072e+15"
+        assert Exponent.finite(1e308).label == "p=1e+308"
         assert parse_exponent("sup") == SUP
         assert parse_exponent("3.5") == Exponent.finite(3.5)
         # a test name's spelling

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from pnormlab import mc
+from pnormlab import engine, mc
 from pnormlab import power as plab
 from pnormlab.consistency import custom_family, dense, semi_sparse, sparse
 from pnormlab.engine import (
@@ -20,7 +20,7 @@ from pnormlab.engine import (
     reject_matrix,
 )
 from pnormlab.errors import ConfigError, DomainError, RankError
-from pnormlab.mc import MonteCarloPlan, Unit, chunk_generator, simulate_null_statistics
+from pnormlab.mc import MonteCarloPlan, Unit, chunk_generator
 from pnormlab.norms import SUP, Exponent, _tile_rows
 from pnormlab.power import (
     _counts,
@@ -395,31 +395,62 @@ class TestPeDemo:
 
 
 class TestGapScan:
-    def test_null_gap_is_noise_and_bound_value(self):
-        d = 400
-        cal = MonteCarloPlan(replications=20_000, seed=16)
+    @staticmethod
+    def _suite(d, cal):
+        """A combined test and its Euclidean member calibrated standalone at
+        the combined test's level, both on ``cal``."""
         m, exps = member_exponents(d, "exp")
         combined = build_combined(d, exps, geometric_budget(m, 0.05), cal)
+        return combined, mc_calibrate(E2, d, combined.alpha, cal)
+
+    def test_null_gap_is_noise_and_bound_value(self):
+        d = 400
+        combined, single = self._suite(d, MonteCarloPlan(replications=20_000, seed=16))
         plan = MonteCarloPlan(replications=4000, seed=17)
         shifts = [("null", Unit.from_runs([0.0], [d]), 0.0)]
-        report = power_gap_scan(combined, 0, shifts, plan, cal)
+        report = power_gap_scan(combined, single, shifts, plan)
         assert report.bound == pytest.approx(0.238, abs=0.002)
         assert abs(report.gaps[0][1]) <= 4.0 * report.gaps[0][2]
 
-    def test_shared_stats_give_the_same_report(self):
+    def test_scan_draws_no_calibration_sample(self, monkeypatch):
         d = 200
-        cal = MonteCarloPlan(replications=5000, seed=18)
-        m, exps = member_exponents(d, "exp")
-        stats = simulate_null_statistics(
-            d, [Exponent.finite(p) for p in exps] + [SUP], cal
-        )
-        combined = build_combined(d, exps, geometric_budget(m, 0.05), cal, stats=stats)
+        combined, single = self._suite(d, MonteCarloPlan(replications=5000, seed=18))
+        calls = []
+        monkeypatch.setattr(engine, "simulate_null_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+        ones = Unit.from_runs(*dense().runs(d))
+        report = power_gap_scan(combined, single, [("null", ones, 0.0), ("dense", ones, 0.3)],
+                                MonteCarloPlan(replications=1000, seed=19))
+        assert calls == [] and report.labels == ("null", "dense")
+
+    def test_gaps_are_the_rates_of_the_counts(self):
+        d = 200
+        combined, single = self._suite(d, MonteCarloPlan(replications=5000, seed=18))
         plan = MonteCarloPlan(replications=1000, seed=19)
         ones = Unit.from_runs(*dense().runs(d))
         shifts = [("null", ones, 0.0), ("dense", ones, 0.3)]
-        assert power_gap_scan(combined, 0, shifts, plan, cal, stats=stats) == (
-            power_gap_scan(combined, 0, shifts, plan, cal)
-        )
+        report = power_gap_scan(combined, single, shifts, plan)
+        counts = _counts([single, combined], [(ones, 0.0), (ones, 0.3)], plan, 1)
+        assert report.counts == tuple(map(tuple, counts.tolist()))
+        assert report.replications == 1000
+        for (label, gap, se), (single_c, comb_c), shift in zip(report.gaps, report.counts,
+                                                               shifts):
+            (r_s, se_s), (r_c, se_c) = plab._rate_se(single_c, 1000), plab._rate_se(comb_c, 1000)
+            assert (label, gap, se) == (shift[0], r_s - r_c, math.hypot(se_s, se_c))
+        assert report.worst == max(report.gaps, key=lambda g: g[1])
+
+    def test_non_member_standalone_is_refused_before_the_draw(self, monkeypatch):
+        d = 200
+        cal = MonteCarloPlan(replications=5000, seed=18)
+        combined, single = self._suite(d, cal)
+        calls = []
+        monkeypatch.setattr(plab, "simulate_shifted", lambda *args, **kwargs: calls.append(args))
+        shifts = [("x", Unit.from_runs([0.0], [d]), 0.0)]
+        for other in (mc_calibrate(Exponent.finite(3.0), d, 0.05, cal),
+                      mc_calibrate(SUP, d, 0.05, cal), combined, EnhancedTest(single)):
+            with pytest.raises(DomainError, match="one of the combined test's exponents"):
+                power_gap_scan(combined, other, shifts, cal)
+        assert calls == []
 
     def test_default_grid_span(self):
         grid = default_gap_grid(1000)
@@ -438,14 +469,6 @@ class TestGapScan:
         finally:
             tracemalloc.stop()
         assert len(grid) == 60 and held < 2**20, held
-
-    def test_member_index_guard(self):
-        d = 200
-        cal = MonteCarloPlan(replications=5000, seed=18)
-        m, exps = member_exponents(d, "exp")
-        combined = build_combined(d, exps, geometric_budget(m, 0.05), cal)
-        with pytest.raises(DomainError):
-            power_gap_scan(combined, 99, [("x", Unit.from_runs([0.0], [d]), 0.0)], cal, cal)
 
 
 class TestRegressionReduce:
