@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .gaussmath import detection_weight, sup_centering, sup_detection_weight
 from .mc import _finite
 from .norms import Exponent
@@ -121,6 +121,15 @@ def semi_sparse() -> AlternativeFamily:
     return AlternativeFamily("semi_sparse", "semi-sparse", _semi_sparse_runs, min_d=16)
 
 
+def _power_of_d(d: int, power: float, p: float, what: str) -> float:
+    """``d ** power``; a NumericError naming p and d when it passes the
+    largest float (a small p gives a large power)."""
+    try:
+        return float(d) ** power
+    except OverflowError:
+        raise NumericError(f"{what} overflows at p={p:g}, d={float(d):g}") from None
+
+
 def power_sparse(exponent: float) -> AlternativeFamily:
     """One spike of height d**(1/(2 p)): borderline for the p-norm test."""
     p = float(exponent)
@@ -129,7 +138,8 @@ def power_sparse(exponent: float) -> AlternativeFamily:
     return AlternativeFamily(
         kind="power_sparse",
         label=f"power-sparse(p={p:g})",
-        rule=lambda d: ([d ** (1.0 / (2.0 * p)), 0.0], [1, d - 1]),
+        rule=lambda d: ([_power_of_d(d, 1.0 / (2.0 * p), p, "power-sparse spike height"), 0.0],
+                        [1, d - 1]),
     )
 
 
@@ -331,9 +341,8 @@ def minimax_radius(p: float, d: int) -> float:
     d = int(d)
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    if p <= 2.0:
-        return float(d) ** ((4.0 - p) / (4.0 * p))
-    return float(d) ** (1.0 / (2.0 * p))
+    power = (4.0 - p) / (4.0 * p) if p <= 2.0 else 1.0 / (2.0 * p)
+    return _power_of_d(d, power, p, "minimax radius")
 
 
 # ---------------------------------------------------------------------------

@@ -410,8 +410,10 @@ class CombinedTest:
 
 @dataclass(frozen=True)
 class MinimaxAdaptiveTest:
-    """Max over the integer-norm members 1..max_power, one per kappa, with
-    analytic critical values.
+    """Max over the integer-norm members 1..max_power, each scaled by its
+    analytic critical value at the separation margin; these ``kappas``
+    follow from d, margin and max_power and are worked out on construction.
+    max_power lies in 1..1000, a bound on the work an artifact can ask for.
 
     With ``threshold = 1`` this is the separation-margin construction whose
     size vanishes with the margin; ``mc_scale_minimax`` replaces the
@@ -420,21 +422,24 @@ class MinimaxAdaptiveTest:
 
     d: int
     margin: float
-    kappas: tuple[float, ...]
+    max_power: int
     threshold: float = 1.0
     alpha: float | None = None
     provenance: str = ""
 
-    @property
-    def max_power(self) -> int:
-        return len(self.kappas)
+    def __post_init__(self):
+        if not 1 <= self.max_power <= 1000:
+            raise DomainError(f"max_power must lie in 1..1000, got {self.max_power!r}")
+        object.__setattr__(self, "kappas", tuple(
+            minimax_critical_value(float(j), self.d, self.margin)  # refuses a bad margin
+            for j in range(1, self.max_power + 1)))
 
     @property
     def label(self) -> str:
         return f"minimax(pmax={self.max_power})"
 
     def norm_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(Exponent.finite(float(j)) for j in range(1, len(self.kappas) + 1))
+        return tuple(Exponent.finite(float(j)) for j in range(1, self.max_power + 1))
 
     def decide_batch(self, norms: Mapping[Exponent, np.ndarray], first):
         return _max_ratio(norms, self.norm_exponents(), self.kappas) >= self.threshold
@@ -639,26 +644,15 @@ def build_minimax_adaptive(d: int, margin: float, max_power: int) -> MinimaxAdap
     Warns (non-fatally) when the finite-d surrogates of its two asymptotic
     side conditions exceed 0.01.
     """
-    max_power = int(max_power)
-    if max_power < 1:
-        raise DomainError("max_power must be >= 1")
-    d = int(d)
-    union_bound = max_power * std_normal_cdf(-float(margin))
-    clt_term = (max_power / math.sqrt(d)) * (1.5 ** (1.5 * max_power))
+    test = MinimaxAdaptiveTest(d=int(d), margin=float(margin), max_power=int(max_power),
+                               provenance=f"analytic(margin={margin:g})")
+    union_bound = test.max_power * std_normal_cdf(-test.margin)
+    clt_term = (test.max_power / math.sqrt(test.d)) * (1.5 ** (1.5 * test.max_power))
     if union_bound > 0.01 or clt_term > 0.01:
-        warnings.warn(
-            "minimax side-condition surrogates are large at this (d, margin, "
-            f"max_power): union bound {union_bound:.3g}, CLT term {clt_term:.3g}",
-            CalibrationWarning,
-            stacklevel=2,
-        )
-    kappas = tuple(
-        minimax_critical_value(float(j), d, margin) for j in range(1, max_power + 1)
-    )
-    return MinimaxAdaptiveTest(
-        d=d, margin=float(margin), kappas=kappas,
-        provenance=f"analytic(margin={margin:g})",
-    )
+        warnings.warn("minimax side-condition surrogates are large at this (d, margin, "
+                      f"max_power): union bound {union_bound:.3g}, CLT term {clt_term:.3g}",
+                      CalibrationWarning, stacklevel=2)
+    return test
 
 
 def mc_scale_minimax(
@@ -677,12 +671,9 @@ def mc_scale_minimax(
     exponents = test.norm_exponents()
     stats = _null_statistics(test.d, exponents, alpha, plan, workers, stats)
     threshold = empirical_upper_quantile(_max_ratio(stats, exponents, test.kappas), alpha)
-    return replace(
-        test,
-        threshold=threshold,
-        alpha=alpha,
-        provenance=test.provenance + f" mc-scaled({plan.descriptor()})",
-    )
+    # replace builds a new record, whose kappas are worked out again, bit for bit
+    return replace(test, threshold=threshold, alpha=alpha,
+                   provenance=test.provenance + f" mc-scaled({plan.descriptor()})")
 
 
 class Calibration(NamedTuple):
@@ -793,8 +784,9 @@ _CODECS = {
 # optional key loads as the field's default.  A combined test's ``alphas``
 # and ``budget_<name>`` lines are its AlphaBudget's.  A key that names no
 # field (a combined test's ``alpha`` and ``budget_generator``, a minimax
-# test's ``max_power``) is worked out from the other lines: it is written
-# from the property, and on load it must equal the value worked out.
+# test's ``kappas``) is worked out from the other lines: it is written from
+# the attribute, and on load it must equal the value worked out, the kappas
+# (which another libm may move by an ulp) to relative 1e-12, the rest exactly.
 _ARTIFACTS = {
     "single": (PNormTest, (
         ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
@@ -824,6 +816,13 @@ def _value(test, key: str):
     """The value the artifact line ``key`` of ``test`` records."""
     name = _budget_attr(key)
     return getattr(test.budget, name) if name else getattr(test, key)
+
+
+def _agrees(found, want) -> bool:
+    """Whether a derived line holds the value worked out (see ``_ARTIFACTS``)."""
+    if not isinstance(want, tuple):
+        return found == want
+    return len(found) == len(want) and all(abs(a - w) <= 1e-12 * w for a, w in zip(found, want))
 
 
 def save_test(test, path) -> None:
@@ -867,7 +866,7 @@ def load_test(path):
         if budget:
             fields["budget"] = AlphaBudget(**budget)
         test = cls(**fields)
-    except DomainError as exc:
+    except (DomainError, ArithmeticError) as exc:  # a minimax d past float range overflows
         raise ConfigError(f"artifact value out of range: {exc}") from exc
     # calibration never writes these; an uncalibrated combined test's
     # calibration_size is nan and stays valid
@@ -879,7 +878,7 @@ def load_test(path):
             bad.append(f"{name} = {getattr(test, name)!r}")
     bad += [f"kappa = {k!r}" for k in getattr(test, "kappas", ()) if not 0.0 < k < math.inf]
     bad += [f"{key} = {kv[key]} where the other lines give {_value(test, key)!r}"
-            for key, value in derived.items() if value != _value(test, key)]
+            for key, value in derived.items() if not _agrees(value, _value(test, key))]
     if bad:
         raise ConfigError(f"artifact value out of range: {', '.join(bad)}")
     return test

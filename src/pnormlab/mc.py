@@ -78,7 +78,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .norms import Exponent, ShiftedNormKernel, _tile_rows
 
 __all__ = [
@@ -343,6 +343,9 @@ def simulate_null_statistics(
 def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
     """Conservative empirical critical value: the ceil(R*(1-alpha))-th order
     statistic (no interpolation), keeping empirical size within 1/R of alpha.
+
+    An order statistic that is NaN or infinite (a small exponent's norms
+    overflow) is a NumericError; rows above a finite one may overflow.
     """
     values = np.asarray(values, dtype=float)
     r = values.size
@@ -352,4 +355,8 @@ def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     k = math.ceil(r * (1.0 - alpha))
     k = min(max(k, 1), r)
-    return float(np.partition(values, k - 1)[k - 1])
+    value = float(np.partition(values, k - 1)[k - 1])
+    if not math.isfinite(value):
+        raise NumericError(f"the upper {alpha:g} quantile of the null sample is {value!r}: "
+                           "the statistic overflows")
+    return value

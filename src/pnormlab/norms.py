@@ -6,7 +6,10 @@ Finite-exponent norms are evaluated in max-factored form,
     ||y||_p = m * (sum (|y_i|/m)^p)^(1/p),   m = max_i |y_i|,
 
 so arbitrarily large exponents (the power lab uses p beyond 55 at d in the
-hundreds of thousands) cannot overflow.
+hundreds of thousands) cannot overflow.  A small exponent can: the root
+``S_p^(1/p)`` raises a sum of up to d to the power 1/p, so at p = 0.001 and
+d = 100 every norm is inf, and a Monte Carlo calibration on such a column
+refuses its infinite critical value (`mc.empirical_upper_quantile`).
 
 `_scaled_power_sums` is the one routine that computes power sums: on two
 caller-owned scratch matrices it walks small integer exponents through one

@@ -37,20 +37,14 @@ from pnormlab.engine import (
     CalibrationWarning,
     EnhancedTest,
     PNormTest,
-    build_combined,
-    build_minimax_adaptive,
-    geometric_budget,
+    calibrate_suite,
+    calibration,
     mc_calibrate,
-    mc_scale_minimax,
     member_exponents,
     reject_matrix,
 )
 from pnormlab.gaussmath import abs_moment, detection_weight
-from pnormlab.mc import (
-    MonteCarloPlan,
-    empirical_upper_quantile,
-    simulate_null_statistics,
-)
+from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import SUP, Exponent, batch_norms
 from pnormlab.power import (
     default_gap_grid,
@@ -87,6 +81,7 @@ PE_POWER_SEED = 20_240_602
 
 MINIMAX_MARGIN = 5.0
 MINIMAX_MAX_POWER = 8
+DESK_TESTS = ("p=1", "p=2", "p=3", "p=4", "sup", "combined", "minimax")
 
 GAP_BOUND = 0.24
 PE_D = 50_000
@@ -119,34 +114,16 @@ def _report(num, name, passed, detail=""):
 @pytest.fixture(scope="module")
 def desk():
     cal_plan = MonteCarloPlan(replications=R_CALIBRATE, seed=CAL_SEED)
-    m, member_ps = member_exponents(D_DESK, "exp")
-    singles = [Exponent.finite(p) for p in (1.0, 2.0, 3.0, 4.0)] + [SUP]
-    union = list(
-        dict.fromkeys(
-            singles
-            + [Exponent.finite(p) for p in member_ps]
-            + [Exponent.finite(float(j)) for j in range(1, MINIMAX_MAX_POWER + 1)]
-        )
-    )
-    stats = simulate_null_statistics(D_DESK, union, cal_plan)
-    tests = {}
-    for e in singles:
-        tests[e.label] = PNormTest(
-            d=D_DESK,
-            exponent=e,
-            critical_value=empirical_upper_quantile(stats[e], ALPHA),
-            alpha=ALPHA,
-            provenance=f"monte_carlo({cal_plan.descriptor()})",
-        )
-    combined = build_combined(
-        D_DESK, member_ps, geometric_budget(m, ALPHA), cal_plan, stats=stats
-    )
-    tests["combined"] = combined
+    settings = {"margin": MINIMAX_MARGIN, "max-power": MINIMAX_MAX_POWER}
+
+    def option(key, default):
+        return settings.get(key, default)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CalibrationWarning)
-        analytic = build_minimax_adaptive(D_DESK, MINIMAX_MARGIN, MINIMAX_MAX_POWER)
-    tests["minimax"] = mc_scale_minimax(analytic, ALPHA, cal_plan, stats=stats)
-    return {"tests": tests, "combined": combined}
+        calibrations = [calibration(name, D_DESK, ALPHA, cal_plan, option) for name in DESK_TESTS]
+    tests = dict(zip(DESK_TESTS, calibrate_suite(calibrations)))
+    return {"tests": tests, "combined": tests["combined"]}
 
 
 def _rel_err(value, log_oracle):

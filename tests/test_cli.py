@@ -268,6 +268,33 @@ class TestExitCodes:
         assert code == 3
         assert "overflows at p=1e-05, d=10" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv, written", [
+        (["calibrate", "--d", 100, "--test", "p=0.001", "--reps", 2000, "--out", "{tmp}/a.txt"],
+         "a.txt"),
+        (["power", "--d", 100, "--tests", "p=0.001,p=2", "--agrid", "0:1:3", "--calib-reps",
+          2000, "--reps", 256, "--outdir", "{tmp}/pw"], "pw"),
+    ], ids=["calibrate", "power"])
+    def test_overflowing_monte_carlo_critical_value_exits_three(
+        self, tmp_path, capsys, argv, written
+    ):
+        # every null p=0.001 norm overflows at d = 100, and so does the quantile
+        assert run([str(a).format(tmp=tmp_path) for a in argv]) == 3
+        assert "quantile of the null sample is inf" in capsys.readouterr().err
+        assert not (tmp_path / written).exists()
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["consistency", "--family", "power-sparse:0.1", "--exponents", "2", "--dgrid",
+          "geometric:1e3:1e300", "--outdir", "{tmp}/out"],
+         "power-sparse spike height overflows at p=0.1, d="),
+        (["radius", "--p", "0.01", "--d", "1000000"],
+         "minimax radius overflows at p=0.01, d=1e+06"),
+    ], ids=["power-sparse", "radius"])
+    def test_overflowing_power_of_d_names_p_and_d(self, tmp_path, capsys, argv, refusal):
+        assert run([a.format(tmp=tmp_path) for a in argv]) == 3
+        assert refusal in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrate:
     def test_asymptotic_prints_formula_value(self, capsys):
@@ -341,6 +368,38 @@ class TestCalibrate:
                     2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
         assert refusal in capsys.readouterr().err
         assert drawn == [] and not (tmp_path / "pw").exists()
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("margin, refusal", [
+        ("3", "artifact value out of range: kappas = "),
+        ("-1", "artifact value out of range: margin must be a positive real, got -1.0"),
+    ], ids=["other-margin", "negative-margin"])
+    def test_minimax_artifact_whose_margin_moved_exits_two(
+        self, tmp_path, capsys, monkeypatch, margin, refusal
+    ):
+        # the kappas are worked out from d, margin and max_power: a margin
+        # that does not give the written kappas is refused before any draw
+        art = tmp_path / "mm.txt"
+        assert run(["calibrate", "--d", 100, "--test", "minimax", "--reps", 2000,
+                    "--out", art]) == 0
+        art.write_text(re.sub(r"(?m)^margin = .*$", f"margin = {margin}", art.read_text()))
+        capsys.readouterr()
+        drawn = []
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(out.shape))
+        assert run(["power", "--d", 100, "--tests", "sup", "--artifact", art, "--calib-reps",
+                    2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
+        assert refusal in capsys.readouterr().err
+        assert drawn == [] and not (tmp_path / "pw").exists()
+
+    @pytest.mark.parametrize("option, refusal", [
+        (["--margin", "inf"], "margin must be a positive real, got inf"),
+        (["--max-power", 1001], "max_power must lie in 1..1000, got 1001"),
+    ], ids=["margin", "max-power"])
+    def test_minimax_refusal_names_its_setting(self, capsys, monkeypatch, option, refusal):
+        calls = count_draws(monkeypatch)
+        assert run(["calibrate", "--d", 100, "--test", "minimax", "--reps", 2000] + option) == 2
+        assert refusal in capsys.readouterr().err
+        assert calls == []
 
     def test_combined_preset(self, tmp_path, capsys):
         out = tmp_path / "combined.txt"

@@ -22,7 +22,7 @@ from pnormlab.consistency import (
     sparse,
     sup_criterion,
 )
-from pnormlab.errors import DomainError
+from pnormlab.errors import DomainError, NumericError
 from pnormlab.gaussmath import detection_weight, sup_centering
 from pnormlab.norms import SUP, Exponent
 
@@ -64,6 +64,12 @@ class TestFamilies:
         theta = fam.theta(10_000)
         assert theta[0] == pytest.approx(10_000 ** (1 / 8), rel=1e-15)
         assert np.count_nonzero(theta) == 1
+
+    def test_power_sparse_height_overflow_names_p_and_d(self):
+        # d ** (1 / (2 p)) is 1e1500 at p = 0.1
+        with pytest.raises(NumericError,
+                           match=r"spike height overflows at p=0.1, d=1e\+300"):
+            power_sparse(0.1).runs(10**300)
 
     def test_custom_rule_shape_guard(self):
         fam = custom_family(lambda d: np.ones(d + 1), "bad")
@@ -425,6 +431,11 @@ class TestMinimaxRadius:
     def test_domain(self):
         with pytest.raises(DomainError):
             minimax_radius(0.0, 100)
+
+    def test_overflow_names_p_and_d(self):
+        # d ** ((4 - p) / (4 p)) is 1e598 at p = 0.01
+        with pytest.raises(NumericError, match=r"minimax radius overflows at p=0.01, d=1e\+06"):
+            minimax_radius(0.01, 10**6)
 
 
 class TestContourGrid:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,14 @@ class TestBuildCombined:
             single.critical_value, rel=1e-12
         )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_member_whose_norms_overflow_is_refused(self):
+        # every null p=0.001 norm overflows at d = 100: its kappa would be
+        # inf and its ratio inf / inf = nan
+        with pytest.raises(NumericError, match="quantile of the null sample is inf"):
+            build_combined(100, (0.001, 2.0), geometric_budget(2, 0.05),
+                           MonteCarloPlan(replications=2000, seed=1))
+
     def test_shared_stats_reuse_matches_internal_simulation(self):
         plan = MonteCarloPlan(replications=5000, seed=33)
         m, exps = member_exponents(400, "exp")
@@ -747,7 +756,7 @@ class TestFields:
 
     FIELDS = {
         CombinedTest: "d exponents kappas scale budget calibration_size provenance",
-        MinimaxAdaptiveTest: "d margin kappas threshold alpha provenance",
+        MinimaxAdaptiveTest: "d margin max_power threshold alpha provenance",
         EnhancedTest: "base",
         UnionTest: "members",
         ConstantTest: "d",
@@ -768,8 +777,9 @@ class TestFields:
         combined = CombinedTest(d=60, exponents=(1.0, 2.0, 4.0), kappas=(50.0, 9.0, 4.0),
                                 scale=1.0, budget=budget)
         assert combined.alpha == budget.total
-        minimax = MinimaxAdaptiveTest(d=60, margin=4.0, kappas=(60.0, 10.0, 6.0))
-        assert minimax.max_power == 3 and minimax.label == "minimax(pmax=3)"
+        minimax = MinimaxAdaptiveTest(d=60, margin=4.0, max_power=3)
+        assert minimax.kappas == tuple(minimax_critical_value(p, 60, 4.0) for p in (1, 2, 3))
+        assert minimax.label == "minimax(pmax=3)"
         assert minimax.norm_exponents() == tuple(Exponent.finite(p) for p in (1.0, 2.0, 3.0))
 
     def test_derived_record_values(self):
@@ -877,14 +887,56 @@ class TestSerialization:
          b"exponents = 2,3\nalphas = 0.025,0.025\nbudget_generator = geometric\n"
          b"budget_success = 0.5\nbudget_last_share = 0.5\nkappas = 11.1,5.2\nscale = 1\n",
          "alpha = 0.07"),
-        # three kappas make max_power 3
+        # d = 100 and margin 5 give kappas 109.93..., 13.07...
         (b"schema = pnormlab-test/1\nkind = minimax\nd = 100\nmargin = 5\n"
-         b"max_power = 2\nkappas = 90,13,6\nthreshold = 1\n", "max_power = 2"),
-    ], ids=["combined-alpha", "minimax-max-power"])
+         b"max_power = 2\nkappas = 90,13\nthreshold = 1\n", "kappas = 90,13"),
+    ], ids=["combined-alpha", "minimax-kappas"])
     def test_derived_line_must_agree(self, tmp_path, content, line):
         path = tmp_path / "a.txt"
         path.write_bytes(content)
         with pytest.raises(ConfigError, match=line):
+            load_test(path)
+
+    @staticmethod
+    def _minimax_with_kappas(path, move):
+        """A d = 60, margin 4 minimax artifact whose kappas are ``move(k)``."""
+        test = MinimaxAdaptiveTest(d=60, margin=4.0, max_power=3)
+        save_test(test, path)
+        kappas = ",".join(format(move(k), ".17g") for k in test.kappas)
+        path.write_text(re.sub(r"(?m)^kappas = .*$", f"kappas = {kappas}", path.read_text()))
+        return test
+
+    def test_kappas_an_ulp_or_two_apart_load(self, tmp_path):
+        # another libm may move an analytic kappa by an ulp
+        path = tmp_path / "a.txt"
+        test = self._minimax_with_kappas(
+            path, lambda k: np.nextafter(np.nextafter(k, np.inf), np.inf))
+        assert load_test(path) == test
+        assert load_test(path).kappas == test.kappas
+
+    def test_kappas_that_moved_further_are_refused(self, tmp_path):
+        path = tmp_path / "a.txt"
+        self._minimax_with_kappas(path, lambda k: k * (1.0 + 1e-9))
+        with pytest.raises(ConfigError, match="out of range: kappas = "):
+            load_test(path)
+
+    def test_minimax_d_past_float_range_is_out_of_range(self, tmp_path):
+        # working out the kappas overflows, which is the artifact's fault
+        path = tmp_path / "a.txt"
+        path.write_text("schema = pnormlab-test/1\nkind = minimax\nd = 1" + "0" * 400
+                        + "\nmargin = 4\nmax_power = 1\nkappas = 60\nthreshold = 1\n")
+        with pytest.raises(ConfigError, match="out of range: int too large to convert to float"):
+            load_test(path)
+
+    # a max_power read from an artifact asks for that many kappas
+    @pytest.mark.parametrize("max_power", [0, 1001])
+    def test_max_power_outside_its_range_is_refused(self, tmp_path, max_power):
+        with pytest.raises(DomainError, match="max_power must lie in 1..1000"):
+            MinimaxAdaptiveTest(d=60, margin=4.0, max_power=max_power)
+        path = tmp_path / "a.txt"
+        path.write_text("schema = pnormlab-test/1\nkind = minimax\nd = 60\nmargin = 4\n"
+                        f"max_power = {max_power}\nkappas = 60\nthreshold = 1\n")
+        with pytest.raises(ConfigError, match="out of range: max_power must lie in 1..1000"):
             load_test(path)
 
     def test_uncalibrated_combined_artifact_loads(self, tmp_path):

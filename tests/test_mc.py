@@ -13,7 +13,7 @@ from scipy import stats
 from pnormlab import mc
 from pnormlab.consistency import custom_family, dense, power_sparse, semi_sparse, sparse
 from pnormlab.engine import ConstantTest, PNormTest
-from pnormlab.errors import ConfigError, DomainError
+from pnormlab.errors import ConfigError, DomainError, NumericError
 from pnormlab.mc import (
     MonteCarloPlan,
     chunk_generator,
@@ -471,6 +471,18 @@ class TestEmpiricalUpperQuantile:
         emp = np.mean(values >= q)
         assert emp <= alpha + 1.0 / values.size + 1e-12
         assert emp > alpha - 1.0 / values.size - 1e-12
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_an_order_statistic_that_overflowed_is_refused(self, bad):
+        # a small exponent's null norms all overflow to inf, and inf >= inf
+        # would reject every row
+        with pytest.raises(NumericError, match=f"quantile of the null sample is {bad!r}"):
+            empirical_upper_quantile(np.full(100, bad), 0.05)
+
+    def test_rows_that_overflowed_above_a_finite_quantile_are_kept(self):
+        values = np.arange(1.0, 101.0)
+        values[[97, 98, 99]] = [math.inf, math.nan, math.inf]
+        assert empirical_upper_quantile(values, 0.05) == 95.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
