@@ -38,7 +38,6 @@ from .engine import (
     asymptotic_test,
     build_combined,
     build_minimax_adaptive,
-    custom_budget,
     geometric_budget,
     load_test,
     mc_calibrate,

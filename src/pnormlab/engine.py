@@ -57,7 +57,6 @@ __all__ = [
     "asymptotic_test",
     "AlphaBudget",
     "geometric_budget",
-    "custom_budget",
     "member_exponents",
     "PNormTest",
     "CombinedTest",
@@ -79,7 +78,7 @@ __all__ = [
 
 class CalibrationWarning(UserWarning):
     """Non-fatal notice that a finite-d surrogate of an asymptotic
-    side condition is violated, or that an unverifiable input is accepted."""
+    side condition is violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -182,41 +181,31 @@ class AlphaBudget:
     """Per-member size allocation of a combined test.
 
     ``alphas[j]`` is the marginal level of member j (0-based, ordered by
-    exponent).  The geometric generator spreads a ``1 - last_share`` fraction
-    of the total level over the first ``m - 1`` members proportionally to a
-    geometric mass function with the given success parameter, and puts
-    ``last_share`` of the level on the largest exponent.  A budget that
-    gives its success and last_share is geometric, and its alphas must be
-    that allocation of their total (to relative 1e-12); one that gives
-    neither is custom.
+    exponent).  The allocation is geometric: a ``1 - last_share`` fraction
+    of the total level spreads over the first ``m - 1`` members
+    proportionally to a geometric mass function with the given success
+    parameter, and ``last_share`` of it sits on the largest exponent.  The
+    alphas must be that allocation of their total (to relative 1e-12).
     """
 
     alphas: tuple[float, ...]
-    success: float | None = None
-    last_share: float | None = None
+    success: float
+    last_share: float
+
+    generator = "geometric"
 
     def __post_init__(self):
-        if len(self.alphas) < 1:
-            raise DomainError("budget needs at least one member")
         for a in self.alphas:
             if not (0.0 < a < 1.0):
                 raise DomainError(f"every member level must lie in (0, 1), got {a!r}")
         if not (0.0 < self.total < 1.0):
             raise DomainError("total level must lie in (0, 1)")
-        if (self.success is None) != (self.last_share is None):
-            raise DomainError("a geometric budget needs both its success and last_share")
-        if self.success is not None:
-            want = _geometric_alphas(self.member_count, self.total, self.success,
-                                     self.last_share)
-            for j, (a, w) in enumerate(zip(self.alphas, want)):
-                if abs(a - w) > 1e-12 * w:
-                    raise DomainError(f"alphas are not the geometric allocation of success "
-                                      f"{self.success!r} and last_share {self.last_share!r}:"
-                                      f" member {j} has {a!r} where it gives {w!r}")
-
-    @property
-    def generator(self) -> str:
-        return "custom" if self.success is None else "geometric"
+        want = _geometric_alphas(self.member_count, self.total, self.success, self.last_share)
+        for j, (a, w) in enumerate(zip(self.alphas, want)):
+            if abs(a - w) > 1e-12 * w:
+                raise DomainError(f"alphas are not the geometric allocation of success "
+                                  f"{self.success!r} and last_share {self.last_share!r}:"
+                                  f" member {j} has {a!r} where it gives {w!r}")
 
     @property
     def total(self) -> float:
@@ -227,27 +216,14 @@ class AlphaBudget:
         return len(self.alphas)
 
     def limit_alpha(self, index: int) -> float:
-        """Large-dimension limit of the member level (0-based index).
-
-        Exact for the geometric generator; for custom budgets the finite
-        allocation itself is returned with a warning, since no limit rule is
-        known.
-        """
+        """Large-dimension limit of the member level (0-based index)."""
         m = self.member_count
         if not (0 <= index < m):
             raise DomainError(f"member index out of range: {index!r}")
-        if self.generator == "geometric":
-            if index == m - 1:
-                return self.last_share * self.total
-            head = (1.0 - self.last_share) * self.total
-            return head * self.success * (1.0 - self.success) ** index
-        warnings.warn(
-            "custom budget has no declared limit rule; using the finite "
-            "allocation as its own limit",
-            CalibrationWarning,
-            stacklevel=2,
-        )
-        return self.alphas[index]
+        if index == m - 1:
+            return self.last_share * self.total
+        head = (1.0 - self.last_share) * self.total
+        return head * self.success * (1.0 - self.success) ** index
 
 
 def geometric_budget(
@@ -258,19 +234,6 @@ def geometric_budget(
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     return AlphaBudget(alphas=_geometric_alphas(int(members), alpha, success, last_share),
                        success=success, last_share=last_share)
-
-
-def custom_budget(alphas: Sequence[float]) -> AlphaBudget:
-    """Budget from explicit member levels (accepted with a warning: the
-    side conditions a combined test needs are only guaranteed for the
-    geometric generator)."""
-    warnings.warn(
-        "custom alpha budgets are accepted but their large-dimension side "
-        "conditions cannot be verified",
-        CalibrationWarning,
-        stacklevel=2,
-    )
-    return AlphaBudget(alphas=tuple(float(a) for a in alphas))
 
 
 def member_exponents(d: int, preset: str = "exp") -> tuple[int, tuple[float, ...]]:
@@ -782,11 +745,12 @@ _CODECS = {
 # The lines of each artifact kind after ``schema`` and ``kind``, in file
 # order: (key, type, required).  A None value is not written, and an absent
 # optional key loads as the field's default.  A combined test's ``alphas``
-# and ``budget_<name>`` lines are its AlphaBudget's.  A key that names no
-# field (a combined test's ``alpha`` and ``budget_generator``, a minimax
-# test's ``kappas``) is worked out from the other lines: it is written from
-# the attribute, and on load it must equal the value worked out, the kappas
-# (which another libm may move by an ulp) to relative 1e-12, the rest exactly.
+# and ``budget_<name>`` lines are its AlphaBudget's, which is geometric.  A
+# key that names no field (a combined test's ``alpha``, the constant
+# ``budget_generator``, a minimax test's ``kappas``) is worked out from the
+# other lines: it is written from the attribute, and on load it must equal
+# the value worked out, the kappas (which another libm may move by an ulp)
+# to relative 1e-12, the rest exactly.
 _ARTIFACTS = {
     "single": (PNormTest, (
         ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
@@ -795,7 +759,7 @@ _ARTIFACTS = {
     "combined": (CombinedTest, (
         ("d", int, True), ("alpha", float, True), ("exponents", tuple, True),
         ("alphas", tuple, True), ("budget_generator", str, False),
-        ("budget_success", float, False), ("budget_last_share", float, False),
+        ("budget_success", float, True), ("budget_last_share", float, True),
         ("kappas", tuple, True), ("scale", float, True),
         ("calibration_size", float, False), ("provenance", str, False),
     )),

@@ -93,6 +93,9 @@ __all__ = [
 
 _SPARSE_SUPPORT_FRACTION = 0.2  # shared kernel up to this support share
 _CHUNK_BUFFERS = 4  # tile buffers a chunk allocates: the noise and three norm scratch
+# from this d on, a chunk's one-row block of _CHUNK_BUFFERS * d doubles
+# takes 2**63 bytes or more, past the largest size numpy can index
+_UNINDEXABLE_D = 2**63 // (_CHUNK_BUFFERS * 8)
 
 
 def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -194,7 +197,8 @@ class Unit:
     When a sparse kernel takes its nonzero entries (`_joins_sparse_kernel`)
     the unit is held by their ascending ``support`` and the ``values``
     there; otherwise ``support`` is None and ``values`` is the whole dense
-    row.  Build one with `from_runs`, which refuses a NaN or infinite entry.
+    row.  Build one with `from_runs`, which refuses a NaN or infinite entry
+    and a d whose chunk block numpy cannot index (2**58 or more).
     """
 
     d: int
@@ -207,7 +211,15 @@ class Unit:
         as `consistency.AlternativeFamily.runs` describes a family; a sparse
         unit costs its support and the runs, never d."""
         values = _finite(values)
-        counts = np.asarray(counts).astype(np.int64)
+        counts = np.asarray(counts)
+        # summed before the int64 cast, which wraps a count past 2**63; a
+        # count past uint64 makes an object array of Python ints
+        total = sum(counts.tolist()) if counts.dtype == object else counts.sum(dtype=float)
+        if not total < _UNINDEXABLE_D:
+            raise DomainError(f"dimension d={total} is too large: a chunk's block of "
+                              f"{_CHUNK_BUFFERS} rows of d doubles needs d below "
+                              f"{_UNINDEXABLE_D:.3g}")
+        counts = counts.astype(np.int64)
         keep = values != 0.0
         kept = counts[keep]
         d, size = int(counts.sum()), int(kept.sum())

@@ -178,8 +178,10 @@ def batch_norms(Y: np.ndarray, exponents: Sequence[Exponent]) -> dict[Exponent, 
 def _norms(m: np.ndarray, sums: dict[float, np.ndarray],
            exponents: Sequence[Exponent]) -> dict[Exponent, np.ndarray]:
     """The norms ``m * S_p^(1/p)`` from row maxima ``m`` and power sums
-    ``S_p`` of the rows scaled by them, keyed by exponent; ``m`` for sup."""
-    return {e: m if e.is_sup else m * sums[e.p] ** (1.0 / e.p) for e in exponents}
+    ``S_p`` of the rows scaled by them, keyed by exponent; ``m`` for sup.
+    A small exponent's norm that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return {e: m if e.is_sup else m * sums[e.p] ** (1.0 / e.p) for e in exponents}
 
 
 class ShiftedNormKernel:

@@ -35,6 +35,20 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def run_in_subprocess(argv, disabled=None):
+    """``argv`` run through ``python -m pnormlab.cli`` in a fresh interpreter,
+    which shows its warnings on stderr as a console run does, with the numpy
+    CPU features ``disabled`` turned off; returns the completed process."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "PYTHONWARNINGS")}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnormlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "pnormlab.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
 def count_draws(monkeypatch):
     """Record every null-statistics draw: a suite's or a calibrator's, both in the engine."""
     calls = []
@@ -268,20 +282,40 @@ class TestExitCodes:
         assert code == 3
         assert "overflows at p=1e-05, d=10" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("argv, written", [
         (["calibrate", "--d", 100, "--test", "p=0.001", "--reps", 2000, "--out", "{tmp}/a.txt"],
          "a.txt"),
         (["power", "--d", 100, "--tests", "p=0.001,p=2", "--agrid", "0:1:3", "--calib-reps",
           2000, "--reps", 256, "--outdir", "{tmp}/pw"], "pw"),
     ], ids=["calibrate", "power"])
-    def test_overflowing_monte_carlo_critical_value_exits_three(
-        self, tmp_path, capsys, argv, written
-    ):
-        # every null p=0.001 norm overflows at d = 100, and so does the quantile
-        assert run([str(a).format(tmp=tmp_path) for a in argv]) == 3
-        assert "quantile of the null sample is inf" in capsys.readouterr().err
+    def test_overflowing_monte_carlo_critical_value_exits_three(self, tmp_path, argv, written):
+        # every null p=0.001 norm overflows at d = 100, and so does the
+        # quantile; a fresh interpreter prints a numpy warning to stderr, as
+        # a console run does, so stderr shows that none was raised
+        done = run_in_subprocess([str(a).format(tmp=tmp_path) for a in argv])
+        assert done.returncode == 3
+        assert done.stderr.startswith("numeric error: ")
+        assert "quantile of the null sample is inf" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         assert not (tmp_path / written).exists()
+
+    # numpy cannot index a chunk's one-row block of 4 x d doubles: refused
+    # before the draw, which would fail to allocate
+    @pytest.mark.parametrize("d", [10**19, 5 * 10**18])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--test", "p=2", "--reps", "1000"],
+        ["power", "--tests", "p=2", "--calib-reps", "2000", "--reps", "200", "--agrid", "0:1:2",
+         "--outdir", "{tmp}/out"],
+        ["demo-enhance", "--base", "never", "--reps", "200", "--outdir", "{tmp}/out"],
+    ], ids=["calibrate", "power", "demo-enhance"])
+    def test_dimension_past_a_chunk_block_exits_two(self, tmp_path, capsys, monkeypatch, argv, d):
+        drawn = []
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(out.shape))
+        assert run([a.format(tmp=tmp_path) for a in argv] + ["--d", d]) == 2
+        assert capsys.readouterr().err == (f"error: dimension d={float(d)!r} is too large: a "
+                                           "chunk's block of 4 rows of d doubles needs d below "
+                                           "2.88e+17\n")
+        assert drawn == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, refusal", [
         (["consistency", "--family", "power-sparse:0.1", "--exponents", "2", "--dgrid",
@@ -339,8 +373,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("key, edit, refusal", [
         ("alphas", lambda v: ",".join(v.split(",")[1::-1] + v.split(",")[2:]),
          "artifact value out of range: alphas are not the geometric allocation"),
-        ("budget_last_share", lambda v: None,
-         "artifact value out of range: a geometric budget needs both"),
+        ("budget_last_share", lambda v: None, "artifact is missing field 'budget_last_share'"),
         ("kappas", lambda v: v.rsplit(",", 1)[0],
          "artifact value out of range: 3 exponents, 3 alphas and 2 kappas"),
         ("kappas", lambda v: "1,abc", "artifact has a malformed value"),
@@ -1057,17 +1090,12 @@ _ABOVE_X86_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def _calibrate_in_subprocess(out, disabled):
-    """A non-integer-exponent calibration run through ``python -m pnormlab.cli`` in
-    a fresh interpreter, with the numpy CPU features ``disabled`` turned off;
-    returns its artifact and its manifest."""
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pnormlab.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    subprocess.run([sys.executable, "-m", "pnormlab.cli", "calibrate", "--d", "300",
-                    "--test", "p=2.5", "--reps", "2000", "--out", str(out)],
-                   env=env, check=True, capture_output=True)
+    """A non-integer-exponent calibration run in a fresh interpreter with the
+    numpy CPU features ``disabled`` turned off; returns its artifact and its
+    manifest."""
+    done = run_in_subprocess(["calibrate", "--d", 300, "--test", "p=2.5", "--reps", 2000,
+                              "--out", out], disabled)
+    assert done.returncode == 0, done.stderr
     return read_kv(out), read_kv(f"{out}.manifest")
 
 

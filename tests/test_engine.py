@@ -23,7 +23,6 @@ from pnormlab.engine import (
     build_minimax_adaptive,
     calibrate_suite,
     calibration,
-    custom_budget,
     geometric_budget,
     load_test,
     mc_calibrate,
@@ -274,23 +273,35 @@ class TestBudgets:
             b = geometric_budget(m, alpha, success=s, last_share=g)
             assert abs(math.fsum(b.alphas) - alpha) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")  # every budget has its limit rule
     def test_limit_levels(self):
         b = geometric_budget(5, 0.05)
         assert b.limit_alpha(0) == pytest.approx(0.0125, rel=1e-12)
         assert b.limit_alpha(4) == pytest.approx(0.025, rel=1e-12)
+        with pytest.raises(DomainError, match="member index out of range"):
+            b.limit_alpha(5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             geometric_budget(1, 0.05)
         with pytest.raises(DomainError):
             geometric_budget(3, 1.2)
-        with pytest.raises(DomainError):
-            AlphaBudget(alphas=(0.4, 0.7))  # total above 1
+        with pytest.raises(DomainError, match="total level"):
+            AlphaBudget(alphas=(0.4, 0.7), success=0.5, last_share=0.5)  # total above 1
+        with pytest.raises(TypeError):  # a budget is geometric: no field has a default
+            AlphaBudget(alphas=(0.025, 0.025))
 
+    # an artifact gives both, or is refused naming the line it lacks
     @pytest.mark.parametrize("given", [{"success": 0.5}, {"last_share": 0.5}])
-    def test_success_and_last_share_come_together(self, given):
-        with pytest.raises(DomainError, match="both its success and last_share"):
-            AlphaBudget(alphas=(0.025, 0.025), **given)
+    def test_success_and_last_share_come_together(self, tmp_path, given):
+        (key, value), = given.items()
+        missing = "budget_last_share" if key == "success" else "budget_success"
+        path = tmp_path / "a.txt"
+        path.write_text("schema = pnormlab-test/1\nkind = combined\nd = 100\nalpha = 0.05\n"
+                        "exponents = 2,3\nalphas = 0.025,0.025\nbudget_generator = geometric\n"
+                        f"budget_{key} = {value}\nkappas = 11.1,5.2\nscale = 1\n")
+        with pytest.raises(ConfigError, match=f"artifact is missing field '{missing}'"):
+            load_test(path)
 
     def test_geometric_alphas_must_be_the_allocation(self):
         b = geometric_budget(4, 0.05, success=0.3, last_share=0.4)
@@ -305,16 +316,6 @@ class TestBudgets:
                 AlphaBudget(alphas=b.alphas, success=success, last_share=0.4)
         with pytest.raises(DomainError, match="at least two members"):
             AlphaBudget(alphas=(0.05,), success=0.5, last_share=0.5)
-
-    def test_custom_budget_warns(self):
-        with pytest.warns(CalibrationWarning):
-            custom_budget((0.02, 0.03))
-
-    def test_custom_limit_is_the_finite_level(self):
-        with pytest.warns(CalibrationWarning):
-            b = custom_budget((0.02, 0.03))
-        with pytest.warns(CalibrationWarning, match="no declared limit rule"):
-            assert b.limit_alpha(1) == 0.03
 
 
 class TestMemberExponents:
@@ -385,17 +386,7 @@ class TestBuildCombined:
         combined_reject = test.decide_batch(norms, Y[:, 0])
         assert np.all(combined_reject[member_hit])
 
-    def test_single_member_degenerates_to_plain_quantile(self):
-        plan = MonteCarloPlan(replications=5000, seed=21)
-        with pytest.warns(CalibrationWarning):
-            budget = custom_budget((0.05,))
-        test = build_combined(300, (2.0,), budget, plan)
-        single = mc_calibrate(E2, 300, 0.05, plan)
-        assert test.scale * test.kappas[0] == pytest.approx(
-            single.critical_value, rel=1e-12
-        )
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflowed norm is inf, silently
     def test_member_whose_norms_overflow_is_refused(self):
         # every null p=0.001 norm overflows at d = 100: its kappa would be
         # inf and its ratio inf / inf = nan
@@ -978,13 +969,6 @@ class TestSerialization:
             "kappas = 57.553672085542409,9.410917814301758,4.3273275508746654\n"
             "scale = 0.98712917316653814\ncalibration_size = 0.050500000000000003\n"
             f"provenance = mc({_MC})\n"),
-        "combined-custom": (
-            lambda plan: build_combined(60, (2.0, 4.0), custom_budget((0.02, 0.02)), plan),
-            "kind = combined\nd = 60\nalpha = 0.040000000000000001\nexponents = 2,4\n"
-            "alphas = 0.02,0.02\nbudget_generator = custom\n"
-            "kappas = 9.179296147683953,4.37301753138828\n"
-            "scale = 0.98347134517952939\ncalibration_size = 0.040500000000000001\n"
-            f"provenance = mc({_MC})\n"),
         # built by hand: never calibrated, no provenance
         "combined-uncalibrated": (
             lambda plan: CombinedTest(d=60, exponents=(2.0, 4.0), kappas=(11.0, 4.0),
@@ -1017,6 +1001,19 @@ class TestSerialization:
         # an empty provenance included
         save_test(load_test(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_custom_budget_artifact_is_refused(self, tmp_path):
+        # the bytes a custom budget's calibration wrote: its generator line
+        # is read, and then the missing success line refuses it
+        path = tmp_path / "a.txt"
+        path.write_text(
+            "schema = pnormlab-test/1\nkind = combined\nd = 60\nalpha = 0.040000000000000001\n"
+            "exponents = 2,4\nalphas = 0.02,0.02\nbudget_generator = custom\n"
+            "kappas = 9.179296147683953,4.37301753138828\n"
+            "scale = 0.98347134517952939\ncalibration_size = 0.040500000000000001\n"
+            f"provenance = mc({self._MC})\n")
+        with pytest.raises(ConfigError, match="artifact is missing field 'budget_success'"):
+            load_test(path)
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(ConfigError):
