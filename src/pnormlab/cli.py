@@ -299,7 +299,9 @@ def _parse_agrid(spec: str) -> tuple[float, ...] | None:
         # a non-finite span means a non-finite bound or an overflow
         if not (math.isfinite(hi - lo) and 1 <= n <= _MAX_AGRID_POINTS):
             raise ValueError(spec)
-        return tuple(np.linspace(lo, hi, n))
+        # linspace's last step may overflow; numpy then sets the last point to hi
+        with np.errstate(over="ignore"):
+            return tuple(np.linspace(lo, hi, n))
     except ValueError as exc:
         raise ConfigError(f"bad --agrid {spec!r} (use 'auto' or lo:hi:n with "
                           f"finite bounds and 1 <= n <= {_MAX_AGRID_POINTS})") from exc
@@ -385,12 +387,15 @@ def _cmd_demo_pe(res: _Resolver):
 def _cmd_demo_enhance(res: _Resolver):
     workers = res.get("workers", 1)
     d = res.require("d")
-    alpha = res.get("alpha", 0.05)
     plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
-    calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000), res.get("calib-seed", 20_240_501))
     name = res.get("base", "p=2")
-    base = ConstantTest(d=d) if name == "never" else calibrate_suite(
-        [calibration(name, d, alpha, calib_plan, res.get)], workers)[0]
+    if name == "never":  # calibrates nothing, so reads no level or calibration plan
+        base = ConstantTest(d=d)
+    else:
+        alpha = res.get("alpha", 0.05)
+        calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000),
+                                    res.get("calib-seed", 20_240_501))
+        base = calibrate_suite([calibration(name, d, alpha, calib_plan, res.get)], workers)[0]
     rows = plab.enhancement_demo(base, plan, workers=workers)
     enhanced = EnhancedTest(base)
     outdir = _outdir(res)

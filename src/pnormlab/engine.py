@@ -18,17 +18,13 @@ All test objects are frozen dataclasses implementing a tiny protocol:
 ``d``, ``label``, ``norm_exponents()`` and ``decide_batch(norms, first)``
 operating on equal-shape arrays, with ``first`` the column ``y[:, 0]`` of
 the observations.  Only the spike detector of the power enhancement
-(:class:`EnhancedTest`) reads ``first``; the single, combined, minimax and
-constant tests decide from norm statistics alone, so their rejection
-regions are invariant under coordinate permutations and coordinate 0 is as
-weak as any.
+(:class:`EnhancedTest`) reads ``first``.
 
-A single, combined or minimax test is kept as a ``pnormlab-test/1``
-artifact of ``key = value`` lines.  One table, ``_ARTIFACTS``, declares each
-kind's keys in file order with their types and whether they are required;
+A single, combined or minimax test refuses its own out-of-range values when
+it is built, and is kept as a ``pnormlab-test/1`` artifact of ``key =
+value`` lines: one table, ``_ARTIFACTS``, declares each kind's lines,
 :func:`save_test` and :func:`load_test` both loop over it, and
-:func:`pnormlab.report.write_kv` and :func:`pnormlab.report.read_kv` own the
-line format.
+:mod:`pnormlab.report` owns the line format.
 """
 
 from __future__ import annotations
@@ -85,6 +81,17 @@ class CalibrationWarning(UserWarning):
 # Critical values
 # ---------------------------------------------------------------------------
 
+
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be a positive real, got {value!r}")
+
+
 _LOG_SPACE_P = 30.0  # beyond this, assemble the CLT bracket in log space
 _UNDEFINED_BRACKET = ("analytic critical value undefined: the centering bracket is "
                       "non-positive at this (p, d, alpha); use Monte Carlo calibration")
@@ -120,8 +127,7 @@ def _clt_bracket_root(p: float, d: int, z: float) -> float:
 def asymptotic_critical_value(p: float, d: int, alpha: float) -> float:
     """CLT critical value of the p-norm test at level alpha (finite p),
     with the vanishing correction set to zero."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_unit("alpha", alpha)
     z = std_normal_quantile(1.0 - alpha)
     return _clt_bracket_root(float(p), int(d), z)
 
@@ -135,8 +141,7 @@ def sup_asymptotic_critical_value(d: int, alpha: float) -> float:
     d = int(d)
     if d < 3:
         raise DomainError("sup-norm asymptotic critical value requires d >= 3")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_unit("alpha", alpha)
     half_tail = -math.log1p(-alpha) / 2.0
     if half_tail == 0.0:  # only alpha = 5e-324, the smallest subnormal, halves to 0
         raise CalibrationError(f"alpha={alpha!r} underflows the sup-norm critical value")
@@ -150,10 +155,8 @@ def sup_asymptotic_critical_value(d: int, alpha: float) -> float:
 def minimax_critical_value(p: float, d: int, margin: float) -> float:
     """Analytic critical value with an explicit separation margin in place of
     the normal quantile; used by the minimax-adaptive construction."""
-    margin = float(margin)
-    if not (margin > 0.0 and math.isfinite(margin)):
-        raise DomainError(f"margin must be a positive real, got {margin!r}")
-    return _clt_bracket_root(float(p), int(d), margin)
+    _check_positive("margin", float(margin))
+    return _clt_bracket_root(float(p), int(d), float(margin))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,7 @@ def _geometric_alphas(
     if members < 2:
         raise DomainError("geometric budget requires at least two members")
     for name, v in (("success", success), ("last_share", last_share)):
-        if not (0.0 < v < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
+        _check_unit(name, v)
     weights = [success * (1.0 - success) ** j for j in range(members - 1)]
     wsum = math.fsum(weights)
     head = (1.0 - last_share) * alpha
@@ -195,11 +197,8 @@ class AlphaBudget:
     generator = "geometric"
 
     def __post_init__(self):
-        for a in self.alphas:
-            if not (0.0 < a < 1.0):
-                raise DomainError(f"every member level must lie in (0, 1), got {a!r}")
-        if not (0.0 < self.total < 1.0):
-            raise DomainError("total level must lie in (0, 1)")
+        _check_unit("total level", self.total)
+        _check_unit("every member level", min(self.alphas))  # none exceeds the total
         want = _geometric_alphas(self.member_count, self.total, self.success, self.last_share)
         for j, (a, w) in enumerate(zip(self.alphas, want)):
             if abs(a - w) > 1e-12 * w:
@@ -230,8 +229,7 @@ def geometric_budget(
     members: int, alpha: float, success: float = 0.5, last_share: float = 0.5
 ) -> AlphaBudget:
     """Geometric size allocation over ``members`` ordered exponents."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_unit("alpha", alpha)
     return AlphaBudget(alphas=_geometric_alphas(int(members), alpha, success, last_share),
                        success=success, last_share=last_share)
 
@@ -278,8 +276,7 @@ def require_tail_plan(alpha: float, plan: MonteCarloPlan) -> None:
     """Refuse a plan too small for the upper ``alpha`` order statistic: it
     needs at least 1000 replications and ``alpha * replications >= 10``.
     The error names the least replication count that passes."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_unit("alpha", alpha)
     if plan.replications < 1000:
         raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
     if alpha * plan.replications < 10:
@@ -301,9 +298,7 @@ def _null_statistics(
     require_tail_plan(alpha, plan)
     if stats is None:
         return simulate_null_statistics(d, exponents, plan, workers=workers)
-    if any(e not in stats for e in exponents) or any(
-        np.shape(stats[e]) != (plan.replications,) for e in exponents
-    ):
+    if any(e not in stats or np.shape(stats[e]) != (plan.replications,) for e in exponents):
         raise DomainError("precomputed statistics do not cover the requested "
                           "exponents at the plan's replication count")
     return stats
@@ -311,13 +306,21 @@ def _null_statistics(
 
 @dataclass(frozen=True)
 class PNormTest:
-    """Single norm test: reject when the statistic reaches the critical value."""
+    """Single norm test: reject when the statistic reaches the critical value,
+    a finite real (0 always rejects), with d >= 1 and alpha in (0, 1)."""
 
     d: int
     exponent: Exponent
     critical_value: float
     alpha: float
     provenance: str = ""
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise DomainError(f"dimension must be >= 1, got {self.d!r}")
+        _check_unit("alpha", self.alpha)
+        if not math.isfinite(self.critical_value):
+            raise DomainError(f"critical value must be finite, got {self.critical_value!r}")
 
     @property
     def label(self) -> str:
@@ -336,7 +339,8 @@ class CombinedTest:
 
     Rejects when ``max_j ||y||_{p_j} / kappa_j >= scale``; ``scale <= 1``
     restores exact size after the conservative union allocation.  Its level
-    is the budget's total.
+    is the budget's total.  d >= 1, and exponents, kappas and scale are
+    positive finite reals, the exponents strictly increasing.
     """
 
     d: int
@@ -348,6 +352,8 @@ class CombinedTest:
     provenance: str = ""
 
     def __post_init__(self):
+        if self.d < 1:
+            raise DomainError(f"dimension must be >= 1, got {self.d!r}")
         ps = self.exponents  # each below the next, the last below infinity
         if not all(0.0 < p < q for p, q in zip(ps, (*ps[1:], math.inf))):
             raise DomainError(f"exponents must be strictly increasing finite positive reals, "
@@ -355,6 +361,8 @@ class CombinedTest:
         if not len(self.exponents) == self.budget.member_count == len(self.kappas):
             raise DomainError(f"{len(self.exponents)} exponents, {self.budget.member_count} "
                               f"alphas and {len(self.kappas)} kappas")
+        for name, value in (*(("kappa", k) for k in self.kappas), ("scale", self.scale)):
+            _check_positive(name, value)
 
     @property
     def alpha(self) -> float:
@@ -377,6 +385,7 @@ class MinimaxAdaptiveTest:
     analytic critical value at the separation margin; these ``kappas``
     follow from d, margin and max_power and are worked out on construction.
     max_power lies in 1..1000, a bound on the work an artifact can ask for.
+    The threshold is a positive finite real and a given alpha lies in (0, 1).
 
     With ``threshold = 1`` this is the separation-margin construction whose
     size vanishes with the margin; ``mc_scale_minimax`` replaces the
@@ -393,6 +402,9 @@ class MinimaxAdaptiveTest:
     def __post_init__(self):
         if not 1 <= self.max_power <= 1000:
             raise DomainError(f"max_power must lie in 1..1000, got {self.max_power!r}")
+        _check_positive("threshold", self.threshold)
+        if self.alpha is not None:
+            _check_unit("alpha", self.alpha)
         object.__setattr__(self, "kappas", tuple(
             minimax_critical_value(float(j), self.d, self.margin)  # refuses a bad margin
             for j in range(1, self.max_power + 1)))
@@ -583,10 +595,7 @@ def build_combined(
     )
     ratio = _max_ratio(stats, members, kappas)
     scale_raw = empirical_upper_quantile(ratio, budget.total)
-    scale = min(1.0, scale_raw)
-    if not scale > 0.0:
-        raise AssertionError("combined-test scale search left (0, 1]; "
-                             "calibration invariants violated")
+    scale = min(1.0, scale_raw)  # the record refuses a scale of 0
     calib_size = float(np.count_nonzero(ratio >= scale)) / plan.replications
     return CombinedTest(
         d=int(d),
@@ -745,12 +754,12 @@ _CODECS = {
 # The lines of each artifact kind after ``schema`` and ``kind``, in file
 # order: (key, type, required).  A None value is not written, and an absent
 # optional key loads as the field's default.  A combined test's ``alphas``
-# and ``budget_<name>`` lines are its AlphaBudget's, which is geometric.  A
-# key that names no field (a combined test's ``alpha``, the constant
-# ``budget_generator``, a minimax test's ``kappas``) is worked out from the
-# other lines: it is written from the attribute, and on load it must equal
-# the value worked out, the kappas (which another libm may move by an ulp)
-# to relative 1e-12, the rest exactly.
+# and ``budget_<name>`` lines are its AlphaBudget's, which is geometric.
+# The records refuse their own out-of-range values.  A key that names no
+# field (a combined test's ``alpha``, the constant ``budget_generator``, a
+# minimax test's ``kappas``) is worked out from the other lines: on load it
+# must equal the value worked out, the kappas (which another libm may move
+# by an ulp) to relative 1e-12, the rest exactly.
 _ARTIFACTS = {
     "single": (PNormTest, (
         ("d", int, True), ("exponent", Exponent, True), ("alpha", float, True),
@@ -803,7 +812,7 @@ def save_test(test, path) -> None:
 
 
 def load_test(path):
-    """Reconstruct a serialized test from :func:`save_test` output."""
+    """Parse, build and check a test that :func:`save_test` wrote (see ``_ARTIFACTS``)."""
     kv = read_kv(path)
     if kv.get("schema") != _SCHEMA:
         raise ConfigError(f"unsupported artifact schema: {kv.get('schema')!r}")
@@ -832,17 +841,8 @@ def load_test(path):
         test = cls(**fields)
     except (DomainError, ArithmeticError) as exc:  # a minimax d past float range overflows
         raise ConfigError(f"artifact value out of range: {exc}") from exc
-    # calibration never writes these; an uncalibrated combined test's
-    # calibration_size is nan and stays valid
-    bad = [f"d = {test.d}"] if test.d < 1 else []
-    if test.alpha is not None and not 0.0 < test.alpha < 1.0:
-        bad.append(f"alpha = {test.alpha!r}")
-    for name in ("critical_value", "scale", "threshold"):
-        if not math.isfinite(getattr(test, name, 0.0)):
-            bad.append(f"{name} = {getattr(test, name)!r}")
-    bad += [f"kappa = {k!r}" for k in getattr(test, "kappas", ()) if not 0.0 < k < math.inf]
-    bad += [f"{key} = {kv[key]} where the other lines give {_value(test, key)!r}"
-            for key, value in derived.items() if not _agrees(value, _value(test, key))]
+    bad = [f"{key} = {kv[key]} where the other lines give {_value(test, key)!r}"
+           for key, value in derived.items() if not _agrees(value, _value(test, key))]
     if bad:
         raise ConfigError(f"artifact value out of range: {', '.join(bad)}")
     return test

@@ -11,7 +11,7 @@ import hashlib
 import os
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "fmt", "write_csv", "sha256_file", "numpy_dispatch", "write_manifest", "write_kv", "read_kv",
@@ -148,7 +148,7 @@ def svg_line_chart(
     xs, ys), on a y axis fixed at [0, 1]."""
     xs_all = [x for _, xs, _ in series for x in xs]
     if not xs_all:
-        raise ValueError("cannot plot an empty series collection")
+        raise DomainError("cannot plot an empty series collection")
     xlo, xhi = min(xs_all), max(xs_all)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -24,11 +24,11 @@ from pnormlab.engine import (
     member_exponents,
     save_test,
 )
-from pnormlab.errors import ConfigError
+from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import parse_exponent
 from pnormlab.power import enhancement_demo
-from pnormlab.report import fmt, numpy_dispatch, read_kv, sha256_file
+from pnormlab.report import fmt, numpy_dispatch, read_kv, sha256_file, svg_line_chart
 
 
 def run(argv):
@@ -186,11 +186,14 @@ class TestExitCodes:
         # the semi-sparse signal needs d >= 16
         ["demo-pe", "--d", "10", "--calib-reps", "2000", "--reps", "200"],
         ["calibrate", "--d", "100", "--test", "bogus", "--reps", "2000"],
+        # the sup-norm limit law needs d >= 3
+        ["calibrate", "--asymptotic", "--test", "sup", "--d", "2"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
             "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3",
-            "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus"])
+            "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus",
+            "sup-asymptotic-small-d"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -423,6 +426,31 @@ class TestCalibrate:
                     2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
         assert refusal in capsys.readouterr().err
         assert drawn == [] and not (tmp_path / "pw").exists()
+
+    @pytest.mark.filterwarnings("ignore::pnormlab.engine.CalibrationWarning")
+    @pytest.mark.parametrize("kind, line", [
+        ("combined", "scale = 0"), ("minimax", "threshold = 0"),
+    ], ids=["combined-scale", "minimax-threshold"])
+    def test_artifact_scale_or_threshold_of_zero_exits_two(
+        self, tmp_path, capsys, monkeypatch, kind, line
+    ):
+        # a test record refuses a scale or threshold of 0, which would
+        # divide by zero in each decision, before anything is drawn
+        plan = MonteCarloPlan(2000, 44)
+        test = (build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05), plan)
+                if kind == "combined" else
+                mc_scale_minimax(build_minimax_adaptive(60, 4.0, 3), 0.05, plan))
+        art = tmp_path / "a.txt"
+        save_test(test, art)
+        key = line.split(" = ")[0]
+        art.write_text(re.sub(rf"(?m)^{key} = .*$", line, art.read_text()))
+        capsys.readouterr()
+        calls = count_draws(monkeypatch)
+        assert run(["power", "--d", 60, "--tests", "sup", "--artifact", art, "--calib-reps",
+                    2000, "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 2
+        assert (f"artifact value out of range: {key} must be a positive real, got 0.0"
+                in capsys.readouterr().err)
+        assert calls == [] and not (tmp_path / "pw").exists()
 
     @pytest.mark.parametrize("option, refusal", [
         (["--margin", "inf"], "margin must be a positive real, got inf"),
@@ -720,6 +748,13 @@ _SPEC_TEXT = st.one_of(
 
 
 class TestOptionParsers:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_agrid_up_to_the_largest_float_prints_no_warning(self):
+        # linspace's last step overflows to inf before numpy sets the last
+        # point to hi; the grid itself is finite
+        hi = sys.float_info.max
+        assert cli._parse_agrid(f"0:{hi!r}:4") == (0.0, hi / 3, 2 * (hi / 3), hi)
+
     @pytest.mark.parametrize("parser", [cli._parse_agrid, cli._parse_dgrid,
                                         cli._parse_range])
     @settings(max_examples=300, deadline=None)
@@ -922,6 +957,13 @@ class TestConfigFile:
         assert not {"config.preset", "config.max-power", "config.p"} & manifest.keys()
 
 
+class TestSvgLineChart:
+    def test_no_series_is_a_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot plot an empty series collection"):
+            svg_line_chart(tmp_path / "a.svg", [], "title", "x", "y")
+        assert not (tmp_path / "a.svg").exists()
+
+
 class TestSharedReader:
     """Config files and calibration artifacts share one key=value reader."""
 
@@ -1026,6 +1068,25 @@ class TestDemos:
             f"size_inflation_bound = {enhanced.spike_size:.6g}",
         ]
 
+    # a never-reject base calibrates nothing: its run reads no level and no
+    # calibration plan, so neither is checked nor recorded
+    @pytest.mark.parametrize("base, argv, config", [
+        ("never", ["--alpha", 7, "--calib-reps", 0],
+         ["base = never", "d = 200", "reps = 500", "seed = 20240777"]),
+        ("p=2", ["--calib-reps", 4000],
+         ["alpha = 0.05", "base = p=2", "calib-reps = 4000", "calib-seed = 20240501",
+          "d = 200", "reps = 500", "seed = 20240777"]),
+    ], ids=["never", "p=2"])
+    def test_demo_enhance_records_the_options_its_base_reads(self, tmp_path, base, argv,
+                                                              config):
+        assert run(["demo-enhance", "--d", 200, "--base", base, "--reps", 500, *argv,
+                    "--outdir", tmp_path]) == 0
+        lines = (tmp_path / "enhancement_manifest.txt").read_text().splitlines()
+        csv = sha256_file(tmp_path / "enhancement_demo.csv")
+        assert lines[lines.index("command = demo-enhance"):] == [
+            "command = demo-enhance", *(f"config.{x}" for x in config),
+            f"output.enhancement_demo.csv.sha256 = {csv}"]
+
     def test_demo_pe_too_small_plan_is_refused_before_the_draw(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -1060,6 +1121,23 @@ class TestReduce:
         w, v = np.linalg.eigh(X.T @ X)
         expected = v @ ((v.T @ (X.T @ z)) / np.sqrt(w))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("design, response, code, refusal", [
+        ("1 0 0\n0 1 0\n0 0 1\n", "1\n2\n", 2, "error: response has shape (2,), expected (3,)"),
+        ("1 2 2\n0 1 1\n3 0 0\n4 1 1\n", "1\n2\n3\n4\n", 3,
+         "numeric error: design matrix is numerically rank deficient"),
+        ("1 2 3\n4 5 6\n", "1\n2\n", 3,
+         "numeric error: design with d=3 > n=2 cannot have full column rank"),
+    ], ids=["response-length", "rank-deficient", "d-above-n"])
+    def test_refused_inputs_exit_with_their_documented_code(
+        self, tmp_path, capsys, design, response, code, refusal
+    ):
+        (tmp_path / "X.txt").write_text(design)
+        (tmp_path / "z.txt").write_text(response)
+        assert run(["reduce", "--design", tmp_path / "X.txt", "--response", tmp_path / "z.txt",
+                    "--out", tmp_path / "t.txt"]) == code
+        assert capsys.readouterr().err.startswith(refusal)
+        assert not (tmp_path / "t.txt").exists()
 
     def test_unreadable_input(self, tmp_path):
         assert run([

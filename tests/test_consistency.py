@@ -376,6 +376,8 @@ class TestRewriteCheck:
     def test_domain(self):
         with pytest.raises(DomainError):
             rewrite_check(np.array([]), 2.0)
+        with pytest.raises(DomainError, match="exponent must be a positive real, got -2.0"):
+            rewrite_check(np.ones(3), -2)
 
     def test_sandwich_on_normal_vectors(self, rng):
         for p in (2.0, 2.5, 3.0, 4.0, 7.5, 20.0):

@@ -406,6 +406,15 @@ class TestBuildCombined:
         assert direct.kappas == shared.kappas
         assert direct.scale == shared.scale
 
+    def test_scale_of_zero_is_refused(self):
+        # 960 zeros then 1..40 in both members: each kappa is 15, but the
+        # ratio's 0.05 quantile is 0, a scale the record refuses
+        column = np.concatenate([np.zeros(960), np.arange(1.0, 41.0)])
+        stats = {Exponent.finite(p): column for p in (2.0, 3.0)}
+        with pytest.raises(DomainError, match="scale must be a positive real, got 0.0"):
+            build_combined(10, (2.0, 3.0), geometric_budget(2, 0.05),
+                           MonteCarloPlan(replications=1000, seed=1), stats=stats)
+
     def test_input_validation(self):
         plan = MonteCarloPlan(replications=5000, seed=1)
         budget = geometric_budget(3, 0.05)
@@ -787,6 +796,76 @@ class TestFields:
         assert (huge.mean, huge.variance) == (math.inf, math.inf)
 
 
+class TestRecordRanges:
+    """Each test record refuses its own out-of-range values when it is
+    built, whether a library call or a loaded artifact builds it."""
+
+    @pytest.mark.parametrize("change, refusal", [
+        ({"d": 0}, "dimension must be >= 1, got 0"),
+        ({"alpha": 0.0}, "alpha must lie in (0, 1), got 0.0"),
+        ({"alpha": 1.0}, "alpha must lie in (0, 1), got 1.0"),
+        ({"alpha": 7.0}, "alpha must lie in (0, 1), got 7.0"),
+        ({"alpha": math.nan}, "alpha must lie in (0, 1), got nan"),
+        ({"critical_value": math.nan}, "critical value must be finite, got nan"),
+        ({"critical_value": math.inf}, "critical value must be finite, got inf"),
+        ({"critical_value": -math.inf}, "critical value must be finite, got -inf"),
+    ], ids=["d-0", "alpha-0", "alpha-1", "alpha-7", "alpha-nan", "critical-nan",
+            "critical-inf", "critical-minus-inf"])
+    def test_single(self, change, refusal):
+        given = {"d": 10, "exponent": E2, "critical_value": 0.0, "alpha": 0.05}
+        PNormTest(**given)  # 0 is the critical value of the test that always rejects
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            PNormTest(**{**given, **change})
+
+    @pytest.mark.parametrize("change, refusal", [
+        ({"d": 0}, "dimension must be >= 1, got 0"),
+        ({"kappas": (1.0, 0.0)}, "kappa must be a positive real, got 0.0"),
+        ({"kappas": (-1.0, 1.0)}, "kappa must be a positive real, got -1.0"),
+        ({"kappas": (1.0, math.inf)}, "kappa must be a positive real, got inf"),
+        ({"kappas": (math.nan, 1.0)}, "kappa must be a positive real, got nan"),
+        ({"scale": 0.0}, "scale must be a positive real, got 0.0"),
+        ({"scale": -1.0}, "scale must be a positive real, got -1.0"),
+        ({"scale": math.inf}, "scale must be a positive real, got inf"),
+        ({"scale": math.nan}, "scale must be a positive real, got nan"),
+    ], ids=["d-0", "kappa-0", "kappa-minus-1", "kappa-inf", "kappa-nan", "scale-0",
+            "scale-minus-1", "scale-inf", "scale-nan"])
+    def test_combined(self, change, refusal):
+        given = {"d": 10, "exponents": (2.0, 3.0), "kappas": (4.0, 2.5), "scale": 1.0,
+                 "budget": geometric_budget(2, 0.05)}
+        CombinedTest(**given)
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            CombinedTest(**{**given, **change})
+
+    @pytest.mark.parametrize("change, refusal", [
+        ({"alpha": 0.0}, "alpha must lie in (0, 1), got 0.0"),
+        ({"alpha": 1.0}, "alpha must lie in (0, 1), got 1.0"),
+        ({"alpha": 7.0}, "alpha must lie in (0, 1), got 7.0"),
+        ({"threshold": 0.0}, "threshold must be a positive real, got 0.0"),
+        ({"threshold": -1.0}, "threshold must be a positive real, got -1.0"),
+        ({"threshold": math.inf}, "threshold must be a positive real, got inf"),
+        ({"threshold": math.nan}, "threshold must be a positive real, got nan"),
+    ], ids=["alpha-0", "alpha-1", "alpha-7", "threshold-0", "threshold-minus-1",
+            "threshold-inf", "threshold-nan"])
+    def test_minimax(self, change, refusal):
+        given = {"d": 60, "margin": 4.0, "max_power": 3, "threshold": 0.9, "alpha": 0.05}
+        MinimaxAdaptiveTest(**given)
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            MinimaxAdaptiveTest(**{**given, **change})
+
+    @pytest.mark.parametrize("call, refusal", [
+        (lambda: asymptotic_critical_value(2.0, 100, 0.0), "alpha must lie in (0, 1), got 0.0"),
+        (lambda: sup_asymptotic_critical_value(100, 1.5), "alpha must lie in (0, 1), got 1.5"),
+        (lambda: engine.require_tail_plan(math.nan, MonteCarloPlan(2000, 1)),
+         "alpha must lie in (0, 1), got nan"),
+        # the total lies in (0, 1), a member level does not
+        (lambda: AlphaBudget(alphas=(-0.01, 0.06), success=0.5, last_share=0.5),
+         "every member level must lie in (0, 1), got -0.01"),
+    ], ids=["asymptotic-alpha", "sup-alpha", "tail-plan-alpha", "member-level"])
+    def test_level_refusals(self, call, refusal):
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            call()
+
+
 class TestSerialization:
     def test_single_round_trip(self, tmp_path):
         plan = MonteCarloPlan(replications=2000, seed=44)
@@ -818,6 +897,18 @@ class TestSerialization:
         path.write_text("schema = other/9\nkind = single\n")
         with pytest.raises(ConfigError):
             load_test(path)
+
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("schema = pnormlab-test/1\nkind = enhanced\n")
+        with pytest.raises(ConfigError, match="unknown artifact kind: 'enhanced'"):
+            load_test(path)
+
+    def test_only_single_combined_and_minimax_tests_are_saved(self, tmp_path):
+        test = EnhancedTest(PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05))
+        with pytest.raises(DomainError, match="cannot serialize test of type EnhancedTest"):
+            save_test(test, tmp_path / "a.txt")
+        assert not (tmp_path / "a.txt").exists()
 
     @pytest.mark.parametrize("content", [
         b"schema = pnormlab-test/1\nkind single\n",

@@ -127,6 +127,10 @@ class TestGaussMoments:
         with pytest.raises(NumericError):
             gauss_moments(1e-9)
 
+    def test_domain(self):
+        with pytest.raises(DomainError, match="exponent must be a positive real, got inf"):
+            gauss_moments(math.inf)
+
 
 class TestDetectionWeight:
     def test_branch_values(self):

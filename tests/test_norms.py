@@ -51,6 +51,9 @@ class TestExponent:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 Exponent.finite(bad)
+        # None is the sup norm's p, never a finite exponent
+        with pytest.raises(DomainError, match="finite exponent requires a positive real"):
+            Exponent.finite(None)
 
     def test_sup_is_a_distinct_tag(self):
         assert SUP.is_sup
@@ -93,6 +96,10 @@ class TestPNormStat:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             p_norm_stat([], Exponent.finite(2))
+
+    def test_exponent_must_be_an_exponent(self):
+        with pytest.raises(DomainError, match="exponent must be an Exponent, got <class 'float'>"):
+            p_norm_stat([3.0, 4.0], 2.0)
 
     def test_huge_exponent_no_overflow_sign_pattern(self):
         # +-10 entries, p = e^4 + 1, d = 1e5: closed form 10 * d**(1/p)

@@ -511,6 +511,8 @@ class TestRegressionReduce:
     def test_shape_guards(self, rng):
         with pytest.raises(DomainError):
             regression_reduce(np.zeros((4, 2)), np.zeros(5))
+        with pytest.raises(DomainError, match="design matrix must be two-dimensional"):
+            regression_reduce(np.ones(4), np.zeros(4))
 
 
 class TestEnhancementDemo:
