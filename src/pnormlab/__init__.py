@@ -1,10 +1,11 @@
 """pnormlab: norm-based tests for high-dimensional Gaussian sequence models.
 
-A library and batch CLI covering: exact and asymptotic critical values of
-p-norm tests (including the supremum norm), combined max-norm tests with
-exact Monte Carlo size, minimax-adaptive tests, one-coordinate power
-enhancement, finite-dimensional consistency criteria and growth traces,
-and a deterministic parallel Monte Carlo power laboratory.
+A library and batch CLI covering: critical values of p-norm tests (exact
+closed forms for the supremum norm and p = 2, the CLT for other p, and Monte
+Carlo), combined max-norm tests with exact Monte Carlo size,
+minimax-adaptive tests, one-coordinate power enhancement,
+finite-dimensional consistency criteria and growth traces, and a
+deterministic parallel Monte Carlo power laboratory.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +46,6 @@ from .engine import (
     member_exponents,
     minimax_critical_value,
     save_test,
-    sup_asymptotic_critical_value,
 )
 from .errors import (
     CalibrationError,

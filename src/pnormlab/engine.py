@@ -2,9 +2,9 @@
 
 Three calibration routes coexist:
 
-* analytic critical values from the Gaussian CLT of the p-th power statistic
-  (finite p) or the double-exponential limit of the absolute maximum (sup),
-  with every vanishing correction term set to zero (:func:`asymptotic_test`);
+* analytic critical values: exact for the sup norm and for p = 2 (chi-square),
+  and from the Gaussian CLT of the p-th power statistic for any other finite
+  p, its vanishing correction term set to zero (:func:`asymptotic_test`);
 * Monte-Carlo-exact critical values: conservative empirical quantiles of
   simulated null statistics, deterministic given a plan (:func:`mc_calibrate`);
 * combined ("max of scaled norms") tests whose member critical values and
@@ -36,6 +36,7 @@ from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import CalibrationError, ConfigError, DomainError, NumericError
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile, std_normal_sf
@@ -46,7 +47,6 @@ from .report import read_kv, write_kv
 __all__ = [
     "CalibrationWarning",
     "asymptotic_critical_value",
-    "sup_asymptotic_critical_value",
     "minimax_critical_value",
     "mc_calibrate",
     "require_tail_plan",
@@ -130,26 +130,6 @@ def asymptotic_critical_value(p: float, d: int, alpha: float) -> float:
     _check_unit("alpha", alpha)
     z = std_normal_quantile(1.0 - alpha)
     return _clt_bracket_root(float(p), int(d), z)
-
-
-def sup_asymptotic_critical_value(d: int, alpha: float) -> float:
-    """Double-exponential-limit critical value of the sup-norm test.
-
-    Requires d >= 3 so that the log log d norming is positive at working
-    precision.
-    """
-    d = int(d)
-    if d < 3:
-        raise DomainError("sup-norm asymptotic critical value requires d >= 3")
-    _check_unit("alpha", alpha)
-    half_tail = -math.log1p(-alpha) / 2.0
-    if half_tail == 0.0:  # only alpha = 5e-324, the smallest subnormal, halves to 0
-        raise CalibrationError(f"alpha={alpha!r} underflows the sup-norm critical value")
-    root = math.sqrt(2.0 * math.log(d))
-    val = root
-    val -= (math.log(math.log(d)) + math.log(4.0 * math.pi)) / (2.0 * root)
-    val -= math.log(half_tail) / root
-    return val
 
 
 def minimax_critical_value(p: float, d: int, margin: float) -> float:
@@ -551,16 +531,27 @@ def mc_calibrate(
 
 
 def asymptotic_test(exponent: Exponent, d: int, alpha: float) -> PNormTest:
-    """Single norm test with the analytic critical value of
-    :func:`asymptotic_critical_value` (finite p) or
-    :func:`sup_asymptotic_critical_value` (sup)."""
+    """Single norm test with an analytic critical value c: exact for sup,
+    where ``(2 Phi(c) - 1)^d = 1 - alpha``, and for p = 2, where ``c^2`` is
+    the upper alpha quantile of chi-square with d degrees of freedom; the CLT
+    value of :func:`asymptotic_critical_value` for any other finite p."""
+    d = int(d)
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d!r}")
+    _check_unit("alpha", alpha)
     if exponent.is_sup:
-        kappa = sup_asymptotic_critical_value(d, alpha)
-        prov = f"asymptotic_sup(alpha={alpha:g})"
+        half_tail = -math.expm1(math.log1p(-alpha) / d) / 2.0  # P(|Z| > c)
+        if half_tail == 0.0:
+            raise NumericError(f"sup-norm critical value underflows at alpha={alpha!r}, d={d}")
+        kappa = -std_normal_quantile(half_tail)
+        prov = f"exact_sup(alpha={alpha:g})"
+    elif exponent.p == 2.0:
+        kappa = math.sqrt(special.chdtri(d, alpha))
+        prov = f"exact_chi2(alpha={alpha:g})"
     else:
         kappa = asymptotic_critical_value(exponent.p, d, alpha)
         prov = f"asymptotic_finite(p={exponent.p:g}, alpha={alpha:g})"
-    return PNormTest(d=int(d), exponent=exponent, critical_value=kappa,
+    return PNormTest(d=d, exponent=exponent, critical_value=kappa,
                      alpha=alpha, provenance=prov)
 
 

@@ -125,7 +125,10 @@ def gauss_moments(p: float) -> GaussMoments:
     if not (p > 0.0 and math.isfinite(p)):
         raise DomainError(f"exponent must be a positive real, got {p!r}")
     log_mean = log_abs_moment(p)
-    log_m2 = log_abs_moment(2.0 * p)
+    # past p = 9e307 the order 2p is inf, and log_mean is inf already
+    log_m2 = log_abs_moment(2.0 * p) if log_mean < math.inf else math.inf
+    if log_m2 == math.inf:
+        raise NumericError(f"log moments of |Z|^p for p={p!r} pass the float range")
     # variance = m2 * (1 - exp(2*log_mean - log_m2)); the ratio is < 1.
     ratio_log = 2.0 * log_mean - log_m2
     one_minus = -math.expm1(ratio_log)

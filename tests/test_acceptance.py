@@ -18,6 +18,7 @@ max-comb rejects on the union of its members.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -78,6 +79,8 @@ VAL_SEED = 20_240_502
 POWER_SEED = 20_240_777
 PE_CAL_SEED = 20_240_601
 PE_POWER_SEED = 20_240_602
+# every output is bit-identical at any worker count (check 6 compares 1 and 8)
+WORKERS = os.cpu_count() or 1
 
 MINIMAX_MARGIN = 5.0
 MINIMAX_MAX_POWER = 8
@@ -122,7 +125,7 @@ def desk():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CalibrationWarning)
         calibrations = [calibration(name, D_DESK, ALPHA, cal_plan, option) for name in DESK_TESTS]
-    tests = dict(zip(DESK_TESTS, calibrate_suite(calibrations)))
+    tests = dict(zip(DESK_TESTS, calibrate_suite(calibrations, WORKERS)))
     return {"tests": tests, "combined": tests["combined"]}
 
 
@@ -142,7 +145,7 @@ def _oracle_log_slope(p, d_min, d_max=ORACLE_D_MAX):
 def _power_matrix(tests, family, plan):
     """The auto grid and, per test label, the ``(power, stderr)`` of each
     of its scales."""
-    table = power_curve(tests, family, None, D_DESK, plan)
+    table = power_curve(tests, family, None, D_DESK, plan, WORKERS)
     rows = {
         t.label: [table.cell(t.label, a) for a in table.scales] for t in tests
     }
@@ -158,7 +161,7 @@ def test_criterion_1_size_calibration(desk):
     """Fresh-seed empirical size of all seven tests within 0.05 +- 0.007."""
     val_plan = MonteCarloPlan(replications=R_VALIDATE, seed=VAL_SEED)
     order = list(desk["tests"].values())
-    rates = estimate_rejection_many(order, 0, val_plan)
+    rates = estimate_rejection_many(order, 0, val_plan, WORKERS)
     sizes = {t.label: rate for t, (rate, _) in zip(order, rates)}
     bad = {k: v for k, v in sizes.items() if abs(v - ALPHA) > SIZE_TOLERANCE}
     detail = " ".join(f"{k}={v:.4f}" for k, v in sizes.items())
@@ -234,7 +237,7 @@ def test_criterion_3_power_gap_bound(desk):
     combined, single = desk["combined"], desk["tests"]["p=2"]
     assert single.alpha == combined.alpha
     plan = MonteCarloPlan(replications=R_POWER, seed=POWER_SEED)
-    report = power_gap_scan(combined, single, default_gap_grid(D_DESK), plan)
+    report = power_gap_scan(combined, single, default_gap_grid(D_DESK), plan, WORKERS)
     label, gap, stderr = report.worst
     limit = GAP_BOUND + 3.0 * stderr
     ok = gap <= limit
@@ -297,7 +300,7 @@ def test_criterion_4_max_combination_demo():
     """
     cal_plan = MonteCarloPlan(replications=20_000, seed=PE_CAL_SEED)
     plan = MonteCarloPlan(replications=4_000, seed=PE_POWER_SEED)
-    rows = pe_demo(PE_D, PE_ALPHA2, PE_ALPHA_INF, plan, cal_plan)
+    rows = pe_demo(PE_D, PE_ALPHA2, PE_ALPHA_INF, plan, cal_plan, WORKERS)
     powers = {label: power for label, power, _ in rows}
     checks = []
 
@@ -370,7 +373,7 @@ def test_criterion_5_oracle_equivalences():
 
     # Euclidean calibration vs chi-square quantile
     plan = MonteCarloPlan(replications=100_000, seed=314_159)
-    sched = mc_calibrate(Exponent.finite(2.0), 50, ALPHA, plan)
+    sched = mc_calibrate(Exponent.finite(2.0), 50, ALPHA, plan, WORKERS)
     exact = math.sqrt(sps.chi2.ppf(1 - ALPHA, df=50))
     dens = 2.0 * exact * sps.chi2.pdf(exact**2, df=50)
     se_q = math.sqrt(ALPHA * (1 - ALPHA) / plan.replications) / dens
@@ -385,7 +388,7 @@ def test_criterion_5_oracle_equivalences():
     theta = np.zeros(50)
     theta[0] = 5.0
     (rate, se), = estimate_rejection_many(
-        [test], theta, MonteCarloPlan(replications=100_000, seed=271_828)
+        [test], theta, MonteCarloPlan(replications=100_000, seed=271_828), WORKERS
     )
     ncx2 = float(sps.ncx2.sf(sched.critical_value**2, df=50, nc=25.0))
     checks.append(
@@ -412,7 +415,7 @@ def test_criterion_5_oracle_equivalences():
 
     # dimension-one sup calibration vs the half-normal quantile
     plan1 = MonteCarloPlan(replications=100_000, seed=161_803)
-    sched1 = mc_calibrate(SUP, 1, 0.3, plan1)
+    sched1 = mc_calibrate(SUP, 1, 0.3, plan1, WORKERS)
     exact1 = float(sps.norm.ppf(1 - 0.3 / 2))
     se1 = math.sqrt(0.3 * 0.7 / plan1.replications) / (2 * sps.norm.pdf(exact1))
     checks.append(

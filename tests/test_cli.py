@@ -186,14 +186,17 @@ class TestExitCodes:
         # the semi-sparse signal needs d >= 16
         ["demo-pe", "--d", "10", "--calib-reps", "2000", "--reps", "200"],
         ["calibrate", "--d", "100", "--test", "bogus", "--reps", "2000"],
-        # the sup-norm limit law needs d >= 3
-        ["calibrate", "--asymptotic", "--test", "sup", "--d", "2"],
+        ["calibrate", "--asymptotic", "--test", "sup", "--d", "0"],
+        ["calibrate", "--asymptotic", "--test", "sup", "--d", "-5"],
+        ["calibrate", "--asymptotic", "--test", "p=2", "--d", "0"],
+        ["calibrate", "--asymptotic", "--test", "p=2", "--d", "-5"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
             "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3",
             "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus",
-            "sup-asymptotic-small-d"])
+            "sup-asymptotic-small-d", "sup-asymptotic-negative-d", "p2-asymptotic-zero-d",
+            "p2-asymptotic-negative-d"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -235,7 +238,8 @@ class TestExitCodes:
         assert sorted(os.listdir(tmp_path)) == ["X.txt", "z.txt"]
 
     @pytest.mark.parametrize("command", [["calibrate", "--asymptotic", "--test", "p=2"],
-                                         ["radius", "--p", "2"]])
+                                         ["radius", "--p", "2"],
+                                         ["calibrate", "--asymptotic", "--test", "sup"]])
     def test_overflowing_dimension_exits_three(self, capsys, command):
         assert run(command + ["--d", "1" + "0" * 400]) == 3
         assert capsys.readouterr().err.startswith("numeric error: ")
@@ -246,6 +250,8 @@ class TestExitCodes:
     @settings(max_examples=300, deadline=None)
     @example(argv=["calibrate", "--asymptotic", "--test", "sup", "--d", "1000",
                    "--alpha", "5e-324"])
+    @example(argv=["calibrate", "--asymptotic", "--test", "sup", "--d", "0"])
+    @example(argv=["calibrate", "--asymptotic", "--test", "p=2", "--d", "0"])
     @given(argv=st.sampled_from([
         (["calibrate", "--asymptotic"], ["--test", "--d", "--alpha"]),
         (["radius"], ["--p", "--d"]),
@@ -274,11 +280,31 @@ class TestExitCodes:
         assert exit_code_in_fresh_outdir("contour", options) in (0, 2, 3)
 
     def test_numeric_failure(self, capsys):
+        # the CLT bracket of p = 3 is non-positive here
         code = run(
-            ["calibrate", "--test", "p=2", "--d", "1", "--alpha", "0.9999", "--asymptotic"]
+            ["calibrate", "--test", "p=3", "--d", "1", "--alpha", "0.9999", "--asymptotic"]
         )
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d, kappa", [(1, "1.959963985"), (2, "2.236476645")])
+    def test_exact_sup_value_at_small_dimensions(self, capsys, d, kappa):
+        assert run(["calibrate", "--asymptotic", "--test", "sup", "--d", d]) == 0
+        assert f"kappa = {kappa}\n" in capsys.readouterr().out
+
+    def test_underflowing_sup_tail_exits_three(self, capsys):
+        assert run(["calibrate", "--asymptotic", "--test", "sup", "--d", "1000",
+                    "--alpha", "5e-324"]) == 3
+        assert capsys.readouterr().err == ("numeric error: sup-norm critical value underflows "
+                                           "at alpha=5e-324, d=1000\n")
+
+    def test_moments_past_the_float_range_exit_three(self):
+        # a fresh interpreter shows numpy's warnings on stderr, so this
+        # shows that the exponent's moments are refused before any is raised
+        done = run_in_subprocess(["calibrate", "--asymptotic", "--test", "p=1e307", "--d", 10])
+        assert done.returncode == 3
+        assert done.stderr == ("numeric error: log moments of |Z|^p for p=1e+307 pass the "
+                               "float range\n")
 
     def test_overflowing_critical_value_names_its_exponent(self, capsys):
         code = run(["calibrate", "--test", "p=1e-5", "--d", "10", "--asymptotic"])
@@ -338,7 +364,7 @@ class TestCalibrate:
         assert run(["calibrate", "--test", "p=2", "--d", "100", "--alpha", "0.05",
                     "--asymptotic"]) == 0
         out = capsys.readouterr().out
-        assert "kappa = 11.10233052" in out
+        assert "kappa = 11.15087949" in out
 
     def test_monte_carlo_artifact_round_trip(self, tmp_path):
         out = tmp_path / "p2.txt"
@@ -875,7 +901,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\n")
         assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 0
-        assert "kappa = 11.10233052" in capsys.readouterr().out
+        assert "kappa = 11.15087949" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line", ["alpah = 0.5", "calib_reps = 1000", "chunk-size = 64",
                                       "config = other.cfg"],
@@ -896,7 +922,7 @@ class TestConfigFile:
             read_kv(cfg)
 
     @pytest.mark.parametrize("lines, want", [
-        ("d = 100\ntest = p=2\nasymptotic = yes\n", "kappa = 11.10233052"),
+        ("d = 100\ntest = p=2\nasymptotic = yes\n", "kappa = 11.15087949"),
         ("d = 100\ntest = p=2\nasymptotic = off\nreps = 2000\n", None),
         # 10 members at d = 16; a flat budget keeps each level above 10 / reps
         ("d = 16\ntest = combined\npreset = linear\nbudget-success = 0.05\nreps = 5000\n",
@@ -910,7 +936,7 @@ class TestConfigFile:
         if want is None:  # off: a Monte Carlo critical value, not the formula's
             test = mc_calibrate(parse_exponent("2"), 100, 0.05, MonteCarloPlan(2000, 20_240_501))
             want = f"kappa = {test.critical_value:.10g}"
-            assert "11.10233052" not in out
+            assert "11.15087949" not in out
         assert want in out
 
     @pytest.mark.parametrize("line", ["preset = cubic", "d = ten", "asymptotic = maybe"])
@@ -941,7 +967,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 100\nfamily = dense\n")
         assert run(["calibrate", "--config", cfg, "--test", "p=2", "--asymptotic"]) == 0
-        assert "kappa = 11.10233052" in capsys.readouterr().out
+        assert "kappa = 11.15087949" in capsys.readouterr().out
 
     def test_combined_keys_serve_a_single_exponent_calibration(self, tmp_path, capsys):
         # the preset is the combined test's ladder, as under power --tests,
@@ -951,7 +977,7 @@ class TestConfigFile:
         out = tmp_path / "a.txt"
         assert run(["calibrate", "--config", cfg, "--test", "p=2", "--d", "100",
                     "--asymptotic", "--out", out]) == 0
-        assert "kappa = 11.10233052" in capsys.readouterr().out
+        assert "kappa = 11.15087949" in capsys.readouterr().out
         manifest = read_kv(f"{out}.manifest")
         assert manifest["config.test"] == "p=2"
         assert not {"config.preset", "config.max-power", "config.p"} & manifest.keys()

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from pnormlab import engine
@@ -31,7 +32,6 @@ from pnormlab.engine import (
     minimax_critical_value,
     reject_matrix,
     save_test,
-    sup_asymptotic_critical_value,
 )
 from pnormlab.errors import CalibrationError, ConfigError, DomainError, NumericError
 from pnormlab.gaussmath import GaussMoments, std_normal_cdf, std_normal_sf
@@ -115,48 +115,52 @@ class TestAsymptoticCriticalValue:
         assert 0.04 <= rate <= 0.06
 
 
-class TestSupAsymptoticCriticalValue:
-    def test_exact_size_within_widened_band(self):
-        # exact null size of the limit-law critical value through the exact
-        # cdf of the absolute maximum: 1 - (1 - 2 sf(kappa))^d; the limit-law
-        # approximation converges slowly, hence the deliberately wide band
-        for d in (10_000, 50_000):
-            kappa = sup_asymptotic_critical_value(d, 0.05)
-            size = -math.expm1(d * math.log1p(-2.0 * std_normal_sf(kappa)))
-            assert 0.035 <= size <= 0.065
+class TestExactCriticalValues:
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 100, 10**4, 10**6, 10**12, 2**62])
+    def test_sup_value_gives_back_its_level(self, d, alpha):
+        # the null size 1 - (1 - 2 sf(c))^d of the largest |Z_i|
+        c = asymptotic_test(SUP, d, alpha).critical_value
+        size = -math.expm1(d * math.log1p(-2.0 * special.ndtr(-c)))
+        assert size == pytest.approx(alpha, rel=1e-13)
 
-    def test_third_term_vanishes_at_special_level(self):
-        alpha = 1.0 - math.exp(-2.0)
-        d = 777
-        root = math.sqrt(2.0 * math.log(d))
-        expected = root - (math.log(math.log(d)) + math.log(4 * math.pi)) / (2 * root)
-        assert sup_asymptotic_critical_value(d, alpha) == pytest.approx(
-            expected, rel=1e-14
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3])
+    @pytest.mark.parametrize("d", [1, 2, 3] + [10**k for k in range(1, 10)])
+    def test_euclidean_value_gives_back_its_level(self, d, alpha):
+        # the chi-square tail at c^2; c and c^2 are rounded, and three
+        # roundings of c^2 move the tail by 3 * 2**-53 * c^2 * pdf(c^2)
+        c = asymptotic_test(E2, d, alpha).critical_value
+        rounding = 3.0 * 2.0**-53 * c * c * sps.chi2.pdf(c * c, d) / alpha
+        assert special.chdtrc(d, c * c) == pytest.approx(alpha, rel=1e-12 + rounding)
+
+    def test_values_at_one_and_two_dimensions(self):
+        # d = 1: |Z| exceeds c with probability alpha, for sup and p = 2 alike
+        for exponent in (SUP, E2):
+            assert asymptotic_test(exponent, 1, 0.05).critical_value == pytest.approx(
+                1.959963984540054, rel=1e-15)
+        assert asymptotic_test(SUP, 2, 0.05).critical_value == pytest.approx(
+            2.236476644557792, rel=1e-15)
+
+    def test_monte_carlo_size_at_desk_dimension(self):
+        tests = [asymptotic_test(e, 10_000, 0.05) for e in (SUP, E2)]
+        from pnormlab.power import estimate_rejection_many
+
+        rates = estimate_rejection_many(
+            tests, 0, MonteCarloPlan(replications=20_000, seed=41), workers=2
         )
+        for rate, _ in rates:
+            assert 0.04 <= rate <= 0.06
 
-    def test_gumbel_closed_form(self):
-        # root - (log log d + log 4 pi) / (2 root) + q / root, with q the
-        # (1 - alpha)-quantile -log(-log(1 - alpha) / 2) of the limit law
-        # exp(-2 exp(-x)) of the normalized absolute maximum
-        for alpha in (0.01, 0.05, 0.2, 0.5):
-            q = -math.log(-math.log1p(-alpha) / 2.0)
-            for d in (100, 5000, 10**6):
-                root = math.sqrt(2.0 * math.log(d))
-                expected = (root - (math.log(math.log(d)) + math.log(4 * math.pi)) / (2 * root)
-                            + q / root)
-                assert sup_asymptotic_critical_value(d, alpha) == pytest.approx(
-                    expected, rel=1e-14
-                )
+    @pytest.mark.parametrize("exponent", [SUP, E2, Exponent.finite(3.0)])
+    @pytest.mark.parametrize("d", [0, -5])
+    def test_dimension_below_one_is_refused(self, exponent, d):
+        with pytest.raises(DomainError, match=f"dimension must be >= 1, got {d}"):
+            asymptotic_test(exponent, d, 0.05)
 
-    def test_monotone_in_level(self):
-        d = 5000
-        assert sup_asymptotic_critical_value(d, 0.01) > sup_asymptotic_critical_value(
-            d, 0.05
-        ) > sup_asymptotic_critical_value(d, 0.2)
-
-    def test_small_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            sup_asymptotic_critical_value(2, 0.05)
+    def test_underflowing_sup_tail_is_a_numeric_error(self):
+        for d in (1, 1000):
+            with pytest.raises(NumericError, match=f"alpha=5e-324, d={d}"):
+                asymptotic_test(SUP, d, 5e-324)
 
 
 class TestMinimaxCriticalValue:
@@ -188,13 +192,16 @@ class TestMinimaxCriticalValue:
 class TestSchedules:
     def test_finite_schedule_value(self):
         t = asymptotic_test(E2, 100, 0.05)
-        assert t.critical_value == asymptotic_critical_value(2.0, 100, 0.05)
-        assert t.provenance == "asymptotic_finite(p=2, alpha=0.05)"
+        assert t.critical_value == math.sqrt(special.chdtri(100, 0.05))
+        assert t.provenance == "exact_chi2(alpha=0.05)"
+        t = asymptotic_test(Exponent.finite(3.0), 100, 0.05)
+        assert t.critical_value == asymptotic_critical_value(3.0, 100, 0.05)
+        assert t.provenance == "asymptotic_finite(p=3, alpha=0.05)"
 
     def test_sup_schedule_value(self):
         t = asymptotic_test(SUP, 5000, 0.05)
-        assert t.critical_value == sup_asymptotic_critical_value(5000, 0.05)
-        assert t.provenance == "asymptotic_sup(alpha=0.05)"
+        assert t.critical_value == -special.ndtri(-math.expm1(math.log1p(-0.05) / 5000) / 2)
+        assert t.provenance == "exact_sup(alpha=0.05)"
 
     def test_mc_schedule_pins_dimension(self):
         plan = MonteCarloPlan(replications=2000, seed=1)
@@ -854,7 +861,7 @@ class TestRecordRanges:
 
     @pytest.mark.parametrize("call, refusal", [
         (lambda: asymptotic_critical_value(2.0, 100, 0.0), "alpha must lie in (0, 1), got 0.0"),
-        (lambda: sup_asymptotic_critical_value(100, 1.5), "alpha must lie in (0, 1), got 1.5"),
+        (lambda: asymptotic_test(SUP, 100, 1.5), "alpha must lie in (0, 1), got 1.5"),
         (lambda: engine.require_tail_plan(math.nan, MonteCarloPlan(2000, 1)),
          "alpha must lie in (0, 1), got nan"),
         # the total lies in (0, 1), a member level does not
@@ -1045,13 +1052,13 @@ class TestSerialization:
         "asymptotic": (
             lambda plan: asymptotic_test(E2, 100, 0.05),
             "kind = single\nd = 100\nexponent = 2\nalpha = 0.050000000000000003\n"
-            "critical_value = 11.102330524422944\n"
-            "provenance = asymptotic_finite(p=2, alpha=0.05)\n"),
+            "critical_value = 11.150879490157003\n"
+            "provenance = exact_chi2(alpha=0.05)\n"),
         "asymptotic-sup": (
             lambda plan: asymptotic_test(SUP, 5000, 0.05),
             "kind = single\nd = 5000\nexponent = sup\nalpha = 0.050000000000000003\n"
-            "critical_value = 4.4487416090149896\n"
-            "provenance = asymptotic_sup(alpha=0.05)\n"),
+            "critical_value = 4.4116495456299232\n"
+            "provenance = exact_sup(alpha=0.05)\n"),
         "combined-geometric": (
             lambda plan: build_combined(60, (1.0, 2.0, 4.0), geometric_budget(3, 0.05), plan),
             "kind = combined\nd = 60\nalpha = 0.050000000000000003\nexponents = 1,2,4\n"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestGaussMoments:
     def test_total_cancellation_raises(self):
         with pytest.raises(NumericError):
             gauss_moments(1e-9)
+
+    # the second moment's log passes the float range from p ~ 4e305, and at
+    # p past 9e307 the order 2p itself is inf
+    @pytest.mark.parametrize("p", [5e305, 1e307, 1.7e308])
+    def test_moments_past_the_float_range_raise(self, p):
+        with pytest.raises(NumericError, match=re.escape(f"for p={p!r} pass the float range")):
+            gauss_moments(p)
+
+    def test_largest_finite_moments_stay_finite(self):
+        m = gauss_moments(2e305)
+        assert math.isfinite(m.log_mean) and math.isfinite(m.log_variance)
 
     def test_domain(self):
         with pytest.raises(DomainError, match="exponent must be a positive real, got inf"):
