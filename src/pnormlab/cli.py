@@ -43,7 +43,14 @@ from .engine import (
 from .errors import ConfigError, DomainError, PnormLabError
 from .mc import MonteCarloPlan
 from .norms import parse_exponent
-from .report import read_kv, sha256_file, svg_line_chart, write_csv, write_manifest
+from .report import (
+    read_kv,
+    require_one_line,
+    sha256_file,
+    svg_line_chart,
+    write_csv,
+    write_manifest,
+)
 
 _FAMILIES = {
     "dense": clab.dense,
@@ -59,9 +66,14 @@ class _Resolver:
     serve several subcommands; any other key is a ConfigError.  The values
     of the run's subcommand's options are cast by type when the file is
     read, so a malformed one is refused even where the run would not read
-    it; a key of another subcommand is neither checked nor recorded."""
+    it; a key of another subcommand is neither checked nor recorded.  A flag
+    value holding a line break, which no manifest line can hold, is refused
+    before anything is read."""
 
     def __init__(self, args: argparse.Namespace):
+        for key in _OPTIONS:
+            if isinstance(value := getattr(args, key.replace("-", "_"), None), str):
+                require_one_line(value, f"--{key}")
         self.args = args
         self.command = args.command
         config = read_kv(args.config) if args.config else {}

@@ -29,6 +29,7 @@ value`` lines: one table, ``_ARTIFACTS``, declares each kind's lines,
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -255,14 +256,18 @@ def _max_ratio(
 def require_tail_plan(alpha: float, plan: MonteCarloPlan) -> None:
     """Refuse a plan too small for the upper ``alpha`` order statistic: it
     needs at least 1000 replications and ``alpha * replications >= 10``.
-    The error names the least replication count that passes."""
+    The error names the least replication count that passes: exactly below
+    2**53, and to three digits above."""
     _check_unit("alpha", alpha)
     if plan.replications < 1000:
         raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
     if alpha * plan.replications < 10:
-        least = math.ceil(10 / alpha) - 1  # the quotient may round either way
-        while alpha * least < 10:
-            least += 1
+        if (quotient := 10 / alpha) < 2**53:
+            least = math.ceil(quotient) - 1  # the quotient may round either way
+            while alpha * least < 10:
+                least += 1
+        else:  # in decimal: 10 / alpha passes the float range at a subnormal alpha
+            least = format(10 / decimal.Decimal(alpha), ".3g")
         raise ConfigError(f"Monte Carlo calibration at level {alpha:g} needs alpha * replications"
                           f" >= 10, so at least {least} replications, got {plan.replications}")
 

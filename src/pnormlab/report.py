@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "fmt", "write_csv", "sha256_file", "numpy_dispatch", "write_manifest", "write_kv", "read_kv",
-    "svg_line_chart",
+    "fmt", "write_csv", "sha256_file", "numpy_dispatch", "write_manifest", "require_one_line",
+    "write_kv", "read_kv", "svg_line_chart",
 ]
 
 
@@ -85,11 +85,23 @@ def numpy_dispatch() -> str:
                     for name, sig in (("exp", "dd"), ("log", "dd"), ("power", "ddd")))
 
 
+def require_one_line(text: str, what: str) -> None:
+    """Refuse ``text`` that :func:`read_kv` would read as several lines: one
+    holding a character that ``str.splitlines`` splits at, such as ``\\n``
+    or ``\\r``."""
+    if "".join(text.splitlines()) != text:
+        raise ConfigError(f"{what} holds a line break: {text!r}")
+
+
 def write_kv(path, entries: Iterable[tuple[str, object]]) -> None:
     """Write one ``key = value`` line per pair, in order, for :func:`read_kv`
-    to read back: the format of manifests and calibration artifacts."""
+    to read back: the format of manifests and calibration artifacts.  A key
+    or value holding a line break is refused before the file is opened."""
+    lines = [f"{key} = {value}" for key, value in entries]
+    for line in lines:
+        require_one_line(line, f"a line of {os.path.basename(path)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(f"{key} = {value}\n" for key, value in entries))
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def read_kv(path) -> dict[str, str]:

@@ -28,7 +28,7 @@ from pnormlab.errors import ConfigError, DomainError
 from pnormlab.mc import MonteCarloPlan
 from pnormlab.norms import parse_exponent
 from pnormlab.power import enhancement_demo
-from pnormlab.report import fmt, numpy_dispatch, read_kv, sha256_file, svg_line_chart
+from pnormlab.report import fmt, numpy_dispatch, read_kv, sha256_file, svg_line_chart, write_kv
 
 
 def run(argv):
@@ -190,13 +190,22 @@ class TestExitCodes:
         ["calibrate", "--asymptotic", "--test", "sup", "--d", "-5"],
         ["calibrate", "--asymptotic", "--test", "p=2", "--d", "0"],
         ["calibrate", "--asymptotic", "--test", "p=2", "--d", "-5"],
+        # two exponents that print as p=3 would write one trace file twice
+        ["consistency", "--family", "dense", "--exponents", "3.0000001,3.0000002",
+         "--dgrid", "1000,2000"],
+        # no manifest line can hold a line break
+        ["consistency", "--family", "dense", "--dgrid", "1000,\n2000"],
+        ["calibrate", "--asymptotic", "--test", "p=2\n", "--d", "10", "--out", "{tmp}/out"],
+        # 10 / alpha passes the float range
+        ["calibrate", "--test", "p=2", "--d", "10", "--reps", "1000", "--alpha", "1e-320"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
             "agrid-nan", "range-inf", "agrid-points", "resolution", "dgrid-overflow",
             "workers-zero", "tests-empty", "radius-sup", "minimax-reps", "minimax-tail",
             "tests-twice", "figure3-tests", "figure3-family", "scale-without-figure3",
             "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus",
             "sup-asymptotic-small-d", "sup-asymptotic-negative-d", "p2-asymptotic-zero-d",
-            "p2-asymptotic-negative-d"])
+            "p2-asymptotic-negative-d", "exponents-collide", "dgrid-line-break",
+            "test-line-break", "alpha-subnormal"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -544,6 +553,9 @@ class TestCalibrate:
             test = mc_scale_minimax(build_minimax_adaptive(d, 5.0, 8), alpha, plan)
         save_test(test, tmp_path / "direct.txt")
         assert out.read_bytes() == (tmp_path / "direct.txt").read_bytes()
+        # and a power run reads it back
+        assert run(["power", "--d", d, "--tests", "p=1", "--artifact", out, "--calib-reps", 2000,
+                    "--reps", 200, "--agrid", "0:1:2", "--outdir", tmp_path / "pw"]) == 0
 
     def test_too_small_plan_names_the_least_replications(self, tmp_path, capsys):
         # ten linear members at d = 16 halve the level down to 4.9e-5
@@ -556,8 +568,9 @@ class TestCalibrate:
     @pytest.mark.parametrize("config, argv", [
         ("", ["--asymptotic", "--test", "minimax"]),
         ("", ["--asymptotic", "--test", "combined", "--preset", "exp"]),
+        ("", ["--asymptotic", "--test", "combined"]),
         ("test = minimax\nasymptotic = yes\n", []),
-    ], ids=["asymptotic-minimax", "asymptotic-preset", "config-only"])
+    ], ids=["asymptotic-minimax", "asymptotic-preset", "asymptotic-combined", "config-only"])
     def test_conflicting_modes_exit_two_before_simulating(
         self, tmp_path, monkeypatch, capsys, config, argv
     ):
@@ -593,15 +606,17 @@ class TestPower:
         ).read_bytes()
 
     def test_worker_flag_never_changes_outputs(self, tmp_path):
-        base = [
-            "power", "--d", "200", "--family", "dense", "--tests", "p=2",
-            "--reps", "1000", "--calib-reps", "4000", "--agrid", "0:0.5:5",
-        ]
-        assert run(base + ["--outdir", tmp_path / "w1", "--workers", "1"]) == 0
-        assert run(base + ["--outdir", tmp_path / "w8", "--workers", "8"]) == 0
-        assert (tmp_path / "w1" / "power_dense.csv").read_bytes() == (
-            tmp_path / "w8" / "power_dense.csv"
-        ).read_bytes()
+        # on a fixed grid, and on the auto grid, whose probes fill the
+        # kernels its curve reads
+        for family, agrid in (("dense", "0:0.5:5"), ("sparse", "auto")):
+            base = ["power", "--d", "200", "--family", family, "--tests", "p=2,sup",
+                    "--reps", "1000", "--calib-reps", "4000", "--agrid", agrid]
+            tables = []
+            for workers in ("1", "2", "8"):
+                outdir = tmp_path / f"{family}-{workers}"
+                assert run(base + ["--outdir", outdir, "--workers", workers]) == 0
+                tables.append((outdir / f"power_{family}.csv").read_bytes())
+            assert tables == [tables[0]] * 3
 
     def test_artifact_dimension_guard(self, tmp_path):
         art = tmp_path / "a.txt"
@@ -775,11 +790,15 @@ _SPEC_TEXT = st.one_of(
 
 class TestOptionParsers:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_agrid_up_to_the_largest_float_prints_no_warning(self):
+    def test_agrid_up_to_the_largest_float_prints_no_warning(self, tmp_path):
         # linspace's last step overflows to inf before numpy sets the last
         # point to hi; the grid itself is finite
         hi = sys.float_info.max
         assert cli._parse_agrid(f"0:{hi!r}:4") == (0.0, hi / 3, 2 * (hi / 3), hi)
+        # and a power run on it, in a fresh interpreter, prints none either
+        done = run_in_subprocess(["power", "--d", 20, "--tests", "p=2", "--calib-reps", 1000,
+                                  "--reps", 128, "--agrid", f"0:{hi!r}:4", "--outdir", tmp_path])
+        assert done.returncode == 0 and "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize("parser", [cli._parse_agrid, cli._parse_dgrid,
                                         cli._parse_range])
@@ -1023,6 +1042,14 @@ class TestSharedReader:
         assert code == 2
         assert "key 'critical_value' repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("at", ["key", "value"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1e", "\x85", "\u2028"])
+    def test_writer_refuses_a_line_break_the_reader_splits_at(self, tmp_path, at, brk):
+        entry = (f"k{brk}", "v") if at == "key" else ("k", f"v{brk}d = 5")
+        with pytest.raises(ConfigError, match="a line of a.txt holds a line break"):
+            write_kv(tmp_path / "a.txt", [("schema", "x"), entry])
+        assert not (tmp_path / "a.txt").exists()
 
     def test_reads_what_the_manifest_writer_writes(self, tmp_path):
         assert run(["calibrate", "--test", "p=2", "--d", "100", "--asymptotic",

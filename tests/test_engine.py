@@ -235,6 +235,16 @@ class TestMcCalibrate:
         with pytest.raises(ConfigError):
             mc_calibrate(E2, 10, 0.001, MonteCarloPlan(replications=2000, seed=1))
 
+    # the least count is exact below 2**53, and to three digits above, where
+    # 10 / alpha passes the float range at a subnormal alpha
+    @pytest.mark.parametrize("alpha, least", [
+        (1e-3, "10000"), (1.2e-15, "8333333333333333"), (1.1e-15, "9.09e+15"),
+        (1e-300, "1.00e+301"), (1e-320, "1.00e+321"), (5e-324, "2.02e+324"),
+    ])
+    def test_too_small_plan_names_the_least_replications(self, alpha, least):
+        with pytest.raises(ConfigError, match=rf"at least {re.escape(least)} replications, got"):
+            engine.require_tail_plan(alpha, MonteCarloPlan(replications=1000, seed=1))
+
     def test_shared_stats_match_own_simulation(self):
         # columns of a wider joint simulation give the identical test
         plan = MonteCarloPlan(replications=2000, seed=8)
@@ -898,6 +908,15 @@ class TestSerialization:
         path = tmp_path / "minimax.txt"
         save_test(test, path)
         assert load_test(path) == test
+
+    # read back, the first would load with its provenance cut to "mc", the
+    # second would be refused for its repeated d
+    @pytest.mark.parametrize("provenance", ["mc\ncritical_value_x = 1", "mc\nd = 5", "mc\r"])
+    def test_provenance_with_a_line_break_is_refused(self, tmp_path, provenance):
+        test = PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05, provenance=provenance)
+        with pytest.raises(ConfigError, match="holds a line break"):
+            save_test(test, tmp_path / "a.txt")
+        assert not (tmp_path / "a.txt").exists()
 
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "bad.txt"
