@@ -67,8 +67,8 @@ class _Resolver:
     of the run's subcommand's options are cast by type when the file is
     read, so a malformed one is refused even where the run would not read
     it; a key of another subcommand is neither checked nor recorded.  A flag
-    value holding a line break, which no manifest line can hold, is refused
-    before anything is read."""
+    value that no manifest line keeps as it is, one holding a line break or
+    leading or trailing whitespace, is refused before anything is read."""
 
     def __init__(self, args: argparse.Namespace):
         for key in _OPTIONS:
@@ -401,9 +401,9 @@ def _cmd_demo_enhance(res: _Resolver):
     d = res.require("d")
     plan = MonteCarloPlan(res.get("reps", 4000), res.get("seed", 20_240_777))
     name = res.get("base", "p=2")
-    if name == "never":  # calibrates nothing, so reads no level or calibration plan
-        base = ConstantTest(d=d)
-    else:
+    base = ConstantTest(d=d)
+    EnhancedTest(base)  # the record's own refusal of its d, before the calibration draw
+    if name != "never":  # a never-reject base calibrates nothing: it reads no level or plan
         alpha = res.get("alpha", 0.05)
         calib_plan = MonteCarloPlan(res.get("calib-reps", 20_000),
                                     res.get("calib-seed", 20_240_501))

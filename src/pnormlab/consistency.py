@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _require_dimension, _require_positive
 from .gaussmath import detection_weight, sup_centering, sup_detection_weight
 from .mc import _finite
 from .norms import Exponent
@@ -132,9 +132,7 @@ def _power_of_d(d: int, power: float, p: float, what: str) -> float:
 
 def power_sparse(exponent: float) -> AlternativeFamily:
     """One spike of height d**(1/(2 p)): borderline for the p-norm test."""
-    p = float(exponent)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise DomainError(f"power-sparse exponent must be positive, got {exponent!r}")
+    p = _require_positive("power-sparse exponent", float(exponent))
     return AlternativeFamily(
         kind="power_sparse",
         label=f"power-sparse(p={p:g})",
@@ -319,9 +317,7 @@ def rewrite_check(theta, p: float) -> RewriteParts:
     criterion is dominated by the smaller part (no two-sided bound exists).
     """
     theta = _vector(theta)
-    p = float(p)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise DomainError(f"exponent must be a positive real, got {p!r}")
+    p = _require_positive("exponent", float(p))
     rd = math.sqrt(theta.size)
     a = np.abs(theta)
     two_part = float(np.sum(a * a)) / rd
@@ -335,12 +331,8 @@ def minimax_radius(p: float, d: int) -> float:
     """Critical separation radius of the p-norm ball testing problem:
     ``d**((4-p)/(4p))`` for p <= 2 and ``d**(1/(2p))`` for p > 2 (both give
     d**(1/4) at p = 2)."""
-    p = float(p)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise DomainError(f"exponent must be a positive real, got {p!r}")
-    d = int(d)
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
+    p = _require_positive("exponent", float(p))
+    d = _require_dimension(int(d))
     power = (4.0 - p) / (4.0 * p) if p <= 2.0 else 1.0 / (2.0 * p)
     return _power_of_d(d, power, p, "minimax radius")
 

@@ -40,6 +40,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CalibrationError, ConfigError, DomainError, NumericError
+from .errors import _require_dimension, _require_finite, _require_positive, _require_unit
 from .gaussmath import gauss_moments, std_normal_cdf, std_normal_quantile, std_normal_sf
 from .mc import MonteCarloPlan, empirical_upper_quantile, simulate_null_statistics
 from .norms import Exponent, batch_norms, parse_exponent
@@ -83,52 +84,46 @@ class CalibrationWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be a positive real, got {value!r}")
-
-
 _LOG_SPACE_P = 30.0  # beyond this, assemble the CLT bracket in log space
 _UNDEFINED_BRACKET = ("analytic critical value undefined: the centering bracket is "
                       "non-positive at this (p, d, alpha); use Monte Carlo calibration")
 
 
 def _clt_bracket_root(p: float, d: int, z: float) -> float:
-    """[z * sqrt(d * var|Z|^p) + d * E|Z|^p] ** (1/p), in log space for large p;
-    a NumericError when a small p's root passes the largest float."""
-    if int(d) < 1:
-        raise DomainError("dimension must be >= 1")
+    """[z * sqrt(d * var|Z|^p) + d * E|Z|^p] ** (1/p), in log space for large p
+    or a bracket past the largest float; a NumericError when the root passes it."""
+    _require_dimension(d)
     mom = gauss_moments(p)
-    if p <= _LOG_SPACE_P and math.isfinite(mom.variance):
+    bracket = math.inf
+    if p <= _LOG_SPACE_P:  # here log_variance is at most 93.2, so the variance is finite
         bracket = z * math.sqrt(d * mom.variance) + d * mom.mean
         if bracket <= 0.0:
             raise CalibrationError(_UNDEFINED_BRACKET)
-        try:
+    try:
+        if bracket < math.inf:  # else a large p, or a bracket that a large d or z overflowed
             return bracket ** (1.0 / p)
-        except OverflowError:  # a small p takes a large root exponent
-            raise NumericError(f"analytic critical value overflows at p={p:g}, d={d}") from None
+        return math.exp(_log_bracket(d, z, mom) / p)
+    except OverflowError:  # the root passes the largest float, as a small p's may
+        raise NumericError(f"analytic critical value overflows at p={p:g}, d={d}") from None
+
+
+def _log_bracket(d: int, z: float, mom) -> float:
+    """log of the bracket of :func:`_clt_bracket_root`."""
     log_mu_term = math.log(d) + mom.log_mean
     if z == 0.0:
-        return math.exp(log_mu_term / p)
+        return log_mu_term
     log_sd_term = math.log(abs(z)) + 0.5 * (math.log(d) + mom.log_variance)
     if z > 0.0:
-        log_bracket = np.logaddexp(log_mu_term, log_sd_term)
-    else:
-        if log_sd_term >= log_mu_term:
-            raise CalibrationError(_UNDEFINED_BRACKET)
-        log_bracket = log_mu_term + math.log1p(-math.exp(log_sd_term - log_mu_term))
-    return math.exp(float(log_bracket) / p)
+        return float(np.logaddexp(log_mu_term, log_sd_term))
+    if log_sd_term >= log_mu_term:
+        raise CalibrationError(_UNDEFINED_BRACKET)
+    return log_mu_term + math.log1p(-math.exp(log_sd_term - log_mu_term))
 
 
 def asymptotic_critical_value(p: float, d: int, alpha: float) -> float:
     """CLT critical value of the p-norm test at level alpha (finite p),
     with the vanishing correction set to zero."""
-    _check_unit("alpha", alpha)
+    _require_unit("alpha", alpha)
     z = std_normal_quantile(1.0 - alpha)
     return _clt_bracket_root(float(p), int(d), z)
 
@@ -136,8 +131,8 @@ def asymptotic_critical_value(p: float, d: int, alpha: float) -> float:
 def minimax_critical_value(p: float, d: int, margin: float) -> float:
     """Analytic critical value with an explicit separation margin in place of
     the normal quantile; used by the minimax-adaptive construction."""
-    _check_positive("margin", float(margin))
-    return _clt_bracket_root(float(p), int(d), float(margin))
+    margin = _require_positive("margin", float(margin))
+    return _clt_bracket_root(float(p), int(d), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def _geometric_alphas(
     if members < 2:
         raise DomainError("geometric budget requires at least two members")
     for name, v in (("success", success), ("last_share", last_share)):
-        _check_unit(name, v)
+        _require_unit(name, v)
     weights = [success * (1.0 - success) ** j for j in range(members - 1)]
     wsum = math.fsum(weights)
     head = (1.0 - last_share) * alpha
@@ -178,8 +173,8 @@ class AlphaBudget:
     generator = "geometric"
 
     def __post_init__(self):
-        _check_unit("total level", self.total)
-        _check_unit("every member level", min(self.alphas))  # none exceeds the total
+        _require_unit("total level", self.total)
+        _require_unit("every member level", min(self.alphas))  # none exceeds the total
         want = _geometric_alphas(self.member_count, self.total, self.success, self.last_share)
         for j, (a, w) in enumerate(zip(self.alphas, want)):
             if abs(a - w) > 1e-12 * w:
@@ -210,7 +205,7 @@ def geometric_budget(
     members: int, alpha: float, success: float = 0.5, last_share: float = 0.5
 ) -> AlphaBudget:
     """Geometric size allocation over ``members`` ordered exponents."""
-    _check_unit("alpha", alpha)
+    _require_unit("alpha", alpha)
     return AlphaBudget(alphas=_geometric_alphas(int(members), alpha, success, last_share),
                        success=success, last_share=last_share)
 
@@ -258,7 +253,7 @@ def require_tail_plan(alpha: float, plan: MonteCarloPlan) -> None:
     needs at least 1000 replications and ``alpha * replications >= 10``.
     The error names the least replication count that passes: exactly below
     2**53, and to three digits above."""
-    _check_unit("alpha", alpha)
+    _require_unit("alpha", alpha)
     if plan.replications < 1000:
         raise ConfigError("Monte Carlo calibration needs at least 1000 replications")
     if alpha * plan.replications < 10:
@@ -301,11 +296,9 @@ class PNormTest:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d!r}")
-        _check_unit("alpha", self.alpha)
-        if not math.isfinite(self.critical_value):
-            raise DomainError(f"critical value must be finite, got {self.critical_value!r}")
+        _require_dimension(self.d)
+        _require_unit("alpha", self.alpha)
+        _require_finite("critical value", self.critical_value)
 
     @property
     def label(self) -> str:
@@ -337,8 +330,7 @@ class CombinedTest:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d!r}")
+        _require_dimension(self.d)
         ps = self.exponents  # each below the next, the last below infinity
         if not all(0.0 < p < q for p, q in zip(ps, (*ps[1:], math.inf))):
             raise DomainError(f"exponents must be strictly increasing finite positive reals, "
@@ -347,7 +339,7 @@ class CombinedTest:
             raise DomainError(f"{len(self.exponents)} exponents, {self.budget.member_count} "
                               f"alphas and {len(self.kappas)} kappas")
         for name, value in (*(("kappa", k) for k in self.kappas), ("scale", self.scale)):
-            _check_positive(name, value)
+            _require_positive(name, value)
 
     @property
     def alpha(self) -> float:
@@ -387,9 +379,9 @@ class MinimaxAdaptiveTest:
     def __post_init__(self):
         if not 1 <= self.max_power <= 1000:
             raise DomainError(f"max_power must lie in 1..1000, got {self.max_power!r}")
-        _check_positive("threshold", self.threshold)
+        _require_positive("threshold", self.threshold)
         if self.alpha is not None:
-            _check_unit("alpha", self.alpha)
+            _require_unit("alpha", self.alpha)
         object.__setattr__(self, "kappas", tuple(
             minimax_critical_value(float(j), self.d, self.margin)  # refuses a bad margin
             for j in range(1, self.max_power + 1)))
@@ -540,10 +532,8 @@ def asymptotic_test(exponent: Exponent, d: int, alpha: float) -> PNormTest:
     where ``(2 Phi(c) - 1)^d = 1 - alpha``, and for p = 2, where ``c^2`` is
     the upper alpha quantile of chi-square with d degrees of freedom; the CLT
     value of :func:`asymptotic_critical_value` for any other finite p."""
-    d = int(d)
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d!r}")
-    _check_unit("alpha", alpha)
+    d = _require_dimension(int(d))
+    _require_unit("alpha", alpha)
     if exponent.is_sup:
         half_tail = -math.expm1(math.log1p(-alpha) / d) / 2.0  # P(|Z| > c)
         if half_tail == 0.0:
@@ -639,9 +629,10 @@ def mc_scale_minimax(
     exponents = test.norm_exponents()
     stats = _null_statistics(test.d, exponents, alpha, plan, workers, stats)
     threshold = empirical_upper_quantile(_max_ratio(stats, exponents, test.kappas), alpha)
-    # replace builds a new record, whose kappas are worked out again, bit for bit
+    # replace builds a new record, whose kappas are worked out again, bit for
+    # bit; an empty provenance gains no leading space, which no artifact keeps
     return replace(test, threshold=threshold, alpha=alpha,
-                   provenance=test.provenance + f" mc-scaled({plan.descriptor()})")
+                   provenance=f"{test.provenance} mc-scaled({plan.descriptor()})".lstrip())
 
 
 class Calibration(NamedTuple):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericError
+from .errors import NumericError
+from .errors import _require_dimension, _require_finite, _require_positive, _require_unit
 
 __all__ = [
     "std_normal_cdf",
@@ -48,38 +49,27 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _MIN_RELATIVE_VARIANCE = 1e-14
 
 
-def _require_finite_scalar(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal cdf at ``x``."""
-    x = _require_finite_scalar(x, "x")
+    x = _require_finite("x", float(x))
     return float(special.ndtr(x))
 
 
 def std_normal_sf(x: float) -> float:
     """Upper tail probability ``P(Z >= x)``, cancellation-free for large x."""
-    x = _require_finite_scalar(x, "x")
+    x = _require_finite("x", float(x))
     return float(special.ndtr(-x))
 
 
 def std_normal_quantile(q: float) -> float:
     """Inverse of :func:`std_normal_cdf` on (0, 1)."""
-    q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
+    q = _require_unit("quantile level", float(q))
     return float(special.ndtri(q))
 
 
 def log_abs_moment(r: float) -> float:
     """log E|Z|^r for standard normal Z, any r > 0."""
-    r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"moment order must be a positive real, got {r!r}")
+    r = _require_positive("moment order", float(r))
     return float(special.gammaln((r + 1.0) / 2.0) + 0.5 * r * math.log(2.0) - _LOG_SQRT_PI)
 
 
@@ -121,9 +111,7 @@ class GaussMoments:
 
 def gauss_moments(p: float) -> GaussMoments:
     """Moments of |Z|^p used by critical-value formulas."""
-    p = float(p)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise DomainError(f"exponent must be a positive real, got {p!r}")
+    p = _require_positive("exponent", float(p))
     log_mean = log_abs_moment(p)
     # past p = 9e307 the order 2p is inf, and log_mean is inf already
     log_m2 = log_abs_moment(2.0 * p) if log_mean < math.inf else math.inf
@@ -146,12 +134,8 @@ def detection_weight(x, p: float, cutoff: float = 1.0):
 
     Even in ``x`` and zero at the origin.  Accepts scalars or arrays.
     """
-    p = float(p)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise DomainError(f"exponent must be a positive real, got {p!r}")
-    cutoff = float(cutoff)
-    if not (cutoff > 0.0 and math.isfinite(cutoff)):
-        raise DomainError(f"cutoff must be a positive real, got {cutoff!r}")
+    p = _require_positive("exponent", float(p))
+    cutoff = _require_positive("cutoff", float(cutoff))
     ax = np.abs(np.asarray(x, dtype=float))
     inside = ax <= cutoff
     with np.errstate(over="ignore"):
@@ -206,9 +190,7 @@ def sup_centering(d: int) -> float:
     d >= 2.  ``log log 2 < 0`` is kept as-is (no clamping), so the d = 2
     value exceeds ``sqrt(2 log 2)``.
     """
-    d = int(d)
-    if d <= 0:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+    d = _require_dimension(int(d))
     if d == 1:
         return 0.0
     root = math.sqrt(2.0 * math.log(d))

@@ -78,7 +78,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, _require_dimension, _require_unit
 from .norms import Exponent, ShiftedNormKernel, _tile_rows
 
 __all__ = [
@@ -341,9 +341,7 @@ def simulate_null_statistics(
     returned columns carry the joint null law needed to calibrate combined
     tests coherently.
     """
-    d = int(d)
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
+    d = _require_dimension(int(d))
     exps = tuple(dict.fromkeys(exponents))
     if not exps:
         raise DomainError("at least one exponent is required")
@@ -363,8 +361,7 @@ def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
     r = values.size
     if r == 0:
         raise DomainError("cannot take a quantile of an empty sample")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _require_unit("alpha", alpha)
     k = math.ceil(r * (1.0 - alpha))
     k = min(max(k, 1), r)
     value = float(np.partition(values, k - 1)[k - 1])

@@ -34,13 +34,12 @@ it is per row, so a tile gives the same bits as the whole chunk.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 
 __all__ = ["Exponent", "SUP", "parse_exponent", "p_norm_stat", "batch_norms"]
 
@@ -56,9 +55,7 @@ class Exponent:
 
     def __post_init__(self):
         if self.p is not None:
-            p = float(self.p)
-            if not (p > 0.0 and math.isfinite(p)):
-                raise DomainError(f"finite norm exponent must be > 0, got {self.p!r}")
+            p = _require_positive("finite norm exponent", float(self.p))
             object.__setattr__(self, "p", p)
 
     @staticmethod

@@ -30,7 +30,7 @@ from .engine import (
     calibration,
     required_exponents,
 )
-from .errors import DomainError, RankError
+from .errors import DomainError, RankError, _require_unit
 from .gaussmath import std_normal_quantile
 from .mc import MonteCarloPlan, Unit, simulate_shifted
 
@@ -243,9 +243,7 @@ def pe_demo(
     and at desk dimensions (d = 5e4, say) all six powers sit within a few
     points of their levels.
     """
-    total = float(alpha2) + float(alpha_inf)
-    if not (0.0 < total < 1.0):
-        raise DomainError("alpha2 + alpha_inf must lie in (0, 1)")
+    total = _require_unit("alpha2 + alpha_inf", float(alpha2) + float(alpha_inf))
     d = int(d)
     unit = Unit.from_runs(*semi_sparse().runs(d))
     levels = {"p=2": alpha2, "sup": alpha_inf, "combined": total, "p=3": total, "p=4": total}

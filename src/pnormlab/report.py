@@ -86,22 +86,27 @@ def numpy_dispatch() -> str:
 
 
 def require_one_line(text: str, what: str) -> None:
-    """Refuse ``text`` that :func:`read_kv` would read as several lines: one
-    holding a character that ``str.splitlines`` splits at, such as ``\\n``
-    or ``\\r``."""
+    """Refuse ``text`` that :func:`read_kv` would not read back as it is:
+    one holding a character that ``str.splitlines`` splits at, such as
+    ``\\n`` or ``\\r``, or one with leading or trailing whitespace, which
+    the reader strips."""
     if "".join(text.splitlines()) != text:
         raise ConfigError(f"{what} holds a line break: {text!r}")
+    if text.strip() != text:
+        raise ConfigError(f"{what} has leading or trailing whitespace: {text!r}")
 
 
 def write_kv(path, entries: Iterable[tuple[str, object]]) -> None:
     """Write one ``key = value`` line per pair, in order, for :func:`read_kv`
     to read back: the format of manifests and calibration artifacts.  A key
-    or value holding a line break is refused before the file is opened."""
-    lines = [f"{key} = {value}" for key, value in entries]
-    for line in lines:
-        require_one_line(line, f"a line of {os.path.basename(path)}")
+    or value that :func:`require_one_line` refuses is refused before the
+    file is opened."""
+    entries = [(str(key), str(value)) for key, value in entries]
+    for key, value in entries:
+        for text in (key, value):
+            require_one_line(text, f"a line of {os.path.basename(path)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        fh.write("".join(f"{key} = {value}\n" for key, value in entries))
 
 
 def read_kv(path) -> dict[str, str]:

@@ -196,6 +196,8 @@ class TestExitCodes:
         # no manifest line can hold a line break
         ["consistency", "--family", "dense", "--dgrid", "1000,\n2000"],
         ["calibrate", "--asymptotic", "--test", "p=2\n", "--d", "10", "--out", "{tmp}/out"],
+        # nor keep a value's surrounding whitespace
+        ["calibrate", "--asymptotic", "--test", " p=2", "--d", "100", "--out", "{tmp}/out"],
         # 10 / alpha passes the float range
         ["calibrate", "--test", "p=2", "--d", "10", "--reps", "1000", "--alpha", "1e-320"],
     ], ids=["agrid", "agrid-empty", "range", "dgrid", "power-sparse", "out-dir", "artifact",
@@ -205,7 +207,7 @@ class TestExitCodes:
             "tests-bogus", "base-bogus", "demo-pe-small-d", "calibrate-test-bogus",
             "sup-asymptotic-small-d", "sup-asymptotic-negative-d", "p2-asymptotic-zero-d",
             "p2-asymptotic-negative-d", "exponents-collide", "dgrid-line-break",
-            "test-line-break", "alpha-subnormal"])
+            "test-line-break", "test-whitespace", "alpha-subnormal"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] in cli._OPTIONS["outdir"].commands.split():
@@ -1139,6 +1141,16 @@ class TestDemos:
         assert lines[lines.index("command = demo-enhance"):] == [
             "command = demo-enhance", *(f"config.{x}" for x in config),
             f"output.enhancement_demo.csv.sha256 = {csv}"]
+
+    @pytest.mark.parametrize("base", ["never", "p=2"])
+    def test_demo_enhance_refuses_d_below_two_before_the_draw(self, tmp_path, monkeypatch,
+                                                               capsys, base):
+        drawn = []
+        monkeypatch.setattr(mc, "draw", lambda rng, out: drawn.append(out.shape))
+        assert run(["demo-enhance", "--d", 1, "--base", base, "--calib-reps", 20000,
+                    "--outdir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: enhancement requires d >= 2\n"
+        assert drawn == [] and not (tmp_path / "out").exists()
 
     def test_demo_pe_too_small_plan_is_refused_before_the_draw(
         self, tmp_path, monkeypatch, capsys

@@ -95,6 +95,28 @@ class TestAsymptoticCriticalValue:
         with pytest.raises(NumericError, match=f"overflows at p={p:g}, d=10"):
             asymptotic_critical_value(p, 10, 0.05)
 
+    # a large d or margin overflows the bracket, not its root, which is then
+    # taken in log space; closed forms: E|Z|^2 = 1, var |Z|^2 = 2,
+    # E|Z|^3 = 2 sqrt(2/pi) and var |Z|^3 = 15 - 8/pi
+    def test_overflowing_bracket_is_taken_in_log_space(self):
+        from pnormlab.gaussmath import std_normal_quantile
+
+        z = std_normal_quantile(0.95)
+        mean, var = 2.0 * math.sqrt(2.0 / math.pi), 15.0 - 8.0 / math.pi
+        want = (1e308 * (z * math.sqrt(var / 1e308) + mean)) ** (1.0 / 3.0)
+        assert asymptotic_critical_value(3.0, 10**308, 0.05) == pytest.approx(want, rel=1e-12)
+        assert minimax_critical_value(2.0, 100, 1e308) == pytest.approx(1e154 * 200.0**0.25,
+                                                                          rel=1e-12)
+        with pytest.raises(NumericError, match=f"overflows at p=1, d={2**62}"):
+            minimax_critical_value(1.0, 2**62, 1e308)
+
+    def test_variance_is_finite_wherever_the_bracket_is_linear(self):
+        # the linear branch reads GaussMoments.variance, inf past log 709
+        from pnormlab.gaussmath import gauss_moments
+
+        top = max(gauss_moments(k / 100).log_variance for k in range(1, 3001))
+        assert top == gauss_moments(engine._LOG_SPACE_P).log_variance < 93.2
+
     def test_small_exponent_stays_finite(self):
         assert asymptotic_critical_value(0.01, 10, 0.05) == pytest.approx(9.44e99, rel=1e-3)
 
@@ -910,11 +932,14 @@ class TestSerialization:
         assert load_test(path) == test
 
     # read back, the first would load with its provenance cut to "mc", the
-    # second would be refused for its repeated d
-    @pytest.mark.parametrize("provenance", ["mc\ncritical_value_x = 1", "mc\nd = 5", "mc\r"])
+    # second would be refused for its repeated d, the last would load as "x"
+    @pytest.mark.parametrize("provenance", ["mc\ncritical_value_x = 1", "mc\nd = 5", "mc\r",
+                                            " x "])
     def test_provenance_with_a_line_break_is_refused(self, tmp_path, provenance):
         test = PNormTest(d=50, exponent=E2, critical_value=8.0, alpha=0.05, provenance=provenance)
-        with pytest.raises(ConfigError, match="holds a line break"):
+        refusal = ("has leading or trailing whitespace" if provenance == " x "
+                   else "holds a line break")
+        with pytest.raises(ConfigError, match=refusal):
             save_test(test, tmp_path / "a.txt")
         assert not (tmp_path / "a.txt").exists()
 
